@@ -202,9 +202,11 @@ def _check_omega(blocks, kr, args):
     ident = np.eye(n, dtype=np.int64)
     at_one = tf.exponent(ident)
     outside = 0
+    tries = 0
     mod = kr.kpi.modulus
     from .padic import _int_det
-    while outside < 20:
+    while outside < 20 and tries < 2000:   # the support may be all of K
+        tries += 1
         cand = rng.integers(0, mod, size=(n, n))
         if _int_det([[int(v) for v in r] for r in cand]) % kr.kpi.p == 0:
             continue

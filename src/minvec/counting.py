@@ -118,15 +118,16 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
         raise ValueError("row_order must be a permutation of the rows")
 
     row_choices = _bounded_rows(n, B)
-    # Hadamard bound for the remaining rows
-    max_norm = math.sqrt(n) * B
+    row_sq = [sum(v * v for v in row) for row in row_choices]
+    # squared Hadamard bound for the remaining rows, in exact integers
+    bound_sq = [(n * B * B) ** r for r in range(n + 1)]
     matches = []
     scanned = 0
     rows_buf = [None] * n
 
-    def rec(k, norm_prod):
+    def rec(k, sq_prod):
         nonlocal scanned
-        if pruned and norm_prod * max_norm ** (n - k) < abs(m):
+        if pruned and sq_prod * bound_sq[n - k] < m * m:
             return
         if k == n:
             mat = tuple(rows_buf[i] for i in range(n))
@@ -140,19 +141,18 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
             matches.append(mat)
             return
         ridx = order[k]
-        for row in row_choices:
+        for row, sq in zip(row_choices, row_sq):
             scanned += 1
             if scanned > budget:
                 raise BudgetExceeded("enumeration budget exceeded",
                                      estimate=total, partial=len(matches))
             rows_buf[ridx] = row
-            nrm = math.sqrt(sum(v * v for v in row))
-            if pruned and nrm == 0.0 and m != 0:
+            if pruned and sq == 0:
                 continue
-            rec(k + 1, norm_prod * (nrm if nrm > 0 else 1.0))
+            rec(k + 1, sq_prod * (sq or 1))
         rows_buf[ridx] = None
 
-    rec(0, 1.0)
+    rec(0, 1)
     matches.sort()
     abelian, witness = _pairwise_commuting(matches)
     classes = _unit_classes(matches, m, n)

@@ -23,8 +23,9 @@ import numpy as np
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, PrecisionLoss
 from .orders import HereditaryOrder, InductionDatum, v_A
 from .padic import MatrixApprox
-from .residues import (batch_inv_2x2, box_enumerate, contains_codes, cross_mul,
-                       mat_inv_mod, pack, product_set, sorted_index, unpack)
+from .residues import (BLOCK_BYTES, batch_inv_2x2, box_enumerate, contains_codes,
+                       cross_products_packed, mat_inv_mod, pack, product_set,
+                       sorted_index, unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -38,6 +39,22 @@ def gl_order(n: int, p: int, L: int) -> int:
 # ---------------------------------------------------------------------------
 # subgroups
 # ---------------------------------------------------------------------------
+
+@dataclass
+class CharacterCertificate:
+    """What one exhaustive product-table scan proved about an exponent
+    table; unpacks as (multiplicative, witness, coords_additive)."""
+
+    multiplicative: bool
+    witness: tuple | None         # first (i, k) with theta(g_i g_k) wrong
+    coords_additive: bool | None  # None when no coordinates were scanned
+    inverse: np.ndarray           # inverse[a] = index of g_a^{-1}
+    convolution_bad_rows: list    # rows a with a term != Theta(g_a^{-1})
+
+    def __iter__(self):
+        return iter((self.multiplicative, self.witness,
+                     self.coords_additive is not False))
+
 
 class FiniteSubgroup:
     """An explicit subgroup of GL_n(Z/p^L).
@@ -69,6 +86,7 @@ class FiniteSubgroup:
             if space <= 1 << 26:
                 self._lut = np.full(space, -1, dtype=np.int32)
                 self._lut[self.codes] = np.arange(self.size, dtype=np.int32)
+            self._certificates = {}
         else:
             self.codes = None
             self.mats = None
@@ -113,8 +131,8 @@ class FiniteSubgroup:
         m = self.modulus
         if self.size <= 3000:
             for lo in range(0, self.size, 256):
-                prods = cross_mul(self.mats[lo:lo + 256], self.mats, m)
-                codes = pack(prods.reshape(-1, self.n, self.n), self.p, self.level)
+                codes = cross_products_packed(self.mats[lo:lo + 256], self.mats,
+                                              self.p, self.level)
                 if not np.all(contains_codes(self.codes, codes)):
                     return False
         else:
@@ -129,6 +147,23 @@ class FiniteSubgroup:
             if not self.contains_residues(mat):
                 return False
         return True
+
+    def pair_scan(self, fns):
+        """Run each fn(lo, idx_block) over the full product-index table,
+        where idx_block[i, k] is the index of g_(lo+i) g_k, in row chunks
+        of at most BLOCK_BYTES of int64 each."""
+        mats, p, L = self.mats, self.p, self.level
+        chunk = max(1, BLOCK_BYTES // (8 * self.size))
+        for lo in range(0, self.size, chunk):
+            pcodes = cross_products_packed(mats[lo:lo + chunk], mats, p, L)
+            idx = self.index_of_codes(pcodes.reshape(-1)).reshape(pcodes.shape)
+            if np.any(idx < 0):
+                i, k = np.argwhere(idx < 0)[0]
+                raise ConstructionFailure(
+                    f"{self.name} is not closed under products "
+                    f"(witness indices {lo + int(i)}, {int(k)})")
+            for fn in fns:
+                fn(lo, idx)
 
     def dump_lines(self):
         """Canonical line format: row-major residues, sorted."""
@@ -358,78 +393,47 @@ def formula_exponent_nums(d: InductionDatum, mats: np.ndarray, denom: int):
     return tr * (denom // mod) % denom
 
 
-def _cross_products_packed(A, B, p, L):
-    """Packed codes of all pairwise products a b mod p^L, shape (|A|, |B|).
-
-    Explicit broadcast arithmetic; measurably faster than einsum for the
-    small residue matrices used here.
-    """
-    mod = p ** L
-    n = A.shape[1]
-    base = p ** L
-    codes = None
-    for i in range(n):
-        for j in range(n):
-            acc = A[:, i, 0, None] * B[None, :, 0, j]
-            for k in range(1, n):
-                acc += A[:, i, k, None] * B[None, :, k, j]
-            acc %= mod
-            codes = acc if codes is None else codes * base + acc
-    return codes
-
-
-def _pair_scan(sub, fns, chunk=768):
-    """Run each fn(lo, idx_block) over the full product-index table."""
-    mats, p, L = sub.mats, sub.p, sub.level
-    for lo in range(0, len(mats), chunk):
-        pcodes = _cross_products_packed(mats[lo:lo + chunk], mats, p, L)
-        idx = sub.index_of_codes(pcodes.reshape(-1)).reshape(pcodes.shape)
-        if np.any(idx < 0):
-            i, k = np.argwhere(idx < 0)[0]
-            raise ConstructionFailure(
-                f"{sub.name} is not closed under products "
-                f"(witness indices {lo + int(i)}, {int(k)})")
-        for fn in fns:
-            fn(lo, idx)
-
-
 def verify_character(sub: FiniteSubgroup, nums, denom: int, coords=None,
-                     coord_orders=None):
-    """Exhaustive multiplicativity of an exponent table over all pairs.
+                     coord_orders=None) -> CharacterCertificate:
+    """Everything one exhaustive pair scan proves about an exponent table:
+    multiplicativity, optionally additivity of coset coordinates (which
+    certifies the count of character extensions), and the termwise
+    convolution law.  Memoized on sub per (nums, denom); rescanned only
+    when coordinates are asked for and were not checked before."""
+    nums = np.asarray(nums, dtype=np.int64)
+    key = (nums.tobytes(), denom)
+    cert = sub._certificates.get(key)
+    if cert is not None and (coords is None or cert.coords_additive is not None):
+        return cert
+    cert = CharacterCertificate(True, None, None if coords is None else True,
+                                np.empty(sub.size, dtype=np.int64), [])
+    ident = sub.identity_index()
 
-    Optionally checks in the same pass that coset coordinates add, which
-    certifies the count of character extensions.  Returns
-    (multiplicative, witness, coords_additive).
-    """
-    bad = []
-    coords_bad = []
-    fns = []
-
-    def check(lo, idx):
-        if bad:
-            return
-        block = nums[lo:lo + idx.shape[0]]
-        want = (block[:, None] + nums[None, :]) % denom
+    def consume(lo, idx):
+        rows = slice(lo, lo + idx.shape[0])
         got = nums[idx]
-        if not np.array_equal(want, got):
-            i, k = np.argwhere(want != got)[0]
-            bad.append((lo + int(i), int(k)))
+        if cert.multiplicative:
+            want = (nums[rows, None] + nums[None, :]) % denom
+            if not np.array_equal(want, got):
+                i, k = np.argwhere(want != got)[0]
+                cert.multiplicative = False
+                cert.witness = (lo + int(i), int(k))
+        if cert.coords_additive:
+            want = (coords[rows, None, :] + coords[None, :, :]) % coord_orders
+            cert.coords_additive = np.array_equal(want, coords[idx])
+        # convolution terms: Theta(x) - Theta(g_a x) = Theta(g_a^{-1})
+        hits = idx == ident
+        if np.any(np.count_nonzero(hits, axis=1) != 1):
+            raise ConstructionFailure(f"{sub.name}: a product-table row "
+                                      "does not hit the identity once")
+        inv = cert.inverse[rows] = np.argmax(hits, axis=1)
+        terms = (nums[None, :] - got) % denom
+        bad = np.any(terms != nums[inv, None] % denom, axis=1)
+        cert.convolution_bad_rows.extend((lo + np.nonzero(bad)[0]).tolist())
 
-    fns.append(check)
-    if coords is not None and coords.shape[1]:
-        orders_arr = np.asarray(coord_orders, dtype=np.int64)
-
-        def check_coords(lo, idx):
-            if coords_bad:
-                return
-            block = coords[lo:lo + idx.shape[0]]
-            want = (block[:, None, :] + coords[None, :, :]) % orders_arr
-            if not np.array_equal(want, coords[idx]):
-                coords_bad.append(True)
-
-        fns.append(check_coords)
-    _pair_scan(sub, fns)
-    return (not bad), (bad[0] if bad else None), (not coords_bad)
+    sub.pair_scan([consume])
+    sub._certificates[key] = cert
+    return cert
 
 
 @dataclass
@@ -510,12 +514,8 @@ def extend_character(group: FiniteSubgroup, sub_exponents,
         raise ConstructionFailure(
             f"no multiplicative extension found on {group.name}; "
             f"first mismatch at indices {witness}")
-    count = 1
-    for m in orders:
-        count *= m
-    if not coords_ok:
-        # conservative fallback: count only the verified base extension
-        count = 1
+    # unless coordinates add, count only the verified base extension
+    count = math.prod(orders) if coords_ok else 1
     return ExtensionData(nums, denom, cmat, orders, count, coords_ok)
 
 

@@ -59,24 +59,37 @@ def box_enumerate(offsets, steps, counts, modulus) -> np.ndarray:
     return out
 
 
-def batch_mul(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
-    """(A[i] @ B[i]) mod modulus for stacks of equal length."""
-    return np.einsum("mij,mjk->mik", A, B) % modulus
+# bytes of one int64 block of pairwise products, bounding every product
+# chunk: peak memory grows with it, speed is flat from 2 to 32 MiB
+BLOCK_BYTES = 1 << 22
 
 
-def cross_mul(A: np.ndarray, B: np.ndarray, modulus: int) -> np.ndarray:
-    """(A[i] @ B[j]) mod modulus for all pairs: shape (|A|, |B|, n, n)."""
-    return np.einsum("aij,bjk->abik", A, B) % modulus
+def cross_products_packed(A: np.ndarray, B: np.ndarray, p: int, L: int):
+    """Packed codes of all pairwise products a b mod p^L, shape (|A|, |B|).
+
+    Explicit broadcast arithmetic; measurably faster than einsum for the
+    small residue matrices used here.
+    """
+    n = A.shape[1]
+    if not fits_packing(p, L, n):
+        raise OverflowError("residue packing does not fit in int64")
+    mod = p ** L
+    codes = None
+    for i in range(n):
+        for j in range(n):
+            acc = A[:, i, 0, None] * B[None, :, 0, j]
+            for k in range(1, n):
+                acc += A[:, i, k, None] * B[None, :, k, j]
+            acc %= mod
+            codes = acc if codes is None else codes * mod + acc
+    return codes
 
 
-def product_set(A: np.ndarray, B: np.ndarray, p: int, L: int,
-                chunk: int = 512) -> np.ndarray:
+def product_set(A: np.ndarray, B: np.ndarray, p: int, L: int) -> np.ndarray:
     """Unique products {a b mod p^L}, returned as a sorted code array."""
-    modulus = p ** L
-    pieces = []
-    for lo in range(0, len(A), chunk):
-        prods = cross_mul(A[lo:lo + chunk], B, modulus)
-        pieces.append(np.unique(pack(prods.reshape(-1, *A.shape[1:]), p, L)))
+    chunk = max(1, BLOCK_BYTES // (8 * max(len(B), 1)))
+    pieces = [np.unique(cross_products_packed(A[lo:lo + chunk], B, p, L))
+              for lo in range(0, len(A), chunk)]
     return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
 
 

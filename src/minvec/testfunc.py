@@ -10,6 +10,7 @@ arithmetic and zero tolerance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ import numpy as np
 
 from .cyclotomic import CyclotomicSum
 from .errors import ConstructionFailure
-from .groups import KpiResult, _inverses, gl_order
+from .groups import KpiResult, _inverses, gl_order, verify_character
 from .padic import vp
-from .residues import pack
+from .residues import cross_products_packed, pack
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -127,10 +128,10 @@ def convolve_check(tf: TestFunction, samples: int = 2000,
                    seed: int = 0) -> ConvolutionReport:
     """Verify omega * omega^* = d_pi omega exactly.
 
-    Enumerated supports are checked on every pair (the product scan doubles
-    as the subgroup-closure certificate, which settles all points outside
-    the support at once); membership-only supports are checked on seeded
-    samples, term by term.
+    Enumerated supports are checked on every pair, read from the support's
+    memoized product scan (which also certifies subgroup closure and so
+    settles all points outside the support at once); membership-only
+    supports are checked on seeded samples, term by term.
     """
     kpi = tf.kpi_result.kpi
     if kpi.mats is not None:
@@ -151,37 +152,21 @@ def _convolve_full(tf, samples, seed):
     d_pi = Fraction(M, k_count)
     nums = theta.nums
     denom = theta.denom
-    inv_mats = _inverses(kpi.mats, p, L)
+    cert = verify_character(kpi, nums, denom)
     ok = True
     witness = None
-    chunk = max(1, min(512, 2 ** 22 // max(M, 1)))
-    for lo in range(0, M, chunk):
-        ginv = inv_mats[lo:lo + chunk]
-        prods = np.einsum("gij,mjk->gmik", ginv, kpi.mats) % mod
-        codes = pack(prods.reshape(-1, n, n), p, L)
-        idx = kpi.index_of_codes(codes).reshape(prods.shape[0], M)
-        if np.any(idx < 0):
-            raise ConstructionFailure("support is not closed under g^{-1} x")
-        # term exponents Theta(x) - Theta(g^{-1} x) must all equal Theta(g)
-        diffs = (nums[None, :] - nums[idx]) % denom
-        want = nums[lo:lo + prods.shape[0], None] % denom
-        if not np.all(diffs == want):
-            g_bad, x_bad = np.argwhere(diffs != want)[0]
+    # a row a that disagrees termwise is g = a^{-1}; decide it by the exact
+    # cyclotomic comparison sum_x Theta(x) - Theta(g^{-1} x) = M Theta(g)
+    for g, a in sorted((int(cert.inverse[a]), a)
+                       for a in cert.convolution_bad_rows):
+        idx = kpi.index_of_codes(
+            cross_products_packed(kpi.mats[a:a + 1], kpi.mats, p, L)[0])
+        lhs = CyclotomicSum(p, Counter(Fraction(int(t), denom)
+                                       for t in (nums - nums[idx]) % denom))
+        if lhs != CyclotomicSum(p, {Fraction(int(nums[g]), denom): M}):
             ok = False
-            witness = kpi.mats[lo + int(g_bad)]
-            # honest cyclotomic comparison for the witness
-            counter = {}
-            for t in diffs[int(g_bad)]:
-                tt = Fraction(int(t), denom)
-                counter[tt] = counter.get(tt, 0) + 1
-            lhs = CyclotomicSum(p, counter)
-            rhs = CyclotomicSum(
-                p, {Fraction(int(nums[lo + int(g_bad)]), denom): M})
-            if lhs == rhs:
-                ok = True  # sums agree although termwise exponents differ
-                witness = None
-            if not ok:
-                break
+            witness = kpi.mats[g]
+            break
     rng = np.random.default_rng(seed)
     off_checked = 0
     off_ok = True

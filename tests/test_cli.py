@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
-from minvec import cli
+import numpy as np
+
+from minvec import cli, testfunc
 from minvec.datafiles import (canonical_dumps, extract_block, load_datum,
                               parse_datum_text, roundtrip_ok, serialize)
 from minvec.errors import DatumInvalid
@@ -209,3 +213,44 @@ class TestParabolicCli:
         text = out_file.read_text()
         assert text.count("BEGIN STRUCTURED BLOCK") == 5  # order+verify+count+2 exponents
         assert "minvec report: exponent" in text
+
+
+class TestOmegaCheck:
+    def test_full_support_terminates(self, kr_a, monkeypatch):
+        # a support that is all of K leaves no off-support point to find
+        monkeypatch.setattr(testfunc.TestFunction, "exponent",
+                            lambda self, residues: 0)
+        args = argparse.Namespace(seed=0, budget=5_000_000)
+        verdict, section, _ = cli._check_omega([], kr_a, args)
+        assert verdict == "PASS"
+        assert section["off_support_zeros_sampled"] == 0
+
+
+class TestSingleScan:
+    @pytest.mark.parametrize("name, groups_scanned", [
+        ("datum_n2e2j1p3", 2),    # U_A(1) for the trace formula, H1 = B1
+        ("datum_n2e1j2p3", 3),    # U_A(2), H1, B1
+    ])
+    def test_one_scan_per_group_and_character(self, name, groups_scanned,
+                                              tmp_path, monkeypatch):
+        from minvec import groups
+        scans = []
+        keys = set()
+        scan, verify = groups.FiniteSubgroup.pair_scan, groups.verify_character
+
+        def counted_scan(self, fns):
+            scans.append(id(self))
+            return scan(self, fns)
+
+        def keyed_verify(sub, nums, denom, *args, **kwargs):
+            keys.add((id(sub), np.asarray(nums, np.int64).tobytes(), denom))
+            return verify(sub, nums, denom, *args, **kwargs)
+
+        monkeypatch.setattr(groups.FiniteSubgroup, "pair_scan", counted_scan)
+        for module in (groups, testfunc):
+            monkeypatch.setattr(module, "verify_character", keyed_verify)
+        code = cli.main(["verify", str(DATA_DIR / f"{name}.json"),
+                         "--out", str(tmp_path / "report.txt")])
+        assert code == cli.EXIT_PASS
+        assert len(scans) == len(keys) == groups_scanned
+        assert Counter(scans) == Counter(group for group, _, _ in keys)

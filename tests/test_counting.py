@@ -68,6 +68,17 @@ class TestEnumerate:
         for order in itertools.permutations(range(2)):
             assert enumerate_S(q, row_order=order).matches == base
 
+    @pytest.mark.parametrize("q, orthogonal", [
+        # rows of norm sqrt(13) meet the bound exactly, e.g. [[3,2],[-2,3]]
+        (LatticeQuery(2, 13, 3, 5, 0, ()), ((3, 2), (-2, 3))),
+        (LatticeQuery(2, -2, 1, 3, 0, ()), ((1, 1), (1, -1))),
+    ])
+    def test_hadamard_bound_attained(self, q, orthogonal):
+        rep = enumerate_S(q)
+        assert rep.matches == enumerate_S(q, pruned=False).matches
+        assert rep.matches == brute_force_S(q)
+        assert orthogonal in rep.matches
+
     def test_budget(self):
         q = LatticeQuery(2, 1, 3, 3, 0, ())
         with pytest.raises(BudgetExceeded):

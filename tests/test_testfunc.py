@@ -1,10 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from minvec.groups import gl_order
+from minvec.groups import (FiniteSubgroup, GroupCharacter, gl_order,
+                           verify_character)
+from minvec.residues import batch_inv_2x2, pack
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
 
@@ -91,6 +94,70 @@ class TestConvolution:
         for _ in range(20):
             x = kpi.mats[int(rng.integers(0, kpi.size))]
             assert tf.star_exponent(x) == tf.exponent(x)
+
+
+def einsum_convolution_terms(kpi, nums, denom):
+    """Reference for the convolution law: row g holds the exponents
+    Theta(x) - Theta(g^{-1} x) over all x, from an einsum product table."""
+    p, L, n = kpi.p, kpi.level, kpi.n
+    inv_mats = batch_inv_2x2(kpi.mats, p, L)
+    rows = []
+    for lo in range(0, kpi.size, 256):
+        prods = np.einsum("gij,mjk->gmik", inv_mats[lo:lo + 256],
+                          kpi.mats) % p ** L
+        idx = kpi.index_of_codes(pack(prods.reshape(-1, n, n), p, L))
+        assert np.all(idx >= 0)
+        rows.append((nums[None, :] - nums[idx.reshape(-1, kpi.size)]) % denom)
+    return np.concatenate(rows)
+
+
+def with_flipped_entry(kr):
+    """A fresh copy of the support whose character is wrong at one element."""
+    kpi, theta = kr.kpi, kr.theta
+    copy = FiniteSubgroup(kpi.name, kpi.p, kpi.level, kpi.n, kpi.mats)
+    nums = theta.nums.copy()
+    k = (copy.identity_index() + 1) % copy.size
+    nums[k] = (nums[k] + 1) % theta.denom
+    return dataclasses.replace(kr, kpi=copy,
+                               theta=GroupCharacter(copy, nums, theta.denom))
+
+
+class TestSingleScanConvolution:
+    def test_flipped_entry_fails_both_checks(self, kr_a):
+        kr = with_flipped_entry(kr_a)
+        ok, witness, _ = verify_character(kr.kpi, kr.theta.nums, kr.theta.denom)
+        assert not ok and witness is not None
+        rep = convolve_check(make_omega(kr))
+        assert rep.mode == "full" and rep.support_points_checked == kr.kpi.size
+        assert not rep.support_ok and rep.witness is not None
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_einsum_reference(self, kr_a, kr_c, flip):
+        for kr in (kr_a, kr_c):
+            if flip:
+                kr = with_flipped_entry(kr)
+            kpi, nums, denom = kr.kpi, kr.theta.nums, kr.theta.denom
+            want = einsum_convolution_terms(kpi, nums, denom)
+            cert = verify_character(kpi, nums, denom)
+            got = np.empty_like(want)
+
+            def keep_terms(lo, idx):
+                got[lo:lo + idx.shape[0]] = (nums[None, :] - nums[idx]) % denom
+
+            kpi.pair_scan([keep_terms])
+            # row a of the scan is row g = a^{-1} of the reference
+            for g in range(kpi.size):
+                assert np.array_equal(want[g], got[cert.inverse[g]])
+            bad = {g for g in range(kpi.size) if np.any(want[g] != nums[g])}
+            assert bad == {int(cert.inverse[a])
+                           for a in cert.convolution_bad_rows}
+            assert bool(bad) == flip
+            # the reported witness is the first failing g, as the einsum
+            # loop reported it
+            rep = convolve_check(make_omega(kr))
+            assert rep.support_ok == (not flip)
+            if flip:
+                assert np.array_equal(rep.witness, kpi.mats[min(bad)])
 
 
 class TestConcentration:
