@@ -10,13 +10,18 @@ localization image bound prod_j P(a_j, n) with P(a, n) = C(n+a-1, n-1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceeded, DatumInvalid
-from .padic import _int_det
+from .orders import mat_mul_int
+from .padic import _adjugate, _int_det
+from .residues import contains_codes, matrix_keys
 
 
 @dataclass(frozen=True)
@@ -35,33 +40,48 @@ class LatticeQuery:
             raise DatumInvalid("entry bound and congruence exponent must be >= 0")
 
     @functools.lru_cache(maxsize=32)
-    def torus_set(self, budget: int = 1_000_000) -> frozenset:
-        """Closure of the generators under product mod p^cf (cached)."""
-        mod = self.p ** self.cf
-        if mod == 1:
-            return frozenset({()})
-        gens = [tuple(tuple(int(v) % mod for v in row) for row in g)
-                for g in self.torus_generators]
-        for g in gens:
-            if _int_det([list(r) for r in g]) % self.p == 0:
-                raise DatumInvalid("torus residue is not invertible mod p")
-        seen = set(gens)
-        frontier = list(gens)
-        while frontier:
+    def torus_set(self, budget: int = 1_000_000) -> np.ndarray:
+        """Closure of I and the generators under product mod p^cf (cached).
+
+        Breadth-first over whole frontiers: each step multiplies the newly
+        found elements by every generator in one int64 broadcast and keeps
+        the products whose key (residues.matrix_keys) is unseen.  Returns
+        the sorted, read-only key array; without generators the torus is
+        {I}.
+        """
+        n, mod = self.n, self.p ** self.cf
+        if n * (mod - 1) ** 2 >= 2 ** 63:
+            raise BudgetExceeded(f"torus products mod {mod} overflow int64")
+        gens = np.array([[[int(v) % mod for v in row] for row in g]
+                         for g in self.torus_generators],
+                        dtype=np.int64).reshape(-1, n, n)
+        if mod > 1 and any(_int_det(g.tolist()) % self.p == 0 for g in gens):
+            raise DatumInvalid("torus residue is not invertible mod p")
+        frontier = np.eye(n, dtype=np.int64)[None] % mod
+        seen = set(matrix_keys(frontier).tolist())
+        found = [frontier]
+        while len(frontier):
+            prods = (frontier[:, None] @ gens[None]).reshape(-1, n, n) % mod
+            fresh = []
+            for i, key in enumerate(matrix_keys(prods).tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
             if len(seen) > budget:
                 raise BudgetExceeded("torus closure exceeded budget",
                                      estimate=len(seen))
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    prod = tuple(tuple(sum(a[i][k] * g[k][j] for k in range(self.n))
-                                       % mod for j in range(self.n))
-                                 for i in range(self.n))
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        return frozenset(seen)
+            frontier = prods[fresh]
+            found.append(frontier)
+        del seen                       # free it before the copies below
+        keys = np.sort(matrix_keys(np.concatenate(found)))
+        keys.flags.writeable = False
+        return keys
+
+    def in_torus(self, mats) -> np.ndarray:
+        """Whether each integer matrix of a stack reduces into the torus."""
+        torus = self.torus_set()
+        mats = np.asarray(mats, dtype=np.int64).reshape(-1, self.n, self.n)
+        return contains_codes(torus, matrix_keys(mats % self.p ** self.cf))
 
 
 def regime_threshold(q: LatticeQuery) -> int:
@@ -101,9 +121,15 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
                 row_order=None, pruned: bool = True) -> CountReport:
     """All integer matrices with |entries| <= B, det = m, reduction in T.
 
-    Row-by-row search with Hadamard-type determinant pruning; the result is
-    independent of the row ordering used for the search (canonical sorted
-    output), which row_order exposes for the permutation-stability test.
+    Row-by-row search over the first n-1 rows of row_order with exact
+    Hadamard-type pruning.  The determinant is linear in the row searched
+    last, so one int64 dot product of every bounded row with the cofactor
+    vector of the fixed rows decides all leaves at once; torus membership
+    is then tested in one batched lookup on the det = m candidates only.
+    candidates_scanned counts every row tried at every level plus every
+    leaf that survives pruning.  The result is independent of the row
+    ordering (canonical sorted output), which row_order exposes for the
+    permutation-stability test.
     """
     t0 = time.perf_counter()
     n, m, B = q.n, q.m, q.entry_bound
@@ -111,93 +137,77 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
     if not pruned and total > budget:
         raise BudgetExceeded("flat candidate space exceeds the budget",
                              estimate=total)
-    torus = q.torus_set()
-    mod = q.p ** q.cf
     order = list(row_order) if row_order is not None else list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("row_order must be a permutation of the rows")
+    if (2 * B + 1) ** n > budget or math.factorial(n) * B ** n >= 2 ** 63:
+        raise BudgetExceeded("bounded rows exceed the budget or int64",
+                             estimate=total)
 
-    row_choices = _bounded_rows(n, B)
-    row_sq = [sum(v * v for v in row) for row in row_choices]
+    rows = list(itertools.product(range(-B, B + 1), repeat=n))
+    rows_arr = np.array(rows, dtype=np.int64)
+    row_sq = (rows_arr * rows_arr).sum(axis=1)
     # squared Hadamard bound for the remaining rows, in exact integers
     bound_sq = [(n * B * B) ** r for r in range(n + 1)]
-    matches = []
+    last = order[-1]
+    candidates = []                    # det = m, torus not yet tested
     scanned = 0
-    rows_buf = [None] * n
+    rows_buf = [(0,) * n] * n
+
+    def over_budget():
+        return BudgetExceeded("enumeration budget exceeded", estimate=total,
+                              partial=int(q.in_torus(candidates).sum()))
 
     def rec(k, sq_prod):
         nonlocal scanned
         if pruned and sq_prod * bound_sq[n - k] < m * m:
             return
-        if k == n:
-            mat = tuple(rows_buf[i] for i in range(n))
-            scanned += 1
-            if _int_det([list(r) for r in mat]) != m:
-                return
-            if mod > 1:
-                red = tuple(tuple(v % mod for v in row) for row in mat)
-                if red not in torus:
-                    return
-            matches.append(mat)
+        if k == n - 1:
+            # a leaf survives iff sq_prod * |row|^2 >= m^2 (ceil division)
+            live = row_sq >= (-(-m * m // sq_prod) if pruned else 0)
+            scanned += len(rows) + int(np.count_nonzero(live))
+            if scanned > budget:
+                raise over_budget()
+            # column `last` of the adjugate ignores row `last`
+            cof = np.array([r[last] for r in _adjugate(rows_buf, n)],
+                           dtype=np.int64)
+            for i in np.flatnonzero(live & (rows_arr @ cof == m)):
+                rows_buf[last] = rows[i]
+                candidates.append(tuple(rows_buf))
             return
         ridx = order[k]
-        for row, sq in zip(row_choices, row_sq):
+        for row, sq in zip(rows, row_sq.tolist()):
             scanned += 1
             if scanned > budget:
-                raise BudgetExceeded("enumeration budget exceeded",
-                                     estimate=total, partial=len(matches))
+                raise over_budget()
             rows_buf[ridx] = row
             if pruned and sq == 0:
                 continue
             rec(k + 1, sq_prod * (sq or 1))
-        rows_buf[ridx] = None
 
     rec(0, 1)
-    matches.sort()
+    matches = sorted(mat for mat, ok in zip(candidates, q.in_torus(candidates))
+                     if ok)
     abelian, witness = _pairwise_commuting(matches)
     classes = _unit_classes(matches, m, n)
     fiber = max((len(c) for c in classes), default=0)
     bound = tau_bound(factorize(abs(m)), n)
-    report = CountReport(
+    return CountReport(
         query=q, matches=matches, candidates_scanned=scanned,
         abelian=abelian, commute_witness=witness,
         regime_ok=in_regime(q), regime_threshold=regime_threshold(q),
         tau_image_size=len(classes), fiber_measured=fiber,
         partition_bound=bound, bound_ok=len(classes) <= bound,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-    return report
-
-
-def _bounded_rows(n, B):
-    rows = []
-    span = range(-B, B + 1)
-
-    def rec(prefix):
-        if len(prefix) == n:
-            rows.append(tuple(prefix))
-            return
-        for v in span:
-            rec(prefix + [v])
-
-    rec([])
-    return rows
 
 
 def _pairwise_commuting(matches):
     for i in range(len(matches)):
         a = matches[i]
         for b in matches[i + 1:]:
-            ab = _mul_int(a, b)
-            ba = _mul_int(b, a)
-            if ab != ba:
+            if mat_mul_int(a, b) != mat_mul_int(b, a):
                 return False, (a, b)
     return True, None
-
-
-def _mul_int(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 def _unit_classes(matches, m, n):
@@ -235,15 +245,10 @@ def _unit_equivalent(a, b, m, n):
     if abs(det_a) != abs(det_b):
         return False
     for x, y, det in ((a, b, det_a), (b, a, det_b)):
-        num = _mul_int(_adjugate_int(x, n), y)
+        num = mat_mul_int(_adjugate(x, n), y)
         if any(v % det != 0 for row in num for v in row):
             return False
     return True
-
-
-def _adjugate_int(a, n):
-    from .padic import _adjugate
-    return tuple(tuple(r) for r in _adjugate([list(row) for row in a], n))
 
 
 def abelian_check(report: CountReport):
@@ -262,20 +267,6 @@ def partition_count(a: int, n: int) -> int:
     if a < 0 or n < 1:
         raise ValueError("need a >= 0 and n >= 1")
     return math.comb(n + a - 1, n - 1)
-
-
-def partition_count_oracle(a: int, n: int) -> int:
-    """Independent tuple-enumeration count (small inputs only)."""
-    if n == 1:
-        return 1
-
-    def rec(remaining, slots):
-        if slots == 1:
-            return 1
-        return sum(rec(remaining - first, slots - 1)
-                   for first in range(remaining + 1))
-
-    return rec(a, n)
 
 
 def factorize(m: int):

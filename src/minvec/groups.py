@@ -598,7 +598,8 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     """Polarize J^1/H^1 for the commutator pairing derived from theta.
 
     For odd depth J^1 = H^1 and the uniform convention B^1 = H^1 applies;
-    the returned data is flagged trivial.
+    the returned data is flagged trivial.  B^1 is certified a group later,
+    by the exhaustive product scan of extend_and_induce (verify_character).
     """
     p, j, o = d.p, d.j, d.order
     h1, j1 = bundle.h1, bundle.j1
@@ -733,8 +734,6 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         member_cosets.add(cid)
     mask = np.isin(coset_id, sorted(member_cosets))
     b1 = FiniteSubgroup("B1", p, L, o.n, j1.mats[mask])
-    if not b1.closure_check():
-        raise ConstructionFailure("polarization preimage is not a group")
     return PolarizationData(
         trivial=False, reason="", dim=dim, coset_reps=np.array(basis_mats),
         pairing=pairing, isotropic=iso_vecs, b1=b1,

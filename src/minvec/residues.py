@@ -1,9 +1,9 @@
 """Bulk helpers for matrices over Z/p^L: enumeration, products, lookups.
 
 Element sets are numpy arrays of shape (M, n, n) with int64 residues in
-[0, p^L).  For sorting and membership the n^2 residues are packed into a
-single int64 in row-major base-p^L order whenever that fits; all heavy
-pairwise checks in the group modules go through these helpers so they stay
+[0, p^L).  For sorting and membership each matrix is packed into one int64
+(pack, while (p^L)^(n^2) fits) or keyed by its bytes (matrix_keys, any
+modulus); all heavy pairwise checks go through these helpers so they stay
 exact (integer arithmetic only) while running at numpy speed.
 """
 
@@ -27,6 +27,14 @@ def pack(mats: np.ndarray, p: int, L: int) -> np.ndarray:
     for i in range(n * n):
         codes = codes * base + flat[:, i]
     return codes
+
+
+def matrix_keys(mats: np.ndarray) -> np.ndarray:
+    """One fixed-width byte key per (M, n, n) residue matrix, for any modulus:
+    big-endian int64 entries, so residues sort in row-major order."""
+    M, n, _ = mats.shape
+    flat = np.ascontiguousarray(mats.reshape(M, n * n), dtype=">i8")
+    return flat.view(np.dtype((np.void, 8 * n * n))).ravel()
 
 
 def unpack(codes: np.ndarray, p: int, L: int, n: int) -> np.ndarray:
@@ -156,6 +164,8 @@ def mat_inv_mod(rows, p: int, L: int):
 
 def sorted_index(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Indices of queries in a sorted code array; -1 where absent."""
+    if len(codes_sorted) == 0:
+        return np.full(len(queries), -1, dtype=np.intp)
     pos = np.searchsorted(codes_sorted, queries)
     pos_clip = np.minimum(pos, len(codes_sorted) - 1)
     ok = codes_sorted[pos_clip] == queries

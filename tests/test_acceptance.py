@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import build_datum
+from oracles import partition_count_oracle
 
 from minvec.counting import (LatticeQuery, amplifier_exponent, enumerate_S,
-                             partition_count, partition_count_oracle)
+                             partition_count)
 from minvec.groups import (build_Kpi, gl_order, intertwining_dichotomy,
                            prepare_block, verify_character)
 from minvec.orders import (HereditaryOrder, approximation_report,

@@ -254,3 +254,21 @@ class TestSingleScan:
         assert code == cli.EXIT_PASS
         assert len(scans) == len(keys) == groups_scanned
         assert Counter(scans) == Counter(group for group, _, _ in keys)
+
+    def test_broken_b1_is_a_construction_failure(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # heisenberg does not closure-check B1 itself; the product scan of
+        # the character extension must still reject a B1 missing one element
+        from minvec import groups
+
+        class DropLast(groups.FiniteSubgroup):
+            def __init__(self, name, p, level, n, mats=None, **kwargs):
+                if name == "B1":
+                    mats = mats[:-1]
+                super().__init__(name, p, level, n, mats, **kwargs)
+
+        monkeypatch.setattr(groups, "FiniteSubgroup", DropLast)
+        code = cli.main(["verify", str(DATA_DIR / "datum_n2e1j2p3.json"),
+                         "--out", str(tmp_path / "report.txt")])
+        assert code == cli.EXIT_CONSTRUCTION
+        assert "B1 is not closed under products" in capsys.readouterr().err

@@ -1,36 +1,30 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minvec.counting import (LatticeQuery, abelian_check, amplifier_exponent,
                              enumerate_S, factorize, in_regime,
-                             partition_count, partition_count_oracle,
-                             tau_bound)
+                             partition_count, tau_bound)
+from minvec.datafiles import load_query
 from minvec.errors import BudgetExceeded, DatumInvalid
+from minvec.residues import fits_packing, sorted_index
+from conftest import DATA_DIR
+from oracles import brute_force_S, partition_count_oracle, torus_closure_oracle
 
 
-def brute_force_S(q):
-    """Flat scan over the entire candidate box, no pruning at all."""
-    span = range(-q.entry_bound, q.entry_bound + 1)
-    torus = q.torus_set()
-    mod = q.p ** q.cf
-    out = []
-    for flat in itertools.product(span, repeat=q.n * q.n):
-        mat = tuple(tuple(flat[i * q.n + j] for j in range(q.n))
-                    for i in range(q.n))
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] if q.n == 2 else None
-        if det != q.m:
-            continue
-        if mod > 1:
-            red = tuple(tuple(v % mod for v in row) for row in mat)
-            if red not in torus:
-                continue
-        out.append(mat)
-    return sorted(out)
+def torus_elements(q):
+    """The torus_set keys decoded to row-major flat residue tuples."""
+    keys = q.torus_set()
+    flat = np.frombuffer(keys.tobytes(), dtype=">i8").reshape(len(keys), -1)
+    return [tuple(row) for row in flat.tolist()]
 
 
 IDENT = (((1, 0), (0, 1)),)
+# in regime with B = 9, and 3^10 is past int64 packing of 2x2 residues
+PAST_PACKING = LatticeQuery(2, 4, 9, 3, 10,
+                            (((4, 0), (0, 1)), ((-1, 0), (0, -1))))
 
 
 class TestEnumerate:
@@ -90,13 +84,99 @@ class TestEnumerate:
 
     def test_torus_closure_under_products(self):
         q = LatticeQuery(2, 4, 4, 3, 2, (((1, 0), (0, 4)),))
-        torus = q.torus_set()
-        mod = 9
-        for a in list(torus)[:10]:
-            for b in list(torus)[:10]:
-                prod = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) % mod
-                                   for j in range(2)) for i in range(2))
-                assert prod in torus
+        elems = torus_elements(q)
+        assert set(elems) == torus_closure_oracle(q.torus_generators, 9, 2)
+        assert len(set(elems)) == len(elems) == 3
+        for a in elems:
+            for b in elems:
+                prod = tuple(sum(a[i * 2 + k] * b[k * 2 + j] for k in range(2))
+                             % 9 for i in range(2) for j in range(2))
+                assert prod in elems
+
+
+class TestTorus:
+    @pytest.mark.parametrize("q, size", [
+        # diagonal primitive roots mod 3^4: (Z/81)^x squared
+        (LatticeQuery(2, 1, 1, 3, 4, (((2, 0), (0, 1)), ((1, 0), (0, 2)))),
+         54 * 54),
+        # non-commuting generators of SL_2(Z/9)
+        (LatticeQuery(2, 1, 1, 3, 2, (((1, 1), (0, 1)), ((1, 0), (1, 1)))),
+         648),
+        # one cyclic unit mod 25
+        (LatticeQuery(2, 1, 1, 5, 2, (((1, 1), (1, 2)),)), 50),
+        (PAST_PACKING, 3 ** 9 * 2),
+    ], ids=["diagonal-mod-81", "sl2-mod-9", "cyclic-mod-25", "past-packing"])
+    def test_matches_oracle(self, q, size):
+        mod = q.p ** q.cf
+        want = torus_closure_oracle(q.torus_generators, mod, q.n)
+        elems = torus_elements(q)
+        assert elems == sorted(want) and len(elems) == size
+        mats = np.array(sorted(want)).reshape(-1, 2, 2)
+        assert q.in_torus(mats).all()
+        assert q.in_torus(mats + mod).all()
+        assert not q.in_torus(mats * 0).any()
+
+    def test_past_packing_enumeration(self):
+        q = PAST_PACKING
+        assert not fits_packing(3, 10, 2) and in_regime(q)
+        rep = enumerate_S(q)
+        assert rep.matches == brute_force_S(q) == [((-4, 0), (0, -1)),
+                                                   ((4, 0), (0, 1))]
+        assert rep.abelian and rep.bound_ok
+
+    def test_no_generators_is_identity(self):
+        q = LatticeQuery(2, 1, 1, 3, 2, ())
+        assert torus_elements(q) == [(1, 0, 0, 1)]
+        rep = enumerate_S(q)
+        assert rep.matches == brute_force_S(q) == [((1, 0), (0, 1))]
+
+    def test_budget(self):
+        q = LatticeQuery(2, 4, 4, 3, 7, (((1, 0), (0, 4)), ((4, 0), (0, 1))))
+        with pytest.raises(BudgetExceeded):
+            q.torus_set(budget=100)
+
+    def test_overflow_names_modulus(self):
+        q = LatticeQuery(2, 1, 1, 3, 20, IDENT)
+        with pytest.raises(BudgetExceeded, match=str(3 ** 20)):
+            q.torus_set()
+
+    def test_result_is_read_only(self):
+        keys = LatticeQuery(2, 1, 1, 3, 3, IDENT).torus_set()
+        with pytest.raises(ValueError):
+            keys[0] = keys[0]
+
+    def test_sorted_index_empty(self):
+        assert sorted_index(np.empty(0, np.int64), np.array([1, 2])).tolist() \
+            == [-1, -1]
+
+
+class TestEnumerateDifferential:
+    @pytest.mark.parametrize("m, gens", [
+        # the split diagonal torus mod 3
+        (-1, tuple(tuple(tuple(2 if r == c == k else int(r == c)
+                               for c in range(3)) for r in range(3))
+                   for k in range(3))),
+        # one cyclic unit mod 3
+        (2, (((1, 1, 0), (0, 1, 1), (1, 0, 1)),)),
+    ])
+    def test_n3_all_row_orders(self, m, gens):
+        q = LatticeQuery(3, m, 1, 3, 1, gens)
+        want = brute_force_S(q)
+        assert want
+        for order in itertools.permutations(range(3)):
+            for pruned in (True, False):
+                rep = enumerate_S(q, row_order=order, pruned=pruned)
+                assert rep.matches == want
+
+    @pytest.mark.parametrize("name, scanned", [
+        ("query_m1_deep", 145),
+        ("query_m1_shallow", 145),
+        ("query_m4_deep", 12513),
+        ("query_m4_shallow", 166017),
+    ])
+    def test_candidates_scanned_pinned(self, name, scanned):
+        q = load_query(DATA_DIR / f"{name}.json").query()
+        assert enumerate_S(q).candidates_scanned == scanned
 
 
 class TestAbelian:
