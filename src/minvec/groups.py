@@ -80,12 +80,7 @@ class FiniteSubgroup:
             if len(np.unique(self.codes)) != len(self.codes):
                 raise ConstructionFailure(f"{name}: duplicate elements")
             self.size = len(self.codes)
-            # dense code -> index table when the code space is small
-            space = (p ** level) ** (n * n)
-            self._lut = None
-            if space <= 1 << 26:
-                self._lut = np.full(space, -1, dtype=np.int32)
-                self._lut[self.codes] = np.arange(self.size, dtype=np.int32)
+            self._tree = None
             self._certificates = {}
         else:
             self.codes = None
@@ -116,54 +111,66 @@ class FiniteSubgroup:
         return self.contains_residues(res)
 
     def index_of_codes(self, codes):
-        if getattr(self, "_lut", None) is not None:
-            return self._lut[codes]
         return sorted_index(self.codes, codes)
 
     def identity_index(self) -> int:
         ident = np.eye(self.n, dtype=np.int64)
-        return int(self.index_of_codes(pack(ident[None], self.p, self.level))[0])
+        idx = int(self.index_of_codes(pack(ident[None], self.p, self.level))[0])
+        if idx < 0:
+            raise ConstructionFailure(f"{self.name} does not contain the identity")
+        return idx
 
-    def closure_check(self, rng=None, samples=512) -> bool:
-        """Product/inverse closure: full when small, seeded sample otherwise."""
-        if self.codes is None:
-            raise ValueError("cannot closure-check a membership-only subgroup")
-        m = self.modulus
-        if self.size <= 3000:
-            for lo in range(0, self.size, 256):
-                codes = cross_products_packed(self.mats[lo:lo + 256], self.mats,
-                                              self.p, self.level)
-                if not np.all(contains_codes(self.codes, codes)):
-                    return False
-        else:
-            idx = rng.integers(0, self.size, size=(samples, 2)) if rng is not None \
-                else np.stack([np.arange(samples) % self.size,
-                               (np.arange(samples) * 7 + 3) % self.size], axis=1)
-            prods = (self.mats[idx[:, 0]] @ self.mats[idx[:, 1]]) % m
-            codes = pack(prods, self.p, self.level)
-            if not np.all(contains_codes(self.codes, codes)):
-                return False
-        for mat in _inverses(self.mats[:min(self.size, 1024)], self.p, self.level):
-            if not self.contains_residues(mat):
-                return False
-        return True
+    def _generator_tree(self):
+        """(root, perms, steps), memoized: perms[t][i] is the index of
+        g_i g_s for the t-th greedily chosen generator s, and each step
+        (t, cols, parents) of a breadth-first search from the identity has
+        g_cols = g_parents g_s.  Every perm is free of -1 and the search
+        reaches every element, so this certifies closure under products."""
+        if self._tree is None:
+            root = self.identity_index()
+            reached = np.zeros(self.size, dtype=bool)
+            reached[root] = True
+            perms, steps = [], []
+            while not reached.all():
+                s = int(np.argmin(reached))
+                perm = self.index_of_codes(cross_products_packed(
+                    self.mats, self.mats[s:s + 1], self.p, self.level)[:, 0])
+                if np.any(perm < 0):
+                    raise ConstructionFailure(
+                        f"{self.name} is not closed under products "
+                        f"(witness indices {int(np.argmax(perm < 0))}, {s})")
+                perms.append(perm.astype(np.int32))
+                frontier = np.flatnonzero(reached)
+                while len(frontier):
+                    found = []
+                    for t, perm in enumerate(perms):
+                        images = perm[frontier]
+                        new = ~reached[images]
+                        cols, first = np.unique(images[new], return_index=True)
+                        reached[cols] = True
+                        if len(cols):
+                            steps.append((t, cols, frontier[new][first]))
+                        found.append(cols)
+                    frontier = np.concatenate(found)
+            self._tree = root, perms, steps
+        return self._tree
 
     def pair_scan(self, fns):
         """Run each fn(lo, idx_block) over the full product-index table,
         where idx_block[i, k] is the index of g_(lo+i) g_k, in row chunks
-        of at most BLOCK_BYTES of int64 each."""
-        mats, p, L = self.mats, self.p, self.level
-        chunk = max(1, BLOCK_BYTES // (8 * self.size))
+        of at most BLOCK_BYTES of int32 each.  No chunk multiplies
+        matrices: column k is g_i g_k = (g_i g_parent) g_s, one gather
+        through the tree's permutation for s."""
+        root, perms, steps = self._generator_tree()
+        chunk = max(1, BLOCK_BYTES // (4 * self.size))
         for lo in range(0, self.size, chunk):
-            pcodes = cross_products_packed(mats[lo:lo + chunk], mats, p, L)
-            idx = self.index_of_codes(pcodes.reshape(-1)).reshape(pcodes.shape)
-            if np.any(idx < 0):
-                i, k = np.argwhere(idx < 0)[0]
-                raise ConstructionFailure(
-                    f"{self.name} is not closed under products "
-                    f"(witness indices {lo + int(i)}, {int(k)})")
+            hi = min(lo + chunk, self.size)
+            columns = np.empty((self.size, hi - lo), dtype=np.int32)
+            columns[root] = np.arange(lo, hi)
+            for t, k, parents in steps:
+                columns[k] = perms[t][columns[parents]]
             for fn in fns:
-                fn(lo, idx)
+                fn(lo, columns.T)
 
     def dump_lines(self):
         """Canonical line format: row-major residues, sorted."""
@@ -407,28 +414,41 @@ def verify_character(sub: FiniteSubgroup, nums, denom: int, coords=None,
         return cert
     cert = CharacterCertificate(True, None, None if coords is None else True,
                                 np.empty(sub.size, dtype=np.int64), [])
+    # consumers run in int16 unless denom or a coordinate order needs more
+    dtype = np.int16 if max([denom, *(coord_orders or ())]) < 1 << 15 \
+        else np.int64
+    vals = (nums % denom).astype(dtype)
+    if coords is not None:
+        coords = np.ascontiguousarray(coords.T, dtype=dtype)
     ident = sub.identity_index()
+
+    def delta(table, idx, m):
+        # table(g_a g_k) - table(g_k) mod m, for table values in [0, m)
+        d = table[idx]
+        d -= table
+        d += d.dtype.type(m) * (d < 0)
+        return d
 
     def consume(lo, idx):
         rows = slice(lo, lo + idx.shape[0])
-        got = nums[idx]
+        diff = delta(vals, idx, denom)
         if cert.multiplicative:
-            want = (nums[rows, None] + nums[None, :]) % denom
-            if not np.array_equal(want, got):
-                i, k = np.argwhere(want != got)[0]
+            bad = diff != vals[rows, None]
+            if np.any(bad):
+                i, k = np.argwhere(bad)[0]
                 cert.multiplicative = False
                 cert.witness = (lo + int(i), int(k))
         if cert.coords_additive:
-            want = (coords[rows, None, :] + coords[None, :, :]) % coord_orders
-            cert.coords_additive = np.array_equal(want, coords[idx])
+            cert.coords_additive = all(
+                np.all(delta(c, idx, m) == c[rows, None])
+                for c, m in zip(coords, coord_orders))
         # convolution terms: Theta(x) - Theta(g_a x) = Theta(g_a^{-1})
-        hits = idx == ident
-        if np.any(np.count_nonzero(hits, axis=1) != 1):
+        hit_rows, inv = np.nonzero(idx == ident)
+        if not np.array_equal(hit_rows, np.arange(idx.shape[0])):
             raise ConstructionFailure(f"{sub.name}: a product-table row "
                                       "does not hit the identity once")
-        inv = cert.inverse[rows] = np.argmax(hits, axis=1)
-        terms = (nums[None, :] - got) % denom
-        bad = np.any(terms != nums[inv, None] % denom, axis=1)
+        cert.inverse[rows] = inv
+        bad = np.any(diff != -vals[inv, None] % denom, axis=1)
         cert.convolution_bad_rows.extend((lo + np.nonzero(bad)[0]).tolist())
 
     sub.pair_scan([consume])

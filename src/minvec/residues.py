@@ -67,8 +67,8 @@ def box_enumerate(offsets, steps, counts, modulus) -> np.ndarray:
     return out
 
 
-# bytes of one int64 block of pairwise products, bounding every product
-# chunk: peak memory grows with it, speed is flat from 2 to 32 MiB
+# bytes of one block of pairwise product codes or product indices, bounding
+# every product chunk: peak memory grows with it
 BLOCK_BYTES = 1 << 22
 
 

@@ -67,3 +67,12 @@ def partition_count_oracle(a: int, n: int) -> int:
                    for first in range(remaining + 1))
 
     return rec(a, n)
+
+
+def product_table_oracle(sub, lo, hi):
+    """Rows lo..hi of a subgroup's product-index table by explicit matrix
+    products and binary search: entry [i, k] is the index of g_(lo+i) g_k,
+    or -1 where the product leaves the subgroup."""
+    from minvec.residues import cross_products_packed, sorted_index
+    codes = cross_products_packed(sub.mats[lo:hi], sub.mats, sub.p, sub.level)
+    return sorted_index(sub.codes, codes.reshape(-1)).reshape(codes.shape)

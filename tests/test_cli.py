@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -260,15 +261,22 @@ class TestSingleScan:
         # heisenberg does not closure-check B1 itself; the product scan of
         # the character extension must still reject a B1 missing one element
         from minvec import groups
+        broken = []
 
         class DropLast(groups.FiniteSubgroup):
             def __init__(self, name, p, level, n, mats=None, **kwargs):
                 if name == "B1":
                     mats = mats[:-1]
+                    broken.append(self)
                 super().__init__(name, p, level, n, mats, **kwargs)
 
         monkeypatch.setattr(groups, "FiniteSubgroup", DropLast)
         code = cli.main(["verify", str(DATA_DIR / "datum_n2e1j2p3.json"),
                          "--out", str(tmp_path / "report.txt")])
         assert code == cli.EXIT_CONSTRUCTION
-        assert "B1 is not closed under products" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "B1 is not closed under products" in err
+        # the reported pair really multiplies out of B1
+        i, k = map(int, re.search(r"witness indices (\d+), (\d+)", err).groups())
+        b1, = broken
+        assert not b1.contains_residues(b1.mats[i] @ b1.mats[k])

@@ -4,15 +4,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minvec import groups
 from minvec.errors import ConstructionFailure, DatumInvalid
-from minvec.groups import (build_Kpi, build_subgroups, extend_and_induce,
-                           gl_order, heisenberg, intertwines,
-                           intertwining_dichotomy, prepare_block,
+from minvec.groups import (FiniteSubgroup, build_Kpi, build_subgroups,
+                           extend_and_induce, gl_order, heisenberg,
+                           intertwines, intertwining_dichotomy, prepare_block,
                            simple_character, verify_character)
 from minvec.padic import MatrixApprox, PrecisionCtx, psi_exponent
 from minvec.residues import pack
 
 from conftest import build_datum
+from oracles import product_table_oracle
+
+
+def assert_closed(sub):
+    """The generator tree's closure certificate, checked from outside: every
+    right-multiplication map is a permutation, every tree edge is an actual
+    product, and the tree spans the whole set."""
+    root, perms, steps = sub._generator_tree()
+    for perm in perms:
+        assert np.array_equal(np.sort(perm), np.arange(sub.size))
+    for t, cols, parents in steps:
+        s = perms[t][root]
+        prods = sub.mats[parents] @ sub.mats[s] % sub.modulus
+        assert np.array_equal(prods, sub.mats[cols])
+    spanned = np.concatenate([[root]] + [cols for _, cols, _ in steps])
+    assert np.array_equal(np.sort(spanned), np.arange(sub.size))
 
 
 class TestSubgroups:
@@ -46,14 +63,24 @@ class TestSubgroups:
         for blk in (block_a, block_c):
             b = blk.bundle
             for sub in [b.ua[1], b.ul1, b.ol_units, b.h1, b.j1, b.jcapk]:
-                assert sub.closure_check(np.random.default_rng(0))
+                assert_closed(sub)
 
-    def test_closure_sampled_branch(self, block_b):
-        # |H1| = 6561 exceeds the full-check threshold: seeded-random branch
+    def test_closure_large_groups(self, block_b):
+        # |H1| = 6561 and |JcapK| = 13122 are certified exhaustively too
         b = block_b.bundle
         assert b.h1.size > 3000
-        assert b.h1.closure_check(np.random.default_rng(0))
-        assert b.jcapk.closure_check(np.random.default_rng(0))
+        assert_closed(b.h1)
+        assert_closed(b.jcapk)
+
+    def test_missing_identity_is_a_construction_failure(self, block_a):
+        h1 = block_a.bundle.h1
+        ident = h1.identity_index()
+        rest = np.delete(h1.mats, ident, axis=0)
+        broken = FiniteSubgroup("H1-minus-I", h1.p, h1.level, h1.n, rest)
+        with pytest.raises(ConstructionFailure, match="identity"):
+            broken.identity_index()
+        with pytest.raises(ConstructionFailure, match="identity"):
+            verify_character(broken, np.zeros(broken.size, np.int64), 3)
 
     def test_requires_minimal(self, datum_nonminimal):
         with pytest.raises(DatumInvalid):
@@ -64,6 +91,71 @@ class TestSubgroups:
         assert lines[0].startswith("# subgroup H1 p=3 N=2 n=2 size=243")
         assert lines[1:] == sorted(lines[1:])
         assert all(len(line.split()) == 4 for line in lines[1:])
+
+
+def enumerated_groups(blk):
+    b = blk.bundle
+    subs = list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, b.j1, b.jcapk,
+                                  blk.pol.b1]
+    return list({id(sub): sub for sub in subs}.values())
+
+
+class _Enough(Exception):
+    pass
+
+
+class TestProductTable:
+    def test_tree_table_matches_product_oracle(self, block_a, block_c,
+                                               monkeypatch):
+        # small chunks, so rows of every group span several of them; groups
+        # past 2187 elements are compared on their first 8 rows only
+        monkeypatch.setattr(groups, "BLOCK_BYTES", 1 << 14)
+        for blk in (block_a, block_c):
+            for sub in enumerated_groups(blk):
+                rows = []
+
+                def compare(lo, idx):
+                    hi = lo + idx.shape[0]
+                    assert np.array_equal(idx, product_table_oracle(sub, lo, hi))
+                    rows.append(hi)
+                    if sub.size > 2187 and hi >= 8:
+                        raise _Enough
+
+                try:
+                    sub.pair_scan([compare])
+                    assert rows[-1] == sub.size
+                except _Enough:
+                    pass
+                assert len(rows) > 1 or sub.size <= 64
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_wide_consumers_agree_at_the_int16_boundary(self, block_a, block_c,
+                                                        flip):
+        # the same character over denom p^k: int16 while denom p^k < 2^15,
+        # int64 from there on; every certificate field must agree
+        for blk in (block_a, block_c):
+            theta, base = blk.simple.theta, blk.simple.base
+            tilde = blk.induced.theta_tilde
+            for sub, nums, denom in [
+                    (theta.domain, theta.nums, theta.denom),
+                    (base, theta.restricted_nums(base.codes), theta.denom),
+                    (tilde.domain, tilde.nums, tilde.denom)]:
+                if flip:
+                    nums = nums.copy()
+                    k = (sub.identity_index() + 1) % sub.size
+                    nums[k] = (nums[k] + 1) % denom
+                want = verify_character(sub, nums, denom)
+                assert want.multiplicative != flip
+                scale = 1
+                while denom * scale < 2 ** 15:
+                    scale *= sub.p
+                for s in (scale // sub.p, scale):
+                    got = verify_character(sub, nums * s, denom * s)
+                    assert got.multiplicative == want.multiplicative
+                    assert got.witness == want.witness
+                    assert np.array_equal(got.inverse, want.inverse)
+                    assert got.convolution_bad_rows == \
+                        want.convolution_bad_rows
 
 
 class TestSimpleCharacter:
@@ -149,7 +241,7 @@ class TestHeisenberg:
         assert block_c.pol.raw_pairing_alternating is False
 
     def test_b1_is_group(self, block_c):
-        assert block_c.pol.b1.closure_check(np.random.default_rng(1))
+        assert_closed(block_c.pol.b1)
 
 
 class TestInducedCharacter:
