@@ -186,6 +186,16 @@ class TestGolden:
         want = json.loads((GOLDEN_DIR / "count_m4_deep.block.json").read_text())
         assert extract_block(out) == want
 
+    @pytest.mark.parametrize("name", ["n2e2j1p3", "n2e1j2p3", "parabolic_n4p3"])
+    def test_verify_block(self, name):
+        # pins the sampled counts (off-support zeros, spot nonmembers,
+        # off-support convolution points) as well as every verdict
+        code, out = run_cli("--seed", "0", "verify",
+                            str(DATA_DIR / f"datum_{name}.json"))
+        assert code == 0
+        want = json.loads((GOLDEN_DIR / f"verify_{name}.block.json").read_text())
+        assert extract_block(out) == want
+
 
 class TestConsoleEntry:
     def test_installed_script(self):
