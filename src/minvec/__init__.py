@@ -4,13 +4,13 @@ The toolkit builds hereditary orders and their radical filtrations, simple
 characters and their Heisenberg extensions, the compactly supported test
 function attached to a generic induction datum, and the lattice-counting
 bounds feeding the amplified pre-trace inequality.  Every computation is
-exact: truncated p-adic integers with explicit precision, rationals, and
+exact: truncated p-adic matrices with explicit precision, rationals, and
 formal sums of roots of unity.
 """
 
 from .errors import (BudgetExceeded, ConstructionFailure, DatumInvalid,
                      MinvecError, PrecisionLoss)
-from .padic import MatrixApprox, PrecisionCtx, ScaledResidue, psi_exponent
+from .padic import MatrixApprox, PrecisionCtx
 from .orders import (HereditaryOrder, InductionDatum, check_approximation,
                      in_radical_power, is_minimal, k0, v_A)
 from .groups import (build_Kpi, build_subgroups, extend_and_induce,

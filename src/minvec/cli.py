@@ -11,6 +11,7 @@ block.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -19,6 +20,7 @@ from . import counting, datafiles, groups, testfunc
 from .errors import (BudgetExceeded, ConstructionFailure, DatumInvalid,
                      MinvecError, PrecisionLoss)
 from .orders import approximation_report, is_minimal, k0
+from .residues import sample_units_outside
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -201,18 +203,10 @@ def _check_omega(blocks, kr, args):
     n = kr.n
     ident = np.eye(n, dtype=np.int64)
     at_one = tf.exponent(ident)
-    outside = 0
-    tries = 0
-    mod = kr.kpi.modulus
-    from .padic import _int_det
-    while outside < 20 and tries < 2000:   # the support may be all of K
-        tries += 1
-        cand = rng.integers(0, mod, size=(n, n))
-        if _int_det([[int(v) for v in r] for r in cand]) % kr.kpi.p == 0:
-            continue
-        if tf.exponent(cand) is None:
-            outside += 1
-        # members are fine too; only zero values off the support matter
+    # bounded tries: the support may be all of K
+    zeros = sample_units_outside(lambda g: tf.exponent(g) is not None,
+                                 kr.kpi.p, kr.kpi.level, n, rng, 2000)
+    outside = sum(1 for _ in itertools.islice(zeros, 20))
     section = {
         "omega_at_identity": _frac(at_one) if at_one is not None else None,
         "off_support_zeros_sampled": outside,

@@ -251,17 +251,6 @@ def _unit_equivalent(a, b, m, n):
     return True
 
 
-def abelian_check(report: CountReport):
-    """Re-derive the commutativity verdict with the regime condition."""
-    return {
-        "abelian": report.abelian,
-        "witness": report.commute_witness,
-        "regime_ok": report.regime_ok,
-        "regime_threshold": report.regime_threshold,
-        "congruence_depth": report.query.p ** report.query.cf,
-    }
-
-
 def partition_count(a: int, n: int) -> int:
     """Number of ordered n-tuples of nonnegative integers summing to a."""
     if a < 0 or n < 1:

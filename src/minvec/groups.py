@@ -14,6 +14,7 @@ congruence and "equal" always means exactly equal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,11 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, PrecisionLoss
-from .orders import HereditaryOrder, InductionDatum, v_A
-from .padic import MatrixApprox
-from .residues import (BLOCK_BYTES, batch_inv_2x2, box_enumerate, contains_codes,
-                       cross_products_packed, mat_inv_mod, pack, product_set,
-                       sorted_index, unpack)
+from .orders import HereditaryOrder, InductionDatum, fp_reduce, v_A
+from .padic import MatrixApprox, vp
+from .residues import (BLOCK_BYTES, box_enumerate, contains_codes,
+                       cross_products_packed, det_inv_mod, pack, product_set,
+                       sample_units_outside, sorted_index, unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -197,14 +198,6 @@ def residues_of(m: MatrixApprox, level: int):
                      for row in mn.entries], dtype=np.int64)
 
 
-def _inverses(mats, p, L):
-    n = mats.shape[1]
-    if n == 2:
-        return batch_inv_2x2(mats, p, L)
-    return np.array([mat_inv_mod([list(r) for r in mat], p, L)
-                     for mat in mats], dtype=np.int64)
-
-
 def enumerate_radical_unipotents(o: HereditaryOrder, i: int, p: int, L: int,
                                  budget: int = 2_000_000) -> np.ndarray:
     """Elements of U_A(i) = 1 + B^i as residue matrices mod p^L, i >= 1."""
@@ -260,6 +253,14 @@ def enumerate_field_order(d: InductionDatum, L: int):
             diff = (mats[:, r, c] - ident[r, c]) % mod
             ul1 &= diff % p ** min(t1, L) == 0 if t1 > 0 else np.ones(len(mats), bool)
     return mats, unit, ul1
+
+
+def enumerate_h1(d: InductionDatum, L: int,
+                 budget: int = 2_000_000) -> np.ndarray:
+    """H^1 = U_L(1) U_A(floor(j/2)+1) mod p^L, residue matrices in code order."""
+    ol_mats, _, ul1_mask = enumerate_field_order(d, L)
+    ua = enumerate_radical_unipotents(d.order, d.j // 2 + 1, d.p, L, budget)
+    return unpack(product_set(ol_mats[ul1_mask], ua, d.p, L), d.p, L, d.order.n)
 
 
 def prime_element_of_L(d: InductionDatum) -> MatrixApprox:
@@ -327,12 +328,10 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
     ol_mats, unit_mask, ul1_mask = enumerate_field_order(d, L)
     ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_mats[ul1_mask])
     ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_mats[unit_mask])
-    half_low = j // 2 + 1        # H^1 congruence part
     half_high = (j + 1) // 2     # J^1 congruence part
-    h1_codes = product_set(ul1.mats, ua[half_low].mats, p, L)
     j1_codes = product_set(ul1.mats, ua[half_high].mats, p, L) if half_high >= 1 \
         else None
-    h1 = FiniteSubgroup("H1", p, L, o.n, unpack(h1_codes, p, L, o.n))
+    h1 = FiniteSubgroup("H1", p, L, o.n, enumerate_h1(d, L, budget))
     j1 = FiniteSubgroup("J1", p, L, o.n, unpack(j1_codes, p, L, o.n))
     jk_codes = product_set(ol_units.mats, ua[half_high].mats, p, L)
     jcapk = FiniteSubgroup("JcapK", p, L, o.n, unpack(jk_codes, p, L, o.n))
@@ -635,21 +634,19 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     mod = p ** L
     rep_idx, coset_id = _coset_decomposition(j1, h1.codes)
     k = len(rep_idx)
-    dim = round(math.log(k, p))
+    dim = vp(k, p)
     if p ** dim != k:
         raise ConstructionFailure("J1/H1 is not a p-group quotient")
     # normality spot check: conjugating H1 by the representatives fixes it
     hmats = j1.mats[sorted_index(j1.codes, h1.codes)]
-    for ri in rep_idx[:k]:
-        g = j1.mats[ri]
-        ginv = np.array(mat_inv_mod([list(r) for r in g], p, L), dtype=np.int64)
+    reps = j1.mats[rep_idx]
+    for g, ginv in zip(reps, det_inv_mod(reps, p, L)[1]):
         conj = np.einsum("ij,mjk,kl->mil", g, hmats, ginv) % mod
         if not np.all(contains_codes(h1.codes, pack(conj, p, L))):
             raise ConstructionFailure("H1 is not normal in J1")
 
     # coset multiplication table and an F_p basis of V = J1/H1
     table = np.zeros((k, k), dtype=np.int64)
-    reps = j1.mats[rep_idx]
     for a in range(k):
         prods = np.einsum("ij,mjk->mik", reps[a], reps) % mod
         idx = sorted_index(j1.codes, pack(prods, p, L))
@@ -712,8 +709,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         for b in range(dim):
             if (pairing[a][b] + pairing[b][a]) % p != 0:
                 raise ConstructionFailure("pairing is not antisymmetric")
-    det = _fp_det([row[:] for row in pairing], p)
-    if det == 0:
+    if not det_inv_mod(np.array([pairing]), p, 1)[2][0]:
         raise ConstructionFailure(
             "degenerate pairing: datum is non-minimal or ill-formed")
 
@@ -761,24 +757,6 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         quotient_index=k)
 
 
-def _fp_det(rows, p):
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col] % p
-        inv = pow(rows[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv % p
-            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
-
-
 def _symplectic_isotropic_basis(pairing, p):
     """Basis of a maximal isotropic subspace via symplectic reduction."""
     dim = len(pairing)
@@ -816,24 +794,14 @@ def _symplectic_isotropic_basis(pairing, p):
             adj = [(wi - wf * ei + we * fi) % p
                    for wi, ei, fi in zip(w, e, f)]
             new_remaining.append(adj)
-        remaining = _fp_independent(new_remaining, p)
+        # keep the vectors independent of the ones kept before them
+        remaining, echelon = [], []
+        for w in new_remaining:
+            residual, _ = fp_reduce(w, echelon, p)
+            if any(residual):
+                echelon.append(residual)
+                remaining.append(w)
     return isotropic
-
-
-def _fp_independent(vectors, p):
-    out = []
-    basis = []
-    for v in vectors:
-        w = list(v)
-        for b in basis:
-            piv = next(i for i, x in enumerate(b) if x % p)
-            if w[piv] % p:
-                f = w[piv] * pow(b[piv], -1, p) % p
-                w = [(a - f * c) % p for a, c in zip(w, b)]
-        if any(x % p for x in w):
-            basis.append(w)
-            out.append(list(v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +883,7 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
         rep_idx, _ = _coset_decomposition(j1, pol.b1.codes)
         reps = j1.mats[rep_idx]
         lists = [[] for _ in range(j1.size)]
-        for t in reps:
-            tinv = np.array(mat_inv_mod([list(r) for r in t], p, L),
-                            dtype=np.int64)
+        for t, tinv in zip(reps, det_inv_mod(reps, p, L)[1]):
             conj = np.einsum("ij,mjk,kl->mil", tinv, j1.mats, t) % mod
             codes = pack(conj, p, L)
             idx_in_b1 = sorted_index(pol.b1.codes, codes)
@@ -973,10 +939,9 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
             value_ids[idx] = tuple(sorted(eta.value(idx).reduced().items()))
         return value_ids[idx]
 
-    for gi, xi in samples:
-        x = j1.mats[xi]
-        xinv = np.array(mat_inv_mod([list(r) for r in x], p, L), dtype=np.int64)
-        conj = x @ j1.mats[gi] @ xinv % mod
+    x_invs = det_inv_mod(j1.mats[samples[:, 1]], p, L)[1]
+    for (gi, xi), xinv in zip(samples, x_invs):
+        conj = j1.mats[xi] @ j1.mats[gi] @ xinv % mod
         cidx = sorted_index(j1.codes, pack(conj[None], p, L))[0]
         if cidx < 0:
             raise ConstructionFailure("conjugation left J1")
@@ -992,46 +957,42 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
 # intertwining
 # ---------------------------------------------------------------------------
 
+def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
+    """First x in xs with theta(x) != theta(g x g^-1) where both lie in H^1,
+    or None.  g x g^-1 = p^s G x Gi for integer matrices G, Gi and a shift
+    s <= 0; xs are H^1 elements mod p^(L - s), and a conjugate is integral
+    when every entry of G x Gi is divisible by p^-s."""
+    h1 = theta.domain
+    p, L = h1.p, h1.level
+    mod = p ** (L - s)
+    conj = (G % mod @ xs % mod) @ (Gi % mod) % mod
+    integral = np.all(conj % p ** -s == 0, axis=(1, 2))
+    c_idx = h1.index_of_codes(pack(conj // p ** -s, p, L))
+    x_idx = h1.index_of_codes(pack(xs % p ** L, p, L))
+    bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != theta.nums[x_idx])
+    return xs[np.argmax(bad)] if bad.any() else None
+
+
 def intertwines(g: MatrixApprox, theta: GroupCharacter, d: InductionDatum,
                 bundle: SubgroupBundle):
     """Whether g intertwines theta: theta(x) = theta(g x g^{-1}) on the
-    intersection H^1 cap g^{-1} H^1 g.  Returns (bool, witness)."""
-    h1 = theta.domain
-    L = h1.level
-    p = d.p
+    intersection H^1 cap g^{-1} H^1 g.  Returns (bool, witness).
+
+    With g = p^a G and g^{-1} = p^b Gi normalized, s = a + b <= 0, and H^1
+    is enumerated mod p^(L - s) so that the conjugates are known mod p^L."""
+    L = theta.domain.level
     gn = g.normalize()
     gi = g.inverse().normalize()
-    loss = max(0, -(gn.scale + gi.scale))
-    if loss == 0:
-        gm = residues_of(gn, L)
-        gim = residues_of(gi, L)
-        if gm is None or gim is None:
-            raise PrecisionLoss("integral conjugator expected at zero loss")
-        mod = p ** L
-        conj = np.einsum("ij,mjk,kl->mil", gm, h1.mats, gim) % mod
-        codes = pack(conj, p, L)
-        idx = sorted_index(h1.codes, codes)
-        mask = idx >= 0
-        ok = np.array_equal(theta.nums[idx[mask]], theta.nums[mask])
-        if ok:
-            return True, None
-        bad = np.nonzero(theta.nums[idx[mask]] != theta.nums[mask])[0][0]
-        widx = np.nonzero(mask)[0][bad]
-        return False, h1.mats[widx]
-    lifted = build_subgroups(d, level=L + loss)
-    for x_res in lifted.h1.mats:
-        x = MatrixApprox.from_exact(d.ctx, [list(r) for r in x_res])
-        conj = gn * x * gi
-        res = residues_of(conj, L)
-        if res is None:
-            continue
-        if not h1.contains_residues(res):
-            continue
-        tx = theta.exponent_of_residues(np.asarray(x_res) % p ** L)
-        tc = theta.exponent_of_residues(res)
-        if tx != tc:
-            return False, x_res
-    return True, None
+    s = gn.scale + gi.scale
+    for m in (gn, gi):
+        if not m.exact and m.prec < L - s:
+            raise PrecisionLoss(f"need {L - s} digits, have {m.prec}")
+    mod = d.p ** (L - s)
+    G, Gi = (np.array([[v % mod for v in row] for row in m.entries],
+                      dtype=np.int64) for m in (gn, gi))
+    xs = theta.domain.mats if s == 0 else enumerate_h1(d, L - s)
+    witness = _first_not_intertwined(G, Gi, s, xs, theta)
+    return witness is None, witness
 
 
 @dataclass
@@ -1059,34 +1020,23 @@ def intertwining_spot(d: InductionDatum, bundle: SubgroupBundle,
     outside it must not."""
     p, n = d.p, d.order.n
     L = bundle.level
-    mod = p ** L
     h1, jk = bundle.h1, bundle.jcapk
     rng = np.random.default_rng(seed)
 
-    def test(g):
-        ginv = np.array(mat_inv_mod([list(r) for r in g], p, L), dtype=np.int64)
-        conj = np.einsum("ij,mjk,kl->mil", g, h1.mats, ginv) % mod
-        idx = sorted_index(h1.codes, pack(conj, p, L))
-        mask = idx >= 0
-        return bool(np.array_equal(theta.nums[idx[mask]], theta.nums[mask]))
+    def intertwined(g, ginv):
+        return _first_not_intertwined(g, ginv, 0, h1.mats, theta) is None
 
     checked_m = 0
-    for i in rng.integers(0, jk.size, size=members):
-        g = jk.mats[int(i)]
-        if not test(g):
+    gs = jk.mats[rng.integers(0, jk.size, size=members)]
+    for g, ginv in zip(gs, det_inv_mod(gs, p, L)[1]):
+        if not intertwined(g, ginv):
             return SpotIntertwiningReport(checked_m, 0, False, g)
         checked_m += 1
     checked_n = 0
-    tries = 0
-    from .padic import _int_det
-    while checked_n < nonmembers and tries < 100 * nonmembers:
-        tries += 1
-        g = rng.integers(0, mod, size=(n, n))
-        if _int_det([[int(v) for v in r] for r in g]) % p == 0:
-            continue
-        if jk.contains_residues(g):
-            continue
-        if test(g):
+    outside = sample_units_outside(jk.contains_residues, p, L, n, rng,
+                                   100 * nonmembers)
+    for g, ginv in itertools.islice(outside, nonmembers):
+        if intertwined(g, ginv):
             return SpotIntertwiningReport(checked_m, checked_n, False, g)
         checked_n += 1
     return SpotIntertwiningReport(checked_m, checked_n, True, None)
@@ -1105,25 +1055,18 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     if work > budget:
         raise BudgetExceeded("K sweep too expensive at this level",
                              estimate=work)
-    allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n), mod)
-    allm = allm.reshape(-1, n, n)
-    if n == 2:
-        det = (allm[:, 0, 0] * allm[:, 1, 1] - allm[:, 0, 1] * allm[:, 1, 0]) % mod
-    else:
-        det = np.array([round(np.linalg.det(m)) % mod for m in allm])
-    units = allm[det % p != 0]
+    allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n),
+                         mod).reshape(-1, n, n)
+    _, inv_all, unit = det_inv_mod(allm, p, L)
+    units, inv_all = allm[unit], inv_all[unit]
     h1 = bundle.h1
     jk = bundle.jcapk
-    inv_all = _inverses(units, p, L)
+    members = contains_codes(jk.codes, pack(units, p, L))
     agree = True
     witness = None
     count = 0
-    for g, ginv in zip(units, inv_all):
-        conj = np.einsum("ij,mjk,kl->mil", g, h1.mats, ginv) % mod
-        idx = sorted_index(h1.codes, pack(conj, p, L))
-        mask = idx >= 0
-        inter = bool(np.array_equal(theta.nums[idx[mask]], theta.nums[mask]))
-        member = jk.contains_residues(g)
+    for g, ginv, member in zip(units, inv_all, members):
+        inter = _first_not_intertwined(g, ginv, 0, h1.mats, theta) is None
         if inter:
             count += 1
         if inter != member:
@@ -1339,9 +1282,7 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
         xy = x @ y % mod
         if not membership(xy):
             closure_ok = False
-        xinv = np.array(mat_inv_mod([list(r) for r in x], p, level),
-                        dtype=np.int64)
-        if not membership(xinv):
+        if not membership(det_inv_mod(x[None], p, level)[1][0]):
             closure_ok = False
         # displayed block congruence mod p^(c+1)
         for i, bi in enumerate(blocks):
@@ -1381,17 +1322,13 @@ def _torus_approximation(mat, blocks, offsets, cf, level) -> bool:
     for i, bi in enumerate(blocks):
         ni = bi.datum.order.n
         oi = offsets[i]
-        sub = mat[oi:oi + ni, oi:oi + ni] % bi.bundle.ul1.modulus
-        found = False
-        for l in bi.bundle.ul1.mats:
-            li = np.array(mat_inv_mod([list(r) for r in l], p,
-                                      bi.bundle.level), dtype=np.int64)
-            test = sub @ li % bi.bundle.ul1.modulus
-            if np.array_equal(test % cmod, np.eye(ni, dtype=np.int64) % cmod):
-                linv[oi:oi + ni, oi:oi + ni] = li % mod
-                found = True
-                break
-        if not found:
+        ul1 = bi.bundle.ul1
+        sub = mat[oi:oi + ni, oi:oi + ni] % ul1.modulus
+        linvs = det_inv_mod(ul1.mats, p, ul1.level)[1]
+        hit = np.all(sub @ linvs % cmod == np.eye(ni, dtype=np.int64) % cmod,
+                     axis=(1, 2))
+        if not hit.any():
             return False
+        linv[oi:oi + ni, oi:oi + ni] = linvs[np.argmax(hit)] % mod
     full = mat @ linv % mod
     return np.array_equal(full % cmod, np.eye(n, dtype=np.int64) % cmod)

@@ -216,40 +216,39 @@ def poly_irreducible_fp(coeffs, p) -> bool:
     return True
 
 
+def fp_reduce(vec, basis, p):
+    """Reduce vec mod p against an echelon basis: vectors with distinct
+    leading (first nonzero) positions, each zero at the leading positions of
+    the ones before it.  Returns (residual, coeffs) with vec = residual +
+    sum coeffs[i] basis[i] mod p; the residual is zero iff vec lies in the
+    span, and otherwise may extend the basis."""
+    residual = [v % p for v in vec]
+    coeffs = []
+    for b in basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        f = residual[lead] * pow(b[lead], -1, p) % p
+        residual = [(x - f * y) % p for x, y in zip(residual, b)]
+        coeffs.append(f)
+    return residual, coeffs
+
+
 def min_poly_fp(rows, p):
     """Monic minimal polynomial over F_p of a square matrix mod p."""
     n = len(rows)
-    dim = n * n
-    powers = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    basis = []   # rows of reduced vectors
-    combos = []  # expression of each reduced vector in terms of powers
-    cur = powers
-    k = 0
-    while True:
-        vec = [cur[i][j] % p for i in range(n) for j in range(n)]
-        combo = [0] * (k + 1)
-        combo[k] = 1
-        # reduce vec against the basis
-        for bvec, bcombo in zip(basis, combos):
-            piv = next(i for i, v in enumerate(bvec) if v)
-            if vec[piv]:
-                f = vec[piv] * pow(bvec[piv], -1, p) % p
-                vec = [(v - f * w) % p for v, w in zip(vec, bvec)]
-                cc = list(combo) + [0] * (len(bcombo) - len(combo))
-                bb = list(bcombo) + [0] * (len(combo) - len(bcombo))
-                combo = [(a - f * b) % p for a, b in zip(cc, bb)]
-        if all(v == 0 for v in vec):
-            # monic relation of degree k
-            lead = combo[k]
-            inv = pow(lead, -1, p)
-            return [c * inv % p for c in combo]
-        basis.append(vec)
+    basis = []   # reduced powers of the matrix
+    combos = []  # each reduced power as a combination of I, A, A^2, ...
+    cur = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(n + 1):   # Cayley-Hamilton: degree at most n
+        residual, coeffs = fp_reduce([v for row in cur for v in row], basis, p)
+        combo = [0] * k + [1]
+        for f, c in zip(coeffs, combos):
+            for i, ci in enumerate(c):
+                combo[i] = (combo[i] - f * ci) % p
+        if not any(residual):
+            return combo
+        basis.append(residual)
         combos.append(combo)
-        cur = mat_mul_int(cur, rows)
-        cur = [[v % p for v in row] for row in cur]
-        k += 1
-        if k > dim:
-            raise RuntimeError("minimal polynomial search did not terminate")
+        cur = [[v % p for v in row] for row in mat_mul_int(cur, rows)]
 
 
 def charpoly_int(rows):
@@ -464,18 +463,6 @@ def _grade0_projection(rows, o: HereditaryOrder, p: int, pos0):
     return tuple(out)
 
 
-def _residue_span(vectors, p):
-    """All F_p combinations of the given coefficient vectors, as a set."""
-    span = {tuple(0 for _ in vectors[0])}
-    for vec in vectors:
-        new = set()
-        for base in span:
-            for c in range(p):
-                new.add(tuple((b + c * v) % p for b, v in zip(base, vec)))
-        span = new
-    return span
-
-
 def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
     """k0(beta, A): the largest k admitting x in A, outside B + O_L, with
     beta x - x beta in B^k.
@@ -494,13 +481,15 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
     pos = [o.graded_positions(t) for t in range(2 * j + 1)]
     pos0 = pos[0]
 
-    # image of O_L in A/B: span of grade-0 projections of 1, b', b'^2, ...
-    basis = []
+    # image of O_L in A/B: an echelon basis of the span of the grade-0
+    # projections of 1, b', b'^2, ...
+    kbar = []
     cur = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
     for _ in range(n):
-        basis.append(_grade0_projection(cur, o, p, pos0))
+        residual, _ = fp_reduce(_grade0_projection(cur, o, p, pos0), kbar, p)
+        if any(residual):
+            kbar.append(residual)
         cur = mat_mul_int(cur, Bt)
-    kbar = _residue_span(basis, p)
 
     def commutator_grade(rows):
         com = mat_sub_int(mat_mul_int(Bt, rows), mat_mul_int(rows, Bt))
@@ -520,7 +509,7 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
 
     def layer_elements(t):
         for combo in _coeff_tuples(len(pos[t]), p):
-            if t == 0 and combo in kbar:
+            if t == 0 and not any(fp_reduce(combo, kbar, p)[0]):
                 continue
             ent = [[0] * n for _ in range(n)]
             for (r, c, power), coef in zip(pos[t], combo):
@@ -573,41 +562,6 @@ def _coeff_tuples(k, p):
             i += 1
         else:
             return
-
-
-def k0_flat(d: InductionDatum, budget: int = 2_000_000) -> int:
-    """Independent flat enumeration of A / B^(j+2) (small data only)."""
-    o, p, j = d.order, d.p, d.j
-    n, e, s0 = o.n, o.e, d.s0
-    Bt = d.beta_integral
-    depth = j + 2
-    pos = [o.graded_positions(t) for t in range(depth)]
-    pos0 = pos[0]
-    basis = []
-    cur = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-    for _ in range(n):
-        basis.append(_grade0_projection(cur, o, p, pos0))
-        cur = mat_mul_int(cur, Bt)
-    kbar = _residue_span(basis, p)
-    total = p ** sum(len(t) for t in pos)
-    if total > budget:
-        raise BudgetExceeded("flat k0 oracle too large", estimate=total)
-    best = -j
-    flat_positions = [(t, r, c, power) for t in range(depth)
-                      for (r, c, power) in pos[t]]
-    for combo in _coeff_tuples(len(flat_positions), p):
-        proj = tuple(coef for (t, _, _, _), coef in zip(flat_positions, combo)
-                     if t == 0)
-        if proj in kbar:
-            continue
-        ent = [[0] * n for _ in range(n)]
-        for (t, r, c, power), coef in zip(flat_positions, combo):
-            ent[r][c] += coef * p ** power
-        com = mat_sub_int(mat_mul_int(Bt, ent), mat_mul_int(ent, Bt))
-        g = int_matrix_grade(com, o, p)
-        val = j + 1 if g is None else min(g - e * s0, j + 1)
-        best = max(best, val)
-    return best
 
 
 def is_minimal(d: InductionDatum) -> bool:

@@ -1,9 +1,9 @@
-"""Exact truncated p-adic arithmetic for scalars and matrices.
+"""Exact truncated p-adic arithmetic for matrices.
 
-A value is stored as p^scale * (data mod p^prec) together with an explicit
-exact-zero flag.  Exact inputs (integer matrices such as the datum element
-beta) keep their entries as true integers, so valuations computed from them
-are never guesses; truncated values carry an honest ``prec`` field and any
+A matrix is stored as p^scale * (entries mod p^prec) together with an
+explicit exact-zero flag.  Exact inputs (integer matrices such as the datum
+element beta) keep their entries as true integers, so valuations computed
+from them are never guesses; truncated values carry an honest ``prec`` field and any
 operation that would need digits beyond it raises PrecisionLoss instead of
 silently inventing them.
 
@@ -14,7 +14,6 @@ field is Q_p and nothing here supports ramified base fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PrecisionLoss
 
@@ -71,153 +70,6 @@ class PrecisionCtx:
 
     def with_margin(self, extra: int) -> "PrecisionCtx":
         return PrecisionCtx(self.p, self.N + extra)
-
-
-class ScaledResidue:
-    """A p-adic scalar: exact zero, or p^val * unit with unit known mod p^prec.
-
-    Two nonzero values are equal iff val and unit agree (at the coarser of
-    the two precisions).  Exact zero is a distinguished flag, never inferred
-    from a residue vanishing mod p^prec.
-    """
-
-    __slots__ = ("ctx", "val", "unit", "prec", "zero", "_frac")
-
-    def __init__(self, ctx, val, unit, prec, zero=False, _frac=None):
-        self.ctx = ctx
-        self.zero = zero
-        if zero:
-            self.val = 0
-            self.unit = 0
-            self.prec = ctx.N
-            self._frac = Fraction(0)
-            return
-        if prec < 1:
-            raise PrecisionLoss("scalar retains no significant digits")
-        unit %= ctx.p ** prec
-        if unit % ctx.p == 0:
-            raise ValueError("unit part must be a p-unit")
-        self.val = val
-        self.unit = unit
-        self.prec = prec
-        self._frac = _frac
-
-    @classmethod
-    def zero_of(cls, ctx) -> "ScaledResidue":
-        return cls(ctx, 0, 0, ctx.N, zero=True)
-
-    @classmethod
-    def from_rational(cls, ctx, x) -> "ScaledResidue":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero_of(ctx)
-        num, den = x.numerator, x.denominator
-        if den % ctx.p == 0:
-            v = -vp(den, ctx.p)
-            den //= ctx.p ** (-v)
-        else:
-            v = vp(num, ctx.p)
-            num //= ctx.p ** v
-        m = ctx.p ** ctx.N
-        unit = num * pow(den, -1, m) % m
-        return cls(ctx, v, unit, ctx.N, _frac=x)
-
-    @property
-    def exact(self) -> bool:
-        return self._frac is not None
-
-    def as_rational(self) -> Fraction:
-        if self._frac is None:
-            raise PrecisionLoss("value is truncated, no exact rational available")
-        return self._frac
-
-    def __mul__(self, other):
-        self.ctx.require_same(other.ctx)
-        if self.zero or other.zero:
-            return ScaledResidue.zero_of(self.ctx)
-        prec = min(self.prec, other.prec)
-        frac = None
-        if self._frac is not None and other._frac is not None:
-            frac = self._frac * other._frac
-        return ScaledResidue(self.ctx, self.val + other.val,
-                             self.unit * other.unit, prec, _frac=frac)
-
-    def __add__(self, other):
-        self.ctx.require_same(other.ctx)
-        if self.zero:
-            return other
-        if other.zero:
-            return self
-        if self._frac is not None and other._frac is not None:
-            return ScaledResidue.from_rational(self.ctx, self._frac + other._frac)
-        a, b = self, other
-        if a.val > b.val:
-            a, b = b, a
-        shift = b.val - a.val
-        prec = min(a.prec, b.prec + shift)
-        p = self.ctx.p
-        s = (a.unit + b.unit * p ** shift) % p ** prec
-        if s == 0:
-            raise PrecisionLoss("cancellation exhausted tracked digits")
-        d = vp(s, p)
-        return ScaledResidue(self.ctx, a.val + d, s // p ** d, prec - d)
-
-    def __neg__(self):
-        if self.zero:
-            return self
-        frac = -self._frac if self._frac is not None else None
-        return ScaledResidue(self.ctx, self.val,
-                             (-self.unit) % self.ctx.p ** self.prec,
-                             self.prec, _frac=frac)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def inverse(self) -> "ScaledResidue":
-        if self.zero:
-            raise ZeroDivisionError("inverse of exact zero")
-        frac = 1 / self._frac if self._frac is not None else None
-        return ScaledResidue(self.ctx, -self.val,
-                             pow(self.unit, -1, self.ctx.p ** self.prec),
-                             self.prec, _frac=frac)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledResidue):
-            return NotImplemented
-        if self.zero or other.zero:
-            return self.zero and other.zero
-        if self.val != other.val:
-            return False
-        prec = min(self.prec, other.prec)
-        return self.unit % self.ctx.p ** prec == other.unit % self.ctx.p ** prec
-
-    def __hash__(self):
-        if self.zero:
-            return hash((self.ctx.p, "zero"))
-        return hash((self.ctx.p, self.val, self.unit % self.ctx.p ** self.prec))
-
-    def __repr__(self):
-        if self.zero:
-            return "ScaledResidue(0)"
-        return (f"ScaledResidue({self.ctx.p}^{self.val} * {self.unit}"
-                f" [mod {self.ctx.p}^{self.prec}])")
-
-
-def psi_exponent(x: ScaledResidue) -> Fraction:
-    """Exponent t in [0,1) with psi(x) = e^{2 pi i t} for the level-one psi.
-
-    psi is trivial on p Z_p and restricts to m -> e^{2 pi i m / p} on Z_p,
-    i.e. psi(x) = e^{2 pi i {x/p}} with {.} the p-adic fractional part.
-    """
-    if x.zero:
-        return Fraction(0)
-    k = 1 - x.val
-    if k <= 0:
-        return Fraction(0)
-    if x.prec < k:
-        raise PrecisionLoss(f"need {k} digits for a character value, have {x.prec}")
-    p = x.ctx.p
-    return Fraction(x.unit % p ** k, p ** k)
 
 
 def _adjugate(rows, n):
@@ -442,27 +294,6 @@ class MatrixApprox:
     def __sub__(self, other):
         return self + (-other)
 
-    def trace_det(self):
-        """Exact trace and determinant as ScaledResidues."""
-        p = self.ctx.p
-        if self.zero:
-            return ScaledResidue.zero_of(self.ctx), ScaledResidue.zero_of(self.ctx)
-        tr = sum(self.entries[i][i] for i in range(self.n))
-        det = _int_det([list(row) for row in self.entries])
-        return (self._scalar_to_residue(tr, self.scale),
-                self._scalar_to_residue(det, self.n * self.scale))
-
-    def _scalar_to_residue(self, value, scale):
-        p = self.ctx.p
-        if self.exact:
-            return ScaledResidue.from_rational(self.ctx,
-                                               Fraction(value) * Fraction(p) ** scale)
-        value %= p ** self.prec
-        if value == 0:
-            raise PrecisionLoss("scalar vanishes mod p^prec on a truncated matrix")
-        t = vp(value, p)
-        return ScaledResidue(self.ctx, scale + t, value // p ** t, self.prec - t)
-
     def inverse(self) -> "MatrixApprox":
         """Inverse via the adjugate; the reported prec drops by v_p(det)."""
         if self.zero:
@@ -493,10 +324,6 @@ class MatrixApprox:
         return MatrixApprox(self.ctx, ent, scale=-self.scale - t,
                             prec=prec, exact=False)
 
-    @property
-    def precision_loss(self) -> int:
-        return self.ctx.N - self.prec
-
     def pow(self, k: int) -> "MatrixApprox":
         if k < 0:
             return self.pow(-k).inverse()
@@ -508,10 +335,6 @@ class MatrixApprox:
             base = base * base
             k >>= 1
         return result
-
-    def conjugate_by(self, g: "MatrixApprox") -> "MatrixApprox":
-        """g * self * g^{-1}."""
-        return g * self * g.inverse()
 
     # -- comparison --------------------------------------------------------
 
@@ -547,11 +370,3 @@ class MatrixApprox:
 def normalize(entries, scale, ctx) -> MatrixApprox:
     """Build and normalize a matrix from raw integer entries and a scale."""
     return MatrixApprox.from_exact(ctx, entries, scale).normalize()
-
-
-def mat_inv(m: MatrixApprox, ctx=None) -> MatrixApprox:
-    return m.inverse()
-
-
-def trace_det(m: MatrixApprox):
-    return m.trace_det()

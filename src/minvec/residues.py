@@ -101,65 +101,65 @@ def product_set(A: np.ndarray, B: np.ndarray, p: int, L: int) -> np.ndarray:
     return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
 
 
-def unit_inverse_table(p: int, L: int) -> np.ndarray:
-    """inv[u] = u^{-1} mod p^L for units u; 0 elsewhere."""
-    m = p ** L
-    table = np.zeros(m, dtype=np.int64)
-    units = np.arange(m)[np.arange(m) % p != 0]
-    for u in units:
-        table[u] = pow(int(u), -1, m)
-    return table
+def det_inv_mod(mats, p: int, L: int):
+    """(det, inverses, unit) of an (M, n, n) stack of residue matrices mod p^L.
 
-
-def batch_inv_2x2(mats: np.ndarray, p: int, L: int,
-                  inv_table=None) -> np.ndarray:
-    """Inverses of 2x2 residue matrices with unit determinant mod p^L."""
-    m = p ** L
-    if inv_table is None:
-        inv_table = unit_inverse_table(p, L)
-    a = mats[:, 0, 0]
-    b = mats[:, 0, 1]
-    c = mats[:, 1, 0]
-    d = mats[:, 1, 1]
-    det = (a * d - b * c) % m
-    if np.any(det % p == 0):
-        raise ZeroDivisionError("non-unit determinant in batch inverse")
-    dinv = inv_table[det]
-    out = np.empty_like(mats)
-    out[:, 0, 0] = d * dinv % m
-    out[:, 0, 1] = (-b) * dinv % m
-    out[:, 1, 0] = (-c) * dinv % m
-    out[:, 1, 1] = a * dinv % m
-    return out
-
-
-def mat_inv_mod(rows, p: int, L: int):
-    """Inverse of one n x n integer matrix with unit determinant mod p^L.
-
-    Gauss-Jordan over Z/p^L; pivots are chosen among unit entries, which
-    always exist column by column when det is a unit.
+    Gauss-Jordan in int64.  Each column pivots on a row entry of least
+    p-adic valuation, so every elimination step is an integer row operation
+    and det is exact mod p^L for every matrix.  Where det is a unit every
+    pivot is a unit and the right half ends as the inverse; rows of `inv`
+    where `unit` is False are meaningless.
     """
-    m = p ** L
-    n = len(rows)
-    a = [[int(rows[i][j]) % m for j in range(n)] for i in range(n)]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is not invertible mod p")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        f = pow(a[col][col], -1, m)
-        a[col] = [v * f % m for v in a[col]]
-        inv[col] = [v * f % m for v in inv[col]]
+    mod = p ** L
+    if mod * mod >= 1 << 63:
+        raise OverflowError("residue products do not fit in int64")
+    a = np.asarray(mats, dtype=np.int64) % mod
+    M, n, _ = a.shape
+    aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64),
+                                             a.shape)], axis=2)
+    det = np.ones(M, dtype=np.int64)
+    rows = np.arange(M)
+    for c in range(n):
+        val = np.zeros((M, n - c), dtype=np.int64)
+        for k in range(1, L + 1):
+            val += aug[:, c:, c] % p ** k == 0
+        piv = c + np.argmin(val, axis=1)
+        swap = piv != c
+        det[swap] = -det[swap]
+        top = aug[rows, piv]
+        aug[rows, piv] = aug[:, c]
+        aug[:, c] = top
+        pw = p ** np.min(val, axis=1)
+        unit = aug[:, c, c] // pw
+        det = det * aug[:, c, c] % mod
+        # unit^-1 = unit^(phi(p^L) - 1), by square and multiply
+        uinv = np.ones(M, dtype=np.int64)
+        e = p ** (L - 1) * (p - 1) - 1
+        while e:
+            if e & 1:
+                uinv = uinv * unit % mod
+            unit = unit * unit % mod
+            e >>= 1
+        aug[:, c] = aug[:, c] * uinv[:, None] % mod
         for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [(v - f * w) % m for v, w in zip(a[r], a[col])]
-            inv[r] = [(v - f * w) % m for v, w in zip(inv[r], inv[col])]
-    return inv
+            if r != c:
+                f = aug[:, r, c] // pw
+                aug[:, r] = (aug[:, r] - f[:, None] * aug[:, c]) % mod
+    return det, aug[:, :, n:], det % p != 0
+
+
+def sample_units_outside(inside, p: int, L: int, n: int, rng, tries: int):
+    """Yield (g, g^-1) for the units g of GL_n(Z/p^L) with inside(g) False.
+
+    Draws rng.integers(0, p^L, (n, n)) one matrix at a time, at most `tries`
+    times, so the stream of draws does not depend on how many points the
+    caller takes.
+    """
+    for _ in range(tries):
+        g = rng.integers(0, p ** L, size=(n, n))
+        _, inv, unit = det_inv_mod(g[None], p, L)
+        if unit[0] and not inside(g):
+            yield g, inv[0]
 
 
 def sorted_index(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ arithmetic and zero tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -18,9 +19,10 @@ import numpy as np
 
 from .cyclotomic import CyclotomicSum
 from .errors import ConstructionFailure
-from .groups import KpiResult, _inverses, gl_order, verify_character
+from .groups import KpiResult, gl_order, verify_character
 from .padic import vp
-from .residues import cross_products_packed, pack
+from .residues import (cross_products_packed, det_inv_mod, pack,
+                       sample_units_outside)
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -65,10 +67,11 @@ class TestFunction:
 
     def star_exponent(self, residues):
         """Exponent of omega^*(g) = conj(omega(g^{-1})), or None."""
-        from .residues import mat_inv_mod
-        inv = mat_inv_mod([list(r) for r in np.asarray(residues)],
-                          self.p, self.level)
-        t = self.exponent(np.array(inv))
+        _, inv, unit = det_inv_mod(np.asarray(residues)[None], self.p,
+                                   self.level)
+        if not unit[0]:
+            raise ZeroDivisionError("matrix is not invertible mod p")
+        t = self.exponent(inv[0])
         if t is None:
             return None
         t = -t
@@ -170,21 +173,11 @@ def _convolve_full(tf, samples, seed):
     rng = np.random.default_rng(seed)
     off_checked = 0
     off_ok = True
-    tried = 0
-    from .padic import _int_det
-    while off_checked < min(samples, 64) and tried < 50 * samples:
-        tried += 1
-        cand = rng.integers(0, mod, size=(n, n))
-        det = _int_det([[int(v) for v in row] for row in cand])
-        if det % p == 0:
-            continue
-        if kpi.contains_residues(cand):
-            continue
-        prods = np.einsum("ij,mjk->mik",
-                          np.array(_inverses(cand[None], p, L)[0]),
-                          kpi.mats) % mod
-        codes = pack(prods, p, L)
-        if np.any(kpi.index_of_codes(codes) >= 0):
+    outside = sample_units_outside(kpi.contains_residues, p, L, n, rng,
+                                   50 * samples)
+    for cand, cinv in itertools.islice(outside, min(samples, 64)):
+        prods = np.einsum("ij,mjk->mik", cinv, kpi.mats) % mod
+        if np.any(kpi.index_of_codes(pack(prods, p, L)) >= 0):
             off_ok = False
             witness = cand
         off_checked += 1
@@ -202,15 +195,13 @@ def _convolve_sampled(tf, samples, seed):
     d_pi = Fraction(kpi.size, k_count)
     rng = np.random.default_rng(seed)
     sampler = kpi_result.sampler
-    from .residues import mat_inv_mod
     ok = True
     witness = None
     checked = 0
     for _ in range(samples):
         g = sampler(rng)
         x = sampler(rng)
-        ginv = np.array(mat_inv_mod([list(r) for r in g], p, L), dtype=np.int64)
-        gx = ginv @ x % mod
+        gx = det_inv_mod(g[None], p, L)[1][0] @ x % mod
         if not kpi.contains_residues(gx):
             ok = False
             witness = g
@@ -240,8 +231,7 @@ def _convolve_sampled(tf, samples, seed):
         if kpi.contains_residues(g):
             continue
         x = sampler(rng)
-        ginv = np.array(mat_inv_mod([list(r) for r in g], p, L), dtype=np.int64)
-        if kpi.contains_residues(ginv @ x % mod):
+        if kpi.contains_residues(det_inv_mod(g[None], p, L)[1][0] @ x % mod):
             off_ok = False
             witness = g
             break
@@ -297,7 +287,7 @@ def concentration_check(tf: TestFunction, samples: int = 500,
     mod = p ** L
     cmod = p ** cf
     n = kpi.n
-    linvs = _inverses(ul1.mats, p, L)
+    linvs = det_inv_mod(ul1.mats, p, L)[1]
     remaining = np.ones(kpi.size, dtype=bool)
     worst = 0
     ident = np.eye(n, dtype=np.int64)

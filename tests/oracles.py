@@ -76,3 +76,116 @@ def product_table_oracle(sub, lo, hi):
     from minvec.residues import cross_products_packed, sorted_index
     codes = cross_products_packed(sub.mats[lo:hi], sub.mats, sub.p, sub.level)
     return sorted_index(sub.codes, codes.reshape(-1)).reshape(codes.shape)
+
+
+def psi_exponent(x, p):
+    """t in [0, 1) with psi(x) = e^{2 pi i t} for the level-one additive
+    character psi of Q_p: t is the p-adic fractional part {x/p}."""
+    from fractions import Fraction
+    y = Fraction(x) / p
+    k = 0
+    while y.denominator % p ** (k + 1) == 0:
+        k += 1
+    rest = y.denominator // p ** k
+    return Fraction(y.numerator * pow(rest, -1, p ** k) % p ** k, p ** k)
+
+
+def mat_inv_mod(rows, p: int, L: int):
+    """Inverse of one n x n integer matrix with unit determinant mod p^L.
+
+    Gauss-Jordan over Z/p^L; pivots are chosen among unit entries, which
+    always exist column by column when det is a unit.
+    """
+    m = p ** L
+    n = len(rows)
+    a = [[int(rows[i][j]) % m for j in range(n)] for i in range(n)]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is not invertible mod p")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+        f = pow(a[col][col], -1, m)
+        a[col] = [v * f % m for v in a[col]]
+        inv[col] = [v * f % m for v in inv[col]]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            f = a[r][col]
+            a[r] = [(v - f * w) % m for v, w in zip(a[r], a[col])]
+            inv[r] = [(v - f * w) % m for v, w in zip(inv[r], inv[col])]
+    return inv
+
+
+def intertwines_oracle(g, theta, d):
+    """(verdict, witness) of intertwines() by the per-element MatrixApprox
+    loop: every H1 element at level L + loss is conjugated exactly and
+    reduced through residues_of."""
+    from minvec.groups import enumerate_h1, residues_of
+    from minvec.padic import MatrixApprox
+    h1 = theta.domain
+    L = h1.level
+    gn = g.normalize()
+    gi = g.inverse().normalize()
+    loss = max(0, -(gn.scale + gi.scale))
+    for x_res in enumerate_h1(d, L + loss):
+        x = MatrixApprox.from_exact(d.ctx, x_res.tolist())
+        res = residues_of(gn * x * gi, L)
+        if res is None or not h1.contains_residues(res):
+            continue
+        if theta.exponent_of_residues(x_res % d.p ** L) != \
+                theta.exponent_of_residues(res):
+            return False, x_res
+    return True, None
+
+
+def _residue_span(vectors, p):
+    """All F_p combinations of the given coefficient vectors, as a set."""
+    span = {tuple(0 for _ in vectors[0])}
+    for vec in vectors:
+        new = set()
+        for base in span:
+            for c in range(p):
+                new.add(tuple((b + c * v) % p for b, v in zip(base, vec)))
+        span = new
+    return span
+
+
+def k0_flat(d, budget: int = 2_000_000) -> int:
+    """Independent flat enumeration of A / B^(j+2) (small data only)."""
+    from minvec.errors import BudgetExceeded
+    from minvec.orders import (_coeff_tuples, _grade0_projection,
+                               int_matrix_grade, mat_mul_int, mat_sub_int)
+    o, p, j = d.order, d.p, d.j
+    n, e, s0 = o.n, o.e, d.s0
+    Bt = d.beta_integral
+    depth = j + 2
+    pos = [o.graded_positions(t) for t in range(depth)]
+    pos0 = pos[0]
+    basis = []
+    cur = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
+    for _ in range(n):
+        basis.append(_grade0_projection(cur, o, p, pos0))
+        cur = mat_mul_int(cur, Bt)
+    kbar = _residue_span(basis, p)
+    total = p ** sum(len(t) for t in pos)
+    if total > budget:
+        raise BudgetExceeded("flat k0 oracle too large", estimate=total)
+    best = -j
+    flat_positions = [(t, r, c, power) for t in range(depth)
+                      for (r, c, power) in pos[t]]
+    for combo in _coeff_tuples(len(flat_positions), p):
+        proj = tuple(coef for (t, _, _, _), coef in zip(flat_positions, combo)
+                     if t == 0)
+        if proj in kbar:
+            continue
+        ent = [[0] * n for _ in range(n)]
+        for (t, r, c, power), coef in zip(flat_positions, combo):
+            ent[r][c] += coef * p ** power
+        com = mat_sub_int(mat_mul_int(Bt, ent), mat_mul_int(ent, Bt))
+        g = int_matrix_grade(com, o, p)
+        val = j + 1 if g is None else min(g - e * s0, j + 1)
+        best = max(best, val)
+    return best

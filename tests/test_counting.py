@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minvec.counting import (LatticeQuery, abelian_check, amplifier_exponent,
+from minvec.counting import (LatticeQuery, amplifier_exponent,
                              enumerate_S, factorize, in_regime,
                              partition_count, tau_bound)
 from minvec.datafiles import load_query
@@ -203,18 +203,6 @@ class TestAbelian:
             rep = enumerate_S(q)
             assert rep.regime_ok
             assert rep.abelian and rep.commute_witness is None
-
-    def test_abelian_check_report(self):
-        rep = enumerate_S(LatticeQuery(2, 1, 1, 3, 0, ()))
-        verdict = abelian_check(rep)
-        assert verdict["abelian"] is False
-        assert verdict["witness"] is not None
-        assert verdict["regime_ok"] is False
-        assert verdict["congruence_depth"] == 1
-        deep = enumerate_S(LatticeQuery(2, 1, 1, 3, 3, IDENT))
-        verdict = abelian_check(deep)
-        assert verdict["abelian"] and verdict["regime_ok"]
-        assert verdict["witness"] is None
 
     def test_regime_threshold_formula(self):
         q = LatticeQuery(2, 4, 4, 3, 7, IDENT)

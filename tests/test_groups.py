@@ -10,11 +10,11 @@ from minvec.groups import (FiniteSubgroup, build_Kpi, build_subgroups,
                            extend_and_induce, gl_order, heisenberg,
                            intertwines, intertwining_dichotomy, prepare_block,
                            simple_character, verify_character)
-from minvec.padic import MatrixApprox, PrecisionCtx, psi_exponent
+from minvec.padic import MatrixApprox, PrecisionCtx
 from minvec.residues import pack
 
 from conftest import build_datum
-from oracles import product_table_oracle
+from oracles import product_table_oracle, psi_exponent
 
 
 def assert_closed(sub):
@@ -177,8 +177,10 @@ class TestSimpleCharacter:
         theta = block_a.simple.theta
         x = MatrixApprox.from_exact(d.ctx, [[1 + 3, 0], [0, 1]])
         diff = x - MatrixApprox.identity(d.ctx, 2)
-        tr, _ = (d.beta * diff).trace_det()
-        expected = psi_exponent(tr)
+        prod = d.beta * diff
+        tr = Fraction(sum(prod.entries[i][i] for i in range(2))) \
+            * Fraction(d.p) ** prod.scale
+        expected = psi_exponent(tr, d.p)
         assert theta.exponent(x) == expected
 
     def test_multiplicativity_exhaustive(self, block_a, block_c):

@@ -7,10 +7,11 @@ import pytest
 from minvec.errors import BudgetExceeded, DatumInvalid, PrecisionLoss
 from minvec.orders import (HereditaryOrder, InductionDatum,
                            approximation_report, check_approximation,
-                           in_radical_power, is_minimal, k0, k0_flat, v_A)
+                           in_radical_power, is_minimal, k0, v_A)
 from minvec.padic import MatrixApprox, PrecisionCtx
 
 from conftest import build_datum
+from oracles import k0_flat
 
 
 def literal_membership(x, i, o):
