@@ -1276,13 +1276,13 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     contain_ok = True
     cf = depth_bound_cfrak(data)
     cmod = p ** (c_val + 1)
-    for _ in range(samples):
-        x = sampler()
-        y = sampler()
+    xs, ys = np.array([(sampler(), sampler()) for _ in range(samples)]
+                      ).reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
+    for x, y, xinv in zip(xs, ys, det_inv_mod(xs, p, level)[1]):
         xy = x @ y % mod
         if not membership(xy):
             closure_ok = False
-        if not membership(det_inv_mod(x[None], p, level)[1][0]):
+        if not membership(xinv):
             closure_ok = False
         # displayed block congruence mod p^(c+1)
         for i, bi in enumerate(blocks):

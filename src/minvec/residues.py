@@ -120,19 +120,14 @@ def det_inv_mod(mats, p: int, L: int):
     det = np.ones(M, dtype=np.int64)
     rows = np.arange(M)
     for c in range(n):
-        val = np.zeros((M, n - c), dtype=np.int64)
-        for k in range(1, L + 1):
-            val += aug[:, c:, c] % p ** k == 0
-        piv = c + np.argmin(val, axis=1)
-        swap = piv != c
-        det[swap] = -det[swap]
+        # gcd(x, p^L) = p^v, with v the valuation of x capped at L
+        pw = np.gcd(aug[:, c:, c], mod)
+        piv = c + np.argmin(pw, axis=1)
+        pw = pw[rows, piv - c]
         top = aug[rows, piv]
-        aug[rows, piv] = aug[:, c]
-        aug[:, c] = top
-        pw = p ** np.min(val, axis=1)
-        unit = aug[:, c, c] // pw
-        det = det * aug[:, c, c] % mod
+        det = np.where(piv == c, det, -det) * top[:, c] % mod
         # unit^-1 = unit^(phi(p^L) - 1), by square and multiply
+        unit = top[:, c] // pw
         uinv = np.ones(M, dtype=np.int64)
         e = p ** (L - 1) * (p - 1) - 1
         while e:
@@ -140,11 +135,11 @@ def det_inv_mod(mats, p: int, L: int):
                 uinv = uinv * unit % mod
             unit = unit * unit % mod
             e >>= 1
-        aug[:, c] = aug[:, c] * uinv[:, None] % mod
-        for r in range(n):
-            if r != c:
-                f = aug[:, r, c] // pw
-                aug[:, r] = (aug[:, r] - f[:, None] * aug[:, c]) % mod
+        aug[rows, piv] = aug[:, c]
+        aug[:, c] = top * uinv[:, None] % mod
+        f = aug[:, :, c] // pw[:, None]
+        f[:, c] = 0
+        aug = (aug - f[:, :, None] * aug[:, c, None]) % mod
     return det, aug[:, :, n:], det % p != 0
 
 

@@ -198,10 +198,10 @@ def _convolve_sampled(tf, samples, seed):
     ok = True
     witness = None
     checked = 0
-    for _ in range(samples):
-        g = sampler(rng)
-        x = sampler(rng)
-        gx = det_inv_mod(g[None], p, L)[1][0] @ x % mod
+    # draw every pair first, so one batched inverse serves them all
+    gs, xs = np.array([(sampler(rng), sampler(rng)) for _ in range(samples)]
+                      ).reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
+    for g, x, gx in zip(gs, xs, det_inv_mod(gs, p, L)[1] @ xs % mod):
         if not kpi.contains_residues(gx):
             ok = False
             witness = g
@@ -218,6 +218,7 @@ def _convolve_sampled(tf, samples, seed):
         checked += 1
     off_ok = True
     off_checked = 0
+    pairs = []
     for _ in range(samples):
         g = sampler(rng)
         # push g off the support by breaking an off-diagonal congruence
@@ -228,10 +229,11 @@ def _convolve_sampled(tf, samples, seed):
         ok2 = sum(b.datum.order.n for b in kpi_result.blocks[:bk])
         g = g.copy()
         g[oi, ok2] = 1  # unit entry violates the p-divisibility
-        if kpi.contains_residues(g):
-            continue
-        x = sampler(rng)
-        if kpi.contains_residues(det_inv_mod(g[None], p, L)[1][0] @ x % mod):
+        if not kpi.contains_residues(g):
+            pairs.append((g, sampler(rng)))
+    gs, xs = np.array(pairs).reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
+    for g, gx in zip(gs, det_inv_mod(gs, p, L)[1] @ xs % mod):
+        if kpi.contains_residues(gx):
             off_ok = False
             witness = g
             break

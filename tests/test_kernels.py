@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import minvec
 from minvec.errors import PrecisionLoss
-from minvec.groups import intertwines
+from minvec.groups import _first_not_intertwined, enumerate_h1, intertwines
 from minvec.orders import mat_mul_int, min_poly_fp
 from minvec.padic import MatrixApprox
 from minvec.residues import det_inv_mod
@@ -96,6 +96,15 @@ class TestIntertwiningKernel:
         assert (witness is None) == (want_witness is None)
         if witness is not None:
             assert np.array_equal(witness, want_witness)
+
+    def test_non_integral_conjugates_are_skipped(self, block_a):
+        # diag(1, 3) x diag(1, 3)^-1 has x_12 / 3 in its corner, so x with
+        # 3 not dividing x_12 lie outside the overlap and are never witnesses
+        xs = enumerate_h1(block_a.datum, 3)
+        xs = xs[xs[:, 0, 1] % 3 != 0]
+        G, Gi = np.diag([1, 3]), np.diag([3, 1])
+        assert _first_not_intertwined(G, Gi, -1, xs,
+                                      block_a.simple.theta) is None
 
     def test_short_inverse_is_a_precision_loss(self, block_a):
         # diag(1, 3) known mod 3^2 only: its inverse keeps one digit, and
