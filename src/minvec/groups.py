@@ -678,26 +678,18 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     lvl = d.s0 + 1
     pmod = p ** lvl
 
+    def raw_num(x, y):
+        # Tr(beta' (x - 1)(y - 1)) mod p^lvl
+        u = x.astype(np.int64) - np.eye(o.n, dtype=np.int64)
+        v = y.astype(np.int64) - np.eye(o.n, dtype=np.int64)
+        return int(np.einsum("ij,ji->", bt, u @ v)) % pmod
+
     def pairing_num(x, y):
-        u = x.astype(np.int64).copy()
-        v = y.astype(np.int64).copy()
-        for i in range(o.n):
-            u[i, i] -= 1
-            v[i, i] -= 1
-        w = (u @ v - v @ u)
-        tr = int(np.einsum("ij,ji->", bt, w)) % pmod
+        # the commutator form Tr(beta' [x - 1, y - 1]), scaled into F_p
+        tr = (raw_num(x, y) - raw_num(y, x)) % pmod
         if tr % p ** (lvl - 1) != 0:
             raise ConstructionFailure("pairing value is not F_p-valued")
         return tr // p ** (lvl - 1) % p
-
-    def raw_num(x, y):
-        u = x.astype(np.int64).copy()
-        v = y.astype(np.int64).copy()
-        for i in range(o.n):
-            u[i, i] -= 1
-            v[i, i] -= 1
-        w = u @ v
-        return int(np.einsum("ij,ji->", bt, w)) % pmod
 
     basis_mats = [j1.mats[rep_idx[c]] for c in basis]
     pairing = [[pairing_num(x, y) for y in basis_mats] for x in basis_mats]
@@ -1299,7 +1291,7 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
         s -= math.floor(s)
         if txy != s:
             theta_ok = False
-        if not _torus_approximation(x, blocks, offsets, cf, level):
+        if not _torus_approximation(x, blocks, offsets, cf):
             contain_ok = False
     if not (closure_ok and theta_ok and congruence_ok):
         raise ConstructionFailure(
@@ -1310,25 +1302,25 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     return KpiResult(kpi, theta, list(blocks), c_val, cf, level, checks, sampler)
 
 
-def _torus_approximation(mat, blocks, offsets, cf, level) -> bool:
+def first_torus_match(mats, ul1: FiniteSubgroup, cf: int) -> np.ndarray:
+    """For each x in mats, the index of the first l in U_L(1) with
+    x l^{-1} = 1 mod p^cf, that is x = l mod p^cf; -1 where there is none."""
+    p = ul1.p
+    codes, first = np.unique(pack(ul1.mats % p ** cf, p, cf),
+                             return_index=True)
+    idx = sorted_index(codes, pack(mats % p ** cf, p, cf))
+    return np.where(idx >= 0, first[idx], -1)
+
+
+def _torus_approximation(mat, blocks, offsets, cf) -> bool:
     """Find l in U_L(1) with mat * l^{-1} = 1 mod p^cf (blockwise search)."""
     if cf == 0:
         return True
-    p = blocks[0].datum.p
-    mod = p ** level
-    cmod = p ** cf
-    n = mat.shape[0]
-    linv = np.zeros((n, n), dtype=np.int64)
+    torus = np.zeros_like(mat)
     for i, bi in enumerate(blocks):
-        ni = bi.datum.order.n
-        oi = offsets[i]
-        ul1 = bi.bundle.ul1
-        sub = mat[oi:oi + ni, oi:oi + ni] % ul1.modulus
-        linvs = det_inv_mod(ul1.mats, p, ul1.level)[1]
-        hit = np.all(sub @ linvs % cmod == np.eye(ni, dtype=np.int64) % cmod,
-                     axis=(1, 2))
-        if not hit.any():
+        sl = slice(offsets[i], offsets[i] + bi.datum.order.n)
+        hit = first_torus_match(mat[None, sl, sl], bi.bundle.ul1, cf)[0]
+        if hit < 0:
             return False
-        linv[oi:oi + ni, oi:oi + ni] = linvs[np.argmax(hit)] % mod
-    full = mat @ linv % mod
-    return np.array_equal(full % cmod, np.eye(n, dtype=np.int64) % cmod)
+        torus[sl, sl] = bi.bundle.ul1.mats[hit]
+    return not np.any((mat - torus) % blocks[0].datum.p ** cf)

@@ -341,10 +341,6 @@ class InductionDatum:
         return self.s0 + 1
 
     @property
-    def work_level(self) -> int:
-        return 2 * self.s0 + 2
-
-    @property
     def field_certified(self) -> bool:
         return self.field_cert is not None and self.field_cert.certified
 

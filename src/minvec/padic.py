@@ -68,9 +68,6 @@ class PrecisionCtx:
         if (self.p, self.N) != (other.p, other.N):
             raise ValueError(f"mixed precision contexts {self} vs {other}")
 
-    def with_margin(self, extra: int) -> "PrecisionCtx":
-        return PrecisionCtx(self.p, self.N + extra)
-
 
 def _adjugate(rows, n):
     """Adjugate of an n x n integer matrix given as list of lists."""

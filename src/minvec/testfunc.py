@@ -19,7 +19,8 @@ import numpy as np
 
 from .cyclotomic import CyclotomicSum
 from .errors import ConstructionFailure
-from .groups import KpiResult, gl_order, verify_character
+from .groups import (KpiResult, _torus_approximation, first_torus_match,
+                     gl_order, verify_character)
 from .padic import vp
 from .residues import (cross_products_packed, det_inv_mod, pack,
                        sample_units_outside)
@@ -264,12 +265,10 @@ def concentration_check(tf: TestFunction, samples: int = 500,
     kpi_result = tf.kpi_result
     kpi = kpi_result.kpi
     cf = kpi_result.cfrak
-    p, L = kpi.p, kpi_result.level
     if cf == 0:
         count = kpi.size if kpi.mats is not None else samples
         return ConcentrationReport(0, True, count, True, 0, None)
     if kpi.mats is None:
-        from .groups import _torus_approximation
         rng = np.random.default_rng(seed)
         offsets = []
         off = 0
@@ -279,36 +278,19 @@ def concentration_check(tf: TestFunction, samples: int = 500,
         bad = None
         for _ in range(samples):
             x = kpi_result.sampler(rng)
-            if not _torus_approximation(x, kpi_result.blocks, offsets, cf, L):
+            if not _torus_approximation(x, kpi_result.blocks, offsets, cf):
                 bad = x
                 break
         return ConcentrationReport(cf, False, samples, bad is None, -1, bad)
-    # enumerated: single supercuspidal block
-    blk = kpi_result.blocks[0]
-    ul1 = blk.bundle.ul1
-    mod = p ** L
-    cmod = p ** cf
-    n = kpi.n
-    linvs = det_inv_mod(ul1.mats, p, L)[1]
-    remaining = np.ones(kpi.size, dtype=bool)
-    worst = 0
-    ident = np.eye(n, dtype=np.int64)
-    for count, li in enumerate(linvs, start=1):
-        if not remaining.any():
-            break
-        test = np.einsum("mij,jk->mik", kpi.mats[remaining], li) % cmod
-        hit = np.all(test == ident % cmod, axis=(1, 2))
-        idxs = np.nonzero(remaining)[0]
-        remaining[idxs[hit]] = False
-        if hit.any():
-            worst = count
-    all_found = not remaining.any()
-    witness = kpi.mats[np.nonzero(remaining)[0][0]] if not all_found else None
-    if not all_found:
+    # enumerated: single supercuspidal block; worst is the largest number
+    # of U_L(1) candidates scanned, in order, before a support element's match
+    hits = first_torus_match(kpi.mats, kpi_result.blocks[0].bundle.ul1, cf)
+    if np.any(hits < 0):
         raise ConstructionFailure(
             "support element admits no torus approximation; "
-            f"witness {witness.tolist()}")
-    return ConcentrationReport(cf, False, kpi.size, True, worst, None)
+            f"witness {kpi.mats[np.argmax(hits < 0)].tolist()}")
+    return ConcentrationReport(cf, False, kpi.size, True, int(hits.max()) + 1,
+                               None)
 
 
 @dataclass
