@@ -2,7 +2,8 @@
 
 Subcommands: order, verify, count, exponent, report-all.
 Exit codes: 0 all checks pass, 1 a verified identity is falsified,
-2 usage or parse error, 3 construction failure, 4 budget exceeded.
+2 usage or parse error, 3 construction failure, 4 budget exceeded (or
+memory exhausted).
 Identical inputs and seed produce byte-identical report files; wall-clock
 timings appear only in the human-readable section, never in the structured
 block.
@@ -101,16 +102,16 @@ def cmd_order(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _prepare(spec, margin):
+def _prepare(spec, margin, budget):
     if isinstance(spec, datafiles.ParabolicSpec):
         data = [b.build(margin=margin, strict="always") for b in spec.blocks]
-        blocks = [groups.prepare_block(d) for d in data]
+        blocks = [groups.prepare_block(d, budget=budget) for d in data]
         kr = groups.build_Kpi(blocks, inequivalent_assertion=spec.inequivalent)
         return blocks, kr
     d = spec.build(margin=margin, strict="always")
     if not is_minimal(d):
         raise DatumInvalid("verification requires a minimal datum")
-    blk = groups.prepare_block(d)
+    blk = groups.prepare_block(d, budget=budget)
     kr = groups.build_Kpi([blk])
     return [blk], kr
 
@@ -280,7 +281,7 @@ def cmd_verify(args) -> int:
     else:
         names = list(ALL_CHECKS)
     spec = _load_datum(args.datum)
-    blocks, kr = _prepare(spec, args.precision_margin)
+    blocks, kr = _prepare(spec, args.precision_margin, args.budget)
     dr = testfunc.depth_report(kr)
     human = [f"datum: {args.datum}", f"checks: {','.join(names)}",
              f"depth: d = {dr.depth}, c = {_frac(dr.c)}, cfrak = {dr.cfrak}, "
@@ -464,6 +465,20 @@ def _verifiable(path, margin) -> bool:
         return False
 
 
+def _stage(err: BaseException) -> str:
+    """The innermost minvec function (not comprehension) an exception
+    passed through."""
+    stage = "?"
+    tb = err.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        name = tb.tb_frame.f_code.co_name
+        if module.startswith("minvec.") and not name.startswith("<"):
+            stage = f"{module[len('minvec.'):]}.{name}"
+        tb = tb.tb_next
+    return stage
+
+
 def _capture(fn, args):
     import io
     from contextlib import redirect_stdout
@@ -473,6 +488,9 @@ def _capture(fn, args):
             code = fn(args)
         except BudgetExceeded as err:
             buf.write(f"SKIPPED (budget): {err}\n")
+            code = EXIT_BUDGET
+        except MemoryError as err:
+            buf.write(f"SKIPPED (budget): out of memory in {_stage(err)}\n")
             code = EXIT_BUDGET
         except (ConstructionFailure, PrecisionLoss) as err:
             buf.write(f"CONSTRUCTION FAILURE: {err}\n")
@@ -557,6 +575,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceeded as err:
         sys.stderr.write(f"budget exceeded: {err}\n")
+        return EXIT_BUDGET
+    except MemoryError as err:
+        sys.stderr.write(f"budget exceeded: out of memory in {_stage(err)}\n")
         return EXIT_BUDGET
     except (ConstructionFailure, PrecisionLoss) as err:
         sys.stderr.write(f"construction failure: {err}\n")

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, PrecisionLoss
 from .orders import HereditaryOrder, InductionDatum, fp_reduce, v_A
 from .padic import MatrixApprox, vp
-from .residues import (BLOCK_BYTES, box_enumerate, contains_codes,
-                       cross_products_packed, det_inv_mod, pack, product_set,
+from .residues import (box_enumerate, contains_codes, det_inv_mod, pack,
                        sample_units_outside, sorted_index, unpack)
 
 
@@ -43,14 +42,12 @@ def gl_order(n: int, p: int, L: int) -> int:
 
 @dataclass
 class CharacterCertificate:
-    """What one exhaustive product-table scan proved about an exponent
-    table; unpacks as (multiplicative, witness, coords_additive)."""
+    """What the generator relations proved about an exponent table; unpacks
+    as (multiplicative, witness, coords_additive)."""
 
     multiplicative: bool
-    witness: tuple | None         # first (i, k) with theta(g_i g_k) wrong
-    coords_additive: bool | None  # None when no coordinates were scanned
-    inverse: np.ndarray           # inverse[a] = index of g_a^{-1}
-    convolution_bad_rows: list    # rows a with a term != Theta(g_a^{-1})
+    witness: tuple | None         # generator pair (i, s) where it fails
+    coords_additive: bool | None  # None when no coordinates were checked
 
     def __iter__(self):
         return iter((self.multiplicative, self.witness,
@@ -65,13 +62,12 @@ class FiniteSubgroup:
     """
 
     def __init__(self, name, p, level, n, mats=None, membership=None,
-                 size=None, generators=None):
+                 size=None):
         self.name = name
         self.p = p
         self.level = level
         self.n = n
         self.membership = membership
-        self.generators = generators
         if mats is not None:
             mats = np.asarray(mats, dtype=np.int64) % p ** level
             codes = pack(mats, p, level)
@@ -82,7 +78,6 @@ class FiniteSubgroup:
                 raise ConstructionFailure(f"{name}: duplicate elements")
             self.size = len(self.codes)
             self._tree = None
-            self._certificates = {}
         else:
             self.codes = None
             self.mats = None
@@ -122,56 +117,36 @@ class FiniteSubgroup:
         return idx
 
     def _generator_tree(self):
-        """(root, perms, steps), memoized: perms[t][i] is the index of
-        g_i g_s for the t-th greedily chosen generator s, and each step
-        (t, cols, parents) of a breadth-first search from the identity has
-        g_cols = g_parents g_s.  Every perm is free of -1 and the search
-        reaches every element, so this certifies closure under products."""
+        """(root, perms), memoized: perms[t][i] is the index of g_i s for the
+        t-th greedily chosen generator s = g_(perms[t][root]).  Every perm
+        is a permutation of the set and a breadth-first search from the
+        identity through them reaches every element, so the set is a group
+        and every element is a word in the generators."""
         if self._tree is None:
             root = self.identity_index()
             reached = np.zeros(self.size, dtype=bool)
             reached[root] = True
-            perms, steps = [], []
+            perms = []
             while not reached.all():
                 s = int(np.argmin(reached))
-                perm = self.index_of_codes(cross_products_packed(
-                    self.mats, self.mats[s:s + 1], self.p, self.level)[:, 0])
+                perm = self.index_of_codes(pack(
+                    self.mats @ self.mats[s] % self.modulus, self.p, self.level))
                 if np.any(perm < 0):
                     raise ConstructionFailure(
                         f"{self.name} is not closed under products "
                         f"(witness indices {int(np.argmax(perm < 0))}, {s})")
-                perms.append(perm.astype(np.int32))
+                if np.any(np.bincount(perm, minlength=self.size) != 1):
+                    raise ConstructionFailure(
+                        f"{self.name}: right multiplication by element {s} "
+                        "is not a bijection")
+                perms.append(perm)
                 frontier = np.flatnonzero(reached)
                 while len(frontier):
-                    found = []
-                    for t, perm in enumerate(perms):
-                        images = perm[frontier]
-                        new = ~reached[images]
-                        cols, first = np.unique(images[new], return_index=True)
-                        reached[cols] = True
-                        if len(cols):
-                            steps.append((t, cols, frontier[new][first]))
-                        found.append(cols)
-                    frontier = np.concatenate(found)
-            self._tree = root, perms, steps
+                    images = np.concatenate([perm[frontier] for perm in perms])
+                    frontier = np.unique(images[~reached[images]])
+                    reached[frontier] = True
+            self._tree = root, perms
         return self._tree
-
-    def pair_scan(self, fns):
-        """Run each fn(lo, idx_block) over the full product-index table,
-        where idx_block[i, k] is the index of g_(lo+i) g_k, in row chunks
-        of at most BLOCK_BYTES of int32 each.  No chunk multiplies
-        matrices: column k is g_i g_k = (g_i g_parent) g_s, one gather
-        through the tree's permutation for s."""
-        root, perms, steps = self._generator_tree()
-        chunk = max(1, BLOCK_BYTES // (4 * self.size))
-        for lo in range(0, self.size, chunk):
-            hi = min(lo + chunk, self.size)
-            columns = np.empty((self.size, hi - lo), dtype=np.int32)
-            columns[root] = np.arange(lo, hi)
-            for t, k, parents in steps:
-                columns[k] = perms[t][columns[parents]]
-            for fn in fns:
-                fn(lo, columns.T)
 
     def dump_lines(self):
         """Canonical line format: row-major residues, sorted."""
@@ -198,28 +173,30 @@ def residues_of(m: MatrixApprox, level: int):
                      for row in mn.entries], dtype=np.int64)
 
 
-def enumerate_radical_unipotents(o: HereditaryOrder, i: int, p: int, L: int,
-                                 budget: int = 2_000_000) -> np.ndarray:
-    """Elements of U_A(i) = 1 + B^i as residue matrices mod p^L, i >= 1."""
-    if i < 1:
-        raise ValueError("only positive filtration steps are unipotent boxes")
+def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
+                budget: int = 2_000_000) -> np.ndarray:
+    """units * U_A(k) mod p^L, k >= 1, as residue matrices in code order.
+
+    B^k is a two-sided ideal of A and the units lie in A^*, so
+    l U_A(k) = l + B^k: the set is the classes of the units mod B^k plus
+    the lattice box B^k, every element once.  Its size is known, and held
+    to the budget, before anything is allocated.
+    """
     n = o.n
-    offsets, steps, counts = [], [], []
-    total = 1
-    for r in range(n):
-        for c in range(n):
-            t = max(0, o.entry_threshold(i, r, c))
-            base = 1 if r == c else 0
-            cnt = p ** max(0, L - t)
-            offsets.append(base)
-            steps.append(p ** min(t, L))
-            counts.append(cnt)
-            total *= cnt
-    if total > budget:
-        raise BudgetExceeded(f"U_A({i}) has {total} elements mod p^{L}",
-                             estimate=total)
-    flat = box_enumerate(offsets, steps, counts, p ** L)
-    return flat.reshape(-1, n, n)
+    mod = p ** L
+    steps = np.array([[p ** min(L, max(0, o.entry_threshold(k, r, c)))
+                       for c in range(n)] for r in range(n)], dtype=np.int64)
+    classes = np.unique(pack(np.asarray(units, dtype=np.int64) % steps, p, L))
+    counts = (mod // steps).ravel().tolist()
+    size = len(classes) * math.prod(counts)
+    if size > budget:
+        raise BudgetExceeded(f"{size} elements mod p^{L}: {len(classes)} "
+                             f"classes mod B^{k} times {math.prod(counts)}",
+                             estimate=size)
+    box = box_enumerate([0] * (n * n), steps.ravel().tolist(), counts, mod)
+    codes = np.sort((classes[:, None] + pack(box.reshape(-1, n, n), p, L)
+                     ).ravel())
+    return unpack(codes, p, L, n)
 
 
 def enumerate_field_order(d: InductionDatum, L: int):
@@ -259,8 +236,7 @@ def enumerate_h1(d: InductionDatum, L: int,
                  budget: int = 2_000_000) -> np.ndarray:
     """H^1 = U_L(1) U_A(floor(j/2)+1) mod p^L, residue matrices in code order."""
     ol_mats, _, ul1_mask = enumerate_field_order(d, L)
-    ua = enumerate_radical_unipotents(d.order, d.j // 2 + 1, d.p, L, budget)
-    return unpack(product_set(ol_mats[ul1_mask], ua, d.p, L), d.p, L, d.order.n)
+    return unit_sumset(d.order, d.j // 2 + 1, ol_mats[ul1_mask], d.p, L, budget)
 
 
 def prime_element_of_L(d: InductionDatum) -> MatrixApprox:
@@ -321,20 +297,20 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
     L = d.group_level if level is None else level
     if d.ctx.N < j + 2:
         raise PrecisionLoss("datum context carries fewer than j + 2 digits")
-    ua = {}
-    for i in range(1, j + 2):
-        mats = enumerate_radical_unipotents(o, i, p, L, budget)
-        ua[i] = FiniteSubgroup(f"U_A({i})", p, L, o.n, mats)
+    ident = np.eye(o.n, dtype=np.int64)[None]
+    ua = {i: FiniteSubgroup(f"U_A({i})", p, L, o.n,
+                            unit_sumset(o, i, ident, p, L, budget))
+          for i in range(1, j + 2)}
     ol_mats, unit_mask, ul1_mask = enumerate_field_order(d, L)
     ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_mats[ul1_mask])
     ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_mats[unit_mask])
     half_high = (j + 1) // 2     # J^1 congruence part
-    j1_codes = product_set(ul1.mats, ua[half_high].mats, p, L) if half_high >= 1 \
-        else None
-    h1 = FiniteSubgroup("H1", p, L, o.n, enumerate_h1(d, L, budget))
-    j1 = FiniteSubgroup("J1", p, L, o.n, unpack(j1_codes, p, L, o.n))
-    jk_codes = product_set(ol_units.mats, ua[half_high].mats, p, L)
-    jcapk = FiniteSubgroup("JcapK", p, L, o.n, unpack(jk_codes, p, L, o.n))
+    h1 = FiniteSubgroup("H1", p, L, o.n,
+                        unit_sumset(o, j // 2 + 1, ul1.mats, p, L, budget))
+    j1 = FiniteSubgroup("J1", p, L, o.n,
+                        unit_sumset(o, half_high, ul1.mats, p, L, budget))
+    jcapk = FiniteSubgroup("JcapK", p, L, o.n,
+                           unit_sumset(o, half_high, ol_units.mats, p, L, budget))
     prime = prime_element_of_L(d)
     return SubgroupBundle(d, L, ua, ul1, ol_units, h1, j1, jcapk, prime)
 
@@ -401,58 +377,35 @@ def formula_exponent_nums(d: InductionDatum, mats: np.ndarray, denom: int):
 
 def verify_character(sub: FiniteSubgroup, nums, denom: int, coords=None,
                      coord_orders=None) -> CharacterCertificate:
-    """Everything one exhaustive pair scan proves about an exponent table:
-    multiplicativity, optionally additivity of coset coordinates (which
-    certifies the count of character extensions), and the termwise
-    convolution law.  Memoized on sub per (nums, denom); rescanned only
-    when coordinates are asked for and were not checked before."""
-    nums = np.asarray(nums, dtype=np.int64)
-    key = (nums.tobytes(), denom)
-    cert = sub._certificates.get(key)
-    if cert is not None and (coords is None or cert.coords_additive is not None):
-        return cert
-    cert = CharacterCertificate(True, None, None if coords is None else True,
-                                np.empty(sub.size, dtype=np.int64), [])
-    # consumers run in int16 unless denom or a coordinate order needs more
-    dtype = np.int16 if max([denom, *(coord_orders or ())]) < 1 << 15 \
-        else np.int64
-    vals = (nums % denom).astype(dtype)
-    if coords is not None:
-        coords = np.ascontiguousarray(coords.T, dtype=dtype)
-    ident = sub.identity_index()
+    """Decide on generators whether an exponent table is multiplicative and,
+    optionally, whether the coset coordinates (which certify the count of
+    character extensions) add, each mod its own order.
 
-    def delta(table, idx, m):
-        # table(g_a g_k) - table(g_k) mod m, for table values in [0, m)
-        d = table[idx]
-        d -= table
-        d += d.dtype.type(m) * (d < 0)
-        return d
+    The generator tree certifies that sub is a group whose elements are
+    words in the generators s, with right multiplications R_s.  A table f
+    is then a homomorphism exactly when f(I) = 0 and f(g s) = f(g) + f(s)
+    for every g and s: induct on the length of a word for h to get
+    f(g h) = f(g) + f(h).  So |G| |S| lookups decide every pair.
+    """
+    root, perms = sub._generator_tree()
 
-    def consume(lo, idx):
-        rows = slice(lo, lo + idx.shape[0])
-        diff = delta(vals, idx, denom)
-        if cert.multiplicative:
-            bad = diff != vals[rows, None]
-            if np.any(bad):
-                i, k = np.argwhere(bad)[0]
-                cert.multiplicative = False
-                cert.witness = (lo + int(i), int(k))
-        if cert.coords_additive:
-            cert.coords_additive = all(
-                np.all(delta(c, idx, m) == c[rows, None])
-                for c, m in zip(coords, coord_orders))
-        # convolution terms: Theta(x) - Theta(g_a x) = Theta(g_a^{-1})
-        hit_rows, inv = np.nonzero(idx == ident)
-        if not np.array_equal(hit_rows, np.arange(idx.shape[0])):
-            raise ConstructionFailure(f"{sub.name}: a product-table row "
-                                      "does not hit the identity once")
-        cert.inverse[rows] = inv
-        bad = np.any(diff != -vals[inv, None] % denom, axis=1)
-        cert.convolution_bad_rows.extend((lo + np.nonzero(bad)[0]).tolist())
+    def first_bad(table, m):
+        # (i, s) with table(g_i g_s) != table(g_i) + table(g_s) mod m
+        table = np.asarray(table, dtype=np.int64)
+        if table[root] % m:
+            return root, root
+        for perm in perms:
+            s = int(perm[root])
+            bad = (table[perm] - table - table[s]) % m != 0
+            if bad.any():
+                return int(np.argmax(bad)), s
+        return None
 
-    sub.pair_scan([consume])
-    sub._certificates[key] = cert
-    return cert
+    witness = first_bad(nums, denom)
+    coords_ok = None if coords is None else all(
+        first_bad(c, m) is None for c, m in zip(np.asarray(coords).T,
+                                                coord_orders))
+    return CharacterCertificate(witness is None, witness, coords_ok)
 
 
 @dataclass
@@ -473,8 +426,9 @@ def extend_character(group: FiniteSubgroup, sub_exponents,
 
     sub_exponents maps the subgroup's sorted codes to Fractions (as a dict).
     The chosen extension takes the minimal admissible exponent at every new
-    coset generator; the count of extensions is the index, certified by the
-    coordinate-homomorphism check plus one exhaustive multiplicativity pass.
+    coset generator; the count of extensions is the index, certified by
+    verify_character: multiplicativity and additivity of the coset
+    coordinates, both decided on the generators of the group.
     """
     p, L, n = group.p, group.level, group.n
     mod = p ** L
@@ -532,7 +486,8 @@ def extend_character(group: FiniteSubgroup, sub_exponents,
     if not ok:
         raise ConstructionFailure(
             f"no multiplicative extension found on {group.name}; "
-            f"first mismatch at indices {witness}")
+            f"f(g_i g_s) != f(g_i) + f(g_s) at generator pair (i, s) = "
+            f"{witness}")
     # unless coordinates add, count only the verified base extension
     count = math.prod(orders) if coords_ok else 1
     return ExtensionData(nums, denom, cmat, orders, count, coords_ok)
@@ -618,7 +573,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
 
     For odd depth J^1 = H^1 and the uniform convention B^1 = H^1 applies;
     the returned data is flagged trivial.  B^1 is certified a group later,
-    by the exhaustive product scan of extend_and_induce (verify_character).
+    by the generator tree that verify_character builds in extend_and_induce.
     """
     p, j, o = d.p, d.j, d.order
     h1, j1 = bundle.h1, bundle.j1
@@ -641,7 +596,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     hmats = j1.mats[sorted_index(j1.codes, h1.codes)]
     reps = j1.mats[rep_idx]
     for g, ginv in zip(reps, det_inv_mod(reps, p, L)[1]):
-        conj = np.einsum("ij,mjk,kl->mil", g, hmats, ginv) % mod
+        conj = (g @ hmats % mod) @ ginv % mod
         if not np.all(contains_codes(h1.codes, pack(conj, p, L))):
             raise ConstructionFailure("H1 is not normal in J1")
 
@@ -876,7 +831,7 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
         reps = j1.mats[rep_idx]
         lists = [[] for _ in range(j1.size)]
         for t, tinv in zip(reps, det_inv_mod(reps, p, L)[1]):
-            conj = np.einsum("ij,mjk,kl->mil", tinv, j1.mats, t) % mod
+            conj = (tinv @ j1.mats % mod) @ t % mod
             codes = pack(conj, p, L)
             idx_in_b1 = sorted_index(pol.b1.codes, codes)
             for gidx in range(j1.size):
@@ -1091,8 +1046,9 @@ class PreparedBlock:
         return self.induced.theta_tilde
 
 
-def prepare_block(d: InductionDatum, level: int | None = None) -> PreparedBlock:
-    bundle = build_subgroups(d, level=level)
+def prepare_block(d: InductionDatum, level: int | None = None,
+                  budget: int = 2_000_000) -> PreparedBlock:
+    bundle = build_subgroups(d, level=level, budget=budget)
     simple = simple_character(d, bundle)
     pol = heisenberg(d, bundle, simple.theta)
     induced = extend_and_induce(d, bundle, simple.theta, pol)

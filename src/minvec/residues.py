@@ -1,4 +1,4 @@
-"""Bulk helpers for matrices over Z/p^L: enumeration, products, lookups.
+"""Bulk helpers for matrices over Z/p^L: enumeration, inverses, lookups.
 
 Element sets are numpy arrays of shape (M, n, n) with int64 residues in
 [0, p^L).  For sorting and membership each matrix is packed into one int64
@@ -65,40 +65,6 @@ def box_enumerate(offsets, steps, counts, modulus) -> np.ndarray:
         ramp = np.repeat(np.arange(c, dtype=np.int64) * steps[i], rep)
         out[:, i] = (np.tile(ramp, total // (rep * c)) + offsets[i]) % modulus
     return out
-
-
-# bytes of one block of pairwise product codes or product indices, bounding
-# every product chunk: peak memory grows with it
-BLOCK_BYTES = 1 << 22
-
-
-def cross_products_packed(A: np.ndarray, B: np.ndarray, p: int, L: int):
-    """Packed codes of all pairwise products a b mod p^L, shape (|A|, |B|).
-
-    Explicit broadcast arithmetic; measurably faster than einsum for the
-    small residue matrices used here.
-    """
-    n = A.shape[1]
-    if not fits_packing(p, L, n):
-        raise OverflowError("residue packing does not fit in int64")
-    mod = p ** L
-    codes = None
-    for i in range(n):
-        for j in range(n):
-            acc = A[:, i, 0, None] * B[None, :, 0, j]
-            for k in range(1, n):
-                acc += A[:, i, k, None] * B[None, :, k, j]
-            acc %= mod
-            codes = acc if codes is None else codes * mod + acc
-    return codes
-
-
-def product_set(A: np.ndarray, B: np.ndarray, p: int, L: int) -> np.ndarray:
-    """Unique products {a b mod p^L}, returned as a sorted code array."""
-    chunk = max(1, BLOCK_BYTES // (8 * max(len(B), 1)))
-    pieces = [np.unique(cross_products_packed(A[lo:lo + chunk], B, p, L))
-              for lo in range(0, len(A), chunk)]
-    return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
 
 
 def det_inv_mod(mats, p: int, L: int):

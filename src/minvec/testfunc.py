@@ -3,27 +3,24 @@
 omega is Theta on K_pi and zero elsewhere, with Haar measure normalized so
 the standard maximal compact K = GL_n(O) has volume 1.  All volumes are
 exact rationals computed from element counts mod p^N; the convolution
-identity omega * omega^* = d_pi omega is checked with cyclotomic-exact
-arithmetic and zero tolerance.
+identity omega * omega^* = d_pi omega is checked by exact integer
+congruences on the character's exponents, with zero tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CyclotomicSum
 from .errors import ConstructionFailure
 from .groups import (KpiResult, _torus_approximation, first_torus_match,
                      gl_order, verify_character)
 from .padic import vp
-from .residues import (cross_products_packed, det_inv_mod, pack,
-                       sample_units_outside)
+from .residues import det_inv_mod, pack, sample_units_outside
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -132,10 +129,11 @@ def convolve_check(tf: TestFunction, samples: int = 2000,
                    seed: int = 0) -> ConvolutionReport:
     """Verify omega * omega^* = d_pi omega exactly.
 
-    Enumerated supports are checked on every pair, read from the support's
-    memoized product scan (which also certifies subgroup closure and so
-    settles all points outside the support at once); membership-only
-    supports are checked on seeded samples, term by term.
+    Enumerated supports are checked on every pair: the support's generator
+    certificate (verify_character) proves it is a group, which settles all
+    points outside the support at once, and that Theta is multiplicative,
+    which is the termwise law for every pair.  Membership-only supports are
+    checked on seeded samples, term by term.
     """
     kpi = tf.kpi_result.kpi
     if kpi.mats is not None:
@@ -154,23 +152,12 @@ def _convolve_full(tf, samples, seed):
     M = kpi.size
     k_count = gl_order(n, p, L)
     d_pi = Fraction(M, k_count)
-    nums = theta.nums
-    denom = theta.denom
-    cert = verify_character(kpi, nums, denom)
-    ok = True
-    witness = None
-    # a row a that disagrees termwise is g = a^{-1}; decide it by the exact
-    # cyclotomic comparison sum_x Theta(x) - Theta(g^{-1} x) = M Theta(g)
-    for g, a in sorted((int(cert.inverse[a]), a)
-                       for a in cert.convolution_bad_rows):
-        idx = kpi.index_of_codes(
-            cross_products_packed(kpi.mats[a:a + 1], kpi.mats, p, L)[0])
-        lhs = CyclotomicSum(p, Counter(Fraction(int(t), denom)
-                                       for t in (nums - nums[idx]) % denom))
-        if lhs != CyclotomicSum(p, {Fraction(int(nums[g]), denom): M}):
-            ok = False
-            witness = kpi.mats[g]
-            break
+    # over a certified group the termwise law Theta(x) - Theta(g^-1 x) =
+    # Theta(g) for every pair (g, x) is multiplicativity itself; a failing
+    # generator pair (i, s) fails it at g = g_i, x = g_i g_s
+    cert = verify_character(kpi, theta.nums, theta.denom)
+    ok = cert.multiplicative
+    witness = None if ok else kpi.mats[cert.witness[0]]
     rng = np.random.default_rng(seed)
     off_checked = 0
     off_ok = True

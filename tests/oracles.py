@@ -69,13 +69,78 @@ def partition_count_oracle(a: int, n: int) -> int:
     return rec(a, n)
 
 
-def product_table_oracle(sub, lo, hi):
-    """Rows lo..hi of a subgroup's product-index table by explicit matrix
-    products and binary search: entry [i, k] is the index of g_(lo+i) g_k,
+def product_table_oracle(sub, rows):
+    """The given rows of a subgroup's product-index table by explicit matrix
+    products and binary search: entry [i, k] is the index of g_rows[i] g_k,
     or -1 where the product leaves the subgroup."""
-    from minvec.residues import cross_products_packed, sorted_index
-    codes = cross_products_packed(sub.mats[lo:hi], sub.mats, sub.p, sub.level)
-    return sorted_index(sub.codes, codes.reshape(-1)).reshape(codes.shape)
+    from minvec.residues import pack, sorted_index
+    prods = sub.mats[rows, None] @ sub.mats[None] % sub.modulus
+    codes = pack(prods.reshape(-1, sub.n, sub.n), sub.p, sub.level)
+    return sorted_index(sub.codes, codes).reshape(len(rows), sub.size)
+
+
+def character_certificate_oracle(sub, nums, denom, coords=None,
+                                 coord_orders=None, rows=None):
+    """The full-table certificate: every pair (g_i, g_k) of the product
+    table with i in rows (default all), scanned 64 rows at a time.  Asserts
+    closure and that every row hits the identity once; returns
+    (multiplicative, first failing pair (i, k), coords_additive or None)."""
+    import numpy as np
+    nums = np.asarray(nums, dtype=np.int64) % denom
+    rows = np.arange(sub.size) if rows is None else np.asarray(rows)
+    ident = sub.identity_index()
+    witness = None
+    coords_ok = None if coords is None else True
+    for lo in range(0, len(rows), 64):
+        block = rows[lo:lo + 64]
+        idx = product_table_oracle(sub, block)
+        assert np.all(idx >= 0), "a product left the subgroup"
+        assert np.array_equal(np.sum(idx == ident, axis=1), np.ones(len(block)))
+        bad = (nums[idx] - nums[block, None] - nums[None]) % denom != 0
+        if witness is None and bad.any():
+            i, k = np.argwhere(bad)[0]
+            witness = (int(block[i]), int(k))
+        if coords is not None:
+            for c, m in zip(np.asarray(coords).T, coord_orders):
+                coords_ok &= not np.any((c[idx] - c[block, None] - c[None]) % m)
+    return witness is None, witness, coords_ok
+
+
+def product_set_oracle(A, B, p, L, rows=64):
+    """Sorted unique codes of all products a b mod p^L, by explicit matrix
+    products and np.unique."""
+    import numpy as np
+    from minvec.residues import pack
+    n = A.shape[1]
+    pieces = [pack((A[lo:lo + rows, None] @ B[None] % p ** L).reshape(-1, n, n),
+                   p, L) for lo in range(0, len(A), rows)]
+    return np.unique(np.concatenate(pieces))
+
+
+def convolution_rows_oracle(sub, nums, denom, rows):
+    """Reference rows of the convolution law: row g holds the exponents
+    Theta(x) - Theta(g^-1 x) over all x, with g^-1 from mat_inv_mod and the
+    products from an einsum product table."""
+    import numpy as np
+    from minvec.residues import pack
+    p, L, n = sub.p, sub.level, sub.n
+    nums = np.asarray(nums, dtype=np.int64)
+    inv_mats = np.array([mat_inv_mod(sub.mats[g], p, L) for g in rows])
+    out = []
+    for lo in range(0, len(inv_mats), 256):
+        prods = np.einsum("gij,mjk->gmik", inv_mats[lo:lo + 256],
+                          sub.mats) % p ** L
+        idx = sub.index_of_codes(pack(prods.reshape(-1, n, n), p, L))
+        assert np.all(idx >= 0)
+        out.append((nums[None, :] - nums[idx.reshape(-1, sub.size)]) % denom)
+    return np.concatenate(out)
+
+
+def row_disagrees(sub, nums, denom, g):
+    """Whether reference row g of the convolution law has a term that is
+    not Theta(g)."""
+    row = convolution_rows_oracle(sub, nums, denom, [g])[0]
+    return bool((row != nums[g] % denom).any())
 
 
 def psi_exponent(x, p):

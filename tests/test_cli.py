@@ -1,18 +1,17 @@
 import argparse
 import io
 import json
+import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR
-
-import numpy as np
+from oracles import row_disagrees
 
 from minvec import cli, testfunc
 from minvec.datafiles import (canonical_dumps, extract_block, load_datum,
@@ -237,34 +236,37 @@ class TestOmegaCheck:
         assert section["off_support_zeros_sampled"] == 0
 
 
-class TestSingleScan:
-    @pytest.mark.parametrize("name, groups_scanned", [
-        ("datum_n2e2j1p3", 2),    # U_A(1) for the trace formula, H1 = B1
-        ("datum_n2e1j2p3", 3),    # U_A(2), H1, B1
-    ])
-    def test_one_scan_per_group_and_character(self, name, groups_scanned,
-                                              tmp_path, monkeypatch):
+class TestGeneratorCertificate:
+    @pytest.mark.parametrize("name", ["datum_n2e2j1p3", "datum_n2e2j3p3"])
+    def test_falsified_character_names_a_failing_row(self, name, tmp_path,
+                                                     monkeypatch, capsys):
+        # at odd depth B1 = H1 and the Heisenberg laws hold for any table,
+        # so a theta wrong at one element reaches the character check; its
+        # witness (i, s) must name a g_i whose convolution row disagrees
         from minvec import groups
-        scans = []
-        keys = set()
-        scan, verify = groups.FiniteSubgroup.pair_scan, groups.verify_character
+        simple, flipped = groups.simple_character, []
 
-        def counted_scan(self, fns):
-            scans.append(id(self))
-            return scan(self, fns)
+        def flip_one(d, bundle):
+            res = simple(d, bundle)
+            nums, denom = res.theta.nums, res.theta.denom
+            k = (res.theta.domain.identity_index() + 1) % len(nums)
+            nums[k] = (nums[k] + 1) % denom
+            flipped.append(res.theta)
+            return res
 
-        def keyed_verify(sub, nums, denom, *args, **kwargs):
-            keys.add((id(sub), np.asarray(nums, np.int64).tobytes(), denom))
-            return verify(sub, nums, denom, *args, **kwargs)
-
-        monkeypatch.setattr(groups.FiniteSubgroup, "pair_scan", counted_scan)
-        for module in (groups, testfunc):
-            monkeypatch.setattr(module, "verify_character", keyed_verify)
+        monkeypatch.setattr(groups, "simple_character", flip_one)
         code = cli.main(["verify", str(DATA_DIR / f"{name}.json"),
+                         "--checks", "character",
                          "--out", str(tmp_path / "report.txt")])
-        assert code == cli.EXIT_PASS
-        assert len(scans) == len(keys) == groups_scanned
-        assert Counter(scans) == Counter(group for group, _, _ in keys)
+        assert code == cli.EXIT_FALSIFIED
+        err = capsys.readouterr().err
+        i, s = map(int, re.search(r"not multiplicative at \((\d+), (\d+)\)",
+                                  err).groups())
+        theta, = flipped
+        h1 = theta.domain
+        assert s in {int(perm[h1.identity_index()])
+                     for perm in h1._generator_tree()[1]}
+        assert row_disagrees(h1, theta.nums, theta.denom, i)
 
     def test_broken_b1_is_a_construction_failure(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -290,3 +292,43 @@ class TestSingleScan:
         i, k = map(int, re.search(r"witness indices (\d+), (\d+)", err).groups())
         b1, = broken
         assert not b1.contains_residues(b1.mats[i] @ b1.mats[k])
+
+
+# beta = p^-1 [[0, 1, 0], [0, 0, 1], [3, 0, 0]] at p = 3: n = 3, e = 3, j = 2
+N3_DATUM = {"beta": {"entries": [[0, 1, 0], [0, 0, 1], [3, 0, 0]],
+                     "scale": -1},
+            "e": 3, "j": 2, "kind": "supercuspidal", "n": 3, "p": 3}
+
+
+class TestHonestExits:
+    def test_small_budget_exits_4_before_allocating(self, tmp_path):
+        datum = tmp_path / "datum_n3e3j2p3.json"
+        datum.write_text(json.dumps(N3_DATUM))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])]
+            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        proc = subprocess.run([sys.executable, "-m", "minvec.cli", "verify",
+                               str(datum), "--budget", "1000"],
+                              capture_output=True, text=True, env=env,
+                              timeout=20)
+        assert proc.returncode == cli.EXIT_BUDGET
+        assert "budget exceeded" in proc.stderr
+
+    def test_memory_error_exits_4_and_names_the_stage(self, tmp_path,
+                                                      monkeypatch, capsys):
+        from minvec import groups
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(groups, "unit_sumset", exhausted)
+        datum = str(DATA_DIR / "datum_n2e2j1p3.json")
+        assert cli.main(["verify", datum]) == cli.EXIT_BUDGET
+        assert "out of memory in groups.build_subgroups" in \
+            capsys.readouterr().err
+        (tmp_path / "datum.json").write_text(Path(datum).read_text())
+        code, out = run_cli("report-all", str(tmp_path))
+        assert code == cli.EXIT_BUDGET
+        assert "SKIPPED (budget): out of memory in groups.build_subgroups" \
+            in out

@@ -4,32 +4,35 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minvec import groups
-from minvec.errors import ConstructionFailure, DatumInvalid
+from minvec.errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from minvec.groups import (FiniteSubgroup, build_Kpi, build_subgroups,
-                           extend_and_induce, gl_order, heisenberg,
+                           extend_character, formula_exponent_nums, gl_order,
                            intertwines, intertwining_dichotomy, prepare_block,
-                           simple_character, verify_character)
+                           verify_character)
 from minvec.padic import MatrixApprox, PrecisionCtx
 from minvec.residues import pack
 
 from conftest import build_datum
-from oracles import product_table_oracle, psi_exponent
+from oracles import (character_certificate_oracle, product_set_oracle,
+                     product_table_oracle, psi_exponent, row_disagrees)
 
 
 def assert_closed(sub):
     """The generator tree's closure certificate, checked from outside: every
-    right-multiplication map is a permutation, every tree edge is an actual
-    product, and the tree spans the whole set."""
-    root, perms, steps = sub._generator_tree()
+    right-multiplication map is a permutation, every entry is an actual
+    product with its generator, and the generators reach the whole set
+    from the identity."""
+    root, perms = sub._generator_tree()
+    assert np.array_equal(sub.mats[root], np.eye(sub.n, dtype=np.int64))
     for perm in perms:
         assert np.array_equal(np.sort(perm), np.arange(sub.size))
-    for t, cols, parents in steps:
-        s = perms[t][root]
-        prods = sub.mats[parents] @ sub.mats[s] % sub.modulus
-        assert np.array_equal(prods, sub.mats[cols])
-    spanned = np.concatenate([[root]] + [cols for _, cols, _ in steps])
-    assert np.array_equal(np.sort(spanned), np.arange(sub.size))
+        prods = sub.mats @ sub.mats[perm[root]] % sub.modulus
+        assert np.array_equal(prods, sub.mats[perm])
+    reached = frontier = {int(root)}
+    while frontier:
+        frontier = {int(perm[i]) for i in frontier for perm in perms} - reached
+        reached = reached | frontier
+    assert reached == set(range(sub.size))
 
 
 class TestSubgroups:
@@ -100,62 +103,106 @@ def enumerated_groups(blk):
     return list({id(sub): sub for sub in subs}.values())
 
 
-class _Enough(Exception):
-    pass
+# groups past this size are compared on a few rows of the product table
+FULL_TABLE_MAX = 2187
+
+
+def oracle_rows(sub, extra=()):
+    """Every row of a small group; the first 8 rows plus `extra` otherwise."""
+    if sub.size <= FULL_TABLE_MAX:
+        return np.arange(sub.size)
+    return np.unique(np.r_[np.arange(8), np.asarray(extra, dtype=np.int64)])
+
+
+def character_tables(blk):
+    """(group, nums, denom, coords, orders) on every enumerated group of a
+    block.  Groups that carry a certified extension get it with its coset
+    coordinates (theta on H1, and theta~ on B1 at even depth), the others
+    the trivial character; every group also gets the trace formula, which
+    is a character on U_A(floor(j/2)+1) and fails elsewhere."""
+    d, theta = blk.datum, blk.simple.theta
+    denom0 = d.p ** (d.s0 + 1)
+    base = blk.simple.base
+    exts = {id(blk.bundle.h1): extend_character(
+        blk.bundle.h1, {int(c): Fraction(int(v), theta.denom) for c, v in
+                        zip(base.codes, theta.restricted_nums(base.codes))},
+        denom_hint=denom0)}
+    if not blk.pol.trivial:
+        exts[id(blk.pol.b1)] = extend_character(
+            blk.pol.b1, {int(c): theta.exponent_at(i)
+                         for i, c in enumerate(blk.bundle.h1.codes)})
+    for sub in enumerated_groups(blk):
+        ext = exts.get(id(sub))
+        if ext is None:
+            yield sub, np.zeros(sub.size, np.int64), denom0, None, None
+        else:
+            yield sub, ext.nums, ext.denom, ext.coords, ext.orders
+        yield sub, formula_exponent_nums(d, sub.mats, denom0), denom0, None, None
 
 
 class TestProductTable:
-    def test_tree_table_matches_product_oracle(self, block_a, block_c,
-                                               monkeypatch):
-        # small chunks, so rows of every group span several of them; groups
-        # past 2187 elements are compared on their first 8 rows only
-        monkeypatch.setattr(groups, "BLOCK_BYTES", 1 << 14)
+    def test_tree_table_matches_product_oracle(self, block_a, block_c):
+        # each generator's permutation is a column of the product table
         for blk in (block_a, block_c):
             for sub in enumerated_groups(blk):
-                rows = []
-
-                def compare(lo, idx):
-                    hi = lo + idx.shape[0]
-                    assert np.array_equal(idx, product_table_oracle(sub, lo, hi))
-                    rows.append(hi)
-                    if sub.size > 2187 and hi >= 8:
-                        raise _Enough
-
-                try:
-                    sub.pair_scan([compare])
-                    assert rows[-1] == sub.size
-                except _Enough:
-                    pass
-                assert len(rows) > 1 or sub.size <= 64
+                root, perms = sub._generator_tree()
+                rows = oracle_rows(sub)
+                for lo in range(0, len(rows), 256):
+                    table = product_table_oracle(sub, rows[lo:lo + 256])
+                    for perm in perms:
+                        assert np.array_equal(perm[rows[lo:lo + 256]],
+                                              table[:, perm[root]])
 
     @pytest.mark.parametrize("flip", [False, True])
-    def test_wide_consumers_agree_at_the_int16_boundary(self, block_a, block_c,
-                                                        flip):
-        # the same character over denom p^k: int16 while denom p^k < 2^15,
-        # int64 from there on; every certificate field must agree
+    def test_generator_certificate_matches_full_table(self, block_a, block_c,
+                                                      flip):
+        # verdict and coordinate additivity against the full-table scan,
+        # plain and with one entry and one coordinate flipped; every
+        # witness (i, s) really fails, and g_i's convolution row disagrees
         for blk in (block_a, block_c):
-            theta, base = blk.simple.theta, blk.simple.base
-            tilde = blk.induced.theta_tilde
-            for sub, nums, denom in [
-                    (theta.domain, theta.nums, theta.denom),
-                    (base, theta.restricted_nums(base.codes), theta.denom),
-                    (tilde.domain, tilde.nums, tilde.denom)]:
+            for sub, nums, denom, coords, orders in character_tables(blk):
+                k = (sub.identity_index() + 1) % sub.size
+                flip_coord = flip and bool(orders)
                 if flip:
                     nums = nums.copy()
-                    k = (sub.identity_index() + 1) % sub.size
                     nums[k] = (nums[k] + 1) % denom
-                want = verify_character(sub, nums, denom)
-                assert want.multiplicative != flip
-                scale = 1
-                while denom * scale < 2 ** 15:
-                    scale *= sub.p
-                for s in (scale // sub.p, scale):
-                    got = verify_character(sub, nums * s, denom * s)
-                    assert got.multiplicative == want.multiplicative
-                    assert got.witness == want.witness
-                    assert np.array_equal(got.inverse, want.inverse)
-                    assert got.convolution_bad_rows == \
-                        want.convolution_bad_rows
+                if flip_coord:
+                    coords = coords.copy()
+                    coords[k, 0] = (coords[k, 0] + 1) % orders[0]
+                cert = verify_character(sub, nums, denom, coords=coords,
+                                        coord_orders=orders)
+                extra = [k] + ([] if cert.witness is None else [cert.witness[0]])
+                ok, _, coords_ok = character_certificate_oracle(
+                    sub, nums, denom, coords, orders, oracle_rows(sub, extra))
+                assert cert.multiplicative == ok
+                assert cert.coords_additive == coords_ok
+                assert not (flip and ok)
+                assert coords_ok is None or coords_ok != flip_coord
+                if cert.witness is not None:
+                    i, s = cert.witness
+                    prod = sub.mats[i] @ sub.mats[s] % sub.modulus
+                    ij = sub.index_of_codes(pack(prod[None], sub.p, sub.level))
+                    assert (nums[ij[0]] - nums[i] - nums[s]) % denom != 0
+                    assert row_disagrees(sub, nums, denom, i)
+
+
+class TestSumsets:
+    def test_match_product_set_oracle(self, block_a, block_b, block_c):
+        for blk in (block_a, block_b, block_c):
+            b, j = blk.bundle, blk.datum.j
+            for got, units, k in [(b.h1, b.ul1, j // 2 + 1),
+                                  (b.j1, b.ul1, (j + 1) // 2),
+                                  (b.jcapk, b.ol_units, (j + 1) // 2)]:
+                want = product_set_oracle(units.mats, b.ua[k].mats,
+                                          b.datum.p, b.level)
+                assert np.array_equal(got.codes, want)
+
+    def test_budget_is_the_exact_size(self, datum_c):
+        # |J cap K| = 52488 is the only group of datum c past 52487
+        with pytest.raises(BudgetExceeded) as err:
+            build_subgroups(datum_c, budget=52487)
+        assert err.value.estimate == 52488
+        assert build_subgroups(datum_c, budget=52488).jcapk.size == 52488
 
 
 class TestSimpleCharacter:
