@@ -24,8 +24,8 @@ import numpy as np
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, PrecisionLoss
 from .orders import HereditaryOrder, InductionDatum, fp_reduce, v_A
 from .padic import MatrixApprox, vp
-from .residues import (box_enumerate, contains_codes, det_inv_mod, pack,
-                       sample_units_outside, sorted_index, unpack)
+from .residues import (box_enumerate, chunk_rows, contains_codes, det_inv_mod,
+                       pack, sample_units_outside, sorted_index, unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -92,19 +92,15 @@ class FiniteSubgroup:
     def modulus(self):
         return self.p ** self.level
 
-    def contains_residues(self, mat) -> bool:
-        mat = np.asarray(mat, dtype=np.int64) % self.modulus
+    def member_mask(self, mats) -> np.ndarray:
+        """Membership of each matrix of an (M, n, n) residue stack."""
+        mats = np.asarray(mats, dtype=np.int64) % self.modulus
         if self.codes is not None:
-            code = pack(mat[None, :, :], self.p, self.level)[0]
-            i = np.searchsorted(self.codes, code)
-            return i < len(self.codes) and self.codes[i] == code
-        return bool(self.membership(mat))
+            return contains_codes(self.codes, pack(mats, self.p, self.level))
+        return self.membership(mats)
 
-    def contains(self, m: MatrixApprox) -> bool:
-        res = residues_of(m, self.level)
-        if res is None:
-            return False
-        return self.contains_residues(res)
+    def contains_residues(self, mat) -> bool:
+        return bool(self.member_mask(np.asarray(mat)[None])[0])
 
     def index_of_codes(self, codes):
         return sorted_index(self.codes, codes)
@@ -278,14 +274,6 @@ class SubgroupBundle:
         g0 = (self.prime_element.pow(-k) * g).normalize()
         return k, g0
 
-    def j_contains(self, g: MatrixApprox) -> bool:
-        """Membership in J via the symbolic prime-power grading."""
-        try:
-            k, g0 = self.j_grade_and_part(g)
-        except (PrecisionLoss, ValueError):
-            return False
-        return self.jcapk.contains(g0)
-
 
 def build_subgroups(d: InductionDatum, level: int | None = None,
                     budget: int = 2_000_000) -> SubgroupBundle:
@@ -331,13 +319,16 @@ class GroupCharacter:
     def exponent_at(self, idx: int) -> Fraction:
         return Fraction(int(self.nums[idx]), self.denom)
 
+    def nums_of_residues(self, mats) -> np.ndarray:
+        """Exponent numerators over denom for an (M, n, n) residue stack
+        inside the domain."""
+        dom = self.domain
+        mats = np.asarray(mats, dtype=np.int64) % dom.modulus
+        return self.restricted_nums(pack(mats, dom.p, dom.level))
+
     def exponent_of_residues(self, mat) -> Fraction:
-        mat = np.asarray(mat, dtype=np.int64) % self.domain.modulus
-        code = pack(mat[None], self.domain.p, self.domain.level)
-        idx = self.domain.index_of_codes(code)[0]
-        if idx < 0:
-            raise KeyError("element outside the character domain")
-        return self.exponent_at(int(idx))
+        return Fraction(int(self.nums_of_residues(np.asarray(mat)[None])[0]),
+                        self.denom)
 
     def exponent(self, m: MatrixApprox) -> Fraction:
         res = residues_of(m, self.domain.level)
@@ -348,7 +339,7 @@ class GroupCharacter:
     def restricted_nums(self, codes):
         idx = self.domain.index_of_codes(codes)
         if np.any(idx < 0):
-            raise KeyError("subset is not inside the character domain")
+            raise KeyError("element outside the character domain")
         return self.nums[idx]
 
     def dump_lines(self):
@@ -595,9 +586,13 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     # normality spot check: conjugating H1 by the representatives fixes it
     hmats = j1.mats[sorted_index(j1.codes, h1.codes)]
     reps = j1.mats[rep_idx]
-    for g, ginv in zip(reps, det_inv_mod(reps, p, L)[1]):
-        conj = (g @ hmats % mod) @ ginv % mod
-        if not np.all(contains_codes(h1.codes, pack(conj, p, L))):
+    rep_invs = det_inv_mod(reps, p, L)[1]
+    step = chunk_rows(3 * hmats.size * 8)
+    for lo in range(0, k, step):
+        conj = (reps[lo:lo + step, None] @ hmats % mod) \
+            @ rep_invs[lo:lo + step, None] % mod
+        if not np.all(contains_codes(h1.codes,
+                                     pack(conj.reshape(-1, o.n, o.n), p, L))):
             raise ConstructionFailure("H1 is not normal in J1")
 
     # coset multiplication table and an F_p basis of V = J1/H1
@@ -905,19 +900,41 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
 # ---------------------------------------------------------------------------
 
 def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
-    """First x in xs with theta(x) != theta(g x g^-1) where both lie in H^1,
-    or None.  g x g^-1 = p^s G x Gi for integer matrices G, Gi and a shift
-    s <= 0; xs are H^1 elements mod p^(L - s), and a conjugate is integral
-    when every entry of G x Gi is divisible by p^-s."""
+    """First x in xs with theta(x) != theta(g x g^-1) where both lie in H^1.
+
+    g x g^-1 = p^s G x Gi for integer matrices G, Gi and a shift s <= 0; xs
+    are H^1 elements mod p^(L - s), and a conjugate is integral when every
+    entry of G x Gi is divisible by p^-s.  For a stack (B, n, n) of G and Gi
+    the result is, per conjugator, the index in xs of the first such x, or
+    -1 where g intertwines; the stack is decided in chunks of about
+    CHUNK_BYTES.  For one G it is that first x itself, or None.
+    """
+    G, Gi = np.asarray(G, dtype=np.int64), np.asarray(Gi, dtype=np.int64)
+    if G.ndim == 2:
+        first = _first_not_intertwined(G[None], Gi[None], s, xs, theta)[0]
+        return None if first < 0 else xs[first]
     h1 = theta.domain
-    p, L = h1.p, h1.level
+    p, L, n = h1.p, h1.level, h1.n
     mod = p ** (L - s)
-    conj = (G % mod @ xs % mod) @ (Gi % mod) % mod
-    integral = np.all(conj % p ** -s == 0, axis=(1, 2))
-    c_idx = h1.index_of_codes(pack(conj // p ** -s, p, L))
-    x_idx = h1.index_of_codes(pack(xs % p ** L, p, L))
-    bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != theta.nums[x_idx])
-    return xs[np.argmax(bad)] if bad.any() else None
+    G, Gi = G % mod, Gi % mod
+    x_nums = theta.nums[h1.index_of_codes(pack(xs % p ** L, p, L))]
+    first = np.full(len(G), -1, dtype=np.intp)
+    # per conjugator: two product stacks live at once, and the lookups
+    step = chunk_rows(3 * xs.size * 8)
+    for lo in range(0, len(G), step):
+        conj = G[lo:lo + step, None] @ xs
+        conj %= mod
+        conj = conj @ Gi[lo:lo + step, None]
+        conj %= mod
+        integral = True
+        if s < 0:
+            integral = np.all(conj % p ** -s == 0, axis=(2, 3))
+            conj //= p ** -s
+        c_idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
+        c_idx = c_idx.reshape(conj.shape[:2])
+        bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+        first[lo:lo + step] = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+    return first
 
 
 def intertwines(g: MatrixApprox, theta: GroupCharacter, d: InductionDatum,
@@ -964,63 +981,75 @@ def intertwining_spot(d: InductionDatum, bundle: SubgroupBundle,
                       nonmembers: int = 40, seed: int = 0) -> SpotIntertwiningReport:
     """Budget-friendly instance of the dichotomy on sampled conjugators:
     sampled elements of J cap K must intertwine theta and sampled units
-    outside it must not."""
+    outside it must not.  All of them are decided in one stacked call; the
+    counts and the witness are those of deciding them in turn, members
+    first, up to the first failure."""
     p, n = d.p, d.order.n
     L = bundle.level
     h1, jk = bundle.h1, bundle.jcapk
     rng = np.random.default_rng(seed)
-
-    def intertwined(g, ginv):
-        return _first_not_intertwined(g, ginv, 0, h1.mats, theta) is None
-
-    checked_m = 0
     gs = jk.mats[rng.integers(0, jk.size, size=members)]
-    for g, ginv in zip(gs, det_inv_mod(gs, p, L)[1]):
-        if not intertwined(g, ginv):
-            return SpotIntertwiningReport(checked_m, 0, False, g)
-        checked_m += 1
-    checked_n = 0
     outside = sample_units_outside(jk.contains_residues, p, L, n, rng,
                                    100 * nonmembers)
-    for g, ginv in itertools.islice(outside, nonmembers):
-        if intertwined(g, ginv):
-            return SpotIntertwiningReport(checked_m, checked_n, False, g)
-        checked_n += 1
-    return SpotIntertwiningReport(checked_m, checked_n, True, None)
+    conj = np.concatenate([gs] + [g[None] for g in
+                                  itertools.islice(outside, nonmembers)])
+    inter = _first_not_intertwined(conj, det_inv_mod(conj, p, L)[1], 0,
+                                   h1.mats, theta) < 0
+    bad = inter != (np.arange(len(conj)) < members)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return SpotIntertwiningReport(min(i, members), max(0, i - members),
+                                      False, conj[i])
+    return SpotIntertwiningReport(members, len(conj) - members, True, None)
 
 
 def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
                            theta: GroupCharacter,
                            budget: int = 5_000_000) -> DichotomyReport:
     """Exhaustively compare {g in K : g intertwines theta} with J cap K
-    inside GL_n(Z/p^L)."""
+    inside GL_n(Z/p^L), conjugating one unit per coset g H^1.
+
+    For a character theta of H^1 the verdict is constant on g H^1: for h in
+    H^1, (g h) x (g h)^-1 = g (h x h^-1) g^-1, and as x runs over H^1 so does
+    h x h^-1, with theta(h x h^-1) = theta(x).  So theta is certified a
+    character first (a failure is the report's witness), and each coset is
+    decided at its first unit in code order.  The counts and the witness,
+    the first unit in code order where intertwining and membership in
+    J cap K disagree, are those of the sweep over every unit.
+    """
     p, n = d.p, d.order.n
     L = bundle.level
     mod = p ** L
-    total_mats = p ** (n * n * L)
-    work = total_mats * bundle.h1.size
+    h1, jk = bundle.h1, bundle.jcapk
+    work = p ** (n * n * L) * h1.size
     if work > budget:
         raise BudgetExceeded("K sweep too expensive at this level",
                              estimate=work)
+    # odometer order is code order
     allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n),
                          mod).reshape(-1, n, n)
     _, inv_all, unit = det_inv_mod(allm, p, L)
     units, inv_all = allm[unit], inv_all[unit]
-    h1 = bundle.h1
-    jk = bundle.jcapk
-    members = contains_codes(jk.codes, pack(units, p, L))
-    agree = True
-    witness = None
-    count = 0
-    for g, ginv, member in zip(units, inv_all, members):
-        inter = _first_not_intertwined(g, ginv, 0, h1.mats, theta) is None
-        if inter:
-            count += 1
-        if inter != member:
-            agree = False
-            if witness is None:
-                witness = g
-    return DichotomyReport(len(units), count, jk.size, agree, witness)
+    cert = verify_character(h1, theta.nums, theta.denom)
+    if not cert.multiplicative:
+        return DichotomyReport(len(units), 0, jk.size, False,
+                               h1.mats[cert.witness[0]])
+    codes = pack(units, p, L)
+    coset = np.full(len(units), -1, dtype=np.intp)
+    reps = []
+    while (free := coset < 0).any():
+        g = int(np.argmax(free))
+        idx = sorted_index(codes, pack(units[g] @ h1.mats % mod, p, L))
+        if np.any(idx < 0):
+            raise ConstructionFailure("a coset g H1 leaves K")
+        coset[idx] = len(reps)
+        reps.append(g)
+    inter = (_first_not_intertwined(units[reps], inv_all[reps], 0, h1.mats,
+                                    theta) < 0)[coset]
+    disagree = inter != contains_codes(jk.codes, codes)
+    witness = units[np.argmax(disagree)] if disagree.any() else None
+    return DichotomyReport(len(units), int(inter.sum()), jk.size,
+                           witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,23 +1085,30 @@ def prepare_block(d: InductionDatum, level: int | None = None,
 
 
 class BlockCharacter:
-    """Theta on K_pi: the product of the block characters at the diagonal."""
+    """Theta on K_pi: the product of the block characters at the diagonal,
+    as exponent numerators over one common denominator."""
 
     def __init__(self, blocks, offsets, level, p):
         self.blocks = blocks
         self.offsets = offsets
         self.level = level
         self.p = p
+        self.denom = math.lcm(*(b.theta_tilde.denom for b in blocks))
+
+    def nums_of_residues(self, mats) -> np.ndarray:
+        """Exponent numerators over denom for an (M, n, n) stack in K_pi."""
+        mats = np.asarray(mats, dtype=np.int64)
+        total = np.zeros(len(mats), dtype=np.int64)
+        for blk, off in zip(self.blocks, self.offsets):
+            sl = slice(off, off + blk.datum.order.n)
+            theta = blk.theta_tilde
+            total += (theta.nums_of_residues(mats[:, sl, sl])
+                      * (self.denom // theta.denom))
+        return total % self.denom
 
     def exponent_of_residues(self, mat) -> Fraction:
-        mat = np.asarray(mat, dtype=np.int64)
-        total = Fraction(0)
-        for blk, off in zip(self.blocks, self.offsets):
-            ni = blk.datum.order.n
-            sub = mat[off:off + ni, off:off + ni] % blk.b1.modulus
-            total += blk.theta_tilde.exponent_of_residues(sub)
-        total -= math.floor(total)
-        return total
+        return Fraction(int(self.nums_of_residues(np.asarray(mat)[None])[0]),
+                        self.denom)
 
 
 @dataclass
@@ -1155,8 +1191,13 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     for b in blocks:
         offsets.append(off)
         off += b.datum.order.n
+    slices = [slice(o, o + b.datum.order.n) for o, b in zip(offsets, blocks)]
     upper = (c_val + 1) // 2          # floor
     lower = (c_val + 2) // 2          # ceil
+    # (row block, column block, p-power) of every off-diagonal block
+    off_blocks = [(i, k2, upper if i < k2 else lower)
+                  for i in range(len(blocks)) for k2 in range(len(blocks))
+                  if i != k2]
     level = max(c_val + 2, max(b.bundle.level for b in blocks))
     mod = p ** level
 
@@ -1167,88 +1208,54 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     size = 1
     for b in blocks:
         size *= lifted_block_size(b)
-    for i, bi in enumerate(blocks):
-        for k2, bk in enumerate(blocks):
-            if i == k2:
-                continue
-            thr = upper if i < k2 else lower
-            size *= p ** ((level - thr) * bi.datum.order.n * bk.datum.order.n)
+    for i, k2, thr in off_blocks:
+        size *= p ** ((level - thr) * blocks[i].datum.order.n
+                      * blocks[k2].datum.order.n)
 
-    def membership(mat) -> bool:
-        mat = np.asarray(mat, dtype=np.int64) % mod
-        for i, bi in enumerate(blocks):
-            ni = bi.datum.order.n
-            oi = offsets[i]
-            sub = mat[oi:oi + ni, oi:oi + ni] % bi.b1.modulus
-            if not bi.b1.contains_residues(sub):
-                return False
-            for k2, bk in enumerate(blocks):
-                if i == k2:
-                    continue
-                thr = upper if i < k2 else lower
-                ok2 = offsets[k2]
-                blkm = mat[oi:oi + ni, ok2:ok2 + bk.datum.order.n]
-                if np.any(blkm % p ** thr != 0):
-                    return False
-        return True
+    def membership(mats) -> np.ndarray:
+        mats = np.asarray(mats, dtype=np.int64) % mod
+        ok = np.ones(len(mats), dtype=bool)
+        for sl, b in zip(slices, blocks):
+            ok &= b.b1.member_mask(mats[:, sl, sl])
+        for i, k2, thr in off_blocks:
+            ok &= np.all(mats[:, slices[i], slices[k2]] % p ** thr == 0,
+                         axis=(1, 2))
+        return ok
 
     kpi = FiniteSubgroup("K_pi", p, level, n, membership=membership, size=size)
     theta = BlockCharacter(blocks, offsets, level, p)
 
-    rng = np.random.default_rng(seed)
+    def sampler(rng, count) -> np.ndarray:
+        """count seeded elements of K_pi as a (count, n, n) stack."""
+        mats = np.zeros((count, n, n), dtype=np.int64)
+        for sl, b in zip(slices, blocks):
+            ni, lev = b.datum.order.n, b.bundle.level
+            base = b.b1.mats[rng.integers(0, b.b1.size, size=count)]
+            mats[:, sl, sl] = (base + p ** lev * rng.integers(
+                0, p ** (level - lev), size=(count, ni, ni))) % mod
+        for i, k2, thr in off_blocks:
+            shape = (count, blocks[i].datum.order.n, blocks[k2].datum.order.n)
+            mats[:, slices[i], slices[k2]] = p ** thr * rng.integers(
+                0, p ** (level - thr), size=shape) % mod
+        return mats
 
-    def sampler(rng_in=None):
-        r = rng_in if rng_in is not None else rng
-        mat = np.zeros((n, n), dtype=np.int64)
-        for i, bi in enumerate(blocks):
-            ni = bi.datum.order.n
-            oi = offsets[i]
-            base = bi.b1.mats[int(r.integers(0, bi.b1.size))].astype(np.int64)
-            lift = base + p ** bi.bundle.level * r.integers(
-                0, p ** (level - bi.bundle.level), size=(ni, ni))
-            mat[oi:oi + ni, oi:oi + ni] = lift % mod
-            for k2, bk in enumerate(blocks):
-                if i == k2:
-                    continue
-                thr = upper if i < k2 else lower
-                ok2 = offsets[k2]
-                nk = bk.datum.order.n
-                mat[oi:oi + ni, ok2:ok2 + nk] = \
-                    p ** thr * r.integers(0, p ** (level - thr), size=(ni, nk)) % mod
-        return mat
-
-    # --- seeded verifications ---
-    closure_ok = True
-    theta_ok = True
-    congruence_ok = True
-    contain_ok = True
+    # --- seeded verifications, all pairs at once ---
     cf = depth_bound_cfrak(data)
     cmod = p ** (c_val + 1)
-    xs, ys = np.array([(sampler(), sampler()) for _ in range(samples)]
-                      ).reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
-    for x, y, xinv in zip(xs, ys, det_inv_mod(xs, p, level)[1]):
-        xy = x @ y % mod
-        if not membership(xy):
-            closure_ok = False
-        if not membership(xinv):
-            closure_ok = False
-        # displayed block congruence mod p^(c+1)
-        for i, bi in enumerate(blocks):
-            ni = bi.datum.order.n
-            oi = offsets[i]
-            prod_block = (x[oi:oi + ni, oi:oi + ni] @
-                          y[oi:oi + ni, oi:oi + ni]) % cmod
-            if not np.array_equal(xy[oi:oi + ni, oi:oi + ni] % cmod, prod_block):
-                congruence_ok = False
-        tx = theta.exponent_of_residues(x)
-        ty = theta.exponent_of_residues(y)
-        txy = theta.exponent_of_residues(xy)
-        s = tx + ty
-        s -= math.floor(s)
-        if txy != s:
-            theta_ok = False
-        if not _torus_approximation(x, blocks, offsets, cf):
-            contain_ok = False
+    rng = np.random.default_rng(seed)
+    xs, ys = sampler(rng, samples), sampler(rng, samples)
+    xy = xs @ ys % mod
+    _, xinv, unit = det_inv_mod(xs, p, level)
+    in_kpi = membership(xy)
+    closure_ok = bool(np.all(in_kpi & unit & membership(xinv)))
+    # displayed block congruence mod p^(c+1)
+    congruence_ok = all(np.array_equal(xy[:, sl, sl] % cmod,
+                                       xs[:, sl, sl] @ ys[:, sl, sl] % cmod)
+                        for sl in slices)
+    t = theta.nums_of_residues
+    theta_ok = not np.any((t(xs[in_kpi]) + t(ys[in_kpi]) - t(xy[in_kpi]))
+                          % theta.denom)
+    contain_ok = bool(np.all(_torus_approximation(xs, blocks, cf)))
     if not (closure_ok and theta_ok and congruence_ok):
         raise ConstructionFailure(
             f"K_pi verification failed: closure={closure_ok} "
@@ -1268,15 +1275,19 @@ def first_torus_match(mats, ul1: FiniteSubgroup, cf: int) -> np.ndarray:
     return np.where(idx >= 0, first[idx], -1)
 
 
-def _torus_approximation(mat, blocks, offsets, cf) -> bool:
-    """Find l in U_L(1) with mat * l^{-1} = 1 mod p^cf (blockwise search)."""
+def _torus_approximation(mats, blocks, cf) -> np.ndarray:
+    """Per matrix of a stack, whether some l in U_L(1), one per diagonal
+    block, has mat l^{-1} = 1 mod p^cf."""
+    found = np.ones(len(mats), dtype=bool)
     if cf == 0:
-        return True
-    torus = np.zeros_like(mat)
-    for i, bi in enumerate(blocks):
-        sl = slice(offsets[i], offsets[i] + bi.datum.order.n)
-        hit = first_torus_match(mat[None, sl, sl], bi.bundle.ul1, cf)[0]
-        if hit < 0:
-            return False
-        torus[sl, sl] = bi.bundle.ul1.mats[hit]
-    return not np.any((mat - torus) % blocks[0].datum.p ** cf)
+        return found
+    torus = np.zeros_like(mats)
+    off = 0
+    for b in blocks:
+        sl = slice(off, off + b.datum.order.n)
+        off = sl.stop
+        hit = first_torus_match(mats[:, sl, sl], b.bundle.ul1, cf)
+        found &= hit >= 0
+        torus[:, sl, sl] = b.bundle.ul1.mats[hit]
+    return found & np.all((mats - torus) % blocks[0].datum.p ** cf == 0,
+                          axis=(1, 2))

@@ -195,15 +195,6 @@ class MatrixApprox:
         return MatrixApprox(self.ctx, ent, scale=self.scale + d,
                             prec=prec, exact=self.exact)
 
-    def reduce_to(self, level) -> "MatrixApprox":
-        """Forget digits beyond p^level (entries reduced mod p^level)."""
-        if self.zero:
-            return self
-        if not self.exact and level > self.prec:
-            raise PrecisionLoss(f"cannot refine from {self.prec} to {level} digits")
-        return MatrixApprox(self.ctx, self.entries, scale=self.scale,
-                            prec=level, exact=False)
-
     def residues(self, level=None):
         """Entries as lowest nonnegative residues mod p^level (scale ignored)."""
         lv = self.prec if level is None else level
@@ -341,15 +332,6 @@ class MatrixApprox:
         nm = self.normalize()
         lv = min(nm.prec, self.ctx.N)
         return (nm.n, nm.scale, lv, nm.residues(lv))
-
-    def approx_equal(self, other, level=None) -> bool:
-        """Equality of values mod p^(scale+level) at the coarser precision."""
-        d = self - other
-        if d.zero:
-            return True
-        lv = d.prec if level is None else min(level, d.prec)
-        m = self.ctx.p ** lv
-        return all(v % m == 0 for row in d.entries for v in row)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixApprox):

@@ -11,6 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+# bytes that the temporaries of one chunk of a stacked kernel may hold
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk of a stacked kernel whose temporaries take row_bytes
+    per row."""
+    return max(1, CHUNK_BYTES // max(1, row_bytes))
+
 
 def fits_packing(p: int, L: int, n: int) -> bool:
     return (p ** L) ** (n * n) < 2 ** 62
@@ -22,7 +31,7 @@ def pack(mats: np.ndarray, p: int, L: int) -> np.ndarray:
     base = p ** L
     if not fits_packing(p, L, n):
         raise OverflowError("residue packing does not fit in int64")
-    flat = mats.reshape(M, n * n).astype(np.int64)
+    flat = np.asarray(mats.reshape(M, n * n), dtype=np.int64)
     codes = np.zeros(M, dtype=np.int64)
     for i in range(n * n):
         codes = codes * base + flat[:, i]
@@ -110,7 +119,7 @@ def det_inv_mod(mats, p: int, L: int):
 
 
 def sample_units_outside(inside, p: int, L: int, n: int, rng, tries: int):
-    """Yield (g, g^-1) for the units g of GL_n(Z/p^L) with inside(g) False.
+    """Yield the units g of GL_n(Z/p^L) with inside(g) False.
 
     Draws rng.integers(0, p^L, (n, n)) one matrix at a time, at most `tries`
     times, so the stream of draws does not depend on how many points the
@@ -118,9 +127,8 @@ def sample_units_outside(inside, p: int, L: int, n: int, rng, tries: int):
     """
     for _ in range(tries):
         g = rng.integers(0, p ** L, size=(n, n))
-        _, inv, unit = det_inv_mod(g[None], p, L)
-        if unit[0] and not inside(g):
-            yield g, inv[0]
+        if det_inv_mod(g[None], p, L)[2][0] and not inside(g):
+            yield g
 
 
 def sorted_index(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import ConstructionFailure
 from .groups import (KpiResult, _torus_approximation, first_torus_match,
                      gl_order, verify_character)
 from .padic import vp
-from .residues import det_inv_mod, pack, sample_units_outside
+from .residues import chunk_rows, det_inv_mod, pack, sample_units_outside
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -158,17 +158,26 @@ def _convolve_full(tf, samples, seed):
     cert = verify_character(kpi, theta.nums, theta.denom)
     ok = cert.multiplicative
     witness = None if ok else kpi.mats[cert.witness[0]]
+    # cross-check: sampled units g outside the support have g^-1 K_pi
+    # disjoint from K_pi; a failure reports the last failing g
     rng = np.random.default_rng(seed)
-    off_checked = 0
-    off_ok = True
     outside = sample_units_outside(kpi.contains_residues, p, L, n, rng,
                                    50 * samples)
-    for cand, cinv in itertools.islice(outside, min(samples, 64)):
-        prods = np.einsum("ij,mjk->mik", cinv, kpi.mats) % mod
-        if np.any(kpi.index_of_codes(pack(prods, p, L)) >= 0):
-            off_ok = False
-            witness = cand
-        off_checked += 1
+    cands = np.array(list(itertools.islice(outside, min(samples, 64))),
+                     dtype=np.int64).reshape(-1, n, n)
+    cinvs = det_inv_mod(cands, p, L)[1]
+    lands = np.zeros(len(cands), dtype=bool)
+    # per candidate: two product stacks live at once, and the lookup
+    step = chunk_rows(3 * kpi.mats.size * 8)
+    for lo in range(0, len(cands), step):
+        prods = cinvs[lo:lo + step, None] @ kpi.mats
+        prods %= mod
+        idx = kpi.index_of_codes(pack(prods.reshape(-1, n, n), p, L))
+        lands[lo:lo + step] = (idx >= 0).reshape(len(prods), M).any(axis=1)
+    off_ok = not lands.any()
+    if not off_ok:
+        witness = cands[np.flatnonzero(lands)[-1]]
+    off_checked = len(cands)
     scalar = Fraction(M, k_count)
     return ConvolutionReport(d_pi, "full", M, ok, True, off_checked, off_ok,
                              scalar, scalar == d_pi, witness)
@@ -176,56 +185,41 @@ def _convolve_full(tf, samples, seed):
 
 def _convolve_sampled(tf, samples, seed):
     kpi_result = tf.kpi_result
-    kpi = kpi_result.kpi
+    kpi, theta, sampler = kpi_result.kpi, kpi_result.theta, kpi_result.sampler
     p, L, n = kpi.p, kpi_result.level, kpi_result.n
     mod = p ** L
-    k_count = gl_order(n, p, L)
-    d_pi = Fraction(kpi.size, k_count)
+    d_pi = Fraction(kpi.size, gl_order(n, p, L))
     rng = np.random.default_rng(seed)
-    sampler = kpi_result.sampler
-    ok = True
+    t = theta.nums_of_residues
     witness = None
-    checked = 0
-    # draw every pair first, so one batched inverse serves them all
-    gs, xs = np.array([(sampler(rng), sampler(rng)) for _ in range(samples)]
-                      ).reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
-    for g, x, gx in zip(gs, xs, det_inv_mod(gs, p, L)[1] @ xs % mod):
-        if not kpi.contains_residues(gx):
-            ok = False
-            witness = g
-            break
-        tg = kpi_result.theta.exponent_of_residues(g)
-        tx = kpi_result.theta.exponent_of_residues(x)
-        tgx = kpi_result.theta.exponent_of_residues(gx)
-        diff = tx - tgx
-        diff -= math.floor(diff)
-        if diff != tg:
-            ok = False
-            witness = g
-            break
-        checked += 1
-    off_ok = True
-    off_checked = 0
-    pairs = []
-    for _ in range(samples):
-        g = sampler(rng)
-        # push g off the support by breaking an off-diagonal congruence
-        off_blocks = [(i, k) for i in range(len(kpi_result.blocks))
-                      for k in range(len(kpi_result.blocks)) if i != k]
-        bi, bk = off_blocks[int(rng.integers(0, len(off_blocks)))]
-        oi = sum(b.datum.order.n for b in kpi_result.blocks[:bi])
-        ok2 = sum(b.datum.order.n for b in kpi_result.blocks[:bk])
-        g = g.copy()
-        g[oi, ok2] = 1  # unit entry violates the p-divisibility
-        if not kpi.contains_residues(g):
-            pairs.append((g, sampler(rng)))
-    gs, xs = np.array(pairs).reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
-    for g, gx in zip(gs, det_inv_mod(gs, p, L)[1] @ xs % mod):
-        if kpi.contains_residues(gx):
-            off_ok = False
-            witness = g
-            break
-        off_checked += 1
+    # on the support: g^-1 x lies in K_pi and Theta(x) - Theta(g^-1 x) =
+    # Theta(g); checked counts the pairs before the first failure
+    gs, xs = sampler(rng, samples), sampler(rng, samples)
+    gx = det_inv_mod(gs, p, L)[1] @ xs % mod
+    inside = kpi.member_mask(gx)
+    law = np.zeros(samples, dtype=bool)
+    law[inside] = (t(xs[inside]) - t(gx[inside]) - t(gs[inside])) \
+        % theta.denom == 0
+    ok = bool(law.all())
+    checked = samples if ok else int(np.argmin(law))
+    if not ok:
+        witness = gs[checked]
+    # off the support: a unit entry in an off-diagonal block breaks its
+    # p-divisibility, and then g^-1 x must leave K_pi
+    starts = np.cumsum([0] + [b.datum.order.n for b in kpi_result.blocks])
+    nb = len(kpi_result.blocks)
+    corners = np.array([(starts[i], starts[k]) for i in range(nb)
+                        for k in range(nb) if i != k])
+    gs = sampler(rng, samples)
+    pick = corners[rng.integers(0, len(corners), size=samples)]
+    gs[np.arange(samples), pick[:, 0], pick[:, 1]] = 1
+    gs = gs[~kpi.member_mask(gs)]
+    xs = sampler(rng, len(gs))
+    lands = kpi.member_mask(det_inv_mod(gs, p, L)[1] @ xs % mod)
+    off_ok = not lands.any()
+    off_checked = len(gs) if off_ok else int(np.argmax(lands))
+    if not off_ok:
+        witness = gs[off_checked]
     closure = kpi_result.checks.closure_sampled if kpi_result.checks else False
     return ConvolutionReport(d_pi, "sampled", checked, ok, closure,
                              off_checked, off_ok, d_pi, True, witness)
@@ -256,18 +250,9 @@ def concentration_check(tf: TestFunction, samples: int = 500,
         count = kpi.size if kpi.mats is not None else samples
         return ConcentrationReport(0, True, count, True, 0, None)
     if kpi.mats is None:
-        rng = np.random.default_rng(seed)
-        offsets = []
-        off = 0
-        for b in kpi_result.blocks:
-            offsets.append(off)
-            off += b.datum.order.n
-        bad = None
-        for _ in range(samples):
-            x = kpi_result.sampler(rng)
-            if not _torus_approximation(x, kpi_result.blocks, offsets, cf):
-                bad = x
-                break
+        xs = kpi_result.sampler(np.random.default_rng(seed), samples)
+        found = _torus_approximation(xs, kpi_result.blocks, cf)
+        bad = None if found.all() else xs[np.argmin(found)]
         return ConcentrationReport(cf, False, samples, bad is None, -1, bad)
     # enumerated: single supercuspidal block; worst is the largest number
     # of U_L(1) candidates scanned, in order, before a support element's match

@@ -206,6 +206,134 @@ def intertwines_oracle(g, theta, d):
     return True, None
 
 
+def dichotomy_oracle(d, bundle, theta, jcapk=None):
+    """(total, intertwining, jcapk_size, agree, witness) of the dichotomy by
+    deciding every unit of K on its own with the one-conjugator kernel."""
+    import numpy as np
+    from minvec.groups import _first_not_intertwined
+    from minvec.residues import (box_enumerate, contains_codes, det_inv_mod,
+                                 pack)
+    p, n, L = d.p, d.order.n, bundle.level
+    mod = p ** L
+    jk = bundle.jcapk if jcapk is None else jcapk
+    allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n),
+                         mod).reshape(-1, n, n)
+    _, inv_all, unit = det_inv_mod(allm, p, L)
+    units, inv_all = allm[unit], inv_all[unit]
+    members = contains_codes(jk.codes, pack(units, p, L))
+    witness = None
+    count = 0
+    for g, ginv, member in zip(units, inv_all, members):
+        inter = _first_not_intertwined(g, ginv, 0, bundle.h1.mats,
+                                       theta) is None
+        count += inter
+        if inter != member and witness is None:
+            witness = g
+    return len(units), count, jk.size, witness is None, witness
+
+
+def spot_oracle(d, bundle, theta, members=40, nonmembers=40, seed=0):
+    """(members_checked, nonmembers_checked, agree, witness) of the spot
+    check by deciding the sampled conjugators one at a time, members first,
+    up to the first failure."""
+    import numpy as np
+    from minvec.groups import _first_not_intertwined
+    from minvec.residues import det_inv_mod, sample_units_outside
+    p, n, L = d.p, d.order.n, bundle.level
+    h1, jk = bundle.h1, bundle.jcapk
+    rng = np.random.default_rng(seed)
+    gs = jk.mats[rng.integers(0, jk.size, size=members)]
+    for i, (g, ginv) in enumerate(zip(gs, det_inv_mod(gs, p, L)[1])):
+        if _first_not_intertwined(g, ginv, 0, h1.mats, theta) is not None:
+            return i, 0, False, g
+    outside = sample_units_outside(jk.contains_residues, p, L, n, rng,
+                                   100 * nonmembers)
+    checked = 0
+    for g in itertools.islice(outside, nonmembers):
+        ginv = mat_inv_mod(g.tolist(), p, L)
+        if _first_not_intertwined(g, ginv, 0, h1.mats, theta) is None:
+            return members, checked, False, g
+        checked += 1
+    return members, checked, True, None
+
+
+def kpi_member_oracle(kr, mat):
+    """Membership in a parabolic K_pi, one matrix at a time: every diagonal
+    block in its B^1 and every off-diagonal block divisible by its p-power
+    (floor((c+1)/2) above the diagonal, ceil((c+1)/2) below)."""
+    import numpy as np
+    p = kr.kpi.p
+    mat = np.asarray(mat, dtype=np.int64) % p ** kr.level
+    starts = [0]
+    for blk in kr.blocks:
+        starts.append(starts[-1] + blk.datum.order.n)
+    for i, blk in enumerate(kr.blocks):
+        sl = slice(starts[i], starts[i + 1])
+        code = pack_one(mat[sl, sl] % blk.b1.modulus, p, blk.b1.level)
+        if code not in set(int(c) for c in blk.b1.codes):
+            return False
+        for k in range(len(kr.blocks)):
+            if k != i:
+                thr = (kr.c + 1) // 2 if i < k else (kr.c + 2) // 2
+                block = mat[sl, starts[k]:starts[k + 1]]
+                if np.any(block % p ** thr):
+                    return False
+    return True
+
+
+def kpi_exponent_oracle(kr, mat):
+    """Theta on a parabolic K_pi as a Fraction in [0, 1): the sum over the
+    diagonal blocks of theta~ looked up one code at a time."""
+    from fractions import Fraction
+    total = Fraction(0)
+    off = 0
+    for blk in kr.blocks:
+        ni = blk.datum.order.n
+        sub = mat[off:off + ni, off:off + ni] % blk.b1.modulus
+        off += ni
+        codes = [int(c) for c in blk.b1.codes]
+        i = codes.index(pack_one(sub, blk.b1.p, blk.b1.level))
+        theta = blk.theta_tilde
+        total += Fraction(int(theta.nums[i]), theta.denom)
+    return total - (total.numerator // total.denominator)
+
+
+def pack_one(mat, p, L):
+    """Row-major base-p^L code of one residue matrix, in Python integers."""
+    code = 0
+    for v in [int(v) for row in mat for v in row]:
+        code = code * p ** L + v
+    return code
+
+
+def contains_value(sub, m):
+    """Whether the MatrixApprox value m is integral with residues in sub."""
+    from minvec.groups import residues_of
+    res = residues_of(m, sub.level)
+    return res is not None and sub.contains_residues(res)
+
+
+def j_contains(bundle, g):
+    """Membership in J via the symbolic prime-power grading."""
+    from minvec.errors import PrecisionLoss
+    try:
+        _, g0 = bundle.j_grade_and_part(g)
+    except (PrecisionLoss, ValueError):
+        return False
+    return contains_value(bundle.jcapk, g0)
+
+
+def approx_equal(a, b, level=None):
+    """Equality of two MatrixApprox values mod p^(scale + level) at the
+    coarser precision."""
+    diff = a - b
+    if diff.zero:
+        return True
+    lv = diff.prec if level is None else min(level, diff.prec)
+    m = a.ctx.p ** lv
+    return all(v % m == 0 for row in diff.entries for v in row)
+
+
 def _residue_span(vectors, p):
     """All F_p combinations of the given coefficient vectors, as a set."""
     span = {tuple(0 for _ in vectors[0])}

@@ -1,20 +1,26 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from minvec import groups
 from minvec.errors import BudgetExceeded, ConstructionFailure, DatumInvalid
-from minvec.groups import (FiniteSubgroup, build_Kpi, build_subgroups,
-                           extend_character, formula_exponent_nums, gl_order,
-                           intertwines, intertwining_dichotomy, prepare_block,
-                           verify_character)
+from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
+                           build_subgroups, extend_character,
+                           formula_exponent_nums, gl_order, intertwines,
+                           intertwining_dichotomy, intertwining_spot,
+                           prepare_block, verify_character)
 from minvec.padic import MatrixApprox, PrecisionCtx
-from minvec.residues import pack
+from minvec.residues import contains_codes, pack
 
 from conftest import build_datum
-from oracles import (character_certificate_oracle, product_set_oracle,
-                     product_table_oracle, psi_exponent, row_disagrees)
+from oracles import (character_certificate_oracle, contains_value,
+                     dichotomy_oracle, j_contains, kpi_exponent_oracle,
+                     kpi_member_oracle, product_set_oracle,
+                     product_table_oracle, psi_exponent, row_disagrees,
+                     spot_oracle)
 
 
 def assert_closed(sub):
@@ -347,6 +353,96 @@ class TestIntertwining:
         assert rep.total == 3888
 
 
+def dichotomy_tuple(rep):
+    return (rep.total, rep.intertwining, rep.jcapk_size, rep.agree,
+            None if rep.witness is None else rep.witness.tolist())
+
+
+def oracle_tuple(res):
+    *head, witness = res
+    return (*head, None if witness is None else witness.tolist())
+
+
+def without_coset(bundle, k):
+    """A copy of the bundle whose J cap K misses the coset g H1 of its k-th
+    element; returns (bundle, sorted codes of that coset)."""
+    jk, h1 = bundle.jcapk, bundle.h1
+    coset = np.sort(pack(jk.mats[k] @ h1.mats % jk.modulus, jk.p, jk.level))
+    keep = ~contains_codes(coset, jk.codes)
+    broken = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
+                            jk.mats[keep])
+    return dataclasses.replace(bundle, jcapk=broken), coset
+
+
+def flipped_theta(theta):
+    """theta with its exponent changed at one non-identity element."""
+    nums = theta.nums.copy()
+    k = (theta.domain.identity_index() + 1) % theta.domain.size
+    nums[k] = (nums[k] + 1) % theta.denom
+    return GroupCharacter(theta.domain, nums, theta.denom)
+
+
+class TestCosetSweep:
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_matches_unit_oracle(self, block_a, parabolic_kr, which):
+        blk = ([block_a] + list(parabolic_kr.blocks))[which]
+        args = (blk.datum, blk.bundle, blk.simple.theta)
+        assert dichotomy_tuple(intertwining_dichotomy(*args)) == \
+            oracle_tuple(dichotomy_oracle(*args)) == \
+            (3888, 486, 486, True, None)
+
+    def test_one_conjugator_per_coset(self, block_a, monkeypatch):
+        rows = []
+        kernel = groups._first_not_intertwined
+
+        def counting(G, *args):
+            rows.append(len(G) if np.ndim(G) == 3 else 1)
+            return kernel(G, *args)
+
+        monkeypatch.setattr(groups, "_first_not_intertwined", counting)
+        rep = intertwining_dichotomy(block_a.datum, block_a.bundle,
+                                     block_a.simple.theta)
+        assert rep.total == 3888 and rows == [16]
+
+    def test_missing_coset_gives_the_oracle_witness(self, block_a):
+        b = block_a.bundle
+        k = int(np.flatnonzero(~contains_codes(b.h1.codes, b.jcapk.codes))[0])
+        broken, coset = without_coset(b, k)
+        args = (block_a.datum, broken, block_a.simple.theta)
+        rep = intertwining_dichotomy(*args)
+        assert not rep.agree and rep.jcapk_size == 486 - 243
+        assert dichotomy_tuple(rep) == oracle_tuple(dichotomy_oracle(*args))
+        # the first unit of the removed coset in code order
+        assert pack(rep.witness[None], 3, 2)[0] == coset[0]
+
+    def test_flipped_theta_fails_the_certificate(self, block_a):
+        theta = flipped_theta(block_a.simple.theta)
+        rep = intertwining_dichotomy(block_a.datum, block_a.bundle, theta)
+        assert not rep.agree
+        ok, witness, _ = verify_character(theta.domain, theta.nums, theta.denom)
+        assert not ok
+        assert np.array_equal(rep.witness, theta.domain.mats[witness[0]])
+
+
+class TestSpotBatch:
+    @pytest.mark.parametrize("case", ["plain", "missing coset", "flipped"])
+    def test_matches_sequential_loop(self, block_a, case):
+        bundle, theta = block_a.bundle, block_a.simple.theta
+        if case == "missing coset":
+            k = int(np.flatnonzero(~contains_codes(bundle.h1.codes,
+                                                   bundle.jcapk.codes))[0])
+            bundle, _ = without_coset(bundle, k)
+        elif case == "flipped":
+            theta = flipped_theta(theta)
+        for seed in (0, 3):
+            rep = intertwining_spot(block_a.datum, bundle, theta, seed=seed)
+            want = spot_oracle(block_a.datum, bundle, theta, seed=seed)
+            got = (rep.members_checked, rep.nonmembers_checked, rep.agree,
+                   None if rep.witness is None else rep.witness.tolist())
+            assert got == oracle_tuple(want)
+            assert rep.agree == (case == "plain")
+
+
 class TestKpi:
     def test_single_block_convention(self, block_a, kr_a):
         assert kr_a.kpi is block_a.pol.b1
@@ -368,7 +464,7 @@ class TestKpi:
     def test_parabolic_membership(self, parabolic_kr):
         kr = parabolic_kr
         rng = np.random.default_rng(42)
-        g = kr.sampler(rng)
+        g = kr.sampler(rng, 1)[0]
         assert kr.kpi.contains_residues(g)
         bad = g.copy()
         bad[0, 2] = 1   # breaks the off-diagonal congruence
@@ -377,7 +473,7 @@ class TestKpi:
     def test_theta_blockwise(self, parabolic_kr):
         kr = parabolic_kr
         rng = np.random.default_rng(7)
-        g = kr.sampler(rng)
+        g = kr.sampler(rng, 1)[0]
         t = kr.theta.exponent_of_residues(g)
         parts = Fraction(0)
         for blk, off in zip(kr.blocks, (0, 2)):
@@ -385,6 +481,29 @@ class TestKpi:
             parts += blk.theta_tilde.exponent_of_residues(sub)
         parts -= math.floor(parts)
         assert t == parts
+
+    def test_stacks_match_per_matrix(self, parabolic_kr):
+        kr = parabolic_kr
+        mats = kr.sampler(np.random.default_rng(11), 500)
+        # a unit entry in an off-diagonal block, at every corner in turn
+        off_diag = mats.copy()
+        for i, (r, c) in enumerate([(0, 2), (2, 0), (1, 3), (3, 1)] * 125):
+            off_diag[i, r, c] = 1
+        # block 0 outside its B^1: a diagonal unit that is not 1 mod p
+        outside_b1 = mats.copy()
+        outside_b1[:, 0:2, 0:2] = np.diag([2, 1])
+        assert not kr.blocks[0].b1.contains_residues(np.diag([2, 1]))
+        for stack, member in ((mats, True), (off_diag, False),
+                              (outside_b1, False)):
+            mask = kr.kpi.member_mask(stack)
+            assert mask.tolist() == [kpi_member_oracle(kr, m) for m in stack]
+            assert mask.all() == member and mask.any() == member
+        for stack in (mats, off_diag):
+            nums = kr.theta.nums_of_residues(stack)
+            assert [Fraction(int(t), kr.theta.denom) for t in nums] == \
+                [kpi_exponent_oracle(kr, m) for m in stack]
+        with pytest.raises(KeyError):
+            kr.theta.nums_of_residues(outside_b1)
 
     def test_gl1_blocks_rejected(self):
         d = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)
@@ -442,10 +561,10 @@ class TestSymbolicJ:
         d = block_a.datum
         Pi = b.prime_element
         unit = MatrixApprox.from_exact(d.ctx, [[1, 1], [3, 1]])
-        assert b.j_contains((Pi * unit).normalize())
-        assert b.j_contains((Pi.pow(-2) * unit).normalize())
-        assert b.j_contains(MatrixApprox.identity(d.ctx, 2))
-        assert not b.j_contains(MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]]))
+        assert j_contains(b, (Pi * unit).normalize())
+        assert j_contains(b, (Pi.pow(-2) * unit).normalize())
+        assert j_contains(b, MatrixApprox.identity(d.ctx, 2))
+        assert not j_contains(b, MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]]))
 
     def test_grading_matches_valuation(self, block_a):
         b = block_a.bundle
@@ -453,4 +572,4 @@ class TestSymbolicJ:
         for k in (-2, -1, 0, 1, 3):
             grade, part = b.j_grade_and_part(Pi.pow(k))
             assert grade == k
-            assert b.jcapk.contains(part)
+            assert contains_value(b.jcapk, part)

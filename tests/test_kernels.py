@@ -13,7 +13,8 @@ from minvec.errors import PrecisionLoss
 from minvec.groups import _first_not_intertwined, enumerate_h1, intertwines
 from minvec.orders import mat_mul_int, min_poly_fp
 from minvec.padic import MatrixApprox
-from minvec.residues import det_inv_mod
+from minvec import residues
+from minvec.residues import det_inv_mod, pack
 
 from oracles import intertwines_oracle, leibniz_det, mat_inv_mod
 
@@ -106,6 +107,24 @@ class TestIntertwiningKernel:
         assert _first_not_intertwined(G, Gi, -1, xs,
                                       block_a.simple.theta) is None
 
+    def test_stack_matches_reference_in_any_chunking(self, block_a,
+                                                      monkeypatch):
+        # 30 random units of GL_2(Z/9) and 30 elements of J cap K
+        rng = np.random.default_rng(2)
+        mats = rng.integers(0, 9, size=(200, 2, 2))
+        unit = det_inv_mod(mats, 3, 2)[2]
+        jk = block_a.bundle.jcapk
+        G = np.concatenate([mats[unit][:30],
+                            jk.mats[rng.integers(0, jk.size, size=30)]])
+        Gi = det_inv_mod(G, 3, 2)[1]
+        theta = block_a.simple.theta
+        xs = theta.domain.mats
+        want = [first_bad_reference(g, gi, xs, theta) for g, gi in zip(G, Gi)]
+        assert -1 in want and any(i >= 0 for i in want)
+        assert _first_not_intertwined(G, Gi, 0, xs, theta).tolist() == want
+        monkeypatch.setattr(residues, "CHUNK_BYTES", 1)
+        assert _first_not_intertwined(G, Gi, 0, xs, theta).tolist() == want
+
     def test_short_inverse_is_a_precision_loss(self, block_a):
         # diag(1, 3) known mod 3^2 only: its inverse keeps one digit, and
         # the shift s = -1 needs L - s = 3
@@ -113,6 +132,19 @@ class TestIntertwiningKernel:
         g = MatrixApprox(d.ctx, [[1, 0], [0, 3]], prec=2)
         with pytest.raises(PrecisionLoss):
             intertwines(g, block_a.simple.theta, d, block_a.bundle)
+
+
+def first_bad_reference(g, ginv, xs, theta):
+    """Index of the first x with theta(x) != theta(g x g^-1) where the
+    conjugate lies in H1, by one lookup per element; -1 if none."""
+    h1 = theta.domain
+    for i, x in enumerate(xs):
+        conj = g @ x @ ginv % h1.modulus
+        c = h1.index_of_codes(pack(conj[None], h1.p, h1.level))[0]
+        xi = h1.index_of_codes(pack(x[None], h1.p, h1.level))[0]
+        if c >= 0 and theta.nums[c] != theta.nums[xi]:
+            return i
+    return -1
 
 
 def test_no_float_decisions():

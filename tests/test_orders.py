@@ -88,7 +88,7 @@ class TestRadicalMembership:
     def test_precision_loss(self):
         ctx = PrecisionCtx(3, 2)
         o = HereditaryOrder(2, 2)
-        truncated = MatrixApprox.from_exact(ctx, [[9, 9], [9, 9]]).reduce_to(2)
+        truncated = MatrixApprox(ctx, [[9, 9], [9, 9]], prec=2)
         with pytest.raises(PrecisionLoss):
             in_radical_power(truncated, 5, o)
 

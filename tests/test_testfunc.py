@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minvec.groups import (FiniteSubgroup, GroupCharacter, gl_order,
-                           verify_character)
+from minvec.groups import (BlockCharacter, FiniteSubgroup, GroupCharacter,
+                           _torus_approximation, gl_order, verify_character)
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
 
-from oracles import convolution_rows_oracle, mat_inv_mod
+from oracles import (convolution_rows_oracle, kpi_exponent_oracle,
+                     mat_inv_mod)
 
 
 class TestVolume:
@@ -52,6 +53,7 @@ class TestConvolution:
             tf = make_omega(kr)
             rep = convolve_check(tf)
             assert rep.mode == "full"
+            assert rep.offsupport_points_checked == 64
             assert rep.support_ok
             assert rep.closure_certified
             assert rep.offsupport_ok
@@ -134,6 +136,90 @@ class TestSingleScanConvolution:
                 hit, = np.flatnonzero(np.all(kpi.mats == rep.witness,
                                              axis=(1, 2)))
                 assert hit in bad
+
+
+def with_flipped_block(kr, b=0):
+    """A parabolic K_pi result whose block b theta~ is wrong at one element."""
+    blk = kr.blocks[b]
+    theta = blk.theta_tilde
+    nums = theta.nums.copy()
+    k = (theta.domain.identity_index() + 1) % theta.domain.size
+    nums[k] = (nums[k] + 1) % theta.denom
+    induced = dataclasses.replace(blk.induced, theta_tilde=GroupCharacter(
+        theta.domain, nums, theta.denom))
+    blocks = list(kr.blocks)
+    blocks[b] = dataclasses.replace(blk, induced=induced)
+    old = kr.theta
+    return dataclasses.replace(kr, blocks=blocks, theta=BlockCharacter(
+        blocks, old.offsets, old.level, old.p))
+
+
+class TestStackedParabolic:
+    def test_flipped_block_character_fails_convolution(self, parabolic_kr):
+        kr = with_flipped_block(parabolic_kr)
+        rep = convolve_check(make_omega(kr), samples=2000, seed=0)
+        assert rep.mode == "sampled" and not rep.support_ok
+        assert rep.offsupport_ok
+        i = rep.support_points_checked
+        assert i < 2000
+        # redraw the pairs: every pair before the witness's satisfies the
+        # termwise law and the witness g fails it at its x
+        rng = np.random.default_rng(0)
+        gs, xs = kr.sampler(rng, 2000), kr.sampler(rng, 2000)
+        assert np.array_equal(rep.witness, gs[i])
+        assert all(termwise_law(kr, g, x)
+                   for g, x in zip(gs[:i][-20:], xs[:i][-20:]))
+        assert not termwise_law(kr, gs[i], xs[i])
+
+    def test_counts_unchanged_by_stacking(self, parabolic_kr):
+        rep = convolve_check(make_omega(parabolic_kr))
+        assert (rep.support_points_checked, rep.offsupport_points_checked) \
+            == (2000, 2000)
+        assert rep.support_ok and rep.offsupport_ok
+
+    def test_sampled_concentration_matches_blockwise_search(self,
+                                                            parabolic_kr):
+        # with cfrak = 1 the parabolic support is searched on samples
+        kr = dataclasses.replace(parabolic_kr, cfrak=1)
+        rep = concentration_check(make_omega(kr), samples=200, seed=4)
+        xs = kr.sampler(np.random.default_rng(4), 200)
+        want = [torus_oracle(kr, x, 1) for x in xs]
+        assert rep.points_checked == 200
+        assert rep.all_found == all(want)
+        if not rep.all_found:
+            assert np.array_equal(rep.witness, xs[want.index(False)])
+        # the stacked search against the scan, with every other sample
+        # pushed off the torus by a unit off-diagonal entry
+        bad = xs.copy()
+        bad[::2, 0, 3] = 1
+        found = _torus_approximation(bad, kr.blocks, 1)
+        assert found.tolist() == [torus_oracle(kr, x, 1) for x in bad]
+        assert not found[::2].any()
+
+
+def termwise_law(kr, g, x):
+    """Theta(x) - Theta(g^-1 x) = Theta(g), by the per-matrix references."""
+    gx = np.array(mat_inv_mod(g.tolist(), kr.kpi.p, kr.level)) @ x \
+        % kr.kpi.modulus
+    t = kpi_exponent_oracle
+    return (t(kr, x) - t(kr, gx) - t(kr, g)).denominator == 1
+
+
+def torus_oracle(kr, x, cf):
+    """Whether x = l mod p^cf for some l in U_L(1), one per diagonal block,
+    by scanning every l."""
+    mod = 3 ** cf
+    torus = np.zeros_like(x)
+    off = 0
+    for blk in kr.blocks:
+        sl = slice(off, off + blk.datum.order.n)
+        off = sl.stop
+        hits = [l for l in blk.bundle.ul1.mats
+                if not np.any((x[sl, sl] - l) % mod)]
+        if not hits:
+            return False
+        torus[sl, sl] = hits[0]
+    return not np.any((x - torus) % mod)
 
 
 class TestConcentration:

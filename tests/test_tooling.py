@@ -2,16 +2,24 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 
 from conftest import REPO
 
 
-def load_traced():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_traced", REPO / "perfbench" / "traced.py")
+        f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_traced():
+    return load_perfbench("traced")
 
 
 def test_every_hook_resolves():
@@ -25,3 +33,18 @@ def test_every_hook_resolves():
         if not callable(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_traced_verify_records_every_hook(tmp_path):
+    # a removed report field that a hook reads fails here, not only in a
+    # benchmark run
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "traced.py"), str(spans),
+         "--", "verify", str(REPO / "data" / "datum_n2e2j1p3.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    recorded = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    hooks = load_perfbench("workloads").VERIFY_HOOKS
+    assert sorted(set(hooks) - recorded) == []
