@@ -102,11 +102,12 @@ def cmd_order(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _prepare(spec, margin, budget):
+def _prepare(spec, margin, budget, seed):
     if isinstance(spec, datafiles.ParabolicSpec):
         data = [b.build(margin=margin, strict="always") for b in spec.blocks]
         blocks = [groups.prepare_block(d, budget=budget) for d in data]
-        kr = groups.build_Kpi(blocks, inequivalent_assertion=spec.inequivalent)
+        kr = groups.build_Kpi(blocks, inequivalent_assertion=spec.inequivalent,
+                              seed=seed)
         return blocks, kr
     d = spec.build(margin=margin, strict="always")
     if not is_minimal(d):
@@ -281,7 +282,8 @@ def cmd_verify(args) -> int:
     else:
         names = list(ALL_CHECKS)
     spec = _load_datum(args.datum)
-    blocks, kr = _prepare(spec, args.precision_margin, args.budget)
+    blocks, kr = _prepare(spec, args.precision_margin, args.budget,
+                         args.seed)
     dr = testfunc.depth_report(kr)
     human = [f"datum: {args.datum}", f"checks: {','.join(names)}",
              f"depth: d = {dr.depth}, c = {_frac(dr.c)}, cfrak = {dr.cfrak}, "

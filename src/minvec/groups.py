@@ -316,9 +316,6 @@ class GroupCharacter:
         self.nums = np.asarray(nums, dtype=np.int64) % denom
         self.denom = denom
 
-    def exponent_at(self, idx: int) -> Fraction:
-        return Fraction(int(self.nums[idx]), self.denom)
-
     def nums_of_residues(self, mats) -> np.ndarray:
         """Exponent numerators over denom for an (M, n, n) residue stack
         inside the domain."""
@@ -411,69 +408,72 @@ class ExtensionData:
     coords_additive: bool
 
 
-def extend_character(group: FiniteSubgroup, sub_exponents,
+def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
                      denom_hint=None) -> ExtensionData:
     """All extensions of a character to a finite overgroup, one chosen.
 
-    sub_exponents maps the subgroup's sorted codes to Fractions (as a dict).
-    The chosen extension takes the minimal admissible exponent at every new
-    coset generator; the count of extensions is the index, certified by
-    verify_character: multiplicativity and additivity of the coset
-    coordinates, both decided on the generators of the group.
+    The character is given at the subgroup's codes as exponent numerators
+    over denom.  Each new coset generator g is the first unassigned element
+    in code order.  With m its relative order over the assigned subgroup A,
+    the chosen extension takes t = f(g^m)/m mod 1 at g and f(a) + c t at
+    g^c a for c < m; numerators stay unreduced mod 1 over a denominator
+    that grows when m does not divide f(g^m).  The count of extensions is
+    the index, certified by verify_character: multiplicativity and
+    additivity of the coset coordinates, both decided on the generators of
+    the group.
     """
     p, L, n = group.p, group.level, group.n
-    mod = p ** L
-    values = dict(sub_exponents)
-    coords = {c: () for c in values}
-    gens = []
+    mod = group.modulus
+    group._generator_tree()     # certifies closure: no product below leaves
+    sub_idx = group.index_of_codes(np.asarray(sub_codes, dtype=np.int64))
+    if np.any(sub_idx < 0):
+        raise ConstructionFailure(f"the subgroup is not inside {group.name}")
+    assigned = np.zeros(group.size, dtype=bool)
+    assigned[sub_idx] = True
+    nums = np.zeros(group.size, dtype=np.int64)
+    nums[sub_idx] = sub_nums
+    coords = np.zeros((group.size, 0), dtype=np.int64)
     orders = []
-    all_codes = [int(c) for c in group.codes]
-    assigned = set(values)
-    mats_by_code = {int(c): group.mats[i] for i, c in enumerate(group.codes)}
-    while len(assigned) < group.size:
-        g_code = min(c for c in all_codes if c not in assigned)
-        g = mats_by_code[g_code]
-        # relative order of g over the assigned part
-        power = g.copy()
-        m = 1
-        while int(pack(power[None], p, L)[0]) not in assigned:
-            power = power @ g % mod
-            m += 1
-        t_power = values[int(pack(power[None], p, L)[0])]
-        t = Fraction(t_power, m)
-        t -= math.floor(t)
-        base_items = list(values.items())
-        base_coords = {code: coords[code] for code, _ in base_items}
-        gens.append(g_code)
+    while not assigned.all():
+        g = group.mats[np.argmin(assigned)]
+        powers = [np.eye(n, dtype=np.int64)]        # g^c for c < m
+        for _ in range(group.size):
+            power = powers[-1] @ g % mod
+            at = int(group.index_of_codes(pack(power[None], p, L))[0])
+            if assigned[at]:
+                break
+            powers.append(power)
+        else:
+            raise ConstructionFailure(
+                f"no power of an element of {group.name} is in the subgroup")
+        m = len(powers)
+        scale = m // math.gcd(int(nums[at]), m)
+        denom *= scale
+        nums *= scale
+        t = int(nums[at]) // m % denom
+        # the cosets g^c A, 0 < c < m, as one chunked product stack
+        base = np.flatnonzero(assigned)
+        gc = np.array(powers[1:])
+        new = np.empty((m - 1, len(base)), dtype=np.intp)
+        step = chunk_rows(3 * gc.size * 8)
+        for lo in range(0, len(base), step):
+            prods = gc[:, None] @ group.mats[base[lo:lo + step]] % mod
+            new[:, lo:lo + step] = group.index_of_codes(
+                pack(prods.reshape(-1, n, n), p, L)).reshape(m - 1, -1)
+        c = np.arange(1, m)[:, None]
+        nums[new] = nums[base] + c * t
+        coords = np.column_stack([coords, np.zeros(group.size, np.int64)])
+        coords[new] = coords[base]
+        coords[new, -1] = c
+        assigned[new] = True
         orders.append(m)
-        base_mats = np.array([mats_by_code[code] for code, _ in base_items])
-        gc = np.eye(n, dtype=np.int64)
-        for c in range(1, m):
-            gc = gc @ g % mod
-            prod = np.einsum("ij,mjk->mik", gc, base_mats) % mod
-            pcodes = pack(prod, p, L)
-            for (code0, val0), newc in zip(base_items, pcodes):
-                newc = int(newc)
-                values[newc] = val0 + c * t
-                coords[newc] = base_coords[code0] + (c,)
-        for code in list(coords):
-            if len(coords[code]) < len(gens):
-                coords[code] = coords[code] + (0,) * (len(gens) - len(coords[code]))
-        assigned = set(values)
-    # align to the group's sorted code order
-    denom = 1
-    for v in values.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    if denom_hint:
-        denom = denom * denom_hint // math.gcd(denom, denom_hint)
-    nums = np.array([int(values[int(c)] * denom) % denom for c in group.codes],
-                    dtype=np.int64)
-    r = len(gens)
-    cmat = np.array([tuple(coords[int(c)]) + (0,) * (r - len(coords[int(c)]))
-                     for c in group.codes], dtype=np.int64) \
-        if r else np.zeros((group.size, 0), dtype=np.int64)
-    ok, witness, coords_ok = verify_character(group, nums, denom,
-                                              coords=cmat, coord_orders=orders)
+    # the least common denominator of the values, then the hint
+    reduced = denom // math.gcd(denom, int(np.gcd.reduce(nums)))
+    final = math.lcm(reduced, denom_hint) if denom_hint else reduced
+    nums = nums // (denom // reduced) * (final // reduced) % final
+    ok, witness, coords_ok = verify_character(group, nums, final,
+                                              coords=coords,
+                                              coord_orders=orders)
     if not ok:
         raise ConstructionFailure(
             f"no multiplicative extension found on {group.name}; "
@@ -481,7 +481,7 @@ def extend_character(group: FiniteSubgroup, sub_exponents,
             f"{witness}")
     # unless coordinates add, count only the verified base extension
     count = math.prod(orders) if coords_ok else 1
-    return ExtensionData(nums, denom, cmat, orders, count, coords_ok)
+    return ExtensionData(nums, final, coords, orders, count, coords_ok)
 
 
 @dataclass
@@ -504,9 +504,8 @@ def simple_character(d: InductionDatum, bundle: SubgroupBundle) -> SimpleCharact
     if not ok:
         raise ConstructionFailure(
             f"trace formula is not multiplicative on {base.name}: {witness}")
-    sub_exp = {int(c): Fraction(int(v), denom0)
-               for c, v in zip(base.codes, base_nums)}
-    ext = extend_character(bundle.h1, sub_exp, denom_hint=denom0)
+    ext = extend_character(bundle.h1, base.codes, base_nums, denom0,
+                           denom_hint=denom0)
     theta = GroupCharacter(bundle.h1, ext.nums, ext.denom)
     # triviality on U_A(j+1)
     top = bundle.ua[j + 1]
@@ -534,32 +533,51 @@ class PolarizationData:
     quotient_index: int
 
 
-def _coset_decomposition(big: FiniteSubgroup, small_codes):
-    """Left cosets of an enumerated normal subgroup; returns (rep_indices,
-    coset_id array aligned to big's sorted order)."""
-    p, L, n = big.p, big.level, big.n
-    mod = p ** L
-    small_idx = sorted_index(big.codes, small_codes)
-    if np.any(small_idx < 0):
-        raise ConstructionFailure("subgroup is not contained in the overgroup")
-    small_mats = big.mats[small_idx]
-    coset_id = np.full(big.size, -1, dtype=np.int64)
-    reps = []
-    for i in range(big.size):
-        if coset_id[i] >= 0:
-            continue
-        rep = big.mats[i]
-        prods = np.einsum("ij,mjk->mik", rep, small_mats) % mod
-        idx = sorted_index(big.codes, pack(prods, p, L))
-        if np.any(idx < 0):
-            raise ConstructionFailure("coset leaves the overgroup")
-        coset_id[idx] = len(reps)
-        reps.append(i)
-    return np.array(reps, dtype=np.int64), coset_id
+def _coset_decomposition(codes, mats, small_mats, p: int, L: int):
+    """Left cosets g S of an enumerated subgroup S inside a sorted code
+    array with its matrices; returns (rep_indices, coset_id aligned to codes).
+
+    A coset is keyed by its first element in code order, which is its
+    representative, and cosets are numbered in that order.  Each round
+    multiplies out, as one chunked stack, as many free candidates as cosets
+    are left, spread over the free elements, and assigns every coset they
+    reach.
+    """
+    n = mats.shape[1]
+    first = np.full(len(codes), -1, dtype=np.intp)
+    step = chunk_rows(3 * small_mats.size * 8)
+    while (free := np.flatnonzero(first < 0)).size:
+        cands = free[::len(small_mats)]
+        for lo in range(0, len(cands), step):
+            prods = mats[cands[lo:lo + step], None] @ small_mats % p ** L
+            idx = sorted_index(codes, pack(prods.reshape(-1, n, n), p, L))
+            if np.any(idx < 0):
+                raise ConstructionFailure("coset leaves the overgroup")
+            idx = idx.reshape(len(prods), -1)
+            first[idx] = idx.min(axis=1, keepdims=True)
+    reps = np.unique(first)
+    return reps, np.searchsorted(reps, first)
+
+
+def _conjugate_index(group: FiniteSubgroup, left, right,
+                     target: FiniteSubgroup) -> np.ndarray:
+    """Index in target of left_r g right_r for every r of two (R, n, n)
+    stacks and every g in group, as an (R, |group|) array with -1 outside
+    target; the R |group| products are taken in chunks of CHUNK_BYTES."""
+    p, L, n = group.p, group.level, group.n
+    pairs = len(left) * group.size
+    idx = np.empty(pairs, dtype=np.intp)
+    step = chunk_rows(4 * n * n * 8)
+    for lo in range(0, pairs, step):
+        r, g = np.divmod(np.arange(lo, min(lo + step, pairs)), group.size)
+        conj = (left[r] @ group.mats[g] % group.modulus) @ right[r]
+        idx[lo:lo + step] = target.index_of_codes(
+            pack(conj % group.modulus, p, L))
+    return idx.reshape(len(left), group.size)
 
 
 def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
-               theta: GroupCharacter, rng=None) -> PolarizationData:
+               theta: GroupCharacter) -> PolarizationData:
     """Polarize J^1/H^1 for the commutator pairing derived from theta.
 
     For odd depth J^1 = H^1 and the uniform convention B^1 = H^1 applies;
@@ -578,29 +596,25 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         raise ConstructionFailure("even depth but J1 == H1; datum is ill-formed")
     L = bundle.level
     mod = p ** L
-    rep_idx, coset_id = _coset_decomposition(j1, h1.codes)
+    rep_idx, coset_id = _coset_decomposition(j1.codes, j1.mats, h1.mats, p, L)
     k = len(rep_idx)
     dim = vp(k, p)
     if p ** dim != k:
         raise ConstructionFailure("J1/H1 is not a p-group quotient")
-    # normality spot check: conjugating H1 by the representatives fixes it
-    hmats = j1.mats[sorted_index(j1.codes, h1.codes)]
+    # normality: conjugating H1 by the representatives fixes it
     reps = j1.mats[rep_idx]
-    rep_invs = det_inv_mod(reps, p, L)[1]
-    step = chunk_rows(3 * hmats.size * 8)
-    for lo in range(0, k, step):
-        conj = (reps[lo:lo + step, None] @ hmats % mod) \
-            @ rep_invs[lo:lo + step, None] % mod
-        if not np.all(contains_codes(h1.codes,
-                                     pack(conj.reshape(-1, o.n, o.n), p, L))):
-            raise ConstructionFailure("H1 is not normal in J1")
+    if np.any(_conjugate_index(h1, reps, det_inv_mod(reps, p, L)[1], h1) < 0):
+        raise ConstructionFailure("H1 is not normal in J1")
 
     # coset multiplication table and an F_p basis of V = J1/H1
-    table = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        prods = np.einsum("ij,mjk->mik", reps[a], reps) % mod
-        idx = sorted_index(j1.codes, pack(prods, p, L))
-        table[a] = coset_id[idx]
+    table = np.empty((k, k), dtype=np.int64)
+    step = chunk_rows(3 * reps.size * 8)
+    for lo in range(0, k, step):
+        prods = reps[lo:lo + step, None] @ reps % mod
+        idx = j1.index_of_codes(pack(prods.reshape(-1, o.n, o.n), p, L))
+        if np.any(idx < 0):
+            raise ConstructionFailure("J1 is not closed under products")
+        table[lo:lo + step] = coset_id[idx].reshape(-1, k)
     if not np.array_equal(table, table.T):
         raise ConstructionFailure("J1/H1 is not abelian")
 
@@ -627,22 +641,21 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     bt = np.array(d.beta_integral, dtype=np.int64)
     lvl = d.s0 + 1
     pmod = p ** lvl
+    eye = np.eye(o.n, dtype=np.int64)
 
-    def raw_num(x, y):
-        # Tr(beta' (x - 1)(y - 1)) mod p^lvl
-        u = x.astype(np.int64) - np.eye(o.n, dtype=np.int64)
-        v = y.astype(np.int64) - np.eye(o.n, dtype=np.int64)
-        return int(np.einsum("ij,ji->", bt, u @ v)) % pmod
-
-    def pairing_num(x, y):
-        # the commutator form Tr(beta' [x - 1, y - 1]), scaled into F_p
-        tr = (raw_num(x, y) - raw_num(y, x)) % pmod
-        if tr % p ** (lvl - 1) != 0:
+    def forms(xs, y):
+        # per x of a stack: the commutator form Tr(beta' [x - 1, y - 1])
+        # scaled into F_p, and the raw form Tr(beta' (x - 1)(y - 1))
+        u, v = xs - eye, y - eye
+        raw = np.einsum("ij,mji->m", bt, u @ v) % pmod
+        tr = (raw - np.einsum("ij,mji->m", bt, v @ u)) % pmod
+        if np.any(tr % p ** (lvl - 1)):
             raise ConstructionFailure("pairing value is not F_p-valued")
-        return tr // p ** (lvl - 1) % p
+        return tr // p ** (lvl - 1), raw
 
-    basis_mats = [j1.mats[rep_idx[c]] for c in basis]
-    pairing = [[pairing_num(x, y) for y in basis_mats] for x in basis_mats]
+    basis_mats = j1.mats[rep_idx[basis]]
+    at_basis = [[forms(x[None], y) for y in basis_mats] for x in basis_mats]
+    pairing = [[int(comm[0]) for comm, _ in row] for row in at_basis]
 
     # alternating + nondegenerate
     for a in range(dim):
@@ -655,25 +668,20 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         raise ConstructionFailure(
             "degenerate pairing: datum is non-minimal or ill-formed")
 
-    # well-definedness of the commutator form on cosets (sampled)
-    rng = np.random.default_rng(0) if rng is None else rng
-    hsample = hmats[rng.integers(0, len(hmats), size=4)]
-    for x in basis_mats:
-        for y in basis_mats:
-            base_val = pairing_num(x, y)
-            for h in hsample:
-                if pairing_num(x @ h % mod, y) != base_val:
-                    raise ConstructionFailure("commutator pairing not coset-invariant")
-    # the raw (uncommutated) form, reported for comparison
+    # both forms at x h for every h in H1: the commutator form must not
+    # move, and the raw form is reported for comparison
     raw_well = True
-    raw_alt = True
-    for x in basis_mats:
-        if raw_num(x, x) % pmod != 0:
-            raw_alt = False
-        for y in basis_mats:
-            for h in hsample[:2]:
-                if raw_num(x @ h % mod, y) != raw_num(x, y):
-                    raw_well = False
+    step = chunk_rows(4 * o.n * o.n * 8)
+    for lo in range(0, h1.size, step):
+        for x, row in zip(basis_mats, at_basis):
+            xh = x @ h1.mats[lo:lo + step] % mod
+            for y, (comm, raw) in zip(basis_mats, row):
+                comm_h, raw_h = forms(xh, y)
+                if np.any(comm_h != comm):
+                    raise ConstructionFailure(
+                        "commutator pairing not coset-invariant")
+                raw_well &= bool(np.all(raw_h == raw))
+    raw_alt = all(at_basis[a][a][1][0] == 0 for a in range(dim))
 
     iso_vecs = _symplectic_isotropic_basis(pairing, p)
 
@@ -693,7 +701,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     mask = np.isin(coset_id, sorted(member_cosets))
     b1 = FiniteSubgroup("B1", p, L, o.n, j1.mats[mask])
     return PolarizationData(
-        trivial=False, reason="", dim=dim, coset_reps=np.array(basis_mats),
+        trivial=False, reason="", dim=dim, coset_reps=basis_mats,
         pairing=pairing, isotropic=iso_vecs, b1=b1,
         raw_pairing_well_defined=raw_well, raw_pairing_alternating=raw_alt,
         quotient_index=k)
@@ -750,93 +758,132 @@ def _symplectic_isotropic_basis(pairing, p):
 # Heisenberg extension and induced class function
 # ---------------------------------------------------------------------------
 
-class ClassFunction:
-    """A function on an enumerated group stored as root-of-unity multisets.
+@dataclass
+class EtaTable:
+    """A class function on J^1 as root-of-unity multisets over one denominator.
 
-    The value at an element is the formal sum of e^{2 pi i t} over its
-    exponent list; dimensions and inner products are exact rationals.
+    Row g of nums holds theta~(t^-1 g t) over the representatives t of
+    J^1/B^1, as exponent numerators over denom; mask marks the terms with
+    t^-1 g t in B^1.  The value at g is the sum of e^{2 pi i num/denom}
+    over the masked terms of its row.
     """
 
-    def __init__(self, domain: FiniteSubgroup, exponent_lists):
-        self.domain = domain
-        self.exponent_lists = exponent_lists
-
-    def value(self, idx: int):
-        from .cyclotomic import CyclotomicSum
-        terms = {}
-        for t in self.exponent_lists[idx]:
-            terms[t] = terms.get(t, 0) + 1
-        return CyclotomicSum(self.domain.p, terms)
-
-    @property
-    def dim(self) -> int:
-        ident = self.domain.identity_index()
-        val = self.value(ident).rational_value()
-        if val is None or val.denominator != 1 or val <= 0:
-            raise ConstructionFailure("dimension is not a positive integer")
-        return int(val)
+    nums: np.ndarray
+    mask: np.ndarray
+    denom: int
 
 
 @dataclass
 class InducedResult:
     theta_tilde: GroupCharacter
     tilde_count: int
-    eta: ClassFunction
+    eta: EtaTable
     dim: int
     inner_product: Fraction
     restriction_is_multiple: bool
     restriction_inner: Fraction
-    class_constancy_sampled: bool
+    class_constancy: bool
 
 
-def _exponent_counter_inner(lists_a, lists_b, p):
-    """sum_g value_a(g) * conj(value_b(g)) as an exact CyclotomicSum."""
+def induced_table(j1: FiniteSubgroup, chi: GroupCharacter) -> EtaTable:
+    """The induction of a character of a subgroup B to J^1, by one chunked
+    conjugation stack over the coset representatives t of J^1/B and one
+    lookup in B.  Induction from B = J^1 itself is chi."""
+    sub = chi.domain
+    if sub.size == j1.size:
+        nums = chi.restricted_nums(j1.codes)[:, None]
+        return EtaTable(nums, np.ones(nums.shape, dtype=bool), chi.denom)
+    reps, _ = _coset_decomposition(j1.codes, j1.mats, sub.mats, j1.p,
+                                   j1.level)
+    t = j1.mats[reps]
+    idx = _conjugate_index(j1, det_inv_mod(t, j1.p, j1.level)[1], t, sub).T
+    mask = idx >= 0
+    return EtaTable(np.where(mask, chi.nums[idx], 0), mask, chi.denom)
+
+
+def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
+                 theta: GroupCharacter):
+    """(dim, <eta, eta>, eta|H1 == dim theta, <eta|H1, theta>, class
+    constancy) of eta, decided on integer numerators.
+
+    Each law is a statement about multisets of roots of unity: dim and the
+    two inner products are one bincount of numerators (or their differences)
+    mod the common denominator D and one exact CyclotomicSum of at most D
+    terms.  The restriction law holds outright at a row holding dim copies
+    of theta(h); every other row, and every mismatch of class constancy, is
+    re-decided by CyclotomicSum, so each verdict is exact.  Class constancy
+    is checked as eta(s g s^-1) = eta(g) for every g and every generator s
+    of J^1's tree: every element is a word in the s, so by induction on its
+    length this is eta(x g x^-1) = eta(g) for every x and g.
+    """
     from .cyclotomic import CyclotomicSum
-    counter = {}
-    for la, lb in zip(lists_a, lists_b):
-        for ta in la:
-            for tb in lb:
-                t = ta - tb
-                t -= math.floor(t)
-                counter[t] = counter.get(t, 0) + 1
-    return CyclotomicSum(p, counter)
+    p = j1.p
+    D = math.lcm(eta.denom, theta.denom)
+    nums, mask = eta.nums * (D // eta.denom) % D, eta.mask
+
+    def cyclotomic(counts, scale=1):
+        # sum_a counts[a] / scale * e^{2 pi i a/D}, one exact sum
+        return CyclotomicSum(p, {Fraction(int(a), D): Fraction(int(counts[a]),
+                                                               scale)
+                                 for a in np.flatnonzero(counts)})
+
+    def value(g):
+        return cyclotomic(np.bincount(nums[g][mask[g]], minlength=D))
+
+    dim = value(j1.identity_index()).rational_value()
+    if dim is None or dim.denominator != 1 or dim <= 0:
+        raise ConstructionFailure("dimension is not a positive integer")
+    dim = int(dim)
+
+    counts = np.zeros(D, dtype=np.int64)
+    r = nums.shape[1]
+    step = chunk_rows(3 * r * r * 8)
+    for lo in range(0, j1.size, step):
+        nm, mk = nums[lo:lo + step], mask[lo:lo + step]
+        pair = mk[:, :, None] & mk[:, None, :]
+        counts += np.bincount(((nm[:, :, None] - nm[:, None, :]) % D)[pair],
+                              minlength=D)
+    inner = cyclotomic(counts, j1.size).rational_value()
+
+    rows = j1.index_of_codes(h1.codes)
+    if np.any(rows < 0):
+        raise ConstructionFailure("H1 is not contained in J1")
+    want = theta.nums * (D // theta.denom)
+    hn, hm = nums[rows], mask[rows]
+    exact = (hm.sum(axis=1) == dim) & np.all(~hm | (hn == want[:, None]),
+                                             axis=1)
+    restriction_ok = all(
+        value(rows[i]) == cyclotomic(np.bincount(want[i:i + 1], minlength=D)
+                                     * dim)
+        for i in np.flatnonzero(~exact))
+    rinner = cyclotomic(np.bincount(((hn - want[:, None]) % D)[hm],
+                                    minlength=D), h1.size).rational_value()
+
+    root, perms = j1._generator_tree()
+    gens = j1.mats[[int(perm[root]) for perm in perms]]
+    conj = _conjugate_index(j1, gens, det_inv_mod(gens, p, j1.level)[1], j1)
+    if np.any(conj < 0):
+        raise ConstructionFailure("conjugation left J1")
+    keys = np.sort(np.where(mask, nums, -1), axis=1)
+    constancy = all(value(row[g]) == value(g) for row in conj
+                    for g in np.flatnonzero(np.any(keys[row] != keys, axis=1)))
+    return dim, inner, restriction_ok, rinner, constancy
 
 
 def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
-                      theta: GroupCharacter, pol: PolarizationData,
-                      rng=None) -> InducedResult:
+                      theta: GroupCharacter,
+                      pol: PolarizationData) -> InducedResult:
     """Extend theta to B^1 and induce to J^1; verify the Heisenberg laws."""
-    from .cyclotomic import CyclotomicSum
-    p = d.p
     h1, j1 = bundle.h1, bundle.j1
-    L = bundle.level
-    mod = p ** L
-    theta_exp = {int(c): theta.exponent_at(i) for i, c in enumerate(h1.codes)}
-
     if pol.trivial:
-        theta_tilde = theta
-        tilde_count = 1
-        lists = [(theta.exponent_at(i),) for i in range(h1.size)]
-        eta = ClassFunction(j1, lists)
+        theta_tilde, tilde_count = theta, 1
     else:
-        ext = extend_character(pol.b1, theta_exp)
+        ext = extend_character(pol.b1, h1.codes, theta.nums, theta.denom)
         theta_tilde = GroupCharacter(pol.b1, ext.nums, ext.denom)
         tilde_count = ext.count
-        rep_idx, _ = _coset_decomposition(j1, pol.b1.codes)
-        reps = j1.mats[rep_idx]
-        lists = [[] for _ in range(j1.size)]
-        for t, tinv in zip(reps, det_inv_mod(reps, p, L)[1]):
-            conj = (tinv @ j1.mats % mod) @ t % mod
-            codes = pack(conj, p, L)
-            idx_in_b1 = sorted_index(pol.b1.codes, codes)
-            for gidx in range(j1.size):
-                bi = idx_in_b1[gidx]
-                if bi >= 0:
-                    lists[gidx].append(theta_tilde.exponent_at(int(bi)))
-        lists = [tuple(v) for v in lists]
-        eta = ClassFunction(j1, lists)
-
-    dim = eta.dim
+    eta = induced_table(j1, theta_tilde)
+    laws = induced_laws(eta, j1, h1, theta)
+    dim, inner = laws[0], laws[1]
     index = j1.size // h1.size
     expected_dim = math.isqrt(index)
     if expected_dim * expected_dim != index:
@@ -844,55 +891,11 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
     if dim != expected_dim:
         raise ConstructionFailure(
             f"dim eta = {dim} differs from (J1:H1)^(1/2) = {expected_dim}")
-
-    total = _exponent_counter_inner(eta.exponent_lists, eta.exponent_lists, p)
-    inner = (total * Fraction(1, j1.size)).rational_value()
     if inner is None:
         raise ConstructionFailure("<eta, eta> is not rational")
     if inner != 1:
         raise ConstructionFailure(f"<eta, eta> = {inner}, eta is reducible")
-
-    # restriction to H1 is dim * theta, checked cyclotomically per element
-    h_in_j = sorted_index(j1.codes, h1.codes)
-    restriction_ok = True
-    h_lists = []
-    for hidx, jidx in enumerate(h_in_j):
-        lst = eta.exponent_lists[int(jidx)]
-        h_lists.append(lst)
-        if restriction_ok:
-            want = CyclotomicSum(p, {theta.exponent_at(hidx): dim})
-            counts = {}
-            for t in lst:
-                counts[t] = counts.get(t, 0) + 1
-            if CyclotomicSum(p, counts) != want:
-                restriction_ok = False
-    theta_lists = [(theta.exponent_at(i),) for i in range(h1.size)]
-    rinner = (_exponent_counter_inner(h_lists, theta_lists, p)
-              * Fraction(1, h1.size)).rational_value()
-
-    # class constancy, sampled conjugations
-    rng = np.random.default_rng(0) if rng is None else rng
-    samples = rng.integers(0, j1.size, size=(64, 2))
-    constancy = True
-    value_ids = {}
-
-    def vid(idx):
-        if idx not in value_ids:
-            value_ids[idx] = tuple(sorted(eta.value(idx).reduced().items()))
-        return value_ids[idx]
-
-    x_invs = det_inv_mod(j1.mats[samples[:, 1]], p, L)[1]
-    for (gi, xi), xinv in zip(samples, x_invs):
-        conj = j1.mats[xi] @ j1.mats[gi] @ xinv % mod
-        cidx = sorted_index(j1.codes, pack(conj[None], p, L))[0]
-        if cidx < 0:
-            raise ConstructionFailure("conjugation left J1")
-        if vid(int(cidx)) != vid(int(gi)):
-            constancy = False
-            break
-
-    return InducedResult(theta_tilde, tilde_count, eta, dim, inner,
-                         restriction_ok, rinner, constancy)
+    return InducedResult(theta_tilde, tilde_count, eta, *laws)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,15 +1038,7 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
         return DichotomyReport(len(units), 0, jk.size, False,
                                h1.mats[cert.witness[0]])
     codes = pack(units, p, L)
-    coset = np.full(len(units), -1, dtype=np.intp)
-    reps = []
-    while (free := coset < 0).any():
-        g = int(np.argmax(free))
-        idx = sorted_index(codes, pack(units[g] @ h1.mats % mod, p, L))
-        if np.any(idx < 0):
-            raise ConstructionFailure("a coset g H1 leaves K")
-        coset[idx] = len(reps)
-        reps.append(g)
+    reps, coset = _coset_decomposition(codes, units, h1.mats, p, L)
     inter = (_first_not_intertwined(units[reps], inv_all[reps], 0, h1.mats,
                                     theta) < 0)[coset]
     disagree = inter != contains_codes(jk.codes, codes)

@@ -382,3 +382,166 @@ def k0_flat(d, budget: int = 2_000_000) -> int:
         val = j + 1 if g is None else min(g - e * s0, j + 1)
         best = max(best, val)
     return best
+
+
+def coset_decomposition_oracle(big, small_codes):
+    """(rep_indices, coset_id) of the left cosets of an enumerated subgroup
+    by the per-representative loop: the first unassigned element in code
+    order starts the next coset, found by one einsum product per coset."""
+    import numpy as np
+    from minvec.residues import pack, sorted_index
+    small_mats = big.mats[sorted_index(big.codes, small_codes)]
+    coset_id = np.full(big.size, -1, dtype=np.int64)
+    reps = []
+    for i in range(big.size):
+        if coset_id[i] >= 0:
+            continue
+        prods = np.einsum("ij,mjk->mik", big.mats[i], small_mats) % big.modulus
+        idx = sorted_index(big.codes, pack(prods, big.p, big.level))
+        assert np.all(idx >= 0), "a coset left the overgroup"
+        coset_id[idx] = len(reps)
+        reps.append(i)
+    return np.array(reps, dtype=np.int64), coset_id
+
+
+def extend_character_oracle(group, sub_exponents, denom_hint=None):
+    """(nums, denom, coords, orders) of extend_character by a walk over a
+    dict from codes to Fractions, one einsum product per coset power."""
+    import math
+    from fractions import Fraction
+    import numpy as np
+    from minvec.residues import pack
+    p, L, n = group.p, group.level, group.n
+    values = dict(sub_exponents)
+    coords = {c: () for c in values}
+    orders = []
+    mats_by_code = {int(c): group.mats[i] for i, c in enumerate(group.codes)}
+    while len(values) < group.size:
+        g_code = min(int(c) for c in group.codes if int(c) not in values)
+        g = mats_by_code[g_code]
+        power, m = g.copy(), 1
+        while int(pack(power[None], p, L)[0]) not in values:
+            power, m = power @ g % p ** L, m + 1
+        t = Fraction(values[int(pack(power[None], p, L)[0])], m)
+        t -= math.floor(t)
+        base = list(values.items())
+        base_mats = np.array([mats_by_code[code] for code, _ in base])
+        gc = np.eye(n, dtype=np.int64)
+        for c in range(1, m):
+            gc = gc @ g % p ** L
+            prods = np.einsum("ij,mjk->mik", gc, base_mats) % p ** L
+            for (code0, val0), newc in zip(base, pack(prods, p, L)):
+                values[int(newc)] = val0 + c * t
+                coords[int(newc)] = coords[code0] + (c,)
+        orders.append(m)
+        coords = {c: v + (0,) * (len(orders) - len(v)) for c, v in coords.items()}
+    denom = math.lcm(*(v.denominator for v in values.values()))
+    if denom_hint:
+        denom = math.lcm(denom, denom_hint)
+    nums = np.array([int(values[int(c)] * denom) % denom for c in group.codes],
+                    dtype=np.int64)
+    cmat = np.array([coords[int(c)] for c in group.codes],
+                    dtype=np.int64).reshape(group.size, len(orders))
+    return nums, denom, cmat, orders
+
+
+def exponent_counter_inner(lists_a, lists_b, p):
+    """sum_g value_a(g) * conj(value_b(g)) as an exact CyclotomicSum, from
+    per-element exponent lists of Fractions."""
+    import math
+    from minvec.cyclotomic import CyclotomicSum
+    counter = {}
+    for la, lb in zip(lists_a, lists_b):
+        for ta in la:
+            for tb in lb:
+                t = ta - tb
+                t -= math.floor(t)
+                counter[t] = counter.get(t, 0) + 1
+    return CyclotomicSum(p, counter)
+
+
+def induced_laws_oracle(j1, h1, theta, theta_tilde, rows=None):
+    """(dim, <eta, eta>, eta|H1 == dim theta, <eta|H1, theta>, class
+    constancy) of eta = Ind theta~ by Fraction exponent lists: one list per
+    element of J1 built by the per-representative loop, one CyclotomicSum
+    per element.  Class constancy compares eta(x g x^-1) with eta(g) for
+    every x in J1 and every g in rows (default all of J1)."""
+    from fractions import Fraction
+    import numpy as np
+    from minvec.cyclotomic import CyclotomicSum
+    from minvec.residues import det_inv_mod, pack, sorted_index
+    p, L = j1.p, j1.level
+    b1 = theta_tilde.domain
+
+    def tilde_at(i):
+        return Fraction(int(theta_tilde.nums[i]), theta_tilde.denom)
+
+    if b1.size == j1.size:
+        lists = [(tilde_at(int(i)),) for i in sorted_index(b1.codes, j1.codes)]
+    else:
+        reps, _ = coset_decomposition_oracle(j1, b1.codes)
+        lists = [[] for _ in range(j1.size)]
+        for t in j1.mats[reps]:
+            tinv = mat_inv_mod(t.tolist(), p, L)
+            conj = (np.array(tinv) @ j1.mats % j1.modulus) @ t % j1.modulus
+            for g, bi in enumerate(sorted_index(b1.codes, pack(conj, p, L))):
+                if bi >= 0:
+                    lists[g].append(tilde_at(int(bi)))
+
+    def value(g):
+        terms = {}
+        for t in lists[g]:
+            terms[t] = terms.get(t, 0) + 1
+        return CyclotomicSum(p, terms)
+
+    dim = value(j1.identity_index()).rational_value()
+    if dim is None or dim.denominator != 1 or dim <= 0:
+        raise AssertionError("dimension is not a positive integer")
+    dim = int(dim)
+    inner = (exponent_counter_inner(lists, lists, p)
+             * Fraction(1, j1.size)).rational_value()
+    h_rows = sorted_index(j1.codes, h1.codes)
+    theta_lists = [(Fraction(int(v), theta.denom),) for v in theta.nums]
+    restriction = all(value(int(g)) == CyclotomicSum(p, {t: dim})
+                      for g, (t,) in zip(h_rows, theta_lists))
+    rinner = (exponent_counter_inner([lists[g] for g in h_rows], theta_lists,
+                                     p) * Fraction(1, h1.size)).rational_value()
+    vid = {}
+    constancy = True
+    invs = det_inv_mod(j1.mats, p, L)[1]
+    for g in (range(j1.size) if rows is None else rows):
+        conj = (j1.mats @ j1.mats[g] % j1.modulus) @ invs % j1.modulus
+        conj = set(sorted_index(j1.codes, pack(conj, p, L)).tolist())
+        assert min(conj) >= 0, "conjugation left J1"
+        for c in conj | {g}:
+            if c not in vid:
+                vid[c] = tuple(sorted(value(c).reduced().items()))
+        constancy &= all(vid[c] == vid[g] for c in conj)
+    return dim, inner, restriction, rinner, constancy
+
+
+def pairing_forms_oracle(d, bundle, pol):
+    """(commutator form coset-invariant, raw form coset-invariant) on the
+    basis representatives x, y by a per-element loop over every h in H1:
+    Tr(beta' [xh - 1, y - 1]) / p^(lvl-1) and Tr(beta' (xh - 1)(y - 1))
+    against their values at x."""
+    import numpy as np
+    p, n = d.p, d.order.n
+    bt = np.array(d.beta_integral, dtype=np.int64)
+    pmod = p ** (d.s0 + 1)
+    eye = np.eye(n, dtype=np.int64)
+
+    def raw(x, y):
+        return int(np.trace(bt @ (x - eye) @ (y - eye))) % pmod
+
+    def comm(x, y):
+        return (raw(x, y) - raw(y, x)) % pmod // (pmod // p)
+
+    comm_ok = raw_ok = True
+    for x in pol.coset_reps:
+        for y in pol.coset_reps:
+            for h in bundle.h1.mats:
+                xh = x @ h % bundle.h1.modulus
+                comm_ok &= comm(xh, y) == comm(x, y)
+                raw_ok &= raw(xh, y) == raw(x, y)
+    return comm_ok, raw_ok

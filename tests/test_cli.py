@@ -214,6 +214,22 @@ class TestParabolicCli:
         assert conv["mode"] == "sampled"
         assert conv["support_ok"] and conv["offsupport_ok"]
 
+    def test_seed_reaches_build_kpi(self, tmp_path, monkeypatch):
+        from minvec import groups
+        seeds = []
+        build = groups.build_Kpi
+
+        def recording(blocks, **kwargs):
+            seeds.append(kwargs.get("seed", 0))
+            return build(blocks, **kwargs)
+
+        monkeypatch.setattr(groups, "build_Kpi", recording)
+        code = cli.main(["--seed", "7", "--out", str(tmp_path / "r.txt"),
+                         "verify", str(DATA_DIR / "datum_parabolic_n4p3.json"),
+                         "--checks", "character"])
+        assert code == 0
+        assert seeds == [7]
+
     def test_report_all_small_dir(self, tmp_path):
         for name in ("datum_n2e2j1p3.json", "query_m1_shallow.json"):
             (tmp_path / name).write_text((DATA_DIR / name).read_text())

@@ -13,14 +13,16 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
                            intertwining_dichotomy, intertwining_spot,
                            prepare_block, verify_character)
 from minvec.padic import MatrixApprox, PrecisionCtx
-from minvec.residues import contains_codes, pack
+from minvec.residues import contains_codes, det_inv_mod, pack
 
 from conftest import build_datum
-from oracles import (character_certificate_oracle, contains_value,
-                     dichotomy_oracle, j_contains, kpi_exponent_oracle,
-                     kpi_member_oracle, product_set_oracle,
-                     product_table_oracle, psi_exponent, row_disagrees,
-                     spot_oracle)
+from oracles import (character_certificate_oracle,
+                     coset_decomposition_oracle, contains_value,
+                     dichotomy_oracle, extend_character_oracle,
+                     induced_laws_oracle, j_contains, kpi_exponent_oracle,
+                     kpi_member_oracle, pairing_forms_oracle,
+                     product_set_oracle, product_table_oracle, psi_exponent,
+                     row_disagrees, spot_oracle)
 
 
 def assert_closed(sub):
@@ -130,13 +132,11 @@ def character_tables(blk):
     denom0 = d.p ** (d.s0 + 1)
     base = blk.simple.base
     exts = {id(blk.bundle.h1): extend_character(
-        blk.bundle.h1, {int(c): Fraction(int(v), theta.denom) for c, v in
-                        zip(base.codes, theta.restricted_nums(base.codes))},
-        denom_hint=denom0)}
+        blk.bundle.h1, base.codes, theta.restricted_nums(base.codes),
+        theta.denom, denom_hint=denom0)}
     if not blk.pol.trivial:
         exts[id(blk.pol.b1)] = extend_character(
-            blk.pol.b1, {int(c): theta.exponent_at(i)
-                         for i, c in enumerate(blk.bundle.h1.codes)})
+            blk.pol.b1, blk.bundle.h1.codes, theta.nums, theta.denom)
     for sub in enumerated_groups(blk):
         ext = exts.get(id(sub))
         if ext is None:
@@ -317,7 +317,201 @@ class TestInducedCharacter:
         assert ind.restriction_inner == ind.dim
 
     def test_class_constancy(self, block_c):
-        assert block_c.induced.class_constancy_sampled
+        assert block_c.induced.class_constancy
+
+
+# the class-constancy oracle conjugates each of its rows by all of J1; past
+# this size it gets a seeded sample of rows
+ORACLE_ROWS_MAX = 729
+
+
+def laws_tuple(ind):
+    return (ind.dim, ind.inner_product, ind.restriction_is_multiple,
+            ind.restriction_inner, ind.class_constancy)
+
+
+def oracle_laws(blk, theta_tilde, rows=()):
+    """induced_laws_oracle on a block, every row of a small J1, else the
+    given rows plus 32 seeded ones."""
+    b = blk.bundle
+    if b.j1.size > ORACLE_ROWS_MAX:
+        sample = np.random.default_rng(0).integers(0, b.j1.size, size=32)
+        rows = np.unique(np.r_[sample, np.asarray(rows, dtype=np.int64)])
+    else:
+        rows = None
+    return induced_laws_oracle(b.j1, b.h1, blk.simple.theta, theta_tilde,
+                               rows)
+
+
+def all_blocks(block_a, block_b, block_c, parabolic_kr):
+    return [block_a, block_b, block_c] + list(parabolic_kr.blocks)
+
+
+def count_cyclotomic_sums(monkeypatch):
+    from minvec.cyclotomic import CyclotomicSum
+    calls = []
+    init = CyclotomicSum.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CyclotomicSum, "__init__", counted)
+    return calls
+
+
+class TestInducedLaws:
+    """The laws of eta decided on integer numerators, against the Fraction
+    exponent lists and per-element CyclotomicSums of induced_laws_oracle."""
+
+    def test_laws_match_oracle(self, block_a, block_b, block_c, parabolic_kr):
+        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
+            assert laws_tuple(blk.induced) == \
+                oracle_laws(blk, blk.induced.theta_tilde)
+            assert blk.induced.class_constancy
+
+    @pytest.mark.parametrize("where", ["H1", "B1 - H1"])
+    def test_flipped_tilde_entry_matches_oracle(self, where, block_a, block_b,
+                                               block_c, parabolic_kr):
+        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
+            b, tilde = blk.bundle, blk.induced.theta_tilde
+            in_h1 = contains_codes(b.h1.codes, tilde.domain.codes)
+            candidates = np.flatnonzero(in_h1 if where == "H1" else ~in_h1)
+            if not len(candidates):
+                continue        # odd depth: B1 = H1
+            k = int(candidates[len(candidates) // 2])
+            nums = tilde.nums.copy()
+            nums[k] = (nums[k] + 1) % tilde.denom
+            flipped = GroupCharacter(tilde.domain, nums, tilde.denom)
+            eta = groups.induced_table(b.j1, flipped)
+            # eta moves only on these rows, and eta was a class function:
+            # conjugating them by all of J1 decides class constancy exactly
+            moved = np.flatnonzero(np.any(eta.nums != blk.induced.eta.nums,
+                                          axis=1))
+            assert len(moved)
+            got = groups.induced_laws(eta, b.j1, b.h1, blk.simple.theta)
+            assert got == oracle_laws(blk, flipped, moved)
+            assert got != laws_tuple(blk.induced)
+            assert got[2] is (where != "H1")
+
+    def test_value_equal_row_passes_through_fallback(self, block_c,
+                                                     monkeypatch):
+        # dim theta(h) plus e(t) + e(t + 1/3) + e(t + 2/3) = 0 at one h
+        b, ind = block_c.bundle, block_c.induced
+        eta = ind.eta
+        assert eta.denom % 3 == 0
+        rows = b.j1.index_of_codes(b.h1.codes)
+        g = int(rows[rows != b.j1.identity_index()][5])
+        extra = np.zeros((b.j1.size, 3), dtype=np.int64)
+        extra[g] = [1, 1 + eta.denom // 3, 1 + 2 * eta.denom // 3]
+        mask = np.zeros(extra.shape, dtype=bool)
+        mask[g] = True
+        table = groups.EtaTable(np.hstack([eta.nums, extra]),
+                                np.hstack([eta.mask, mask]), eta.denom)
+        calls = count_cyclotomic_sums(monkeypatch)
+        got = groups.induced_laws(table, b.j1, b.h1, block_c.simple.theta)
+        assert got == laws_tuple(ind)
+        assert len(calls) > 3           # rows re-decided cyclotomically
+        # two of the three extra terms no longer cancel
+        mask[g, 2] = False
+        table.mask = np.hstack([eta.mask, mask])
+        got = groups.induced_laws(table, b.j1, b.h1, block_c.simple.theta)
+        assert not got[2]
+
+    def test_constancy_uses_every_generator(self, block_c):
+        # one extra term along an orbit of conjugation by the first tree
+        # generator only: eta stays invariant under it, but not under J1
+        b, eta = block_c.bundle, block_c.induced.eta
+        j1, mod = b.j1, b.j1.modulus
+        root, perms = j1._generator_tree()
+        s = j1.mats[perms[0][root]]
+        s_inv = det_inv_mod(s[None], j1.p, j1.level)[1][0]
+        x_inv = det_inv_mod(j1.mats, j1.p, j1.level)[1]
+        for g0 in range(j1.size):
+            orbit, g = [g0], g0
+            while (g := int(j1.index_of_codes(pack(
+                    (s @ j1.mats[g] @ s_inv % mod)[None], j1.p,
+                    j1.level))[0])) != g0:
+                orbit.append(g)
+            cls = j1.index_of_codes(pack(
+                (j1.mats @ j1.mats[g0] % mod) @ x_inv % mod, j1.p, j1.level))
+            if len(set(cls.tolist())) > len(orbit):
+                break
+        extra = np.zeros((j1.size, 1), dtype=np.int64)
+        extra[orbit] = 1
+        table = groups.EtaTable(np.hstack([eta.nums, extra]),
+                                np.hstack([eta.mask, extra > 0]), eta.denom)
+        got = groups.induced_laws(table, j1, b.h1, block_c.simple.theta)
+        assert got[4] is False
+
+    @pytest.mark.parametrize("name", ["block_b", "block_c"])
+    def test_few_cyclotomic_sums(self, name, request, monkeypatch):
+        # one exact sum each for dim, <eta, eta> and <eta|H1, theta>, and
+        # none per element (13,122 on datum b before)
+        blk = request.getfixturevalue(name)
+        calls = count_cyclotomic_sums(monkeypatch)
+        ind = groups.extend_and_induce(blk.datum, blk.bundle,
+                                       blk.simple.theta, blk.pol)
+        assert laws_tuple(ind) == laws_tuple(blk.induced)
+        assert len(calls) <= 4
+
+
+class TestArrayKernels:
+    def test_coset_decomposition_matches_loop(self, block_c):
+        b = block_c.bundle
+        for small in (b.h1, block_c.pol.b1):
+            got = groups._coset_decomposition(b.j1.codes, b.j1.mats,
+                                              small.mats, b.j1.p, b.j1.level)
+            want = coset_decomposition_oracle(b.j1, small.codes)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    def test_extend_character_matches_fraction_walk(self, block_a, block_b,
+                                                     block_c):
+        for blk in (block_a, block_b, block_c):
+            d, base, h1 = blk.datum, blk.simple.base, blk.bundle.h1
+            denom0 = d.p ** (d.s0 + 1)
+            base_nums = formula_exponent_nums(d, base.mats, denom0)
+            cases = [(h1, base.codes, base_nums, denom0, denom0)]
+            if not blk.pol.trivial:
+                theta = blk.simple.theta
+                cases.append((blk.pol.b1, h1.codes, theta.nums, theta.denom,
+                              None))
+            for group, codes, nums, denom, hint in cases:
+                ext = extend_character(group, codes, nums, denom, hint)
+                want = extend_character_oracle(
+                    group, {int(c): Fraction(int(v), denom)
+                            for c, v in zip(codes, nums)}, hint)
+                assert np.array_equal(ext.nums, want[0])
+                assert ext.denom == want[1]
+                assert np.array_equal(ext.coords, want[2])
+                assert ext.orders == want[3]
+
+    def test_extend_character_grows_the_denominator(self):
+        # <g> of order 9 mod 9 over <g^3> with theta(g^3) = 1/3: the
+        # relative order 3 does not divide the numerator, so D goes 3 -> 9
+        g = np.array([[1, 1], [0, 1]])
+        cyclic = FiniteSubgroup("C9", 3, 2, 2,
+                                [np.linalg.matrix_power(g, k) % 9
+                                 for k in range(9)])
+        sub = np.array([np.linalg.matrix_power(g, k) % 9 for k in (0, 3, 6)])
+        ext = extend_character(cyclic, pack(sub, 3, 2), [0, 1, 2], 3)
+        assert ext.denom == 9 and ext.count == 3
+        assert sorted(ext.nums.tolist()) == list(range(9))
+        # theta~(g^k) = k/9, read off at each power
+        for k in range(9):
+            at = cyclic.index_of_codes(pack(
+                np.linalg.matrix_power(g, k)[None] % 9, 3, 2))[0]
+            assert ext.nums[at] == k
+        want = extend_character_oracle(
+            cyclic, {int(c): Fraction(v, 3)
+                     for c, v in zip(pack(sub, 3, 2), (0, 1, 2))})
+        assert np.array_equal(ext.nums, want[0]) and ext.denom == want[1]
+
+    def test_pairing_forms_over_every_h(self, block_c):
+        comm_ok, raw_ok = pairing_forms_oracle(block_c.datum, block_c.bundle,
+                                               block_c.pol)
+        assert comm_ok
+        assert raw_ok is block_c.pol.raw_pairing_well_defined is False
 
 
 class TestIntertwining:
