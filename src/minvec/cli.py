@@ -55,9 +55,13 @@ def _load_datum(path):
 # order
 # ---------------------------------------------------------------------------
 
+def _block_specs(spec):
+    return spec.blocks if isinstance(spec, datafiles.ParabolicSpec) else [spec]
+
+
 def cmd_order(args) -> int:
     spec = _load_datum(args.datum)
-    specs = spec.blocks if isinstance(spec, datafiles.ParabolicSpec) else [spec]
+    specs = _block_specs(spec)
     human = [f"datum: {args.datum}"]
     blocks = []
     falsified = False
@@ -102,14 +106,17 @@ def cmd_order(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _prepare(spec, margin, budget, seed):
+def _prepare(spec, margin, budget, seed, data=None):
+    """Blocks and K_pi of a datum file, built from `data` when given."""
+    if data is None:
+        data = [s.build(margin=margin, strict="always")
+                for s in _block_specs(spec)]
     if isinstance(spec, datafiles.ParabolicSpec):
-        data = [b.build(margin=margin, strict="always") for b in spec.blocks]
         blocks = [groups.prepare_block(d, budget=budget) for d in data]
         kr = groups.build_Kpi(blocks, inequivalent_assertion=spec.inequivalent,
                               seed=seed)
         return blocks, kr
-    d = spec.build(margin=margin, strict="always")
+    d, = data
     if not is_minimal(d):
         raise DatumInvalid("verification requires a minimal datum")
     blk = groups.prepare_block(d, budget=budget)
@@ -205,9 +212,13 @@ def _check_omega(blocks, kr, args):
     n = kr.n
     ident = np.eye(n, dtype=np.int64)
     at_one = tf.exponent(ident)
+
+    def in_support(gs):
+        return np.array([tf.exponent(g) is not None for g in gs], dtype=bool)
+
     # bounded tries: the support may be all of K
-    zeros = sample_units_outside(lambda g: tf.exponent(g) is not None,
-                                 kr.kpi.p, kr.kpi.level, n, rng, 2000)
+    zeros = sample_units_outside(in_support, kr.kpi.p, kr.kpi.level, n, rng,
+                                 2000)
     outside = sum(1 for _ in itertools.islice(zeros, 20))
     section = {
         "omega_at_identity": _frac(at_one) if at_one is not None else None,
@@ -271,7 +282,9 @@ _CHECK_FNS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, data=None) -> int:
+    """Run the checks on one datum file.  `data` are its blocks' data when
+    they are already built with strict="always", as report-all has them."""
     if args.checks is not None:
         names = [c for c in args.checks.split(",") if c]
         if not names:
@@ -283,7 +296,7 @@ def cmd_verify(args) -> int:
         names = list(ALL_CHECKS)
     spec = _load_datum(args.datum)
     blocks, kr = _prepare(spec, args.precision_margin, args.budget,
-                         args.seed)
+                          args.seed, data)
     dr = testfunc.depth_report(kr)
     human = [f"datum: {args.datum}", f"checks: {','.join(names)}",
              f"depth: d = {dr.depth}, c = {_frac(dr.c)}, cfrak = {dr.cfrak}, "
@@ -424,8 +437,9 @@ def cmd_report_all(args) -> int:
             buf, code = _capture(cmd_order, sub)
             pieces.append(buf)
             codes.append(code)
-            if _verifiable(path, args.precision_margin):
-                buf, code = _capture(cmd_verify, sub)
+            data = _verifiable(path, args.precision_margin)
+            if data is not None:
+                buf, code = _capture(lambda a: cmd_verify(a, data), sub)
                 pieces.append(buf)
                 codes.append(code)
             else:
@@ -455,16 +469,16 @@ def cmd_report_all(args) -> int:
     return EXIT_PASS
 
 
-def _verifiable(path, margin) -> bool:
-    """Whether the verification preconditions (minimal data) hold."""
+def _verifiable(path, margin):
+    """The data of a datum file's blocks, built as `verify` builds them,
+    when the verification preconditions (minimal data) hold; else None."""
     try:
         spec = datafiles.load_datum(path)
-        specs = spec.blocks if isinstance(spec, datafiles.ParabolicSpec) \
-            else [spec]
-        return all(is_minimal(s.build(margin=margin, strict="always"))
-                   for s in specs)
+        data = [s.build(margin=margin, strict="always")
+                for s in _block_specs(spec)]
+        return data if all(is_minimal(d) for d in data) else None
     except MinvecError:
-        return False
+        return None
 
 
 def _stage(err: BaseException) -> str:

@@ -25,7 +25,8 @@ from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, Precision
 from .orders import HereditaryOrder, InductionDatum, fp_reduce, v_A
 from .padic import MatrixApprox, vp
 from .residues import (box_enumerate, chunk_rows, contains_codes, det_inv_mod,
-                       pack, sample_units_outside, sorted_index, unpack)
+                       pack, sample_units_outside, sorted_index, sorted_unique,
+                       unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -74,7 +75,7 @@ class FiniteSubgroup:
             order = np.argsort(codes)
             self.codes = codes[order]
             self.mats = mats[order]
-            if len(np.unique(self.codes)) != len(self.codes):
+            if np.any(self.codes[1:] == self.codes[:-1]):
                 raise ConstructionFailure(f"{name}: duplicate elements")
             self.size = len(self.codes)
             self._tree = None
@@ -139,7 +140,7 @@ class FiniteSubgroup:
                 frontier = np.flatnonzero(reached)
                 while len(frontier):
                     images = np.concatenate([perm[frontier] for perm in perms])
-                    frontier = np.unique(images[~reached[images]])
+                    frontier = sorted_unique(images[~reached[images]])
                     reached[frontier] = True
             self._tree = root, perms
         return self._tree
@@ -182,7 +183,8 @@ def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
     mod = p ** L
     steps = np.array([[p ** min(L, max(0, o.entry_threshold(k, r, c)))
                        for c in range(n)] for r in range(n)], dtype=np.int64)
-    classes = np.unique(pack(np.asarray(units, dtype=np.int64) % steps, p, L))
+    classes = sorted_unique(pack(np.asarray(units, dtype=np.int64) % steps,
+                                 p, L))
     counts = (mod // steps).ravel().tolist()
     size = len(classes) * math.prod(counts)
     if size > budget:
@@ -212,7 +214,7 @@ def enumerate_field_order(d: InductionDatum, L: int):
     coeffs = box_enumerate([0] * n, [1] * n, [mod] * n, mod)
     mats = np.einsum("mc,cij->mij", coeffs, powers) % mod
     codes = pack(mats, p, L)
-    if len(np.unique(codes)) != len(codes):
+    if len(sorted_unique(codes)) != len(codes):
         raise ConstructionFailure("power basis of O_L is not free mod p^L")
     # unit iff invertible iff not in the radical: grade-0 part nonzero
     unit = np.zeros(len(mats), dtype=bool)
@@ -363,6 +365,21 @@ def formula_exponent_nums(d: InductionDatum, mats: np.ndarray, denom: int):
     return tr * (denom // mod) % denom
 
 
+def _relation_witness(sub: FiniteSubgroup, table, m: int):
+    """(i, s) with table(g_i g_s) != table(g_i) + table(g_s) mod m, over the
+    generators s of sub's tree, or None when the table is a homomorphism."""
+    root, perms = sub._generator_tree()
+    table = np.asarray(table, dtype=np.int64)
+    if table[root] % m:
+        return root, root
+    for perm in perms:
+        s = int(perm[root])
+        bad = (table[perm] - table - table[s]) % m != 0
+        if bad.any():
+            return int(np.argmax(bad)), s
+    return None
+
+
 def verify_character(sub: FiniteSubgroup, nums, denom: int, coords=None,
                      coord_orders=None) -> CharacterCertificate:
     """Decide on generators whether an exponent table is multiplicative and,
@@ -375,24 +392,10 @@ def verify_character(sub: FiniteSubgroup, nums, denom: int, coords=None,
     for every g and s: induct on the length of a word for h to get
     f(g h) = f(g) + f(h).  So |G| |S| lookups decide every pair.
     """
-    root, perms = sub._generator_tree()
-
-    def first_bad(table, m):
-        # (i, s) with table(g_i g_s) != table(g_i) + table(g_s) mod m
-        table = np.asarray(table, dtype=np.int64)
-        if table[root] % m:
-            return root, root
-        for perm in perms:
-            s = int(perm[root])
-            bad = (table[perm] - table - table[s]) % m != 0
-            if bad.any():
-                return int(np.argmax(bad)), s
-        return None
-
-    witness = first_bad(nums, denom)
+    witness = _relation_witness(sub, nums, denom)
     coords_ok = None if coords is None else all(
-        first_bad(c, m) is None for c, m in zip(np.asarray(coords).T,
-                                                coord_orders))
+        _relation_witness(sub, c, m) is None
+        for c, m in zip(np.asarray(coords).T, coord_orders))
     return CharacterCertificate(witness is None, witness, coords_ok)
 
 
@@ -555,7 +558,7 @@ def _coset_decomposition(codes, mats, small_mats, p: int, L: int):
                 raise ConstructionFailure("coset leaves the overgroup")
             idx = idx.reshape(len(prods), -1)
             first[idx] = idx.min(axis=1, keepdims=True)
-    reps = np.unique(first)
+    reps = sorted_unique(first)
     return reps, np.searchsorted(reps, first)
 
 
@@ -902,6 +905,35 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
 # intertwining
 # ---------------------------------------------------------------------------
 
+def _fixed_on_generators(G, Gi, theta: GroupCharacter) -> np.ndarray:
+    """Rows of a stack of units G with inverses Gi mod p^L that provably
+    intertwine theta on all of H^1, decided on H^1's generators S.
+
+    When theta is a character and g S g^-1 lies in H^1, conjugation by g
+    maps H^1 = <S> into, hence onto, itself; theta o Ad(g) and theta are
+    then two characters of H^1, equal once they agree on S.  A row whose
+    Gi is not the inverse of G is never certified.
+    """
+    h1 = theta.domain
+    p, L, n, mod = h1.p, h1.level, h1.n, h1.modulus
+    fixed = np.zeros(len(G), dtype=bool)
+    if _relation_witness(h1, theta.nums, theta.denom) is not None:
+        return fixed
+    root, perms = h1._generator_tree()
+    gens = np.array([perm[root] for perm in perms], dtype=np.intp)
+    ident = np.eye(n, dtype=np.int64)
+    step = chunk_rows(3 * (len(gens) + 1) * n * n * 8)
+    for lo in range(0, len(G), step):
+        g, gi = G[lo:lo + step], Gi[lo:lo + step]
+        inverse = np.all(g @ gi % mod == ident, axis=(1, 2))
+        conj = (g[:, None] @ h1.mats[gens] % mod) @ gi[:, None] % mod
+        idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
+        idx = idx.reshape(len(g), len(gens))
+        agree = (idx >= 0) & (theta.nums[idx] == theta.nums[gens])
+        fixed[lo:lo + step] = inverse & agree.all(axis=1)
+    return fixed
+
+
 def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
     """First x in xs with theta(x) != theta(g x g^-1) where both lie in H^1.
 
@@ -909,8 +941,12 @@ def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
     are H^1 elements mod p^(L - s), and a conjugate is integral when every
     entry of G x Gi is divisible by p^-s.  For a stack (B, n, n) of G and Gi
     the result is, per conjugator, the index in xs of the first such x, or
-    -1 where g intertwines; the stack is decided in chunks of about
-    CHUNK_BYTES.  For one G it is that first x itself, or None.
+    -1 where g intertwines.  For one G it is that first x itself, or None.
+
+    At s = 0 the rows that `_fixed_on_generators` certifies are -1 after
+    |S| conjugates.  Every other row scans xs in order, in blocks that grow
+    fourfold up to CHUNK_BYTES of temporaries, and leaves the scan at its
+    first bad x.
     """
     G, Gi = np.asarray(G, dtype=np.int64), np.asarray(Gi, dtype=np.int64)
     if G.ndim == 2:
@@ -920,23 +956,37 @@ def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
     p, L, n = h1.p, h1.level, h1.n
     mod = p ** (L - s)
     G, Gi = G % mod, Gi % mod
-    x_nums = theta.nums[h1.index_of_codes(pack(xs % p ** L, p, L))]
     first = np.full(len(G), -1, dtype=np.intp)
-    # per conjugator: two product stacks live at once, and the lookups
-    step = chunk_rows(3 * xs.size * 8)
-    for lo in range(0, len(G), step):
-        conj = G[lo:lo + step, None] @ xs
-        conj %= mod
-        conj = conj @ Gi[lo:lo + step, None]
-        conj %= mod
-        integral = True
-        if s < 0:
-            integral = np.all(conj % p ** -s == 0, axis=(2, 3))
-            conj //= p ** -s
-        c_idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
-        c_idx = c_idx.reshape(conj.shape[:2])
-        bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
-        first[lo:lo + step] = np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+    rows = np.arange(len(G))
+    if s == 0:
+        rows = rows[~_fixed_on_generators(G, Gi, theta)]
+    # (row, x) pairs per chunk: two product stacks live at once, and the
+    # lookups
+    cap = chunk_rows(3 * n * n * 8)
+    lo, width = 0, 64
+    while len(rows) and lo < len(xs):
+        hi = min(len(xs), lo + min(width, cap))
+        x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi] % p ** L, p, L))]
+        step = max(1, cap // (hi - lo))
+        keep = np.ones(len(rows), dtype=bool)
+        for r in range(0, len(rows), step):
+            block = rows[r:r + step]
+            conj = G[block, None] @ xs[lo:hi]
+            conj %= mod
+            conj = conj @ Gi[block, None]
+            conj %= mod
+            integral = True
+            if s < 0:
+                integral = np.all(conj % p ** -s == 0, axis=(2, 3))
+                conj //= p ** -s
+            c_idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
+            c_idx = c_idx.reshape(conj.shape[:2])
+            bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+            hit = bad.any(axis=1)
+            first[block[hit]] = lo + bad[hit].argmax(axis=1)
+            keep[r:r + step] = ~hit
+        rows = rows[keep]
+        lo, width = hi, 4 * width
     return first
 
 
@@ -992,7 +1042,7 @@ def intertwining_spot(d: InductionDatum, bundle: SubgroupBundle,
     h1, jk = bundle.h1, bundle.jcapk
     rng = np.random.default_rng(seed)
     gs = jk.mats[rng.integers(0, jk.size, size=members)]
-    outside = sample_units_outside(jk.contains_residues, p, L, n, rng,
+    outside = sample_units_outside(jk.member_mask, p, L, n, rng,
                                    100 * nonmembers)
     conj = np.concatenate([gs] + [g[None] for g in
                                   itertools.islice(outside, nonmembers)])

@@ -123,12 +123,30 @@ def sample_units_outside(inside, p: int, L: int, n: int, rng, tries: int):
 
     Draws rng.integers(0, p^L, (n, n)) one matrix at a time, at most `tries`
     times, so the stream of draws does not depend on how many points the
-    caller takes.
+    caller takes.  The unit test and `inside`, a predicate on (k, n, n)
+    stacks, are decided on blocks of draws that double in size, so rng may
+    be left up to one block past the last yielded draw.
     """
-    for _ in range(tries):
-        g = rng.integers(0, p ** L, size=(n, n))
-        if det_inv_mod(g[None], p, L)[2][0] and not inside(g):
-            yield g
+    block = 8
+    while tries > 0:
+        k = min(block, tries)
+        gs = np.array([rng.integers(0, p ** L, size=(n, n))
+                       for _ in range(k)], dtype=np.int64)
+        keep = det_inv_mod(gs, p, L)[2]
+        if keep.any():
+            keep[keep] = ~np.asarray(inside(gs[keep]), dtype=bool)
+        yield from gs[keep]
+        tries -= k
+        block *= 2
+
+
+def sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted, by comparing sorted
+    neighbours (np.unique hashes, and imports numpy.ma on first use)."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 def sorted_index(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:

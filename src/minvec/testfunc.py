@@ -161,7 +161,7 @@ def _convolve_full(tf, samples, seed):
     # cross-check: sampled units g outside the support have g^-1 K_pi
     # disjoint from K_pi; a failure reports the last failing g
     rng = np.random.default_rng(seed)
-    outside = sample_units_outside(kpi.contains_residues, p, L, n, rng,
+    outside = sample_units_outside(kpi.member_mask, p, L, n, rng,
                                    50 * samples)
     cands = np.array(list(itertools.islice(outside, min(samples, 64))),
                      dtype=np.int64).reshape(-1, n, n)

@@ -206,11 +206,42 @@ def intertwines_oracle(g, theta, d):
     return True, None
 
 
+def first_not_intertwined_oracle(G, Gi, s, xs, theta):
+    """The full ordered scan that groups._first_not_intertwined must match
+    index for index: per conjugator of a (B, n, n) stack, the index in xs
+    of the first x whose conjugate p^s G x Gi is integral, lies in H1 and
+    has another theta value, or -1.  Every x is conjugated, one conjugator
+    at a time, with no shortcut and no early exit."""
+    import numpy as np
+    from minvec.residues import pack
+    h1 = theta.domain
+    p, L = h1.p, h1.level
+    mod = p ** (L - s)
+    x_nums = theta.nums[h1.index_of_codes(pack(xs % p ** L, p, L))]
+    out = []
+    for g, gi in zip(np.asarray(G) % mod, np.asarray(Gi) % mod):
+        conj = (g @ xs % mod) @ gi % mod
+        integral = np.all(conj % p ** -s == 0, axis=(1, 2))
+        c_idx = h1.index_of_codes(pack(conj // p ** -s, p, L))
+        bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+        out.append(int(np.argmax(bad)) if bad.any() else -1)
+    return np.array(out, dtype=np.intp)
+
+
+def sample_units_outside_oracle(inside, p, L, n, rng, tries):
+    """Units g of GL_n(Z/p^L) with inside(g) False for a one-matrix
+    predicate, deciding each of at most `tries` draws of
+    rng.integers(0, p^L, (n, n)) as it is drawn."""
+    for _ in range(tries):
+        g = rng.integers(0, p ** L, size=(n, n))
+        if leibniz_det(g.tolist()) % p and not inside(g):
+            yield g
+
+
 def dichotomy_oracle(d, bundle, theta, jcapk=None):
     """(total, intertwining, jcapk_size, agree, witness) of the dichotomy by
-    deciding every unit of K on its own with the one-conjugator kernel."""
+    scanning all of H1 for every unit of K."""
     import numpy as np
-    from minvec.groups import _first_not_intertwined
     from minvec.residues import (box_enumerate, contains_codes, det_inv_mod,
                                  pack)
     p, n, L = d.p, d.order.n, bundle.level
@@ -221,15 +252,11 @@ def dichotomy_oracle(d, bundle, theta, jcapk=None):
     _, inv_all, unit = det_inv_mod(allm, p, L)
     units, inv_all = allm[unit], inv_all[unit]
     members = contains_codes(jk.codes, pack(units, p, L))
-    witness = None
-    count = 0
-    for g, ginv, member in zip(units, inv_all, members):
-        inter = _first_not_intertwined(g, ginv, 0, bundle.h1.mats,
-                                       theta) is None
-        count += inter
-        if inter != member and witness is None:
-            witness = g
-    return len(units), count, jk.size, witness is None, witness
+    inter = first_not_intertwined_oracle(units, inv_all, 0, bundle.h1.mats,
+                                         theta) < 0
+    disagree = np.flatnonzero(inter != members)
+    witness = units[disagree[0]] if len(disagree) else None
+    return len(units), int(inter.sum()), jk.size, witness is None, witness
 
 
 def spot_oracle(d, bundle, theta, members=40, nonmembers=40, seed=0):
@@ -237,21 +264,24 @@ def spot_oracle(d, bundle, theta, members=40, nonmembers=40, seed=0):
     check by deciding the sampled conjugators one at a time, members first,
     up to the first failure."""
     import numpy as np
-    from minvec.groups import _first_not_intertwined
-    from minvec.residues import det_inv_mod, sample_units_outside
     p, n, L = d.p, d.order.n, bundle.level
     h1, jk = bundle.h1, bundle.jcapk
     rng = np.random.default_rng(seed)
+
+    def intertwines(g):
+        ginv = np.array(mat_inv_mod(g.tolist(), p, L))
+        return first_not_intertwined_oracle(g[None], ginv[None], 0, h1.mats,
+                                            theta)[0] < 0
+
     gs = jk.mats[rng.integers(0, jk.size, size=members)]
-    for i, (g, ginv) in enumerate(zip(gs, det_inv_mod(gs, p, L)[1])):
-        if _first_not_intertwined(g, ginv, 0, h1.mats, theta) is not None:
+    for i, g in enumerate(gs):
+        if not intertwines(g):
             return i, 0, False, g
-    outside = sample_units_outside(jk.contains_residues, p, L, n, rng,
-                                   100 * nonmembers)
+    outside = sample_units_outside_oracle(jk.contains_residues, p, L, n, rng,
+                                          100 * nonmembers)
     checked = 0
     for g in itertools.islice(outside, nonmembers):
-        ginv = mat_inv_mod(g.tolist(), p, L)
-        if _first_not_intertwined(g, ginv, 0, h1.mats, theta) is None:
+        if intertwines(g):
             return members, checked, False, g
         checked += 1
     return members, checked, True, None

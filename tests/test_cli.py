@@ -204,6 +204,41 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert "15/64" in proc.stdout
 
+    def test_verify_leaves_numpy_ma_unimported(self, tmp_path):
+        # a bare np.unique imports numpy.ma on first use, 14-19 ms a process
+        script = ("import sys\nfrom minvec import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(code, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])]
+            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify",
+             str(DATA_DIR / "datum_n2e2j3p3.json"),
+             "--out", str(tmp_path / "report.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+class TestReportAll:
+    def test_verify_reuses_the_checked_build(self, tmp_path, monkeypatch):
+        from minvec import datafiles
+        built = []
+        build = datafiles.DatumSpec.build
+
+        def recording(self, *args, **kwargs):
+            built.append(kwargs.get("strict", "auto"))
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(datafiles.DatumSpec, "build", recording)
+        (tmp_path / "datum.json").write_text(
+            (DATA_DIR / "datum_n2e2j1p3.json").read_text())
+        code, out = run_cli("report-all", str(tmp_path))
+        assert code == 0 and "minvec report: verify" in out
+        # one build for the order report, one shared by the verify half
+        assert built == ["auto", "always"]
+
 
 class TestParabolicCli:
     def test_verify_parabolic(self):

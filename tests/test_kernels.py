@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minvec
+from minvec import groups, residues
 from minvec.errors import PrecisionLoss
-from minvec.groups import _first_not_intertwined, enumerate_h1, intertwines
+from minvec.groups import (GroupCharacter, _first_not_intertwined,
+                           enumerate_h1, intertwines, intertwining_dichotomy,
+                           intertwining_spot)
 from minvec.orders import mat_mul_int, min_poly_fp
 from minvec.padic import MatrixApprox
-from minvec import residues
-from minvec.residues import det_inv_mod, pack
+from minvec.residues import det_inv_mod, pack, sample_units_outside
 
-from oracles import intertwines_oracle, leibniz_det, mat_inv_mod
+from oracles import (first_not_intertwined_oracle, intertwines_oracle,
+                     leibniz_det, mat_inv_mod, sample_units_outside_oracle)
 
 
 @st.composite
@@ -119,7 +122,7 @@ class TestIntertwiningKernel:
         Gi = det_inv_mod(G, 3, 2)[1]
         theta = block_a.simple.theta
         xs = theta.domain.mats
-        want = [first_bad_reference(g, gi, xs, theta) for g, gi in zip(G, Gi)]
+        want = first_not_intertwined_oracle(G, Gi, 0, xs, theta).tolist()
         assert -1 in want and any(i >= 0 for i in want)
         assert _first_not_intertwined(G, Gi, 0, xs, theta).tolist() == want
         monkeypatch.setattr(residues, "CHUNK_BYTES", 1)
@@ -134,17 +137,170 @@ class TestIntertwiningKernel:
             intertwines(g, block_a.simple.theta, d, block_a.bundle)
 
 
-def first_bad_reference(g, ginv, xs, theta):
-    """Index of the first x with theta(x) != theta(g x g^-1) where the
-    conjugate lies in H1, by one lookup per element; -1 if none."""
-    h1 = theta.domain
-    for i, x in enumerate(xs):
-        conj = g @ x @ ginv % h1.modulus
-        c = h1.index_of_codes(pack(conj[None], h1.p, h1.level))[0]
-        xi = h1.index_of_codes(pack(x[None], h1.p, h1.level))[0]
-        if c >= 0 and theta.nums[c] != theta.nums[xi]:
-            return i
-    return -1
+def kernel_calls(monkeypatch, run):
+    """(G, Gi, s, xs, theta) of every stacked intertwining-kernel call made
+    while run() runs."""
+    calls = []
+    kernel = groups._first_not_intertwined
+
+    def recording(G, Gi, s, xs, theta):
+        if np.ndim(G) == 3:
+            calls.append((np.array(G), np.array(Gi), s, xs, theta))
+        return kernel(G, Gi, s, xs, theta)
+
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_first_not_intertwined", recording)
+        run()
+    return calls
+
+
+def spot_call(blk, monkeypatch, seed=0):
+    calls = kernel_calls(monkeypatch, lambda: intertwining_spot(
+        blk.datum, blk.bundle, blk.simple.theta, seed=seed))
+    assert len(calls) == 1
+    return calls[0]
+
+
+def normalizes_h1(G, Gi, h1):
+    """Rows g with g H1 g^-1 inside H1, by conjugating every element."""
+    conj = (G[:, None] @ h1.mats % h1.modulus) @ Gi[:, None] % h1.modulus
+    idx = h1.index_of_codes(pack(conj.reshape(-1, h1.n, h1.n), h1.p,
+                                 h1.level))
+    return np.all(idx.reshape(len(G), h1.size) >= 0, axis=1)
+
+
+class TestIntertwiningShortcut:
+    """The generator certificate and the early-exit scan reproduce the full
+    ordered scan index for index."""
+
+    @staticmethod
+    def assert_matches_scan(G, Gi, s, xs, theta):
+        want = first_not_intertwined_oracle(G, Gi, s, xs, theta)
+        assert _first_not_intertwined(G, Gi, s, xs, theta).tolist() == \
+            want.tolist()
+        return want
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_sweep_representatives(self, block_a, parabolic_kr, which,
+                                   monkeypatch):
+        blk = ([block_a] + list(parabolic_kr.blocks))[which]
+        calls = kernel_calls(monkeypatch, lambda: intertwining_dichotomy(
+            blk.datum, blk.bundle, blk.simple.theta))
+        assert len(calls) == 1
+        want = self.assert_matches_scan(*calls[0])
+        assert -1 in want and (want >= 0).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("name", ["block_b", "block_c"])
+    def test_spot_conjugators(self, name, seed, request, monkeypatch):
+        G, Gi, s, xs, theta = spot_call(request.getfixturevalue(name),
+                                        monkeypatch, seed)
+        want = self.assert_matches_scan(G, Gi, s, xs, theta)
+        # every intertwining row, the 40 members of J cap K first, is
+        # certified on the generators alone
+        fixed = groups._fixed_on_generators(G, Gi, theta)
+        assert fixed[:40].all()
+        assert fixed.tolist() == (want < 0).tolist()
+
+    @pytest.mark.parametrize("twist", ["double", "conjugated"])
+    def test_twisted_character(self, block_b, twist, monkeypatch):
+        G, Gi, s, xs, theta = spot_call(block_b, monkeypatch)
+        h1 = theta.domain
+        normal = normalizes_h1(G, Gi, h1)
+        if twist == "double":
+            nums = 2 * theta.nums
+        else:
+            # theta o Ad(h) for a sampled h that normalizes H1 but does not
+            # intertwine theta: the members of J cap K no longer fix it
+            h = int(np.flatnonzero(normal[40:])[0]) + 40
+            conj = (G[h] @ h1.mats % h1.modulus) @ Gi[h] % h1.modulus
+            nums = theta.nums[h1.index_of_codes(pack(conj, 3, h1.level))]
+        twisted = GroupCharacter(h1, nums, theta.denom)
+        assert groups.verify_character(h1, twisted.nums,
+                                       twisted.denom).multiplicative
+        want = self.assert_matches_scan(G, Gi, s, xs, twisted)
+        fixed = groups._fixed_on_generators(G, Gi, twisted)
+        # normalizing rows that the generators do not certify are scanned
+        assert (normal & ~fixed & (want >= 0)).any()
+        assert fixed.tolist() == (want < 0).tolist()
+
+    def test_perturbed_table_takes_no_shortcut(self, block_b, monkeypatch):
+        G, Gi, s, xs, theta = spot_call(block_b, monkeypatch)
+        nums = theta.nums.copy()
+        k = (theta.domain.identity_index() + 1) % len(nums)
+        nums[k] = (nums[k] + 1) % theta.denom
+        perturbed = GroupCharacter(theta.domain, nums, theta.denom)
+        assert not groups._fixed_on_generators(G, Gi, perturbed).any()
+        self.assert_matches_scan(G, Gi, s, xs, perturbed)
+
+    def test_a_wrong_inverse_is_not_certified(self, block_b):
+        # x -> x c with c in ker theta agrees with theta on all of H1, but it
+        # is no conjugation, so the generator proof must not take it
+        theta = block_b.simple.theta
+        h1 = theta.domain
+        ident = h1.identity_index()
+        c = next(i for i in np.flatnonzero(theta.nums == 0) if i != ident)
+        G = np.eye(2, dtype=np.int64)[None]
+        assert groups._fixed_on_generators(G, G, theta).all()
+        assert not groups._fixed_on_generators(G, h1.mats[c][None],
+                                                theta).any()
+        self.assert_matches_scan(G, h1.mats[c][None], 0, h1.mats, theta)
+
+    @pytest.mark.parametrize("name", ["prime", "diag(1,3)", "diag(3,1)"])
+    def test_negative_shift_through_intertwines(self, block_a, name,
+                                                monkeypatch):
+        d = block_a.datum
+        g = {"prime": block_a.bundle.prime_element,
+             "diag(1,3)": MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]]),
+             "diag(3,1)": MatrixApprox.from_exact(d.ctx, [[3, 0], [0, 1]])
+             }[name]
+        calls = kernel_calls(monkeypatch, lambda: intertwines(
+            g, block_a.simple.theta, d, block_a.bundle))
+        (G, Gi, s, xs, theta), = calls
+        assert s < 0
+        self.assert_matches_scan(G, Gi, s, xs, theta)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_one_draw_at_a_time(self, n, seed):
+        p, L = 3, 2
+
+        def inside(g):
+            return g[0, n - 1] % p == 0
+
+        def inside_stack(gs):
+            return gs[:, 0, n - 1] % p == 0
+
+        got = sample_units_outside(inside_stack, p, L, n,
+                                   np.random.default_rng(seed), 300)
+        want = sample_units_outside_oracle(inside, p, L, n,
+                                           np.random.default_rng(seed), 300)
+        got, want = list(got), list(want)
+        assert 0 < len(want) < 300
+        assert [g.tolist() for g in got] == [g.tolist() for g in want]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_membership_stack_matches_per_matrix(self, block_a, seed):
+        jk = block_a.bundle.jcapk
+        got = itertools.islice(sample_units_outside(
+            jk.member_mask, 3, 2, 2, np.random.default_rng(seed), 400), 40)
+        want = itertools.islice(sample_units_outside_oracle(
+            jk.contains_residues, 3, 2, 2, np.random.default_rng(seed), 400),
+            40)
+        assert [g.tolist() for g in got] == [g.tolist() for g in want]
+
+    def test_tries_bound_the_draws(self):
+        # everything is inside: no point is yielded after `tries` draws
+        rng = np.random.default_rng(0)
+        assert list(sample_units_outside(
+            lambda gs: np.ones(len(gs), dtype=bool), 3, 1, 2, rng, 50)) == []
+        left = rng.integers(0, 3, size=(2, 2))
+        again = np.random.default_rng(0)
+        for _ in range(50):
+            again.integers(0, 3, size=(2, 2))
+        assert left.tolist() == again.integers(0, 3, size=(2, 2)).tolist()
 
 
 def test_no_float_decisions():
