@@ -21,7 +21,8 @@ import numpy as np
 from .errors import BudgetExceeded, DatumInvalid
 from .orders import mat_mul_int
 from .padic import _adjugate, _int_det
-from .residues import contains_codes, matrix_keys
+from .residues import (chunk_rows, contains_codes, fits_packing, matrix_keys,
+                       pack, sorted_index, sorted_unique, unpack)
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,17 @@ class LatticeQuery:
     def torus_set(self, budget: int = 1_000_000) -> np.ndarray:
         """Closure of I and the generators under product mod p^cf (cached).
 
-        Breadth-first over whole frontiers: each step multiplies the newly
-        found elements by every generator in one int64 broadcast and keeps
-        the products whose key (residues.matrix_keys) is unseen.  Returns
-        the sorted, read-only key array; without generators the torus is
-        {I}.
+        The seed is the product of the generators' cyclic subgroups: for
+        each generator g the set S grows to S g^0 ... S g^(m-1), with m the
+        least exponent such that g^m lies in S, the powers found by
+        doubling.  A breadth-first loop then multiplies its frontier,
+        first the whole seed, by every generator and keeps the unseen
+        products.  On commuting generators its first round finds nothing
+        new, which certifies that S is the closure.  Elements are kept as
+        sorted codes (_codes: residues.pack, or residues.matrix_keys where
+        the packing does not fit int64).  Returns the sorted, read-only
+        code array; without generators the torus is {I}.  BudgetExceeded
+        is raised exactly when more than `budget` elements are distinct.
         """
         n, mod = self.n, self.p ** self.cf
         if n * (mod - 1) ** 2 >= 2 ** 63:
@@ -57,31 +64,92 @@ class LatticeQuery:
                         dtype=np.int64).reshape(-1, n, n)
         if mod > 1 and any(_int_det(g.tolist()) % self.p == 0 for g in gens):
             raise DatumInvalid("torus residue is not invertible mod p")
-        frontier = np.eye(n, dtype=np.int64)[None] % mod
-        seen = set(matrix_keys(frontier).tolist())
-        found = [frontier]
+        seed = np.eye(n, dtype=np.int64)[None] % mod
+        known = self._codes(seed)
+        for g in gens:
+            powers = self._powers_outside(g, known, budget)
+            known = self._distinct(_products(seed, powers, mod), budget)
+            seed = self._decode(known)
+        frontier = seed
         while len(frontier):
-            prods = (frontier[:, None] @ gens[None]).reshape(-1, n, n) % mod
-            fresh = []
-            for i, key in enumerate(matrix_keys(prods).tolist()):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            if len(seen) > budget:
-                raise BudgetExceeded("torus closure exceeded budget",
-                                     estimate=len(seen))
-            frontier = prods[fresh]
-            found.append(frontier)
-        del seen                       # free it before the copies below
-        keys = np.sort(matrix_keys(np.concatenate(found)))
-        keys.flags.writeable = False
-        return keys
+            prods = self._distinct(_products(frontier, gens, mod), budget)
+            fresh = prods[sorted_index(known, prods) < 0]
+            _check_budget(len(known) + len(fresh), budget)
+            if len(fresh):
+                # two sorted runs: the stable sort merges them in one pass
+                known = np.sort(np.concatenate([known, fresh]),
+                                kind="stable")
+            frontier = self._decode(fresh)
+        known.flags.writeable = False
+        return known
+
+    def _powers_outside(self, g, known, budget):
+        """g^0 ... g^(m-1), m the least exponent with g^m among the sorted
+        codes `known`, by doubling: one stacked product per step."""
+        mod = self.p ** self.cf
+        powers, step = np.eye(self.n, dtype=np.int64)[None] % mod, g
+        while True:
+            more = powers @ step % mod
+            hit = np.flatnonzero(sorted_index(known, self._codes(more)) >= 0)
+            if len(hit):
+                return np.concatenate([powers, more[:hit[0]]])
+            # no power g^i with 0 < i < 2 len(powers) is known, so all of
+            # g^0 ... g^(2 len(powers) - 1) are distinct members
+            powers = np.concatenate([powers, more])
+            _check_budget(len(powers), budget)
+            step = step @ step % mod
+
+    def _distinct(self, stacks, budget):
+        """Sorted distinct codes of a stream of residue stacks, raising
+        BudgetExceeded once more than `budget` of them are distinct.
+        Codes are deduplicated whenever more than twice `budget` are held,
+        so no product count before deduplication raises."""
+        parts, held = [], 0
+        for mats in stacks:
+            parts.append(self._codes(mats))
+            held += len(parts[-1])
+            if held > 2 * budget:
+                parts = [sorted_unique(np.concatenate(parts))]
+                held = len(parts[0])
+                _check_budget(held, budget)
+        codes = sorted_unique(np.concatenate(parts))
+        _check_budget(len(codes), budget)
+        return codes
+
+    def _codes(self, mats) -> np.ndarray:
+        """Sortable codes of a residue stack mod p^cf: residues.pack where
+        it fits int64, else residues.matrix_keys."""
+        if fits_packing(self.p, self.cf, self.n):
+            return pack(mats, self.p, self.cf)
+        return matrix_keys(mats)
+
+    def _decode(self, codes) -> np.ndarray:
+        """The residue stack of codes made by _codes."""
+        if codes.dtype == np.int64:
+            return unpack(codes, self.p, self.cf, self.n)
+        return np.frombuffer(codes.tobytes(), dtype=">i8").reshape(
+            -1, self.n, self.n).astype(np.int64)
 
     def in_torus(self, mats) -> np.ndarray:
         """Whether each integer matrix of a stack reduces into the torus."""
         torus = self.torus_set()
         mats = np.asarray(mats, dtype=np.int64).reshape(-1, self.n, self.n)
-        return contains_codes(torus, matrix_keys(mats % self.p ** self.cf))
+        return contains_codes(torus, self._codes(mats % self.p ** self.cf))
+
+
+def _check_budget(distinct, budget):
+    if distinct > budget:
+        raise BudgetExceeded("torus closure exceeded budget",
+                             estimate=distinct)
+
+
+def _products(left, right, mod):
+    """left[i] right[j] mod `mod` for every i and j, i slowest, as stacks of
+    whole rows i sized by residues.chunk_rows."""
+    n = left.shape[-1]
+    step = chunk_rows(4 * 8 * n * n * len(right))
+    for lo in range(0, len(left), step):
+        yield (left[lo:lo + step, None] @ right[None]).reshape(-1, n, n) % mod
 
 
 def regime_threshold(q: LatticeQuery) -> int:

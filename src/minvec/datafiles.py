@@ -177,9 +177,22 @@ def parse_query_text(text: str) -> QuerySpec:
              "not a lattice query file")
     for key in ("n", "m", "entry_bound", "p", "c"):
         _require(key in obj, f"missing field {key!r}")
+        _require(_is_int(obj[key]), f"{key} must be an integer")
+    n = obj["n"]
+    _require(n >= 1, "n must be a positive integer")
     gens = obj.get("torus_generators", [])
-    return QuerySpec(obj["n"], obj["m"], obj["entry_bound"], obj["p"],
+    _require(isinstance(gens, list), "torus_generators must be a list")
+    for g in gens:
+        _require(isinstance(g, list) and len(g) == n
+                 and all(isinstance(r, list) and len(r) == n
+                         and all(_is_int(v) for v in r) for r in g),
+                 f"each torus generator must be an {n} x {n} integer matrix")
+    return QuerySpec(n, obj["m"], obj["entry_bound"], obj["p"],
                      obj["c"], [[list(r) for r in g] for g in gens])
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_datum(path):

@@ -2,9 +2,12 @@
 
 Element sets are numpy arrays of shape (M, n, n) with int64 residues in
 [0, p^L).  For sorting and membership each matrix is packed into one int64
-(pack, while (p^L)^(n^2) fits) or keyed by its bytes (matrix_keys, any
-modulus); all heavy pairwise checks go through these helpers so they stay
-exact (integer arithmetic only) while running at numpy speed.
+(pack, while (p^L)^(n^2) < 2^62) or, only past that, keyed by its bytes
+(matrix_keys, any modulus).  Sets of codes are deduplicated by sorting
+(sorted_unique) and looked up by binary search (sorted_index); the lattice
+torus closure keeps its elements this way.  All heavy pairwise checks go
+through these helpers so they stay exact (integer arithmetic only) while
+running at numpy speed.
 """
 
 from __future__ import annotations

@@ -131,6 +131,30 @@ class TestExitCodes:
                           str(DATA_DIR / "query_m1_shallow.json"))
         assert code == 4
 
+    @pytest.mark.parametrize("gens", [
+        [[[1, 0, 0, 4]]],                                   # a 1 x 4 matrix
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],                # 3 x 3 for n = 2
+        [[[0.5, 0], [0, 1]]],                               # not an integer
+    ], ids=["flat-row", "wrong-size", "fraction"])
+    def test_count_rejects_bad_generator(self, tmp_path, gens, capsys):
+        bad = tmp_path / "bad_query.json"
+        bad.write_text(canonical_dumps({
+            "kind": "lattice-query", "n": 2, "m": 4, "entry_bound": 4,
+            "p": 3, "c": 2, "torus_generators": gens}))
+        code, _ = run_cli("count", str(bad))
+        assert code == 2
+        assert "2 x 2 integer matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "m", "entry_bound", "p", "c"])
+    def test_count_rejects_non_integer_field(self, tmp_path, key):
+        obj = {"kind": "lattice-query", "n": 2, "m": 4, "entry_bound": 4,
+               "p": 3, "c": 2, "torus_generators": []}
+        obj[key] = 2.0
+        bad = tmp_path / "bad_query.json"
+        bad.write_text(canonical_dumps(obj))
+        code, _ = run_cli("count", str(bad))
+        assert code == 2
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path):

@@ -9,15 +9,20 @@ from minvec.counting import (LatticeQuery, amplifier_exponent,
                              partition_count, tau_bound)
 from minvec.datafiles import load_query
 from minvec.errors import BudgetExceeded, DatumInvalid
-from minvec.residues import fits_packing, sorted_index
+from minvec.residues import fits_packing, sorted_index, unpack
 from conftest import DATA_DIR
 from oracles import brute_force_S, partition_count_oracle, torus_closure_oracle
 
 
 def torus_elements(q):
-    """The torus_set keys decoded to row-major flat residue tuples."""
+    """The torus_set codes decoded to row-major flat residue tuples: packed
+    int64 codes by residues.unpack, byte keys past packing by their bytes."""
     keys = q.torus_set()
-    flat = np.frombuffer(keys.tobytes(), dtype=">i8").reshape(len(keys), -1)
+    if keys.dtype == np.int64:
+        flat = unpack(keys, q.p, q.cf, q.n).reshape(len(keys), -1)
+    else:
+        flat = np.frombuffer(keys.tobytes(), dtype=">i8").reshape(len(keys),
+                                                                   -1)
     return [tuple(row) for row in flat.tolist()]
 
 
@@ -105,13 +110,28 @@ class TestTorus:
         # one cyclic unit mod 25
         (LatticeQuery(2, 1, 1, 5, 2, (((1, 1), (1, 2)),)), 50),
         (PAST_PACKING, 3 ** 9 * 2),
-    ], ids=["diagonal-mod-81", "sl2-mod-9", "cyclic-mod-25", "past-packing"])
+        # commuting, with <diag(16, 1)> inside <diag(4, 1)> (order 27)
+        (LatticeQuery(2, 1, 1, 3, 4, (((4, 0), (0, 1)), ((16, 0), (0, 1)))),
+         27),
+        (LatticeQuery(2, 1, 1, 3, 4, (((16, 0), (0, 1)), ((4, 0), (0, 1)),
+                                      ((1, 0), (0, 2)))),
+         27 * 54),
+        # the generator I alongside a real one
+        (LatticeQuery(2, 1, 1, 5, 2, (IDENT[0], ((1, 1), (1, 2)))), 50),
+        # I + e12 and I + e23 mod 9 do not commute: the upper unitriangular
+        # group grows past the seed <I + e12><I + e23> of 81 elements
+        (LatticeQuery(3, 1, 1, 3, 2, (((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+                                      ((1, 0, 0), (0, 1, 1), (0, 0, 1)))),
+         9 ** 3),
+    ], ids=["diagonal-mod-81", "sl2-mod-9", "cyclic-mod-25", "past-packing",
+            "overlap-mod-81", "overlap-three-mod-81", "identity-generator",
+            "n3-unitriangular-mod-9"])
     def test_matches_oracle(self, q, size):
         mod = q.p ** q.cf
         want = torus_closure_oracle(q.torus_generators, mod, q.n)
         elems = torus_elements(q)
         assert elems == sorted(want) and len(elems) == size
-        mats = np.array(sorted(want)).reshape(-1, 2, 2)
+        mats = np.array(sorted(want)).reshape(-1, q.n, q.n)
         assert q.in_torus(mats).all()
         assert q.in_torus(mats + mod).all()
         assert not q.in_torus(mats * 0).any()
@@ -134,6 +154,28 @@ class TestTorus:
         q = LatticeQuery(2, 4, 4, 3, 7, (((1, 0), (0, 4)), ((4, 0), (0, 1))))
         with pytest.raises(BudgetExceeded):
             q.torus_set(budget=100)
+
+    def test_budget_boundary_deep(self):
+        # each cyclic subgroup (729 elements) fits 1000; the closure does not
+        q = load_query(DATA_DIR / "query_m4_deep.json").query()
+        with pytest.raises(BudgetExceeded):
+            q.torus_set(budget=1000)
+        assert len(q.torus_set(budget=531441)) == 531441
+
+    def test_budget_exact_non_commuting(self):
+        u, low = ((1, 1), (0, 1)), ((1, 0), (1, 1))
+        q = LatticeQuery(2, 1, 1, 3, 2, (u, low))
+        with pytest.raises(BudgetExceeded):
+            q.torus_set(budget=647)
+        assert len(q.torus_set(budget=648)) == 648
+
+    def test_budget_counts_distinct_products(self):
+        # ten copies of one generator of order 27: the certifying round
+        # makes 270 products, all duplicates of the 27 elements
+        q = LatticeQuery(2, 1, 1, 3, 4, (((4, 0), (0, 1)),) * 10)
+        assert len(q.torus_set(budget=27)) == 27
+        with pytest.raises(BudgetExceeded):
+            q.torus_set(budget=26)
 
     def test_overflow_names_modulus(self):
         q = LatticeQuery(2, 1, 1, 3, 20, IDENT)

@@ -4,10 +4,14 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
-from conftest import REPO
+from conftest import DATA_DIR, REPO
+from oracles import torus_closure_oracle
+
+from minvec.datafiles import load_query
 
 
 def load_perfbench(name):
@@ -48,3 +52,27 @@ def test_traced_verify_records_every_hook(tmp_path):
     recorded = {span[0] for span in json.loads(spans.read_text())["spans"]}
     hooks = load_perfbench("workloads").VERIFY_HOOKS
     assert sorted(set(hooks) - recorded) == []
+
+
+def test_traced_count_records_every_hook(tmp_path):
+    # report-all over one query reaches every hook of the count workload;
+    # the torus hook reads lru_cache's cache_info() and len(torus_set())
+    data = tmp_path / "data"
+    data.mkdir()
+    query = DATA_DIR / "query_m4_shallow.json"
+    shutil.copyfile(query, data / query.name)
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "traced.py"), str(spans),
+         "--", "report-all", str(data)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(spans.read_text())
+    recorded = {span[0] for span in traced["spans"]}
+    hooks = load_perfbench("workloads").Count.hooks
+    assert sorted(set(hooks) - recorded) == []
+    q = load_query(query).query()
+    torus = torus_closure_oracle(q.torus_generators, q.p ** q.cf, q.n)
+    assert traced["counters"]["counting.torus_misses"] >= 1
+    assert traced["counters"]["counting.torus_elements"] == len(torus)
