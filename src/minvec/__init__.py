@@ -8,18 +8,4 @@ exact: truncated p-adic matrices with explicit precision, rationals, and
 formal sums of roots of unity.
 """
 
-from .errors import (BudgetExceeded, ConstructionFailure, DatumInvalid,
-                     MinvecError, PrecisionLoss)
-from .padic import MatrixApprox, PrecisionCtx
-from .orders import (HereditaryOrder, InductionDatum, check_approximation,
-                     in_radical_power, is_minimal, k0, v_A)
-from .groups import (build_Kpi, build_subgroups, extend_and_induce,
-                     heisenberg, intertwines, intertwining_dichotomy,
-                     prepare_block, simple_character)
-from .testfunc import (concentration_check, convolve_check, depth_report,
-                       make_omega, volume)
-from .counting import (LatticeQuery, amplifier_exponent, enumerate_S,
-                       partition_count, tau_bound)
-from .cyclotomic import CyclotomicSum
-
 __version__ = "0.1.0"

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import sys
 import time
 from pathlib import Path
 
-from . import counting, datafiles, groups, testfunc
+from . import datafiles
 from .errors import (BudgetExceeded, ConstructionFailure, DatumInvalid,
                      MinvecError, PrecisionLoss)
 from .orders import approximation_report, is_minimal, k0
-from .residues import sample_units_outside
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -44,11 +44,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _load_datum(path):
-    p = Path(path)
-    if not p.is_file():
+def _load(path, load):
+    if not Path(path).is_file():
         raise DatumInvalid(f"no such file: {path}")
-    return datafiles.load_datum(p)
+    return load(Path(path))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +59,7 @@ def _block_specs(spec):
 
 
 def cmd_order(args) -> int:
-    spec = _load_datum(args.datum)
+    spec = _load(args.datum, datafiles.load_datum)
     specs = _block_specs(spec)
     human = [f"datum: {args.datum}"]
     blocks = []
@@ -108,6 +107,7 @@ def cmd_order(args) -> int:
 
 def _prepare(spec, margin, budget, seed, data=None):
     """Blocks and K_pi of a datum file, built from `data` when given."""
+    from . import groups
     if data is None:
         data = [s.build(margin=margin, strict="always")
                 for s in _block_specs(spec)]
@@ -125,6 +125,7 @@ def _prepare(spec, margin, budget, seed, data=None):
 
 
 def _check_character(blocks, kr, args):
+    from . import groups
     out = []
     for i, blk in enumerate(blocks):
         sc = blk.simple
@@ -173,6 +174,7 @@ def _check_heisenberg(blocks, kr, args):
 
 
 def _check_intertwine(blocks, kr, args):
+    from . import groups
     out = []
     for i, blk in enumerate(blocks):
         try:
@@ -206,8 +208,10 @@ def _check_intertwine(blocks, kr, args):
 
 
 def _check_omega(blocks, kr, args):
-    tf = testfunc.make_omega(kr)
     import numpy as np
+    from . import testfunc
+    from .residues import sample_units_outside
+    tf = testfunc.make_omega(kr)
     rng = np.random.default_rng(args.seed)
     n = kr.n
     ident = np.eye(n, dtype=np.int64)
@@ -231,6 +235,7 @@ def _check_omega(blocks, kr, args):
 
 
 def _check_convolution(blocks, kr, args):
+    from . import testfunc
     tf = testfunc.make_omega(kr)
     vol = testfunc.volume(kr)
     conv = testfunc.convolve_check(tf, seed=args.seed)
@@ -259,6 +264,7 @@ def _check_convolution(blocks, kr, args):
 
 
 def _check_concentration(blocks, kr, args):
+    from . import testfunc
     tf = testfunc.make_omega(kr)
     conc = testfunc.concentration_check(tf, seed=args.seed)
     section = {
@@ -294,7 +300,8 @@ def cmd_verify(args, data=None) -> int:
                 raise DatumInvalid(f"unknown check {c!r}")
     else:
         names = list(ALL_CHECKS)
-    spec = _load_datum(args.datum)
+    from . import testfunc
+    spec = _load(args.datum, datafiles.load_datum)
     blocks, kr = _prepare(spec, args.precision_margin, args.budget,
                           args.seed, data)
     dr = testfunc.depth_report(kr)
@@ -342,10 +349,8 @@ def cmd_verify(args, data=None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    path = Path(args.query)
-    if not path.is_file():
-        raise DatumInvalid(f"no such file: {args.query}")
-    qspec = datafiles.load_query(path)
+    from . import counting
+    qspec = _load(args.query, datafiles.load_query)
     rep = counting.enumerate_S(qspec.query(), budget=args.budget)
     human = [
         f"query: {args.query}",
@@ -380,8 +385,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    if args.n < 2:
-        raise DatumInvalid("n >= 2 required")
+    from . import counting
     rep = counting.amplifier_exponent(args.n)
     human = [
         f"n = {args.n}",
@@ -422,42 +426,27 @@ def cmd_report_all(args) -> int:
     pieces = []
     codes = []
 
-    class _Sub:
-        pass
+    def run(fn, **fields):
+        sub = argparse.Namespace(**{**vars(args), "out": None, **fields})
+        buf, code = _capture(fn, sub)
+        pieces.append(buf)
+        codes.append(code)
 
     for path in sorted(data_dir.glob("*.json")):
-        import json as _json
-        kind = _json.loads(path.read_text()).get("kind", "supercuspidal")
-        sub = _Sub()
-        sub.__dict__.update(vars(args))
-        sub.out = None
+        kind = json.loads(path.read_text()).get("kind", "supercuspidal")
         if kind in ("supercuspidal", "parabolic"):
-            sub.datum = str(path)
-            sub.checks = None
-            buf, code = _capture(cmd_order, sub)
-            pieces.append(buf)
-            codes.append(code)
+            run(cmd_order, datum=str(path), checks=None)
             data = _verifiable(path, args.precision_margin)
             if data is not None:
-                buf, code = _capture(lambda a: cmd_verify(a, data), sub)
-                pieces.append(buf)
-                codes.append(code)
+                run(lambda a: cmd_verify(a, data), datum=str(path),
+                    checks=None)
             else:
                 pieces.append(f"verify {path.name}: not applicable "
                               "(datum is not minimal; see the order report)\n")
         elif kind == "lattice-query":
-            sub.query = str(path)
-            buf, code = _capture(cmd_count, sub)
-            pieces.append(buf)
-            codes.append(code)
+            run(cmd_count, query=str(path))
     for n in (2, 3):
-        sub = _Sub()
-        sub.__dict__.update(vars(args))
-        sub.out = None
-        sub.n = n
-        buf, code = _capture(cmd_exponent, sub)
-        pieces.append(buf)
-        codes.append(code)
+        run(cmd_exponent, n=n)
     text = "\n".join(pieces)
     _emit(text, args.out)
     if EXIT_FALSIFIED in codes:

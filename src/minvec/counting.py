@@ -189,15 +189,18 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
                 row_order=None, pruned: bool = True) -> CountReport:
     """All integer matrices with |entries| <= B, det = m, reduction in T.
 
-    Row-by-row search over the first n-1 rows of row_order with exact
-    Hadamard-type pruning.  The determinant is linear in the row searched
-    last, so one int64 dot product of every bounded row with the cofactor
-    vector of the fixed rows decides all leaves at once; torus membership
-    is then tested in one batched lookup on the det = m candidates only.
-    candidates_scanned counts every row tried at every level plus every
-    leaf that survives pruning.  The result is independent of the row
-    ordering (canonical sorted output), which row_order exposes for the
-    permutation-stability test.
+    Row-by-row search over the first n-2 rows of row_order with exact
+    Hadamard-type pruning; the last two rows are decided in one stacked
+    int64 kernel.  The last row's cofactors are linear in the row before
+    it, so with C their values at the n unit rows, rows @ C @ rows.T holds
+    all R x R determinants (R = (2B+1)^n) and the pruning becomes masks on
+    it (n = 1 keeps a one-row leaf).  Torus membership is then tested in
+    one batched lookup on the det = m candidates only.  candidates_scanned
+    counts every row tried at every level plus every leaf that survives
+    pruning, from cumulative sums; the budget is raised at the same row,
+    with the same partial, as by a row-by-row search.  The result is
+    independent of the row ordering (canonical sorted output), which
+    row_order exposes for the permutation-stability test.
     """
     t0 = time.perf_counter()
     n, m, B = q.n, q.m, q.entry_bound
@@ -208,54 +211,95 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
     order = list(row_order) if row_order is not None else list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("row_order must be a permutation of the rows")
-    if (2 * B + 1) ** n > budget or math.factorial(n) * B ** n >= 2 ** 63:
+    top = n * B * B                    # the largest |row|^2
+    if (2 * B + 1) ** n > budget or math.factorial(n) * B ** n >= 2 ** 63 \
+            or top * (top + 1) >= 2 ** 63:
         raise BudgetExceeded("bounded rows exceed the budget or int64",
                              estimate=total)
 
-    rows = list(itertools.product(range(-B, B + 1), repeat=n))
-    rows_arr = np.array(rows, dtype=np.int64)
+    rows_arr = np.array(list(itertools.product(range(-B, B + 1), repeat=n)),
+                        dtype=np.int64)
+    R = len(rows_arr)
     row_sq = (rows_arr * rows_arr).sum(axis=1)
     # squared Hadamard bound for the remaining rows, in exact integers
-    bound_sq = [(n * B * B) ** r for r in range(n + 1)]
-    last = order[-1]
-    candidates = []                    # det = m, torus not yet tested
+    bound_sq = [top ** r for r in range(n + 1)]
+    fixed = np.zeros((n, n), dtype=np.int64)
+    parts = [np.empty((0, n, n), dtype=np.int64)]  # det = m, torus untested
     scanned = 0
-    rows_buf = [(0,) * n] * n
 
     def over_budget():
         return BudgetExceeded("enumeration budget exceeded", estimate=total,
-                              partial=int(q.in_torus(candidates).sum()))
+                              partial=int(q.in_torus(np.concatenate(parts))
+                                          .sum()))
+
+    def floor_sq(sq_prod, sq):
+        """Least |row|^2 of a surviving leaf below rows of squared norms
+        sq_prod * sq (ceiling division); top + 1 where none survives."""
+        if not pruned:
+            return np.zeros_like(sq)
+        # the cap keeps num in int64 and changes no floor below top + 1
+        num = min(-(-m * m // sq_prod), top * (top + 1))
+        return np.minimum(-(-num // np.maximum(sq, 1)), top + 1)
+
+    def two_rows(sq_prod):
+        nonlocal scanned
+        prev, last = order[-2:]
+        cof = np.empty((n, n), dtype=np.int64)
+        for t, unit in enumerate(np.eye(n, dtype=np.int64)):
+            fixed[prev] = unit
+            # column `last` of the adjugate ignores row `last`
+            cof[t] = [r[last] for r in _adjugate(fixed.tolist(), n)]
+        # rows_arr[i] as row `prev` reaches the last row where it survives
+        floor = floor_sq(sq_prod, row_sq)
+        enters = (row_sq > 0) & (floor <= top) if pruned else \
+            np.ones(R, dtype=bool)
+        # each row tried scans 1, then its leaf R rows plus the survivors
+        live = R - np.searchsorted(np.sort(row_sq), floor)
+        leaf = np.where(enters, R + live, 0)
+        reach = scanned + np.cumsum(np.stack([np.ones_like(leaf), leaf], 1))
+        over = np.flatnonzero(reach > budget)
+        stop = over[0] // 2 if len(over) else R
+        entered = np.flatnonzero(enters[:stop])
+        step = chunk_rows(4 * 8 * R)
+        for lo in range(0, len(entered), step):
+            idx = entered[lo:lo + step]
+            dets = rows_arr[idx] @ cof @ rows_arr.T
+            i, j = np.nonzero((dets == m) & (row_sq >= floor[idx, None]))
+            mats = np.repeat(fixed[None], len(i), axis=0)
+            mats[:, prev], mats[:, last] = rows_arr[idx[i]], rows_arr[j]
+            parts.append(mats)
+        if len(over):
+            raise over_budget()
+        scanned = int(reach[-1])
 
     def rec(k, sq_prod):
         nonlocal scanned
         if pruned and sq_prod * bound_sq[n - k] < m * m:
             return
         if k == n - 1:
-            # a leaf survives iff sq_prod * |row|^2 >= m^2 (ceil division)
-            live = row_sq >= (-(-m * m // sq_prod) if pruned else 0)
-            scanned += len(rows) + int(np.count_nonzero(live))
+            # n = 1: a one-row leaf whose determinant is its entry
+            live = row_sq >= floor_sq(sq_prod, 1)
+            scanned += R + int(np.count_nonzero(live))
             if scanned > budget:
                 raise over_budget()
-            # column `last` of the adjugate ignores row `last`
-            cof = np.array([r[last] for r in _adjugate(rows_buf, n)],
-                           dtype=np.int64)
-            for i in np.flatnonzero(live & (rows_arr @ cof == m)):
-                rows_buf[last] = rows[i]
-                candidates.append(tuple(rows_buf))
+            parts.append(rows_arr[live & (rows_arr[:, 0] == m)][:, None])
             return
+        if k == n - 2:
+            return two_rows(sq_prod)
         ridx = order[k]
-        for row, sq in zip(rows, row_sq.tolist()):
+        for row, sq in zip(rows_arr, row_sq.tolist()):
             scanned += 1
             if scanned > budget:
                 raise over_budget()
-            rows_buf[ridx] = row
+            fixed[ridx] = row
             if pruned and sq == 0:
                 continue
             rec(k + 1, sq_prod * (sq or 1))
 
     rec(0, 1)
-    matches = sorted(mat for mat, ok in zip(candidates, q.in_torus(candidates))
-                     if ok)
+    candidates = np.concatenate(parts)
+    matches = sorted(tuple(map(tuple, mat)) for mat in
+                     candidates[q.in_torus(candidates)].tolist())
     abelian, witness = _pairwise_commuting(matches)
     classes = _unit_classes(matches, m, n)
     fiber = max((len(c) for c in classes), default=0)
@@ -270,11 +314,9 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
 
 
 def _pairwise_commuting(matches):
-    for i in range(len(matches)):
-        a = matches[i]
-        for b in matches[i + 1:]:
-            if mat_mul_int(a, b) != mat_mul_int(b, a):
-                return False, (a, b)
+    for a, b in itertools.combinations(matches, 2):
+        if mat_mul_int(a, b) != mat_mul_int(b, a):
+            return False, (a, b)
     return True, None
 
 
@@ -289,13 +331,11 @@ def _unit_classes(matches, m, n):
     """
     classes = []
     for g in matches:
-        placed = False
         for cls in classes:
             if _unit_equivalent(cls[0], g, m, n):
                 cls.append(g)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([g])
     return classes
 

@@ -149,10 +149,6 @@ def approximation_report(o: HereditaryOrder, i: int, ctx: PrecisionCtx) -> Appro
     return ApproximationReport(i, lower, upper, holds, lower_strict, upper_strict)
 
 
-def check_approximation(o: HereditaryOrder, i: int, ctx: PrecisionCtx) -> bool:
-    return approximation_report(o, i, ctx).holds
-
-
 # -- integer matrix helpers for the exact searches ---------------------------
 
 def mat_mul_int(a, b):

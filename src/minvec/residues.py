@@ -28,17 +28,18 @@ def fits_packing(p: int, L: int, n: int) -> bool:
     return (p ** L) ** (n * n) < 2 ** 62
 
 
+def _weights(p: int, L: int, n: int) -> np.ndarray:
+    """Place values (p^L)^(n^2 - 1), ..., 1 of the row-major packing."""
+    if not fits_packing(p, L, n):
+        raise OverflowError("residue packing does not fit in int64")
+    return (p ** L) ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+
+
 def pack(mats: np.ndarray, p: int, L: int) -> np.ndarray:
     """Row-major base-p^L packing of (M, n, n) residue matrices."""
     M, n, _ = mats.shape
-    base = p ** L
-    if not fits_packing(p, L, n):
-        raise OverflowError("residue packing does not fit in int64")
-    flat = np.asarray(mats.reshape(M, n * n), dtype=np.int64)
-    codes = np.zeros(M, dtype=np.int64)
-    for i in range(n * n):
-        codes = codes * base + flat[:, i]
-    return codes
+    return np.asarray(mats, dtype=np.int64).reshape(M, n * n) \
+        @ _weights(p, L, n)
 
 
 def matrix_keys(mats: np.ndarray) -> np.ndarray:
@@ -50,13 +51,10 @@ def matrix_keys(mats: np.ndarray) -> np.ndarray:
 
 
 def unpack(codes: np.ndarray, p: int, L: int, n: int) -> np.ndarray:
-    base = p ** L
-    out = np.zeros((len(codes), n * n), dtype=np.int64)
-    rem = codes.astype(np.int64).copy()
-    for i in range(n * n - 1, -1, -1):
-        out[:, i] = rem % base
-        rem //= base
-    return out.reshape(len(codes), n, n)
+    """The (M, n, n) residue matrices of codes made by pack."""
+    digits = np.asarray(codes, dtype=np.int64)[:, None] // _weights(p, L, n)
+    digits %= p ** L
+    return digits.reshape(len(codes), n, n)
 
 
 def box_enumerate(offsets, steps, counts, modulus) -> np.ndarray:

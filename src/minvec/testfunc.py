@@ -20,7 +20,7 @@ from .errors import ConstructionFailure
 from .groups import (KpiResult, _torus_approximation, first_torus_match,
                      gl_order, verify_character)
 from .padic import vp
-from .residues import chunk_rows, det_inv_mod, pack, sample_units_outside
+from .residues import det_inv_mod, sample_units_outside
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -148,10 +148,8 @@ def _convolve_full(tf, samples, seed):
     if not isinstance(theta, GroupCharacter):
         raise ConstructionFailure("enumerated support expects a character table")
     p, L, n = kpi.p, kpi.level, kpi.n
-    mod = p ** L
-    M = kpi.size
     k_count = gl_order(n, p, L)
-    d_pi = Fraction(M, k_count)
+    d_pi = Fraction(kpi.size, k_count)
     # over a certified group the termwise law Theta(x) - Theta(g^-1 x) =
     # Theta(g) for every pair (g, x) is multiplicativity itself; a failing
     # generator pair (i, s) fails it at g = g_i, x = g_i g_s
@@ -159,28 +157,20 @@ def _convolve_full(tf, samples, seed):
     ok = cert.multiplicative
     witness = None if ok else kpi.mats[cert.witness[0]]
     # cross-check: sampled units g outside the support have g^-1 K_pi
-    # disjoint from K_pi; a failure reports the last failing g
+    # disjoint from K_pi.  K_pi is a group, so g^-1 K_pi meets K_pi exactly
+    # when g^-1 lies in K_pi; a failure reports the last failing g
     rng = np.random.default_rng(seed)
     outside = sample_units_outside(kpi.member_mask, p, L, n, rng,
                                    50 * samples)
     cands = np.array(list(itertools.islice(outside, min(samples, 64))),
                      dtype=np.int64).reshape(-1, n, n)
-    cinvs = det_inv_mod(cands, p, L)[1]
-    lands = np.zeros(len(cands), dtype=bool)
-    # per candidate: two product stacks live at once, and the lookup
-    step = chunk_rows(3 * kpi.mats.size * 8)
-    for lo in range(0, len(cands), step):
-        prods = cinvs[lo:lo + step, None] @ kpi.mats
-        prods %= mod
-        idx = kpi.index_of_codes(pack(prods.reshape(-1, n, n), p, L))
-        lands[lo:lo + step] = (idx >= 0).reshape(len(prods), M).any(axis=1)
+    lands = kpi.member_mask(det_inv_mod(cands, p, L)[1])
     off_ok = not lands.any()
     if not off_ok:
         witness = cands[np.flatnonzero(lands)[-1]]
-    off_checked = len(cands)
-    scalar = Fraction(M, k_count)
-    return ConvolutionReport(d_pi, "full", M, ok, True, off_checked, off_ok,
-                             scalar, scalar == d_pi, witness)
+    scalar = Fraction(kpi.size, k_count)
+    return ConvolutionReport(d_pi, "full", kpi.size, ok, True, len(cands),
+                             off_ok, scalar, scalar == d_pi, witness)
 
 
 def _convolve_sampled(tf, samples, seed):

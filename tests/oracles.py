@@ -55,6 +55,61 @@ def brute_force_S(q):
     return sorted(out)
 
 
+def enumerate_S_oracle(q, budget=5_000_000, row_order=None, pruned=True):
+    """(sorted matches, candidates_scanned) of the row-by-row search over
+    all n rows, each last row decided by one dot product with the cofactor
+    vector of the fixed rows.  Raises BudgetExceeded, with the torus
+    members among the det = m candidates found so far as `partial`, as
+    soon as more than `budget` candidates are scanned."""
+    import numpy as np
+    from minvec.errors import BudgetExceeded
+    from minvec.padic import _adjugate
+    n, m, B = q.n, q.m, q.entry_bound
+    order = list(row_order) if row_order is not None else list(range(n))
+    rows = list(itertools.product(range(-B, B + 1), repeat=n))
+    rows_arr = np.array(rows, dtype=np.int64)
+    row_sq = (rows_arr * rows_arr).sum(axis=1)
+    bound_sq = [(n * B * B) ** r for r in range(n + 1)]
+    last = order[-1]
+    candidates = []
+    scanned = 0
+    rows_buf = [(0,) * n] * n
+
+    def over_budget():
+        return BudgetExceeded("enumeration budget exceeded",
+                              partial=int(q.in_torus(candidates).sum()))
+
+    def rec(k, sq_prod):
+        nonlocal scanned
+        if pruned and sq_prod * bound_sq[n - k] < m * m:
+            return
+        if k == n - 1:
+            live = row_sq >= (-(-m * m // sq_prod) if pruned else 0)
+            scanned += len(rows) + int(np.count_nonzero(live))
+            if scanned > budget:
+                raise over_budget()
+            cof = np.array([r[last] for r in _adjugate(rows_buf, n)],
+                           dtype=np.int64)
+            for i in np.flatnonzero(live & (rows_arr @ cof == m)):
+                rows_buf[last] = rows[i]
+                candidates.append(tuple(rows_buf))
+            return
+        ridx = order[k]
+        for row, sq in zip(rows, row_sq.tolist()):
+            scanned += 1
+            if scanned > budget:
+                raise over_budget()
+            rows_buf[ridx] = row
+            if pruned and sq == 0:
+                continue
+            rec(k + 1, sq_prod * (sq or 1))
+
+    rec(0, 1)
+    matches = sorted(mat for mat, ok in zip(candidates, q.in_torus(candidates))
+                     if ok)
+    return matches, scanned
+
+
 def partition_count_oracle(a: int, n: int) -> int:
     """Independent tuple-enumeration count (small inputs only)."""
     if n == 1:
@@ -285,6 +340,19 @@ def spot_oracle(d, bundle, theta, members=40, nonmembers=40, seed=0):
             return members, checked, False, g
         checked += 1
     return members, checked, True, None
+
+
+def offsupport_lands_oracle(kpi, gs):
+    """For each unit g of a stack, whether g^-1 K_pi meets K_pi, by
+    multiplying g^-1 into every element of K_pi and looking each product
+    up."""
+    from minvec.residues import det_inv_mod, pack
+    p, L, n = kpi.p, kpi.level, kpi.n
+    out = []
+    for ginv in det_inv_mod(gs, p, L)[1]:
+        prods = ginv @ kpi.mats % p ** L
+        out.append(bool((kpi.index_of_codes(pack(prods, p, L)) >= 0).any()))
+    return out
 
 
 def kpi_member_oracle(kr, mat):

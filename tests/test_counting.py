@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minvec.counting import (LatticeQuery, amplifier_exponent,
                              enumerate_S, factorize, in_regime,
@@ -11,7 +13,8 @@ from minvec.datafiles import load_query
 from minvec.errors import BudgetExceeded, DatumInvalid
 from minvec.residues import fits_packing, sorted_index, unpack
 from conftest import DATA_DIR
-from oracles import brute_force_S, partition_count_oracle, torus_closure_oracle
+from oracles import (brute_force_S, enumerate_S_oracle, partition_count_oracle,
+                     torus_closure_oracle)
 
 
 def torus_elements(q):
@@ -219,6 +222,74 @@ class TestEnumerateDifferential:
     def test_candidates_scanned_pinned(self, name, scanned):
         q = load_query(DATA_DIR / f"{name}.json").query()
         assert enumerate_S(q).candidates_scanned == scanned
+
+    @pytest.mark.parametrize("q, scanned", [
+        (LatticeQuery(1, 4, 5, 3, 1, (((1,),),)), 15),
+        (LatticeQuery(1, -2, 5, 3, 0, ()), 19),
+    ])
+    def test_one_by_one(self, q, scanned):
+        # n = 1 has no row before the last: the one-row leaf decides it
+        rep = enumerate_S(q)
+        assert rep.matches == brute_force_S(q) == [((q.m,),)]
+        assert rep.candidates_scanned == scanned
+
+
+@st.composite
+def lattice_queries(draw):
+    """Small queries for n = 1, 2, 3 with unit torus generators D + p X."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    cf = draw(st.integers(0, 2))
+    bound = draw(st.integers(0, {1: 6, 2: 3, 3: 1}[n]))
+    m = draw(st.sampled_from([v for v in range(-6, 7) if v and v % p]))
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        diag = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+        x = draw(st.lists(st.integers(0, 8), min_size=n * n, max_size=n * n))
+        gens.append(tuple(tuple((diag[i] if i == j else 0) + p * x[i * n + j]
+                                for j in range(n)) for i in range(n)))
+    return LatticeQuery(n, m, bound, p, cf, tuple(gens))
+
+
+class TestBudgetPath:
+    """The two-row kernel against the row-by-row search over all n rows:
+    the same matches and candidates_scanned, and the same raise point and
+    partial count under the budget."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_queries(), st.booleans(), st.data())
+    def test_matches_row_by_row_search(self, q, pruned, data):
+        n, rows = q.n, (2 * q.entry_bound + 1) ** q.n
+        order = data.draw(st.permutations(range(n)))
+        flat = rows ** n
+        budget = data.draw(st.integers(rows, 2 * flat + rows * rows + 2))
+        if not pruned and flat > budget:
+            with pytest.raises(BudgetExceeded) as err:
+                enumerate_S(q, budget, order, pruned)
+            assert err.value.partial is None
+            return
+        try:
+            want = enumerate_S_oracle(q, budget, order, pruned)
+        except BudgetExceeded as oracle_err:
+            with pytest.raises(BudgetExceeded) as err:
+                enumerate_S(q, budget, order, pruned)
+            assert err.value.partial == oracle_err.partial
+            return
+        rep = enumerate_S(q, budget, order, pruned)
+        assert (rep.matches, rep.candidates_scanned) == want
+
+    @pytest.mark.parametrize("q, budget, partial", [
+        (LatticeQuery(2, 1, 10, 3, 1, (((2, 0), (0, 1)), ((1, 0), (0, 2)))),
+         20_000, 4),
+        (LatticeQuery(2, 1, 10, 3, 1, (((2, 0), (0, 1)), ((1, 0), (0, 2)))),
+         3_000, 1),
+        (None, 3_000, 0),
+    ], ids=["m1-b10-20000", "m1-b10-3000", "m4-deep-3000"])
+    def test_partial_pinned(self, q, budget, partial):
+        q = q or load_query(DATA_DIR / "query_m4_deep.json").query()
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_S(q, budget=budget)
+        assert err.value.partial == partial
 
 
 class TestAbelian:

@@ -6,8 +6,8 @@ import pytest
 
 from minvec.errors import BudgetExceeded, DatumInvalid, PrecisionLoss
 from minvec.orders import (HereditaryOrder, InductionDatum,
-                           approximation_report, check_approximation,
-                           in_radical_power, is_minimal, k0, v_A)
+                           approximation_report, in_radical_power,
+                           is_minimal, k0, v_A)
 from minvec.padic import MatrixApprox, PrecisionCtx
 
 from conftest import build_datum
@@ -183,7 +183,7 @@ class TestFiltrationLaws:
             for e in [d for d in range(1, n + 1) if n % d == 0]:
                 o = HereditaryOrder(n, e)
                 for i in range(-2 * e, 2 * e + 1):
-                    assert check_approximation(o, i, ctx)
+                    assert approximation_report(o, i, ctx).holds
 
     def test_strictness_example(self):
         ctx = PrecisionCtx(3, 8)
@@ -192,7 +192,7 @@ class TestFiltrationLaws:
 
     def test_wide_interval_n4(self):
         ctx = PrecisionCtx(3, 8)
-        assert check_approximation(HereditaryOrder(4, 2), -3, ctx)
+        assert approximation_report(HereditaryOrder(4, 2), -3, ctx).holds
 
 
 class TestDatumConstruction:

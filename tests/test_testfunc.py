@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 
 from minvec.groups import (BlockCharacter, FiniteSubgroup, GroupCharacter,
                            _torus_approximation, gl_order, verify_character)
+from minvec.residues import det_inv_mod, sample_units_outside
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
 
 from oracles import (convolution_rows_oracle, kpi_exponent_oracle,
-                     mat_inv_mod)
+                     mat_inv_mod, offsupport_lands_oracle)
 
 
 class TestVolume:
@@ -136,6 +138,19 @@ class TestSingleScanConvolution:
                 hit, = np.flatnonzero(np.all(kpi.mats == rep.witness,
                                              axis=(1, 2)))
                 assert hit in bad
+
+    def test_offsupport_membership_matches_product_scan(self, kr_a, kr_c):
+        # g^-1 K_pi meets the group K_pi exactly when g^-1 lies in it
+        rng = np.random.default_rng(3)
+        for kr in (kr_a, kr_c):
+            kpi = kr.kpi
+            p, L, n = kpi.p, kpi.level, kpi.n
+            outside = sample_units_outside(kpi.member_mask, p, L, n, rng, 500)
+            gs = np.concatenate([np.array(list(itertools.islice(outside, 16))),
+                                 kpi.mats[rng.integers(0, kpi.size, 8)]])
+            want = offsupport_lands_oracle(kpi, gs)
+            assert want == [False] * 16 + [True] * 8
+            assert kpi.member_mask(det_inv_mod(gs, p, L)[1]).tolist() == want
 
 
 def with_flipped_block(kr, b=0):

@@ -76,3 +76,34 @@ def test_traced_count_records_every_hook(tmp_path):
     torus = torus_closure_oracle(q.torus_generators, q.p ** q.cf, q.n)
     assert traced["counters"]["counting.torus_misses"] >= 1
     assert traced["counters"]["counting.torus_elements"] == len(torus)
+
+
+def loaded_modules(tmp_path, call):
+    """The minvec modules in sys.modules after `call` in a fresh process."""
+    script = (f"import json, sys\n{call}\n"
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith('minvec'))))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_boundary(tmp_path):
+    # count and exponent never import the verify stack
+    data = tmp_path / "data"
+    data.mkdir()
+    query = DATA_DIR / "query_m1_deep.json"
+    shutil.copyfile(query, data / query.name)
+    verify_stack = {"minvec.groups", "minvec.testfunc", "minvec.cyclotomic"}
+    alone = loaded_modules(tmp_path, "import minvec.cli")
+    assert not alone & {"minvec.groups", "minvec.counting"}
+    for argv in (["count", str(query)], ["exponent", "2"],
+                 ["report-all", str(data)]):
+        run = (f"from minvec import cli\n"
+               f"assert cli.main({argv + ['--out', 'report.txt']!r}) == 0")
+        loaded = loaded_modules(tmp_path, run)
+        assert "minvec.counting" in loaded
+        assert not loaded & verify_stack, argv
