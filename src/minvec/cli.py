@@ -209,20 +209,16 @@ def _check_intertwine(blocks, kr, args):
 
 def _check_omega(blocks, kr, args):
     import numpy as np
-    from . import testfunc
     from .residues import sample_units_outside
-    tf = testfunc.make_omega(kr)
     rng = np.random.default_rng(args.seed)
     n = kr.n
     ident = np.eye(n, dtype=np.int64)
-    at_one = tf.exponent(ident)
-
-    def in_support(gs):
-        return np.array([tf.exponent(g) is not None for g in gs], dtype=bool)
-
-    # bounded tries: the support may be all of K
-    zeros = sample_units_outside(in_support, kr.kpi.p, kr.kpi.level, n, rng,
-                                 2000)
+    at_one = kr.theta.exponent_of_residues(ident) \
+        if kr.kpi.contains_residues(ident) else None
+    # omega vanishes exactly off K_pi; bounded tries: the support may be
+    # all of K
+    zeros = sample_units_outside(kr.kpi.member_mask, kr.kpi.p, kr.kpi.level,
+                                 n, rng, 2000)
     outside = sum(1 for _ in itertools.islice(zeros, 20))
     section = {
         "omega_at_identity": _frac(at_one) if at_one is not None else None,

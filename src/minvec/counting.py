@@ -22,7 +22,7 @@ from .errors import BudgetExceeded, DatumInvalid
 from .orders import mat_mul_int
 from .padic import _adjugate, _int_det
 from .residues import (chunk_rows, contains_codes, fits_packing, matrix_keys,
-                       pack, sorted_index, sorted_unique, unpack)
+                       pack, unique_in_place, unpack)
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,24 @@ class LatticeQuery:
     def torus_set(self, budget: int = 1_000_000) -> np.ndarray:
         """Closure of I and the generators under product mod p^cf (cached).
 
-        The seed is the product of the generators' cyclic subgroups: for
-        each generator g the set S grows to S g^0 ... S g^(m-1), with m the
+        Elements are kept as sorted codes (_codes: residues.pack, or
+        residues.matrix_keys where the packing does not fit int64).  The
+        seed is the product of the generators' cyclic subgroups: for each
+        generator g the set S grows to S g^0 ... S g^(m-1), with m the
         least exponent such that g^m lies in S, the powers found by
-        doubling.  A breadth-first loop then multiplies its frontier,
-        first the whole seed, by every generator and keeps the unseen
-        products.  On commuting generators its first round finds nothing
-        new, which certifies that S is the closure.  Elements are kept as
-        sorted codes (_codes: residues.pack, or residues.matrix_keys where
-        the packing does not fit int64).  Returns the sorted, read-only
-        code array; without generators the torus is {I}.  BudgetExceeded
-        is raised exactly when more than `budget` elements are distinct.
+        doubling.  A breadth-first loop then multiplies its frontier, first
+        the whole seed, by each generator in turn and merges the products
+        not yet known.  On commuting generators its first round finds
+        nothing new, which certifies that S is the closure.  Each product
+        round (_distinct) decodes its codes one residues.chunk_rows chunk
+        at a time and writes the product codes into one array, sorted in
+        place; membership goes through residues.contains_codes.  So the
+        working memory is the result, one product-code array per round and
+        CHUNK_BYTES of temporaries, and a round holds at most 2 budget
+        codes plus one chunk before BudgetExceeded.  Returns the sorted,
+        read-only code array; without generators the torus is {I}.
+        BudgetExceeded is raised exactly when more than `budget` elements
+        are distinct.
         """
         n, mod = self.n, self.p ** self.cf
         if n * (mod - 1) ** 2 >= 2 ** 63:
@@ -64,22 +71,24 @@ class LatticeQuery:
                         dtype=np.int64).reshape(-1, n, n)
         if mod > 1 and any(_int_det(g.tolist()) % self.p == 0 for g in gens):
             raise DatumInvalid("torus residue is not invertible mod p")
-        seed = np.eye(n, dtype=np.int64)[None] % mod
-        known = self._codes(seed)
+        known = self._codes(np.eye(n, dtype=np.int64)[None] % mod)
         for g in gens:
-            powers = self._powers_outside(g, known, budget)
-            known = self._distinct(_products(seed, powers, mod), budget)
-            seed = self._decode(known)
-        frontier = seed
+            known = self._distinct(known, self._powers_outside(g, known,
+                                                               budget), budget)
+        frontier = known
         while len(frontier):
-            prods = self._distinct(_products(frontier, gens, mod), budget)
-            fresh = prods[sorted_index(known, prods) < 0]
-            _check_budget(len(known) + len(fresh), budget)
-            if len(fresh):
-                # two sorted runs: the stable sort merges them in one pass
-                known = np.sort(np.concatenate([known, fresh]),
-                                kind="stable")
-            frontier = self._decode(fresh)
+            fresh = []
+            for g in gens:
+                prods = self._distinct(frontier, g[None], budget)
+                prods = prods[~contains_codes(known, prods)]
+                if len(prods):
+                    fresh.append(prods)
+                    known = np.concatenate([known, prods])
+                    # two sorted runs: the stable sort merges them in one pass
+                    known.sort(kind="stable")
+                    _check_budget(len(known), budget)
+            frontier = np.concatenate([known[:0], *fresh])
+            frontier.sort()
         known.flags.writeable = False
         return known
 
@@ -90,7 +99,7 @@ class LatticeQuery:
         powers, step = np.eye(self.n, dtype=np.int64)[None] % mod, g
         while True:
             more = powers @ step % mod
-            hit = np.flatnonzero(sorted_index(known, self._codes(more)) >= 0)
+            hit = np.flatnonzero(contains_codes(known, self._codes(more)))
             if len(hit):
                 return np.concatenate([powers, more[:hit[0]]])
             # no power g^i with 0 < i < 2 len(powers) is known, so all of
@@ -99,22 +108,29 @@ class LatticeQuery:
             _check_budget(len(powers), budget)
             step = step @ step % mod
 
-    def _distinct(self, stacks, budget):
-        """Sorted distinct codes of a stream of residue stacks, raising
-        BudgetExceeded once more than `budget` of them are distinct.
-        Codes are deduplicated whenever more than twice `budget` are held,
-        so no product count before deduplication raises."""
-        parts, held = [], 0
-        for mats in stacks:
-            parts.append(self._codes(mats))
-            held += len(parts[-1])
+    def _distinct(self, codes, right, budget):
+        """Sorted distinct codes of the products a b, a decoded from `codes`
+        one chunk at a time and b in the stack `right`, written into one
+        array.  They are sorted and deduplicated in place whenever more
+        than twice `budget` are held, so no product count before
+        deduplication raises, and BudgetExceeded is raised once more than
+        `budget` are distinct."""
+        n, mod = self.n, self.p ** self.cf
+        step = chunk_rows(4 * 8 * n * n * len(right))
+        out = np.empty(min(len(codes) * len(right),
+                           2 * budget + step * len(right)), dtype=codes.dtype)
+        held = 0
+        for lo in range(0, len(codes), step):
+            prods = self._decode(codes[lo:lo + step])[:, None] @ right % mod
+            part = self._codes(prods.reshape(-1, n, n))
+            out[held:held + len(part)] = part
+            held += len(part)
             if held > 2 * budget:
-                parts = [sorted_unique(np.concatenate(parts))]
-                held = len(parts[0])
+                held = unique_in_place(out[:held])
                 _check_budget(held, budget)
-        codes = sorted_unique(np.concatenate(parts))
-        _check_budget(len(codes), budget)
-        return codes
+        held = unique_in_place(out[:held])
+        _check_budget(held, budget)
+        return out if held == len(out) else out[:held].copy()
 
     def _codes(self, mats) -> np.ndarray:
         """Sortable codes of a residue stack mod p^cf: residues.pack where
@@ -141,15 +157,6 @@ def _check_budget(distinct, budget):
     if distinct > budget:
         raise BudgetExceeded("torus closure exceeded budget",
                              estimate=distinct)
-
-
-def _products(left, right, mod):
-    """left[i] right[j] mod `mod` for every i and j, i slowest, as stacks of
-    whole rows i sized by residues.chunk_rows."""
-    n = left.shape[-1]
-    step = chunk_rows(4 * 8 * n * n * len(right))
-    for lo in range(0, len(left), step):
-        yield (left[lo:lo + step, None] @ right[None]).reshape(-1, n, n) % mod
 
 
 def regime_threshold(q: LatticeQuery) -> int:

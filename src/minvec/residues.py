@@ -141,24 +141,48 @@ def sample_units_outside(inside, p: int, L: int, n: int, rng, tries: int):
         block *= 2
 
 
-def sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D array, sorted, by comparing sorted
-    neighbours (np.unique hashes, and imports numpy.ma on first use)."""
-    codes = np.sort(codes)
+def unique_in_place(codes: np.ndarray) -> int:
+    """Sort a 1-D array in place and move its distinct values to the front,
+    by comparing sorted neighbours; returns how many there are."""
+    codes.sort()
     keep = np.ones(len(codes), dtype=bool)
     keep[1:] = codes[1:] != codes[:-1]
-    return codes[keep]
+    distinct = int(np.count_nonzero(keep))
+    if distinct < len(codes):
+        codes[:distinct] = codes[keep]
+    return distinct
+
+
+def sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted (np.unique hashes, and
+    imports numpy.ma on first use)."""
+    codes = np.array(codes)
+    return codes[:unique_in_place(codes)]
+
+
+def _hits(codes_sorted: np.ndarray, queries: np.ndarray):
+    """(lo, pos, hit) for each chunk of the queries from lo: pos their
+    positions in the sorted codes, clipped in place, and hit whether the
+    code there is the query.  One chunk's temporaries stay in CHUNK_BYTES."""
+    step = chunk_rows(2 * 8 + 1 + codes_sorted.itemsize)
+    for lo in range(0, len(queries) if len(codes_sorted) else 0, step):
+        chunk = queries[lo:lo + step]
+        pos = np.searchsorted(codes_sorted, chunk)
+        np.minimum(pos, len(codes_sorted) - 1, out=pos)
+        yield lo, pos, codes_sorted[pos] == chunk
 
 
 def sorted_index(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Indices of queries in a sorted code array; -1 where absent."""
-    if len(codes_sorted) == 0:
-        return np.full(len(queries), -1, dtype=np.intp)
-    pos = np.searchsorted(codes_sorted, queries)
-    pos_clip = np.minimum(pos, len(codes_sorted) - 1)
-    ok = codes_sorted[pos_clip] == queries
-    return np.where(ok, pos_clip, -1)
+    out = np.full(len(queries), -1, dtype=np.intp)
+    for lo, pos, hit in _hits(codes_sorted, queries):
+        out[lo:lo + len(pos)][hit] = pos[hit]
+    return out
 
 
 def contains_codes(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    return sorted_index(codes_sorted, queries) >= 0
+    """Whether each query is in a sorted code array."""
+    out = np.zeros(len(queries), dtype=bool)
+    for lo, pos, hit in _hits(codes_sorted, queries):
+        out[lo:lo + len(pos)] = hit
+    return out

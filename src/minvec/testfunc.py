@@ -10,7 +10,6 @@ congruences on the character's exponents, with zero tolerance.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,41 +38,6 @@ class TestFunction:
     """omega: Theta on the support subgroup, zero elsewhere."""
 
     kpi_result: KpiResult
-
-    @property
-    def support(self):
-        return self.kpi_result.kpi
-
-    @property
-    def n(self):
-        return self.kpi_result.n
-
-    @property
-    def level(self):
-        return self.kpi_result.level
-
-    @property
-    def p(self):
-        return self.kpi_result.kpi.p
-
-    def exponent(self, residues):
-        """Exponent of omega at a residue matrix, or None where omega = 0."""
-        mat = np.asarray(residues, dtype=np.int64) % self.support.modulus
-        if not self.support.contains_residues(mat):
-            return None
-        return self.kpi_result.theta.exponent_of_residues(mat)
-
-    def star_exponent(self, residues):
-        """Exponent of omega^*(g) = conj(omega(g^{-1})), or None."""
-        _, inv, unit = det_inv_mod(np.asarray(residues)[None], self.p,
-                                   self.level)
-        if not unit[0]:
-            raise ZeroDivisionError("matrix is not invertible mod p")
-        t = self.exponent(inv[0])
-        if t is None:
-            return None
-        t = -t
-        return t - math.floor(t)
 
 
 def make_omega(kpi_result: KpiResult) -> TestFunction:

@@ -396,6 +396,33 @@ def kpi_exponent_oracle(kr, mat):
     return total - (total.numerator // total.denominator)
 
 
+def omega_exponent(tf, residues):
+    """Exponent of omega at one residue matrix, or None where omega = 0,
+    by a membership test of that matrix alone."""
+    import numpy as np
+    kpi = tf.kpi_result.kpi
+    mat = np.asarray(residues, dtype=np.int64) % kpi.modulus
+    if not kpi.contains_residues(mat):
+        return None
+    return tf.kpi_result.theta.exponent_of_residues(mat)
+
+
+def omega_star_exponent(tf, residues):
+    """Exponent of omega^*(g) = conj(omega(g^{-1})), or None."""
+    import math
+    import numpy as np
+    from minvec.residues import det_inv_mod
+    kpi = tf.kpi_result.kpi
+    _, inv, unit = det_inv_mod(np.asarray(residues)[None], kpi.p, kpi.level)
+    if not unit[0]:
+        raise ZeroDivisionError("matrix is not invertible mod p")
+    t = omega_exponent(tf, inv[0])
+    if t is None:
+        return None
+    t = -t
+    return t - math.floor(t)
+
+
 def pack_one(mat, p, L):
     """Row-major base-p^L code of one residue matrix, in Python integers."""
     code = 0

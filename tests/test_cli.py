@@ -8,12 +8,14 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR
-from oracles import row_disagrees
+from oracles import omega_exponent, row_disagrees
 
 from minvec import cli, testfunc
+from minvec.residues import sample_units_outside
 from minvec.datafiles import (canonical_dumps, extract_block, load_datum,
                               parse_datum_text, roundtrip_ok, serialize)
 from minvec.errors import DatumInvalid
@@ -303,12 +305,33 @@ class TestParabolicCli:
 class TestOmegaCheck:
     def test_full_support_terminates(self, kr_a, monkeypatch):
         # a support that is all of K leaves no off-support point to find
-        monkeypatch.setattr(testfunc.TestFunction, "exponent",
-                            lambda self, residues: 0)
+        monkeypatch.setattr(kr_a.kpi, "member_mask",
+                            lambda mats: np.ones(len(mats), dtype=bool))
         args = argparse.Namespace(seed=0, budget=5_000_000)
         verdict, section, _ = cli._check_omega([], kr_a, args)
         assert verdict == "PASS"
         assert section["off_support_zeros_sampled"] == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("kr_name", ["kr_a", "kr_c", "parabolic_kr"])
+    def test_member_mask_is_omega_support(self, kr_name, seed, request):
+        # _check_omega decides its draws by one stacked member_mask; the
+        # per-draw omega exponent must agree on every unit drawn.  K_pi
+        # membership puts every diagonal block in its B1, so theta is
+        # defined at every member
+        kr = request.getfixturevalue(kr_name)
+        tf, kpi = testfunc.make_omega(kr), kr.kpi
+        seen = []
+
+        def inside(gs):
+            mask = kpi.member_mask(gs)
+            assert mask.tolist() == [omega_exponent(tf, g) is not None
+                                     for g in gs]
+            seen.append(len(gs))
+            return mask
+        rng = np.random.default_rng(seed)
+        list(sample_units_outside(inside, kpi.p, kpi.level, kr.n, rng, 2000))
+        assert sum(seen) > 0
 
 
 class TestGeneratorCertificate:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,14 @@ from minvec.datafiles import load_query
 from minvec.errors import BudgetExceeded, DatumInvalid
 from minvec.residues import fits_packing, sorted_index, unpack
 from conftest import DATA_DIR
-from oracles import (brute_force_S, enumerate_S_oracle, partition_count_oracle,
-                     torus_closure_oracle)
+from oracles import (brute_force_S, enumerate_S_oracle, leibniz_det,
+                     partition_count_oracle, torus_closure_oracle)
 
 
-def torus_elements(q):
+def torus_elements(q, budget=1_000_000):
     """The torus_set codes decoded to row-major flat residue tuples: packed
     int64 codes by residues.unpack, byte keys past packing by their bytes."""
-    keys = q.torus_set()
+    keys = q.torus_set(budget)
     if keys.dtype == np.int64:
         flat = unpack(keys, q.p, q.cf, q.n).reshape(len(keys), -1)
     else:
@@ -193,6 +194,87 @@ class TestTorus:
     def test_sorted_index_empty(self):
         assert sorted_index(np.empty(0, np.int64), np.array([1, 2])).tolist() \
             == [-1, -1]
+
+
+def traced_peak(fn):
+    """fn() and the peak of memory allocated while it ran, by tracemalloc,
+    which sees numpy's buffers, from a cold torus_set cache."""
+    LatticeQuery.torus_set.cache_clear()
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTorusMemory:
+    # Not ru_maxrss: it is the high-water mark of the whole process, which
+    # the suite has raised long before, and a child started by posix_spawn
+    # (CLONE_VM) inherits its parent's mark at exec, so a spawned run
+    # cannot read below the memory of the process that started it.
+
+    def test_cold_closure_within_three_results(self):
+        q = load_query(DATA_DIR / "query_m4_deep.json").query()
+        keys, peak = traced_peak(q.torus_set)
+        assert len(keys) == 531441
+        assert peak <= 3 * keys.nbytes
+
+    def test_budget_raise_within_one_mib(self):
+        q = load_query(DATA_DIR / "query_m4_deep.json").query()
+
+        def over():
+            with pytest.raises(BudgetExceeded):
+                q.torus_set(budget=1000)
+        assert traced_peak(over)[1] <= 1 << 20
+
+
+SIGNED_PERMUTATIONS = (((1, 0), (0, 1)), ((-1, 0), (0, -1)),
+                       ((0, 1), (1, 0)), ((0, -1), (1, 0)))
+
+
+@st.composite
+def torus_queries(draw):
+    """1-3 random unit generators with a small closure: any units for
+    n = 2 mod 2, 4, 8, 3, 9 or 5 and for n = 3 mod 2 or 3; past int64
+    packing (n = 2 mod 2^16, 3^10 or 5^7), a signed permutation times an
+    element of I + p^(cf-1) M, a closure of at most 8 p^4."""
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3] if n == 3 else [2, 3, 5]))
+    past = n == 2 and draw(st.booleans())
+    if past:
+        cf = {2: 16, 3: 10, 5: 7}[p]
+    else:
+        cf = draw(st.integers(1, {2: {2: 3, 3: 2, 5: 1}[p], 3: 1}[n]))
+    mod = p ** cf
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if past:
+            s = np.array(draw(st.sampled_from(SIGNED_PERMUTATIONS)))
+            x = np.array(draw(st.lists(st.integers(0, p - 1), min_size=4,
+                                       max_size=4))).reshape(2, 2)
+            g = s @ (np.eye(2, dtype=np.int64) + p ** (cf - 1) * x) % mod
+        else:
+            g = np.array(draw(st.lists(st.integers(0, mod - 1),
+                                       min_size=n * n, max_size=n * n)
+                              .filter(lambda v: leibniz_det(np.reshape(
+                                  v, (n, n)).tolist()) % p != 0)))
+        gens.append(tuple(tuple(int(v) for v in row)
+                          for row in np.reshape(g, (n, n))))
+    return LatticeQuery(n, 1, 1, p, cf, tuple(gens))
+
+
+class TestTorusDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(torus_queries(), st.data())
+    def test_matches_closure_oracle(self, q, data):
+        want = torus_closure_oracle(q.torus_generators, q.p ** q.cf, q.n)
+        budget = data.draw(st.sampled_from([len(want) - 1, len(want)])
+                           | st.integers(1, 2 * len(want)))
+        if len(want) > budget:
+            with pytest.raises(BudgetExceeded):
+                q.torus_set(budget)
+            return
+        assert torus_elements(q, budget) == sorted(want)
 
 
 class TestEnumerateDifferential:
