@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, DatumInvalid
-from .orders import mat_mul_int
-from .padic import _adjugate, _int_det
+from .padic import _adjugate, _int_det, mat_mul_int
 from .residues import (chunk_rows, contains_codes, fits_packing, matrix_keys,
                        pack, unique_in_place, unpack)
 
@@ -110,24 +109,28 @@ class LatticeQuery:
 
     def _distinct(self, codes, right, budget):
         """Sorted distinct codes of the products a b, a decoded from `codes`
-        one chunk at a time and b in the stack `right`, written into one
-        array.  They are sorted and deduplicated in place whenever more
-        than twice `budget` are held, so no product count before
-        deduplication raises, and BudgetExceeded is raised once more than
-        `budget` are distinct."""
+        and b taken from the stack `right`, both one chunk at a time so that
+        one block of products stays within CHUNK_BYTES of temporaries, and
+        written into one array.  They are sorted and deduplicated in place
+        whenever more than twice `budget` are held, so no product count
+        before deduplication raises, and BudgetExceeded is raised once
+        more than `budget` are distinct."""
         n, mod = self.n, self.p ** self.cf
-        step = chunk_rows(4 * 8 * n * n * len(right))
+        width = min(len(right), chunk_rows(4 * 8 * n * n))
+        step = chunk_rows(4 * 8 * n * n * width)
         out = np.empty(min(len(codes) * len(right),
-                           2 * budget + step * len(right)), dtype=codes.dtype)
+                           2 * budget + step * width), dtype=codes.dtype)
         held = 0
         for lo in range(0, len(codes), step):
-            prods = self._decode(codes[lo:lo + step])[:, None] @ right % mod
-            part = self._codes(prods.reshape(-1, n, n))
-            out[held:held + len(part)] = part
-            held += len(part)
-            if held > 2 * budget:
-                held = unique_in_place(out[:held])
-                _check_budget(held, budget)
+            left = self._decode(codes[lo:lo + step])[:, None]
+            for r in range(0, len(right), width):
+                prods = left @ right[r:r + width] % mod
+                part = self._codes(prods.reshape(-1, n, n))
+                out[held:held + len(part)] = part
+                held += len(part)
+                if held > 2 * budget:
+                    held = unique_in_place(out[:held])
+                    _check_budget(held, budget)
         held = unique_in_place(out[:held])
         _check_budget(held, budget)
         return out if held == len(out) else out[:held].copy()

@@ -36,43 +36,11 @@ class CyclotomicSum:
                     raise ValueError(f"exponent {t} is not p-power for p={p}")
                 self.terms[t] = self.terms.get(t, Fraction(0)) + c
 
-    @classmethod
-    def root(cls, p, exponent) -> "CyclotomicSum":
-        return cls(p, {_norm_exp(exponent): Fraction(1)})
-
-    @classmethod
-    def rational(cls, p, value) -> "CyclotomicSum":
-        return cls(p, {Fraction(0): Fraction(value)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return CyclotomicSum(self.p, out)
-
     def __sub__(self, other):
         out = dict(self.terms)
         for t, c in other.terms.items():
             out[t] = out.get(t, Fraction(0)) - c
         return CyclotomicSum(self.p, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicSum(self.p, {t: c * other for t, c in self.terms.items()})
-        out = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = _norm_exp(t1 + t2)
-                out[t] = out.get(t, Fraction(0)) + c1 * c2
-        return CyclotomicSum(self.p, out)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CyclotomicSum":
-        return CyclotomicSum(self.p, {_norm_exp(-t): c for t, c in self.terms.items()})
-
-    def norm_square(self) -> "CyclotomicSum":
-        return self * self.conjugate()
 
     def reduced(self):
         """Canonical coefficients on the power basis of Z[zeta_{p^k}].
@@ -118,14 +86,9 @@ class CyclotomicSum:
         return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicSum.rational(self.p, other)
         if not isinstance(other, CyclotomicSum):
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.p, tuple(sorted(self.reduced().items()))))
 
     def __repr__(self):
         red = self.reduced()

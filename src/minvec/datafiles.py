@@ -1,9 +1,9 @@
-"""Datum and query files, canonical serialization, and report formatting.
+"""Datum and query files, and report formatting.
 
-Files are canonical JSON (sorted keys, two-space indent, trailing newline),
-so parse -> serialize is byte-identical on canonical input.  Reports pair a
-human-readable section with one machine-readable block delimited by marker
-lines; golden tests diff only the block.
+Data files are JSON objects, validated field by field at parse time.
+Reports pair a human-readable section with one machine-readable block,
+canonical JSON (sorted keys, two-space indent) between marker lines;
+golden tests diff only the block.
 """
 
 from __future__ import annotations
@@ -43,17 +43,6 @@ class DatumSpec:
     beta_entries: list
     beta_scale: int
 
-    def as_dict(self):
-        return {
-            "kind": "supercuspidal",
-            "p": self.p,
-            "n": self.n,
-            "e": self.e,
-            "j": self.j,
-            "beta": {"scale": self.beta_scale,
-                     "entries": [list(r) for r in self.beta_entries]},
-        }
-
     def context(self, margin: int = 0) -> PrecisionCtx:
         s0 = -((-self.j) // self.e)
         need = max(self.j + 2, 2 * s0 + 2)
@@ -85,14 +74,6 @@ class ParabolicSpec:
     blocks: list          # of DatumSpec
     inequivalent: bool
 
-    def as_dict(self):
-        return {
-            "kind": "parabolic",
-            "p": self.p,
-            "blocks": [b.as_dict() for b in self.blocks],
-            "inequivalent": self.inequivalent,
-        }
-
 
 @dataclass
 class QuerySpec:
@@ -102,18 +83,6 @@ class QuerySpec:
     p: int
     c: int
     torus_generators: list
-
-    def as_dict(self):
-        return {
-            "kind": "lattice-query",
-            "n": self.n,
-            "m": self.m,
-            "entry_bound": self.entry_bound,
-            "p": self.p,
-            "c": self.c,
-            "torus_generators": [[list(r) for r in g]
-                                 for g in self.torus_generators],
-        }
 
     def query(self):
         from .counting import LatticeQuery
@@ -203,18 +172,6 @@ def load_query(path):
     return parse_query_text(Path(path).read_text())
 
 
-def serialize(spec) -> str:
-    return canonical_dumps(spec.as_dict())
-
-
-def roundtrip_ok(path) -> bool:
-    """Bit-exact round trip: parse then reserialize reproduces the bytes."""
-    text = Path(path).read_text()
-    spec = parse_datum_text(text) if json.loads(text).get("kind") != \
-        "lattice-query" else parse_query_text(text)
-    return serialize(spec) == text
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -231,6 +188,10 @@ def render_report(title: str, human_lines, block: dict) -> str:
 
 
 def extract_block(text: str) -> dict:
+    """The structured block of a report written by render_report.  The CLI
+    never reads a report back; this reader stays beside its writer so that
+    the two change together, and tests and scripts parse blocks through
+    it."""
     lines = text.splitlines()
     try:
         lo = lines.index(BLOCK_BEGIN)

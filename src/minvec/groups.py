@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, PrecisionLoss
-from .orders import HereditaryOrder, InductionDatum, fp_reduce, v_A
+from .orders import HereditaryOrder, InductionDatum, fp_reduce
 from .padic import MatrixApprox, vp
 from .residues import (box_enumerate, chunk_rows, contains_codes, det_inv_mod,
                        pack, sample_units_outside, sorted_index, sorted_unique,
@@ -86,9 +86,6 @@ class FiniteSubgroup:
                 raise ValueError("membership-only subgroups need a size formula")
             self.size = size
 
-    def __len__(self):
-        return self.size
-
     @property
     def modulus(self):
         return self.p ** self.level
@@ -144,30 +141,6 @@ class FiniteSubgroup:
                     reached[frontier] = True
             self._tree = root, perms
         return self._tree
-
-    def dump_lines(self):
-        """Canonical line format: row-major residues, sorted."""
-        out = [f"# subgroup {self.name} p={self.p} N={self.level} n={self.n} "
-               f"size={self.size}"]
-        flat = self.mats.reshape(self.size, self.n * self.n)
-        for row in flat:
-            out.append(" ".join(str(int(v)) for v in row))
-        return out
-
-
-def residues_of(m: MatrixApprox, level: int):
-    """Residues mod p^level of an integral matrix value, else None."""
-    p = m.ctx.p
-    if m.zero:
-        return np.zeros((m.n, m.n), dtype=np.int64)
-    mn = m.normalize()
-    if mn.scale < 0:
-        return None
-    if not mn.exact and mn.prec + mn.scale < level:
-        raise PrecisionLoss(f"need {level} digits, have {mn.prec + mn.scale}")
-    mod = p ** level
-    return np.array([[v * p ** mn.scale % mod for v in row]
-                     for row in mn.entries], dtype=np.int64)
 
 
 def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
@@ -230,13 +203,6 @@ def enumerate_field_order(d: InductionDatum, L: int):
     return mats, unit, ul1
 
 
-def enumerate_h1(d: InductionDatum, L: int,
-                 budget: int = 2_000_000) -> np.ndarray:
-    """H^1 = U_L(1) U_A(floor(j/2)+1) mod p^L, residue matrices in code order."""
-    ol_mats, _, ul1_mask = enumerate_field_order(d, L)
-    return unit_sumset(d.order, d.j // 2 + 1, ol_mats[ul1_mask], d.p, L, budget)
-
-
 def prime_element_of_L(d: InductionDatum) -> MatrixApprox:
     """A prime element of L = F[beta]: valuation 1 for the order filtration."""
     e = d.order.e
@@ -269,12 +235,6 @@ class SubgroupBundle:
     j1: FiniteSubgroup
     jcapk: FiniteSubgroup
     prime_element: MatrixApprox
-
-    def j_grade_and_part(self, g: MatrixApprox):
-        """Decompose g = Pi^k g0: returns (k, g0) with g0 the compact part."""
-        k = v_A(g, self.datum.order)
-        g0 = (self.prime_element.pow(-k) * g).normalize()
-        return k, g0
 
 
 def build_subgroups(d: InductionDatum, level: int | None = None,
@@ -329,27 +289,11 @@ class GroupCharacter:
         return Fraction(int(self.nums_of_residues(np.asarray(mat)[None])[0]),
                         self.denom)
 
-    def exponent(self, m: MatrixApprox) -> Fraction:
-        res = residues_of(m, self.domain.level)
-        if res is None:
-            raise KeyError("element is not integral")
-        return self.exponent_of_residues(res)
-
     def restricted_nums(self, codes):
         idx = self.domain.index_of_codes(codes)
         if np.any(idx < 0):
             raise KeyError("element outside the character domain")
         return self.nums[idx]
-
-    def dump_lines(self):
-        out = [f"# character on {self.domain.name} p={self.domain.p} "
-               f"N={self.domain.level} n={self.domain.n} denom={self.denom}"]
-        flat = self.domain.mats.reshape(self.domain.size, -1)
-        for row, num in zip(flat, self.nums):
-            t = Fraction(int(num), self.denom)
-            out.append(" ".join(str(int(v)) for v in row) +
-                       f"  {t.numerator}/{t.denominator}")
-        return out
 
 
 def formula_exponent_nums(d: InductionDatum, mats: np.ndarray, denom: int):
@@ -934,39 +878,28 @@ def _fixed_on_generators(G, Gi, theta: GroupCharacter) -> np.ndarray:
     return fixed
 
 
-def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
-    """First x in xs with theta(x) != theta(g x g^-1) where both lie in H^1.
+def _first_not_intertwined(G, Gi, xs, theta: GroupCharacter):
+    """Per conjugator of a stack (B, n, n) of units G with inverses Gi mod
+    p^L, the index in xs (H^1 elements mod p^L) of the first x with
+    theta(x) != theta(g x g^-1) where g x g^-1 lies in H^1, or -1 where g
+    intertwines.
 
-    g x g^-1 = p^s G x Gi for integer matrices G, Gi and a shift s <= 0; xs
-    are H^1 elements mod p^(L - s), and a conjugate is integral when every
-    entry of G x Gi is divisible by p^-s.  For a stack (B, n, n) of G and Gi
-    the result is, per conjugator, the index in xs of the first such x, or
-    -1 where g intertwines.  For one G it is that first x itself, or None.
-
-    At s = 0 the rows that `_fixed_on_generators` certifies are -1 after
-    |S| conjugates.  Every other row scans xs in order, in blocks that grow
+    The rows that `_fixed_on_generators` certifies are -1 after |S|
+    conjugates.  Every other row scans xs in order, in blocks that grow
     fourfold up to CHUNK_BYTES of temporaries, and leaves the scan at its
     first bad x.
     """
-    G, Gi = np.asarray(G, dtype=np.int64), np.asarray(Gi, dtype=np.int64)
-    if G.ndim == 2:
-        first = _first_not_intertwined(G[None], Gi[None], s, xs, theta)[0]
-        return None if first < 0 else xs[first]
     h1 = theta.domain
-    p, L, n = h1.p, h1.level, h1.n
-    mod = p ** (L - s)
-    G, Gi = G % mod, Gi % mod
+    p, L, n, mod = h1.p, h1.level, h1.n, h1.modulus
     first = np.full(len(G), -1, dtype=np.intp)
-    rows = np.arange(len(G))
-    if s == 0:
-        rows = rows[~_fixed_on_generators(G, Gi, theta)]
+    rows = np.flatnonzero(~_fixed_on_generators(G, Gi, theta))
     # (row, x) pairs per chunk: two product stacks live at once, and the
     # lookups
     cap = chunk_rows(3 * n * n * 8)
     lo, width = 0, 64
     while len(rows) and lo < len(xs):
         hi = min(len(xs), lo + min(width, cap))
-        x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi] % p ** L, p, L))]
+        x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi], p, L))]
         step = max(1, cap // (hi - lo))
         keep = np.ones(len(rows), dtype=bool)
         for r in range(0, len(rows), step):
@@ -975,41 +908,15 @@ def _first_not_intertwined(G, Gi, s, xs, theta: GroupCharacter):
             conj %= mod
             conj = conj @ Gi[block, None]
             conj %= mod
-            integral = True
-            if s < 0:
-                integral = np.all(conj % p ** -s == 0, axis=(2, 3))
-                conj //= p ** -s
             c_idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
             c_idx = c_idx.reshape(conj.shape[:2])
-            bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+            bad = (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
             hit = bad.any(axis=1)
             first[block[hit]] = lo + bad[hit].argmax(axis=1)
             keep[r:r + step] = ~hit
         rows = rows[keep]
         lo, width = hi, 4 * width
     return first
-
-
-def intertwines(g: MatrixApprox, theta: GroupCharacter, d: InductionDatum,
-                bundle: SubgroupBundle):
-    """Whether g intertwines theta: theta(x) = theta(g x g^{-1}) on the
-    intersection H^1 cap g^{-1} H^1 g.  Returns (bool, witness).
-
-    With g = p^a G and g^{-1} = p^b Gi normalized, s = a + b <= 0, and H^1
-    is enumerated mod p^(L - s) so that the conjugates are known mod p^L."""
-    L = theta.domain.level
-    gn = g.normalize()
-    gi = g.inverse().normalize()
-    s = gn.scale + gi.scale
-    for m in (gn, gi):
-        if not m.exact and m.prec < L - s:
-            raise PrecisionLoss(f"need {L - s} digits, have {m.prec}")
-    mod = d.p ** (L - s)
-    G, Gi = (np.array([[v % mod for v in row] for row in m.entries],
-                      dtype=np.int64) for m in (gn, gi))
-    xs = theta.domain.mats if s == 0 else enumerate_h1(d, L - s)
-    witness = _first_not_intertwined(G, Gi, s, xs, theta)
-    return witness is None, witness
 
 
 @dataclass
@@ -1046,7 +953,7 @@ def intertwining_spot(d: InductionDatum, bundle: SubgroupBundle,
                                    100 * nonmembers)
     conj = np.concatenate([gs] + [g[None] for g in
                                   itertools.islice(outside, nonmembers)])
-    inter = _first_not_intertwined(conj, det_inv_mod(conj, p, L)[1], 0,
+    inter = _first_not_intertwined(conj, det_inv_mod(conj, p, L)[1],
                                    h1.mats, theta) < 0
     bad = inter != (np.arange(len(conj)) < members)
     if bad.any():
@@ -1089,7 +996,7 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
                                h1.mats[cert.witness[0]])
     codes = pack(units, p, L)
     reps, coset = _coset_decomposition(codes, units, h1.mats, p, L)
-    inter = (_first_not_intertwined(units[reps], inv_all[reps], 0, h1.mats,
+    inter = (_first_not_intertwined(units[reps], inv_all[reps], h1.mats,
                                     theta) < 0)[coset]
     disagree = inter != contains_codes(jk.codes, codes)
     witness = units[np.argmax(disagree)] if disagree.any() else None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DatumInvalid, PrecisionLoss
-from .padic import MatrixApprox, PrecisionCtx, vp
+from .padic import MatrixApprox, PrecisionCtx, mat_mul_int, vp
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -68,27 +68,6 @@ class HereditaryOrder:
                 if num % self.e == 0 and num // self.e >= 0:
                     out.append((r, c, num // self.e))
         return out
-
-
-def in_radical_power(x: MatrixApprox, i: int, o: HereditaryOrder) -> bool:
-    """Whether x lies in B^i, decided entrywise from the closed form."""
-    if x.zero:
-        return True
-    if x.n != o.n:
-        raise ValueError("dimension mismatch")
-    for r in range(o.n):
-        for c in range(o.n):
-            t = o.entry_threshold(i, r, c)
-            val, known = x.entry_val_floor(r, c)
-            if val is None:
-                continue  # exact zero entry
-            if known:
-                if val < t:
-                    return False
-            elif val < t:
-                raise PrecisionLoss(
-                    f"entry ({r},{c}) known only up to p^{val}, need p^{t}")
-    return True
 
 
 def v_A(x: MatrixApprox, o: HereditaryOrder) -> int:
@@ -150,12 +129,6 @@ def approximation_report(o: HereditaryOrder, i: int, ctx: PrecisionCtx) -> Appro
 
 
 # -- integer matrix helpers for the exact searches ---------------------------
-
-def mat_mul_int(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
 
 def mat_sub_int(a, b):
     n = len(a)
@@ -441,9 +414,6 @@ class K0Result:
     capped: bool
     witness: list | None
     nodes: int
-
-    def __int__(self):
-        return self.value
 
 
 def _grade0_projection(rows, o: HereditaryOrder, p: int, pos0):

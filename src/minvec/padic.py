@@ -60,10 +60,6 @@ class PrecisionCtx:
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.N
-
     def require_same(self, other: "PrecisionCtx"):
         if (self.p, self.N) != (other.p, other.N):
             raise ValueError(f"mixed precision contexts {self} vs {other}")
@@ -80,6 +76,12 @@ def _adjugate(rows, n):
                      for i in range(n) if i != r]
             adj[c][r] = (-1) ** (r + c) * _int_det(minor)
     return adj
+
+
+def mat_mul_int(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 def _int_det(rows):
@@ -195,14 +197,6 @@ class MatrixApprox:
         return MatrixApprox(self.ctx, ent, scale=self.scale + d,
                             prec=prec, exact=self.exact)
 
-    def residues(self, level=None):
-        """Entries as lowest nonnegative residues mod p^level (scale ignored)."""
-        lv = self.prec if level is None else level
-        if not self.exact and lv > self.prec:
-            raise PrecisionLoss("not enough digits")
-        m = self.ctx.p ** lv
-        return tuple(tuple(v % m for v in row) for row in self.entries)
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
@@ -213,7 +207,6 @@ class MatrixApprox:
             return MatrixApprox.zero_of(self.ctx, self.n)
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
         exact = self.exact and other.exact
         if exact:
             prec = min(self.prec, other.prec)
@@ -222,9 +215,7 @@ class MatrixApprox:
             prec = min(p for p, ex in ((self.prec, self.exact),
                                        (other.prec, other.exact)) if not ex)
         m = self.ctx.p ** prec
-        a, b = self.entries, other.entries
-        ent = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
+        ent = mat_mul_int(self.entries, other.entries)
         if not exact:
             ent = [[v % m for v in row] for row in ent]
         return MatrixApprox(self.ctx, ent, scale=self.scale + other.scale,
@@ -245,42 +236,6 @@ class MatrixApprox:
                             prec=self.prec, exact=self.exact)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        self.ctx.require_same(other.ctx)
-        if self.zero:
-            return other
-        if other.zero:
-            return self
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        a, b = self, other
-        if a.scale > b.scale:
-            a, b = b, a
-        shift = b.scale - a.scale
-        p = self.ctx.p
-        exact = a.exact and b.exact
-        if exact:
-            prec = min(a.prec, b.prec)
-        else:
-            # only the inexact sides limit precision; b's digits gain `shift`
-            limits = []
-            if not a.exact:
-                limits.append(a.prec)
-            if not b.exact:
-                limits.append(b.prec + shift)
-            prec = min(limits)
-        ent = [[a.entries[i][j] + b.entries[i][j] * p ** shift
-                for j in range(self.n)] for i in range(self.n)]
-        if exact and all(v == 0 for row in ent for v in row):
-            return MatrixApprox.zero_of(self.ctx, self.n)
-        return MatrixApprox(self.ctx, ent, scale=a.scale, prec=prec, exact=exact)
-
-    def __neg__(self):
-        return self._scalar_mul(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def inverse(self) -> "MatrixApprox":
         """Inverse via the adjugate; the reported prec drops by v_p(det)."""
@@ -324,28 +279,7 @@ class MatrixApprox:
             k >>= 1
         return result
 
-    # -- comparison --------------------------------------------------------
-
-    def canonical_key(self):
-        if self.zero:
-            return (self.n, "zero")
-        nm = self.normalize()
-        lv = min(nm.prec, self.ctx.N)
-        return (nm.n, nm.scale, lv, nm.residues(lv))
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixApprox):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
     def __repr__(self):
         tag = "exact" if self.exact else f"mod p^{self.prec}"
         return f"MatrixApprox(p^{self.scale} * {list(map(list, self.entries))}, {tag})"
 
-
-def normalize(entries, scale, ctx) -> MatrixApprox:
-    """Build and normalize a matrix from raw integer entries and a scale."""
-    return MatrixApprox.from_exact(ctx, entries, scale).normalize()

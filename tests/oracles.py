@@ -239,11 +239,37 @@ def mat_inv_mod(rows, p: int, L: int):
     return inv
 
 
+def enumerate_h1(d, L):
+    """H^1 = U_L(1) U_A(floor(j/2)+1) mod p^L, residue matrices in code
+    order."""
+    from minvec.groups import enumerate_field_order, unit_sumset
+    ol_mats, _, ul1_mask = enumerate_field_order(d, L)
+    return unit_sumset(d.order, d.j // 2 + 1, ol_mats[ul1_mask], d.p, L)
+
+
+def residues_of(m, level):
+    """Residues mod p^level of an integral MatrixApprox value, else None."""
+    import numpy as np
+    from minvec.errors import PrecisionLoss
+    p = m.ctx.p
+    if m.zero:
+        return np.zeros((m.n, m.n), dtype=np.int64)
+    mn = m.normalize()
+    if mn.scale < 0:
+        return None
+    if not mn.exact and mn.prec + mn.scale < level:
+        raise PrecisionLoss(f"need {level} digits, have {mn.prec + mn.scale}")
+    mod = p ** level
+    return np.array([[v * p ** mn.scale % mod for v in row]
+                     for row in mn.entries], dtype=np.int64)
+
+
 def intertwines_oracle(g, theta, d):
-    """(verdict, witness) of intertwines() by the per-element MatrixApprox
-    loop: every H1 element at level L + loss is conjugated exactly and
-    reduced through residues_of."""
-    from minvec.groups import enumerate_h1, residues_of
+    """(verdict, witness) of whether the MatrixApprox value g intertwines
+    theta, by the per-element loop: every H1 element at level L + loss is
+    conjugated exactly and reduced through residues_of, where loss is the
+    p-power lost in g^-1, so that conjugates by non-units are decided
+    too."""
     from minvec.padic import MatrixApprox
     h1 = theta.domain
     L = h1.level
@@ -261,24 +287,22 @@ def intertwines_oracle(g, theta, d):
     return True, None
 
 
-def first_not_intertwined_oracle(G, Gi, s, xs, theta):
+def first_not_intertwined_oracle(G, Gi, xs, theta):
     """The full ordered scan that groups._first_not_intertwined must match
     index for index: per conjugator of a (B, n, n) stack, the index in xs
-    of the first x whose conjugate p^s G x Gi is integral, lies in H1 and
-    has another theta value, or -1.  Every x is conjugated, one conjugator
-    at a time, with no shortcut and no early exit."""
+    of the first x whose conjugate G x Gi lies in H1 and has another theta
+    value, or -1.  Every x is conjugated, one conjugator at a time, with no
+    shortcut and no early exit."""
     import numpy as np
     from minvec.residues import pack
     h1 = theta.domain
-    p, L = h1.p, h1.level
-    mod = p ** (L - s)
-    x_nums = theta.nums[h1.index_of_codes(pack(xs % p ** L, p, L))]
+    p, L, mod = h1.p, h1.level, h1.modulus
+    x_nums = theta.nums[h1.index_of_codes(pack(xs, p, L))]
     out = []
-    for g, gi in zip(np.asarray(G) % mod, np.asarray(Gi) % mod):
+    for g, gi in zip(G, Gi):
         conj = (g @ xs % mod) @ gi % mod
-        integral = np.all(conj % p ** -s == 0, axis=(1, 2))
-        c_idx = h1.index_of_codes(pack(conj // p ** -s, p, L))
-        bad = integral & (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+        c_idx = h1.index_of_codes(pack(conj, p, L))
+        bad = (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
         out.append(int(np.argmax(bad)) if bad.any() else -1)
     return np.array(out, dtype=np.intp)
 
@@ -307,7 +331,7 @@ def dichotomy_oracle(d, bundle, theta, jcapk=None):
     _, inv_all, unit = det_inv_mod(allm, p, L)
     units, inv_all = allm[unit], inv_all[unit]
     members = contains_codes(jk.codes, pack(units, p, L))
-    inter = first_not_intertwined_oracle(units, inv_all, 0, bundle.h1.mats,
+    inter = first_not_intertwined_oracle(units, inv_all, bundle.h1.mats,
                                          theta) < 0
     disagree = np.flatnonzero(inter != members)
     witness = units[disagree[0]] if len(disagree) else None
@@ -325,7 +349,7 @@ def spot_oracle(d, bundle, theta, members=40, nonmembers=40, seed=0):
 
     def intertwines(g):
         ginv = np.array(mat_inv_mod(g.tolist(), p, L))
-        return first_not_intertwined_oracle(g[None], ginv[None], 0, h1.mats,
+        return first_not_intertwined_oracle(g[None], ginv[None], h1.mats,
                                             theta)[0] < 0
 
     gs = jk.mats[rng.integers(0, jk.size, size=members)]
@@ -433,30 +457,87 @@ def pack_one(mat, p, L):
 
 def contains_value(sub, m):
     """Whether the MatrixApprox value m is integral with residues in sub."""
-    from minvec.groups import residues_of
     res = residues_of(m, sub.level)
     return res is not None and sub.contains_residues(res)
+
+
+def j_grade_and_part(bundle, g):
+    """Decompose g = Pi^k g0 with Pi the bundle's prime element of L:
+    returns (k, g0), k = v_A(g) and g0 the compact part."""
+    from minvec.orders import v_A
+    k = v_A(g, bundle.datum.order)
+    return k, (bundle.prime_element.pow(-k) * g).normalize()
 
 
 def j_contains(bundle, g):
     """Membership in J via the symbolic prime-power grading."""
     from minvec.errors import PrecisionLoss
     try:
-        _, g0 = bundle.j_grade_and_part(g)
+        _, g0 = j_grade_and_part(bundle, g)
     except (PrecisionLoss, ValueError):
         return False
     return contains_value(bundle.jcapk, g0)
 
 
 def approx_equal(a, b, level=None):
-    """Equality of two MatrixApprox values mod p^(scale + level) at the
-    coarser precision."""
-    diff = a - b
-    if diff.zero:
-        return True
-    lv = diff.prec if level is None else min(level, diff.prec)
+    """Equality of two MatrixApprox values: both zero, or the same
+    normalized scale and the same residues mod p^level at the coarser
+    precision (mod p^prec of the coarser one when level is None)."""
+    a, b = a.normalize(), b.normalize()
+    if a.zero or b.zero:
+        return a.zero and b.zero
+    lv = min(a.prec, b.prec) if level is None else min(level, a.prec, b.prec)
     m = a.ctx.p ** lv
-    return all(v % m == 0 for row in diff.entries for v in row)
+    return a.scale == b.scale and all(
+        (x - y) % m == 0 for ra, rb in zip(a.entries, b.entries)
+        for x, y in zip(ra, rb))
+
+
+def subgroup_dump_lines(sub):
+    """The golden line format of an enumerated subgroup: a header, then its
+    row-major residues in code order."""
+    out = [f"# subgroup {sub.name} p={sub.p} N={sub.level} n={sub.n} "
+           f"size={sub.size}"]
+    for row in sub.mats.reshape(sub.size, sub.n * sub.n):
+        out.append(" ".join(str(int(v)) for v in row))
+    return out
+
+
+def character_dump_lines(theta):
+    """The golden line format of a character table: a header, then each
+    element's row-major residues and its exponent in lowest terms."""
+    from fractions import Fraction
+    dom = theta.domain
+    out = [f"# character on {dom.name} p={dom.p} N={dom.level} n={dom.n} "
+           f"denom={theta.denom}"]
+    for row, num in zip(dom.mats.reshape(dom.size, -1), theta.nums):
+        t = Fraction(int(num), theta.denom)
+        out.append(" ".join(str(int(v)) for v in row) +
+                   f"  {t.numerator}/{t.denominator}")
+    return out
+
+
+def serialize_spec(spec):
+    """Canonical JSON text of a parsed datum, parabolic or query spec, for
+    the round trip against the shipped files."""
+    from minvec.datafiles import (DatumSpec, ParabolicSpec, QuerySpec,
+                                  canonical_dumps)
+
+    def as_dict(s):
+        if isinstance(s, DatumSpec):
+            return {"kind": "supercuspidal", "p": s.p, "n": s.n, "e": s.e,
+                    "j": s.j, "beta": {"scale": s.beta_scale,
+                                       "entries": s.beta_entries}}
+        if isinstance(s, ParabolicSpec):
+            return {"kind": "parabolic", "p": s.p,
+                    "blocks": [as_dict(b) for b in s.blocks],
+                    "inequivalent": s.inequivalent}
+        assert isinstance(s, QuerySpec)
+        return {"kind": "lattice-query", "n": s.n, "m": s.m,
+                "entry_bound": s.entry_bound, "p": s.p, "c": s.c,
+                "torus_generators": s.torus_generators}
+
+    return canonical_dumps(as_dict(spec))
 
 
 def _residue_span(vectors, p):
@@ -475,7 +556,8 @@ def k0_flat(d, budget: int = 2_000_000) -> int:
     """Independent flat enumeration of A / B^(j+2) (small data only)."""
     from minvec.errors import BudgetExceeded
     from minvec.orders import (_coeff_tuples, _grade0_projection,
-                               int_matrix_grade, mat_mul_int, mat_sub_int)
+                               int_matrix_grade, mat_sub_int)
+    from minvec.padic import mat_mul_int
     o, p, j = d.order, d.p, d.j
     n, e, s0 = o.n, o.e, d.s0
     Bt = d.beta_integral
@@ -570,10 +652,11 @@ def extend_character_oracle(group, sub_exponents, denom_hint=None):
     return nums, denom, cmat, orders
 
 
-def exponent_counter_inner(lists_a, lists_b, p):
-    """sum_g value_a(g) * conj(value_b(g)) as an exact CyclotomicSum, from
-    per-element exponent lists of Fractions."""
+def exponent_counter_inner(lists_a, lists_b, p, size):
+    """(1/size) sum_g value_a(g) * conj(value_b(g)) as an exact
+    CyclotomicSum, from per-element exponent lists of Fractions."""
     import math
+    from fractions import Fraction
     from minvec.cyclotomic import CyclotomicSum
     counter = {}
     for la, lb in zip(lists_a, lists_b):
@@ -581,7 +664,7 @@ def exponent_counter_inner(lists_a, lists_b, p):
             for tb in lb:
                 t = ta - tb
                 t -= math.floor(t)
-                counter[t] = counter.get(t, 0) + 1
+                counter[t] = counter.get(t, 0) + Fraction(1, size)
     return CyclotomicSum(p, counter)
 
 
@@ -623,14 +706,13 @@ def induced_laws_oracle(j1, h1, theta, theta_tilde, rows=None):
     if dim is None or dim.denominator != 1 or dim <= 0:
         raise AssertionError("dimension is not a positive integer")
     dim = int(dim)
-    inner = (exponent_counter_inner(lists, lists, p)
-             * Fraction(1, j1.size)).rational_value()
+    inner = exponent_counter_inner(lists, lists, p, j1.size).rational_value()
     h_rows = sorted_index(j1.codes, h1.codes)
     theta_lists = [(Fraction(int(v), theta.denom),) for v in theta.nums]
     restriction = all(value(int(g)) == CyclotomicSum(p, {t: dim})
                       for g, (t,) in zip(h_rows, theta_lists))
-    rinner = (exponent_counter_inner([lists[g] for g in h_rows], theta_lists,
-                                     p) * Fraction(1, h1.size)).rational_value()
+    rinner = exponent_counter_inner([lists[g] for g in h_rows], theta_lists,
+                                    p, h1.size).rational_value()
     vid = {}
     constancy = True
     invs = det_inv_mod(j1.mats, p, L)[1]

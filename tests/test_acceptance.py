@@ -20,7 +20,7 @@ from minvec.counting import (LatticeQuery, amplifier_exponent, enumerate_S,
 from minvec.groups import (build_Kpi, gl_order, intertwining_dichotomy,
                            prepare_block, verify_character)
 from minvec.orders import (HereditaryOrder, approximation_report,
-                           in_radical_power, is_minimal, k0, v_A)
+                           is_minimal, k0, v_A)
 from minvec.padic import MatrixApprox, PrecisionCtx
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
@@ -73,10 +73,10 @@ def test_criterion_1_filtration_laws():
                             ent = [[0] * n for _ in range(n)]
                             ent[r][c] = 1
                             span = MatrixApprox.from_exact(ctx, ent).scaled(t)
-                            assert in_radical_power(span, i, o)
+                            assert v_A(span, o) >= i
                             # B^(i+e) = p B^i on the spanning element
-                            assert in_radical_power(span * 3, i + e, o)
-                            assert not in_radical_power(span.scaled(-1), i, o)
+                            assert v_A(span * 3, o) >= i + e
+                            assert v_A(span.scaled(-1), o) < i
 
 
 def test_criterion_2_minimality_and_k0():

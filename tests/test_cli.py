@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR
-from oracles import omega_exponent, row_disagrees
+from oracles import (character_dump_lines, omega_exponent, row_disagrees,
+                     serialize_spec, subgroup_dump_lines)
 
 from minvec import cli, testfunc
 from minvec.residues import sample_units_outside
 from minvec.datafiles import (canonical_dumps, extract_block, load_datum,
-                              parse_datum_text, roundtrip_ok, serialize)
+                              parse_datum_text, parse_query_text)
 from minvec.errors import DatumInvalid
 
 
@@ -30,8 +31,12 @@ def run_cli(*argv):
 
 class TestDatumFiles:
     def test_roundtrip_all_shipped(self):
+        # parse then reserialize reproduces the bytes of every shipped file
         for path in sorted(DATA_DIR.glob("*.json")):
-            assert roundtrip_ok(path), path
+            text = path.read_text()
+            parse = parse_query_text if json.loads(text).get("kind") == \
+                "lattice-query" else parse_datum_text
+            assert serialize_spec(parse(text)) == text, path
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(DatumInvalid):
@@ -54,7 +59,8 @@ class TestDatumFiles:
 
     def test_serialize_is_canonical(self):
         spec = load_datum(DATA_DIR / "datum_n2e2j1p3.json")
-        assert serialize(spec) == (DATA_DIR / "datum_n2e2j1p3.json").read_text()
+        assert serialize_spec(spec) == \
+            (DATA_DIR / "datum_n2e2j1p3.json").read_text()
 
 
 class TestExitCodes:
@@ -185,12 +191,12 @@ class TestDeterminism:
 class TestGolden:
     def test_subgroup_dump(self, block_a):
         want = (GOLDEN_DIR / "h1_n2e2j1p3.subgroup.txt").read_text()
-        got = "\n".join(block_a.bundle.h1.dump_lines()) + "\n"
+        got = "\n".join(subgroup_dump_lines(block_a.bundle.h1)) + "\n"
         assert got == want
 
     def test_character_dump(self, block_a):
         want = (GOLDEN_DIR / "theta_n2e2j1p3.character.txt").read_text()
-        got = "\n".join(block_a.simple.theta.dump_lines()) + "\n"
+        got = "\n".join(character_dump_lines(block_a.simple.theta)) + "\n"
         assert got == want
 
     def test_order_block(self):

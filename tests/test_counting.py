@@ -214,10 +214,14 @@ class TestTorusMemory:
     # cannot read below the memory of the process that started it.
 
     def test_cold_closure_within_three_results(self):
-        q = load_query(DATA_DIR / "query_m4_deep.json").query()
-        keys, peak = traced_peak(q.torus_set)
-        assert len(keys) == 531441
-        assert peak <= 3 * keys.nbytes
+        # the second query's torus is the cyclic subgroup of diag(2, 1) mod
+        # 3^12, whose powers are far more than one chunk of product rows
+        deep = load_query(DATA_DIR / "query_m4_deep.json").query()
+        long_cycle = LatticeQuery(2, 1, 1, 3, 12, (((2, 0), (0, 1)),))
+        for q, size in ((deep, 531441), (long_cycle, 354294)):
+            keys, peak = traced_peak(q.torus_set)
+            assert len(keys) == size
+            assert peak <= 3 * keys.nbytes
 
     def test_budget_raise_within_one_mib(self):
         q = load_query(DATA_DIR / "query_m4_deep.json").query()

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 import minvec
 from minvec import groups, residues
-from minvec.errors import PrecisionLoss
 from minvec.groups import (GroupCharacter, _first_not_intertwined,
-                           enumerate_h1, intertwines, intertwining_dichotomy,
-                           intertwining_spot)
-from minvec.orders import mat_mul_int, min_poly_fp
-from minvec.padic import MatrixApprox
+                           intertwining_dichotomy, intertwining_spot)
+from minvec.orders import min_poly_fp
+from minvec.padic import MatrixApprox, mat_mul_int
 from minvec.residues import det_inv_mod, pack, sample_units_outside
 
 from oracles import (first_not_intertwined_oracle, intertwines_oracle,
@@ -84,31 +82,21 @@ class TestMinPoly:
 
 
 class TestIntertwiningKernel:
-    @pytest.mark.parametrize("name", ["prime", "diag(1,3)", "diag(3,1)",
-                                      "1+Pi", "I"])
+    @pytest.mark.parametrize("name", ["1+Pi", "I", "diag(1,2)"])
     def test_matches_matrixapprox_loop(self, block_a, name):
         d = block_a.datum
-        g = {"prime": block_a.bundle.prime_element,
-             "diag(1,3)": MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]]),
-             "diag(3,1)": MatrixApprox.from_exact(d.ctx, [[3, 0], [0, 1]]),
-             "1+Pi": MatrixApprox.from_exact(d.ctx, [[1, 1], [3, 1]]),
-             "I": MatrixApprox.identity(d.ctx, 2)}[name]
+        rows = {"1+Pi": [[1, 1], [3, 1]], "I": [[1, 0], [0, 1]],
+                "diag(1,2)": [[1, 0], [0, 2]]}[name]
         theta = block_a.simple.theta
-        ok, witness = intertwines(g, theta, d, block_a.bundle)
-        want_ok, want_witness = intertwines_oracle(g, theta, d)
-        assert ok == want_ok
-        assert (witness is None) == (want_witness is None)
-        if witness is not None:
-            assert np.array_equal(witness, want_witness)
-
-    def test_non_integral_conjugates_are_skipped(self, block_a):
-        # diag(1, 3) x diag(1, 3)^-1 has x_12 / 3 in its corner, so x with
-        # 3 not dividing x_12 lie outside the overlap and are never witnesses
-        xs = enumerate_h1(block_a.datum, 3)
-        xs = xs[xs[:, 0, 1] % 3 != 0]
-        G, Gi = np.diag([1, 3]), np.diag([3, 1])
-        assert _first_not_intertwined(G, Gi, -1, xs,
-                                      block_a.simple.theta) is None
+        G = np.array([rows], dtype=np.int64)
+        xs = theta.domain.mats
+        first = _first_not_intertwined(G, det_inv_mod(G, 3, 2)[1], xs,
+                                       theta)[0]
+        want_ok, want_witness = intertwines_oracle(
+            MatrixApprox.from_exact(d.ctx, rows), theta, d)
+        assert (first < 0) == want_ok == (name != "diag(1,2)")
+        if first >= 0:
+            assert np.array_equal(xs[first], want_witness)
 
     def test_stack_matches_reference_in_any_chunking(self, block_a,
                                                       monkeypatch):
@@ -122,31 +110,22 @@ class TestIntertwiningKernel:
         Gi = det_inv_mod(G, 3, 2)[1]
         theta = block_a.simple.theta
         xs = theta.domain.mats
-        want = first_not_intertwined_oracle(G, Gi, 0, xs, theta).tolist()
+        want = first_not_intertwined_oracle(G, Gi, xs, theta).tolist()
         assert -1 in want and any(i >= 0 for i in want)
-        assert _first_not_intertwined(G, Gi, 0, xs, theta).tolist() == want
+        assert _first_not_intertwined(G, Gi, xs, theta).tolist() == want
         monkeypatch.setattr(residues, "CHUNK_BYTES", 1)
-        assert _first_not_intertwined(G, Gi, 0, xs, theta).tolist() == want
-
-    def test_short_inverse_is_a_precision_loss(self, block_a):
-        # diag(1, 3) known mod 3^2 only: its inverse keeps one digit, and
-        # the shift s = -1 needs L - s = 3
-        d = block_a.datum
-        g = MatrixApprox(d.ctx, [[1, 0], [0, 3]], prec=2)
-        with pytest.raises(PrecisionLoss):
-            intertwines(g, block_a.simple.theta, d, block_a.bundle)
+        assert _first_not_intertwined(G, Gi, xs, theta).tolist() == want
 
 
 def kernel_calls(monkeypatch, run):
-    """(G, Gi, s, xs, theta) of every stacked intertwining-kernel call made
-    while run() runs."""
+    """(G, Gi, xs, theta) of every intertwining-kernel call made while
+    run() runs."""
     calls = []
     kernel = groups._first_not_intertwined
 
-    def recording(G, Gi, s, xs, theta):
-        if np.ndim(G) == 3:
-            calls.append((np.array(G), np.array(Gi), s, xs, theta))
-        return kernel(G, Gi, s, xs, theta)
+    def recording(G, Gi, xs, theta):
+        calls.append((np.array(G), np.array(Gi), xs, theta))
+        return kernel(G, Gi, xs, theta)
 
     with monkeypatch.context() as m:
         m.setattr(groups, "_first_not_intertwined", recording)
@@ -174,9 +153,9 @@ class TestIntertwiningShortcut:
     ordered scan index for index."""
 
     @staticmethod
-    def assert_matches_scan(G, Gi, s, xs, theta):
-        want = first_not_intertwined_oracle(G, Gi, s, xs, theta)
-        assert _first_not_intertwined(G, Gi, s, xs, theta).tolist() == \
+    def assert_matches_scan(G, Gi, xs, theta):
+        want = first_not_intertwined_oracle(G, Gi, xs, theta)
+        assert _first_not_intertwined(G, Gi, xs, theta).tolist() == \
             want.tolist()
         return want
 
@@ -193,9 +172,9 @@ class TestIntertwiningShortcut:
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("name", ["block_b", "block_c"])
     def test_spot_conjugators(self, name, seed, request, monkeypatch):
-        G, Gi, s, xs, theta = spot_call(request.getfixturevalue(name),
-                                        monkeypatch, seed)
-        want = self.assert_matches_scan(G, Gi, s, xs, theta)
+        G, Gi, xs, theta = spot_call(request.getfixturevalue(name),
+                                     monkeypatch, seed)
+        want = self.assert_matches_scan(G, Gi, xs, theta)
         # every intertwining row, the 40 members of J cap K first, is
         # certified on the generators alone
         fixed = groups._fixed_on_generators(G, Gi, theta)
@@ -204,7 +183,7 @@ class TestIntertwiningShortcut:
 
     @pytest.mark.parametrize("twist", ["double", "conjugated"])
     def test_twisted_character(self, block_b, twist, monkeypatch):
-        G, Gi, s, xs, theta = spot_call(block_b, monkeypatch)
+        G, Gi, xs, theta = spot_call(block_b, monkeypatch)
         h1 = theta.domain
         normal = normalizes_h1(G, Gi, h1)
         if twist == "double":
@@ -218,20 +197,20 @@ class TestIntertwiningShortcut:
         twisted = GroupCharacter(h1, nums, theta.denom)
         assert groups.verify_character(h1, twisted.nums,
                                        twisted.denom).multiplicative
-        want = self.assert_matches_scan(G, Gi, s, xs, twisted)
+        want = self.assert_matches_scan(G, Gi, xs, twisted)
         fixed = groups._fixed_on_generators(G, Gi, twisted)
         # normalizing rows that the generators do not certify are scanned
         assert (normal & ~fixed & (want >= 0)).any()
         assert fixed.tolist() == (want < 0).tolist()
 
     def test_perturbed_table_takes_no_shortcut(self, block_b, monkeypatch):
-        G, Gi, s, xs, theta = spot_call(block_b, monkeypatch)
+        G, Gi, xs, theta = spot_call(block_b, monkeypatch)
         nums = theta.nums.copy()
         k = (theta.domain.identity_index() + 1) % len(nums)
         nums[k] = (nums[k] + 1) % theta.denom
         perturbed = GroupCharacter(theta.domain, nums, theta.denom)
         assert not groups._fixed_on_generators(G, Gi, perturbed).any()
-        self.assert_matches_scan(G, Gi, s, xs, perturbed)
+        self.assert_matches_scan(G, Gi, xs, perturbed)
 
     def test_a_wrong_inverse_is_not_certified(self, block_b):
         # x -> x c with c in ker theta agrees with theta on all of H1, but it
@@ -244,21 +223,7 @@ class TestIntertwiningShortcut:
         assert groups._fixed_on_generators(G, G, theta).all()
         assert not groups._fixed_on_generators(G, h1.mats[c][None],
                                                 theta).any()
-        self.assert_matches_scan(G, h1.mats[c][None], 0, h1.mats, theta)
-
-    @pytest.mark.parametrize("name", ["prime", "diag(1,3)", "diag(3,1)"])
-    def test_negative_shift_through_intertwines(self, block_a, name,
-                                                monkeypatch):
-        d = block_a.datum
-        g = {"prime": block_a.bundle.prime_element,
-             "diag(1,3)": MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]]),
-             "diag(3,1)": MatrixApprox.from_exact(d.ctx, [[3, 0], [0, 1]])
-             }[name]
-        calls = kernel_calls(monkeypatch, lambda: intertwines(
-            g, block_a.simple.theta, d, block_a.bundle))
-        (G, Gi, s, xs, theta), = calls
-        assert s < 0
-        self.assert_matches_scan(G, Gi, s, xs, theta)
+        self.assert_matches_scan(G, h1.mats[c][None], h1.mats, theta)
 
 
 class TestSampler:

@@ -6,8 +6,8 @@ import pytest
 
 from minvec.errors import BudgetExceeded, DatumInvalid, PrecisionLoss
 from minvec.orders import (HereditaryOrder, InductionDatum,
-                           approximation_report, in_radical_power,
-                           is_minimal, k0, v_A)
+                           approximation_report, is_minimal, k0,
+                           v_A)
 from minvec.padic import MatrixApprox, PrecisionCtx
 
 from conftest import build_datum
@@ -54,22 +54,20 @@ class TestRadicalMembership:
         ctx = PrecisionCtx(3, 4)
         for n, e in [(2, 1), (2, 2), (3, 3), (4, 2)]:
             o = HereditaryOrder(n, e)
-            assert in_radical_power(MatrixApprox.identity(ctx, n), 0, o)
+            assert v_A(MatrixApprox.identity(ctx, n), o) >= 0
 
     def test_prime_element_levels(self):
         ctx = PrecisionCtx(3, 4)
         o = HereditaryOrder(2, 2)
         Pi = MatrixApprox.from_exact(ctx, [[0, 1], [3, 0]])
-        assert in_radical_power(Pi, 1, o)
-        assert not in_radical_power(Pi, 2, o)
+        assert v_A(Pi, o) == 1
 
     def test_p_times_identity(self):
         ctx = PrecisionCtx(3, 5)
         for n, e in [(2, 1), (2, 2), (4, 2), (4, 4)]:
             o = HereditaryOrder(n, e)
             pI = MatrixApprox.identity(ctx, n) * 3
-            assert in_radical_power(pI, e, o)
-            assert not in_radical_power(pI, e + 1, o)
+            assert v_A(pI, o) == e
 
     def test_against_literal_oracle(self):
         rnd = random.Random(5)
@@ -82,7 +80,7 @@ class TestRadicalMembership:
                 x = MatrixApprox.from_exact(ctx, rows,
                                             scale=rnd.randrange(-1, 2))
                 for i in range(-2 * e, 2 * e + 1):
-                    assert in_radical_power(x, i, o) == \
+                    assert (v_A(x, o) >= i) == \
                         literal_membership(x, i, o), (rows, x.scale, i, n, e)
 
     def test_precision_loss(self):
@@ -90,7 +88,7 @@ class TestRadicalMembership:
         o = HereditaryOrder(2, 2)
         truncated = MatrixApprox(ctx, [[9, 9], [9, 9]], prec=2)
         with pytest.raises(PrecisionLoss):
-            in_radical_power(truncated, 5, o)
+            v_A(truncated, o)
 
 
 class TestSemiValuation:
@@ -168,13 +166,13 @@ class TestFiltrationLaws:
                         for c in range(n):
                             t = o.entry_threshold(i, r, c)
                             span = elementary(ctx, n, r, c, t)
-                            assert in_radical_power(span, i, o)
-                            if not in_radical_power(span, i + 1, o):
+                            assert v_A(span, o) >= i
+                            if v_A(span, o) < i + 1:
                                 strict = True
                             # period law on the spanning element
-                            assert in_radical_power(span * 3, i + e, o)
-                            assert not in_radical_power(
-                                elementary(ctx, n, r, c, t - 1), i, o)
+                            assert v_A(span * 3, o) >= i + e
+                            assert v_A(elementary(ctx, n, r, c, t - 1),
+                                       o) < i
                     assert strict
 
     def test_approximation_corollary(self):

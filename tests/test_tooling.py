@@ -1,5 +1,8 @@
-"""The benchmark's tracer hooks minvec by name; every name must resolve."""
+"""The benchmark's tracer hooks minvec by name; every name must resolve.
+The package holds only code that a CLI run reaches, or that is named below
+with the reason it stays."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -7,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import DATA_DIR, REPO
 from oracles import torus_closure_oracle
@@ -107,3 +111,72 @@ def test_import_boundary(tmp_path):
         loaded = loaded_modules(tmp_path, run)
         assert "minvec.counting" in loaded
         assert not loaded & verify_stack, argv
+
+
+# Functions and methods of src/minvec that `report-all data/` does not run,
+# each with why it stays.
+UNREACHED_OK = {
+    "cli._stage": "names the stage of a MemoryError; no shipped input "
+                  "runs out of memory",
+    "residues.matrix_keys": "torus codes past int64 packing; no shipped "
+                            "query has (p^c)^(n^2) >= 2^62",
+    "padic.MatrixApprox.zero_of": "the exact zero value; no shipped datum "
+                                  "forms a zero product or input",
+    "cyclotomic.CyclotomicSum.__sub__": "re-decides an induced-law row that "
+                                        "the integer numerators leave open",
+    "cyclotomic.CyclotomicSum.__eq__": "the same re-decision path",
+    "cyclotomic.CyclotomicSum.is_zero": "the same re-decision path",
+    "cyclotomic.CyclotomicSum.__repr__": "shown in tracebacks and debuggers",
+    "padic.MatrixApprox.__repr__": "shown in tracebacks and debuggers",
+    "datafiles.extract_block": "the reader of the block that render_report "
+                               "writes, kept beside its writer",
+}
+
+REACHED = """
+import json, sys
+src = sys.argv[1]
+seen = set()
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(src):
+        seen.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+sys.setprofile(record)
+from minvec import cli
+code = cli.main(["--out", "report.txt", "report-all", sys.argv[2]])
+sys.setprofile(None)
+print(json.dumps([code, sorted(seen)]))
+"""
+
+
+def defined_functions(src):
+    """module.function and module.Class.method of every def in src, nested
+    functions excluded."""
+    names = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                names.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                names.update(f"{path.stem}.{node.name}.{item.name}"
+                             for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+    return names
+
+
+def test_src_holds_only_what_the_cli_runs(tmp_path):
+    src = REPO / "src" / "minvec"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", REACHED, str(src), str(DATA_DIR)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, seen = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    reached = {f"{Path(path).stem}.{qualname}" for path, qualname in seen}
+    defined = defined_functions(src)
+    unreached = sorted(defined - reached - set(UNREACHED_OK))
+    assert not unreached, f"never run by report-all: {', '.join(unreached)}"
+    # the allowlist names only defined functions that really go unrun
+    stale = sorted(set(UNREACHED_OK) - (defined - reached))
+    assert not stale, f"allowlisted but run or gone: {', '.join(stale)}"
