@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import datafiles
 from .errors import (BudgetExceeded, ConstructionFailure, DatumInvalid,
-                     MinvecError, PrecisionLoss)
+                     MinvecError)
 from .orders import approximation_report, is_minimal, k0
 
 EXIT_PASS = 0
@@ -58,22 +58,24 @@ def _block_specs(spec):
     return spec.blocks if isinstance(spec, datafiles.ParabolicSpec) else [spec]
 
 
-def cmd_order(args) -> int:
-    spec = _load(args.datum, datafiles.load_datum)
-    specs = _block_specs(spec)
+def cmd_order(args, data=None) -> int:
+    """Order invariants of one datum file.  `data` are its blocks' data when
+    they are already built, as report-all has them."""
+    specs = _block_specs(_load(args.datum, datafiles.load_datum))
+    if data is None:
+        data = [s.build() for s in specs]
     human = [f"datum: {args.datum}"]
     blocks = []
     falsified = False
-    for i, s in enumerate(specs):
+    for i, (s, d) in enumerate(zip(specs, data)):
         t0 = time.perf_counter()
-        d = s.build(margin=args.precision_margin)
         res = k0(d, budget=args.budget)
         try:
             minimal = is_minimal(d)
         except DatumInvalid:
             minimal = False
         approx_ok = all(
-            approximation_report(d.order, idx, d.ctx).holds
+            approximation_report(d.order, idx).holds
             for idx in range(-2 * d.order.e, 2 * d.order.e + 1))
         falsified |= not approx_ok
         ms = (time.perf_counter() - t0) * 1000
@@ -105,12 +107,11 @@ def cmd_order(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _prepare(spec, margin, budget, seed, data=None):
+def _prepare(spec, budget, seed, data=None):
     """Blocks and K_pi of a datum file, built from `data` when given."""
     from . import groups
     if data is None:
-        data = [s.build(margin=margin, strict="always")
-                for s in _block_specs(spec)]
+        data = [s.build() for s in _block_specs(spec)]
     if isinstance(spec, datafiles.ParabolicSpec):
         blocks = [groups.prepare_block(d, budget=budget) for d in data]
         kr = groups.build_Kpi(blocks, inequivalent_assertion=spec.inequivalent,
@@ -286,7 +287,7 @@ _CHECK_FNS = {
 
 def cmd_verify(args, data=None) -> int:
     """Run the checks on one datum file.  `data` are its blocks' data when
-    they are already built with strict="always", as report-all has them."""
+    they are already built, as report-all has them."""
     if args.checks is not None:
         names = [c for c in args.checks.split(",") if c]
         if not names:
@@ -298,8 +299,7 @@ def cmd_verify(args, data=None) -> int:
         names = list(ALL_CHECKS)
     from . import testfunc
     spec = _load(args.datum, datafiles.load_datum)
-    blocks, kr = _prepare(spec, args.precision_margin, args.budget,
-                          args.seed, data)
+    blocks, kr = _prepare(spec, args.budget, args.seed, data)
     dr = testfunc.depth_report(kr)
     human = [f"datum: {args.datum}", f"checks: {','.join(names)}",
              f"depth: d = {dr.depth}, c = {_frac(dr.c)}, cfrak = {dr.cfrak}, "
@@ -431,9 +431,10 @@ def cmd_report_all(args) -> int:
     for path in sorted(data_dir.glob("*.json")):
         kind = json.loads(path.read_text()).get("kind", "supercuspidal")
         if kind in ("supercuspidal", "parabolic"):
-            run(cmd_order, datum=str(path), checks=None)
-            data = _verifiable(path, args.precision_margin)
-            if data is not None:
+            data = [s.build()
+                    for s in _block_specs(datafiles.load_datum(path))]
+            run(lambda a: cmd_order(a, data), datum=str(path), checks=None)
+            if all(is_minimal(d) for d in data):
                 run(lambda a: cmd_verify(a, data), datum=str(path),
                     checks=None)
             else:
@@ -452,18 +453,6 @@ def cmd_report_all(args) -> int:
     if EXIT_BUDGET in codes:
         return EXIT_BUDGET
     return EXIT_PASS
-
-
-def _verifiable(path, margin):
-    """The data of a datum file's blocks, built as `verify` builds them,
-    when the verification preconditions (minimal data) hold; else None."""
-    try:
-        spec = datafiles.load_datum(path)
-        data = [s.build(margin=margin, strict="always")
-                for s in _block_specs(spec)]
-        return data if all(is_minimal(d) for d in data) else None
-    except MinvecError:
-        return None
 
 
 def _stage(err: BaseException) -> str:
@@ -493,7 +482,7 @@ def _capture(fn, args):
         except MemoryError as err:
             buf.write(f"SKIPPED (budget): out of memory in {_stage(err)}\n")
             code = EXIT_BUDGET
-        except (ConstructionFailure, PrecisionLoss) as err:
+        except ConstructionFailure as err:
             buf.write(f"CONSTRUCTION FAILURE: {err}\n")
             code = EXIT_CONSTRUCTION
     return buf.getvalue(), code
@@ -511,16 +500,12 @@ def _common_flags():
                         help="enumeration/search budget (elements)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled checks")
-    common.add_argument("--precision-margin", type=int,
-                        default=argparse.SUPPRESS,
-                        help="extra p-adic digits beyond the default")
     common.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write the report to a file instead of stdout")
     return common
 
 
-_FLAG_DEFAULTS = {"budget": 5_000_000, "seed": 0, "precision_margin": 0,
-                  "out": None}
+_FLAG_DEFAULTS = {"budget": 5_000_000, "seed": 0, "out": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,7 +565,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         sys.stderr.write(f"budget exceeded: out of memory in {_stage(err)}\n")
         return EXIT_BUDGET
-    except (ConstructionFailure, PrecisionLoss) as err:
+    except ConstructionFailure as err:
         sys.stderr.write(f"construction failure: {err}\n")
         return EXIT_CONSTRUCTION
     except MinvecError as err:

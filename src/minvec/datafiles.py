@@ -1,6 +1,9 @@
 """Datum and query files, and report formatting.
 
-Data files are JSON objects, validated field by field at parse time.
+Data files are JSON objects, validated field by field at parse time: p is
+a prime integer, the sizes, depth and scale are integers and beta's
+entries form an integer matrix, so a bad file exits 2 before any build.
+A datum file holds beta exactly, as an integer matrix and a p-power scale.
 Reports pair a human-readable section with one machine-readable block,
 canonical JSON (sorted keys, two-space indent) between marker lines;
 golden tests diff only the block.
@@ -16,7 +19,7 @@ from pathlib import Path
 
 from .errors import DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, v_A
-from .padic import MatrixApprox, PrecisionCtx
+from .padic import is_prime
 
 BLOCK_BEGIN = "--- BEGIN STRUCTURED BLOCK ---"
 BLOCK_END = "--- END STRUCTURED BLOCK ---"
@@ -43,29 +46,20 @@ class DatumSpec:
     beta_entries: list
     beta_scale: int
 
-    def context(self, margin: int = 0) -> PrecisionCtx:
-        s0 = -((-self.j) // self.e)
-        need = max(self.j + 2, 2 * s0 + 2)
-        return PrecisionCtx(self.p, need + margin)
-
-    def build(self, margin: int = 0, strict: str = "auto") -> InductionDatum:
-        """Construct the induction datum; strict='auto' relaxes the field
-        certificate only for data already failing the coprimality clause."""
+    def build(self) -> InductionDatum:
+        """Construct the induction datum.  The field certificate and the
+        normalizer check are required only of data that pass the
+        coprimality clause; the others are built flagged, so that the order
+        report can show why they are not minimal."""
         order = HereditaryOrder(self.n, self.e)
-        ctx = self.context(margin)
-        beta = MatrixApprox.from_exact(ctx, self.beta_entries, self.beta_scale)
-        val = v_A(beta, order)
+        g = v_A(self.beta_entries, order, self.p)
+        val = None if g is None else g + self.e * self.beta_scale
         if val != -self.j:
             raise DatumInvalid(
                 f"declared j = {self.j} but v_A(beta) = {val}")
-        if strict == "always":
-            return InductionDatum.build(order, beta, ctx, strict=True)
-        try:
-            return InductionDatum.build(order, beta, ctx, strict=True)
-        except DatumInvalid:
-            if strict == "auto" and math.gcd(self.j, self.e) != 1:
-                return InductionDatum.build(order, beta, ctx, strict=False)
-            raise
+        return InductionDatum.build(order, self.p, self.beta_entries,
+                                    self.beta_scale,
+                                    strict=math.gcd(self.j, self.e) == 1)
 
 
 @dataclass
@@ -101,19 +95,20 @@ def _parse_block(obj) -> DatumSpec:
     for key in ("p", "n", "e", "j", "beta"):
         _require(key in obj, f"missing field {key!r}")
     p, n, e, j = (obj[k] for k in ("p", "n", "e", "j"))
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    _require(isinstance(e, int) and e >= 1, "e must be a positive integer")
+    _require_prime(p)
+    for key, v in (("n", n), ("e", e), ("j", j)):
+        _require(_is_int(v) and v >= 1, f"{key} must be a positive integer")
     _require(n % e == 0, "e must divide n")
-    _require(isinstance(j, int) and j >= 1, "j must be a positive integer")
     beta = obj["beta"]
     _require(isinstance(beta, dict) and "entries" in beta and "scale" in beta,
              "beta needs entries and scale")
+    _require(_is_int(beta["scale"]), "beta scale must be an integer")
     ent = beta["entries"]
-    _require(len(ent) == n and all(len(r) == n for r in ent),
-             "beta entries must be an n x n integer matrix")
-    _require(all(isinstance(v, int) for r in ent for v in r),
-             "beta entries must be integers")
-    return DatumSpec(p, n, e, j, [list(r) for r in ent], int(beta["scale"]))
+    _require(isinstance(ent, list) and len(ent) == n
+             and all(isinstance(r, list) and len(r) == n
+                     and all(_is_int(v) for v in r) for r in ent),
+             f"beta entries must be an {n} x {n} integer matrix")
+    return DatumSpec(p, n, e, j, [list(r) for r in ent], beta["scale"])
 
 
 def parse_datum_text(text: str):
@@ -149,6 +144,7 @@ def parse_query_text(text: str) -> QuerySpec:
         _require(_is_int(obj[key]), f"{key} must be an integer")
     n = obj["n"]
     _require(n >= 1, "n must be a positive integer")
+    _require_prime(obj["p"])
     gens = obj.get("torus_generators", [])
     _require(isinstance(gens, list), "torus_generators must be a list")
     for g in gens:
@@ -162,6 +158,10 @@ def parse_query_text(text: str) -> QuerySpec:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_prime(p):
+    _require(_is_int(p) and is_prime(p), f"p = {p!r} must be a prime integer")
 
 
 def load_datum(path):

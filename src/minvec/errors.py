@@ -5,10 +5,6 @@ class MinvecError(Exception):
     """Base class for all toolkit errors."""
 
 
-class PrecisionLoss(MinvecError):
-    """A computation needed more p-adic digits than the value carries."""
-
-
 class BudgetExceeded(MinvecError):
     """An enumeration or search exceeded its configured budget.
 

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid, PrecisionLoss
+from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, fp_reduce
-from .padic import MatrixApprox, vp
+from .padic import vp
 from .residues import (box_enumerate, chunk_rows, contains_codes, det_inv_mod,
                        pack, sample_units_outside, sorted_index, sorted_unique,
                        unpack)
@@ -203,27 +203,13 @@ def enumerate_field_order(d: InductionDatum, L: int):
     return mats, unit, ul1
 
 
-def prime_element_of_L(d: InductionDatum) -> MatrixApprox:
-    """A prime element of L = F[beta]: valuation 1 for the order filtration."""
-    e = d.order.e
-    if e == 1:
-        return MatrixApprox.identity(d.ctx, d.order.n) * d.p
-    r = (e * d.s0 - d.j) % e
-    if r == 0:
-        raise DatumInvalid("normalized generator has grade 0; no prime power")
-    a = pow(r, -1, e)
-    k = (a * r - 1) // e
-    bt = MatrixApprox.from_exact(d.ctx, d.beta_integral)
-    return bt.pow(a).scaled(-k).normalize()
-
-
 @dataclass
 class SubgroupBundle:
     """Explicit subgroup family of one supercuspidal datum at one level.
 
-    The noncompact group J = L^* U_A(floor((j+1)/2)) is never materialized;
-    it is represented by its compact part J cap K together with the prime
-    element of L, whose power grades the cosets J / (J cap K).
+    The noncompact group J = L^* U_A(floor((j+1)/2)) is never materialized:
+    only its compact part J cap K is enumerated, and the powers of a prime
+    element of L grade the cosets J / (J cap K).
     """
 
     datum: InductionDatum
@@ -234,7 +220,6 @@ class SubgroupBundle:
     h1: FiniteSubgroup
     j1: FiniteSubgroup
     jcapk: FiniteSubgroup
-    prime_element: MatrixApprox
 
 
 def build_subgroups(d: InductionDatum, level: int | None = None,
@@ -245,8 +230,6 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
         raise DatumInvalid("subgroup construction requires a minimal datum")
     o, p, j = d.order, d.p, d.j
     L = d.group_level if level is None else level
-    if d.ctx.N < j + 2:
-        raise PrecisionLoss("datum context carries fewer than j + 2 digits")
     ident = np.eye(o.n, dtype=np.int64)[None]
     ua = {i: FiniteSubgroup(f"U_A({i})", p, L, o.n,
                             unit_sumset(o, i, ident, p, L, budget))
@@ -261,8 +244,7 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
                         unit_sumset(o, half_high, ul1.mats, p, L, budget))
     jcapk = FiniteSubgroup("JcapK", p, L, o.n,
                            unit_sumset(o, half_high, ol_units.mats, p, L, budget))
-    prime = prime_element_of_L(d)
-    return SubgroupBundle(d, L, ua, ul1, ol_units, h1, j1, jcapk, prime)
+    return SubgroupBundle(d, L, ua, ul1, ol_units, h1, j1, jcapk)
 
 
 # ---------------------------------------------------------------------------

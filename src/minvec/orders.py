@@ -8,7 +8,10 @@ form reproduces the block pictures for i = 0 (the order itself) and i = 1
 
 The semi-valuation v_A(x) is the largest i with x in B^i.  An induction
 datum is a pair (order, beta) with v_A(beta) = -j < 0 generating a degree-n
-field; minimality of beta is the coprimality-plus-residue-generation test,
+field.  beta is held exactly as p^s * B with B an integer matrix, and every
+invariant below (v_A, the integral generator, the field certificate, the
+normalizer check, k0) is computed from the integers of B and s.
+Minimality of beta is the coprimality-plus-residue-generation test,
 equivalent to k0(beta, A) = v_A(beta), and k0 itself is computed by an
 exhaustive leading-term search over the finite quotient A / B^(j+2).
 """
@@ -19,8 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DatumInvalid, PrecisionLoss
-from .padic import MatrixApprox, PrecisionCtx, mat_mul_int, vp
+from .errors import BudgetExceeded, DatumInvalid
+from .padic import _adjugate, _int_det, mat_mul_int, vp
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -70,29 +73,6 @@ class HereditaryOrder:
         return out
 
 
-def v_A(x: MatrixApprox, o: HereditaryOrder) -> int:
-    """The largest i with x in B^i (the semi-valuation of the filtration)."""
-    if x.zero:
-        raise ValueError("v_A of the zero matrix is undefined")
-    best = None
-    floors = []
-    for r in range(o.n):
-        for c in range(o.n):
-            val, known = x.entry_val_floor(r, c)
-            if val is None:
-                continue
-            g = o.entry_grade(r, c, val)
-            if known:
-                best = g if best is None else min(best, g)
-            else:
-                floors.append(g)
-    if best is None:
-        raise PrecisionLoss("no entry has a decidable valuation")
-    if any(f < best for f in floors):
-        raise PrecisionLoss("an undecided entry could lower the valuation")
-    return best
-
-
 @dataclass(frozen=True)
 class ApproximationReport:
     """Outcome of the two-sided comparison of B^i against powers of p*M_n."""
@@ -105,7 +85,7 @@ class ApproximationReport:
     upper_strict: bool
 
 
-def approximation_report(o: HereditaryOrder, i: int, ctx: PrecisionCtx) -> ApproximationReport:
+def approximation_report(o: HereditaryOrder, i: int) -> ApproximationReport:
     """Verify p^M M_n < B^i < p^(floor(i/e)) M_n on elementary spanning sets."""
     lower = _ceil_div(i - 1, o.e) + 1
     upper = i // o.e
@@ -135,8 +115,9 @@ def mat_sub_int(a, b):
     return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
 
 
-def int_matrix_grade(rows, o: HereditaryOrder, p: int):
-    """v_A of an exact integer matrix; None for the zero matrix."""
+def v_A(rows, o: HereditaryOrder, p: int):
+    """The largest i with the integer matrix rows in B^i; None for the zero
+    matrix.  p^s * rows has v_A(rows) + e * s."""
     best = None
     for r in range(o.n):
         for c in range(o.n):
@@ -278,30 +259,37 @@ class FieldCertificate:
         return self.residue_irreducible
 
 
-class InductionDatum:
-    """A pair (order, beta) with v_A(beta) = -j < 0 and derived invariants."""
+def scaled_integral(rows, p: int, k: int):
+    """p^k * rows as integer rows, or None when it is not integral."""
+    if k >= 0:
+        return [[v * p ** k for v in row] for row in rows]
+    q = p ** -k
+    if any(v % q for row in rows for v in row):
+        return None
+    return [[v // q for v in row] for row in rows]
 
-    def __init__(self, order, beta, ctx, *, field_cert, normalizes):
-        self.order = order
-        self.beta = beta
-        self.ctx = ctx
-        self.p = ctx.p
-        v = v_A(beta, order)
-        if v >= 0:
-            raise DatumInvalid(f"v_A(beta) = {v} must be negative")
-        self.j = -v
-        self.depth = self.j
-        self.normalised_depth = Fraction(self.j, order.e)
-        self.s0 = _ceil_div(self.j, order.e)
-        self.field_cert = field_cert
-        self.normalizes = normalizes
-        bi = beta * (ctx.p ** self.s0)
-        # p^s0 * beta is integral; store plain integer rows at scale 0
-        bi = bi.normalize()
-        if bi.scale < 0:
-            raise DatumInvalid("p^ceil(j/e) * beta is not integral")
-        self.beta_integral = [[v * ctx.p ** bi.scale for v in row]
-                              for row in bi.entries]
+
+@dataclass(eq=False)
+class InductionDatum:
+    """A pair (order, beta) with beta = p^beta_scale * beta_rows exactly,
+    v_A(beta) = -j < 0, and its derived invariants."""
+
+    order: HereditaryOrder
+    p: int
+    beta_rows: list
+    beta_scale: int
+    j: int
+    beta_integral: list     # p^s0 * beta as integer rows
+    field_cert: FieldCertificate | None
+    normalizes: bool
+
+    @property
+    def s0(self) -> int:
+        return _ceil_div(self.j, self.order.e)
+
+    @property
+    def normalised_depth(self) -> Fraction:
+        return Fraction(self.j, self.order.e)
 
     # convenience levels used by the group-side modules
     @property
@@ -314,25 +302,27 @@ class InductionDatum:
         return self.field_cert is not None and self.field_cert.certified
 
     @classmethod
-    def build(cls, order, beta, ctx=None, strict=True):
-        """Validate and construct a datum.
+    def build(cls, order, p, rows, scale=0, strict=True):
+        """Validate and construct the datum beta = p^scale * rows.
 
         strict=True requires the field certificate (degree n, ramification
         index e) and the normalizer check to pass; strict=False constructs a
         flagged datum for degenerate elements so that the coprimality clause
         of the minimality test can still be evaluated on them.
         """
-        if ctx is None:
-            raise ValueError("a precision context is required")
-        if beta.n != order.n:
+        if len(rows) != order.n or any(len(r) != order.n for r in rows):
             raise DatumInvalid("beta dimension does not match the order")
-        v = v_A(beta, order)
-        if v >= 0:
-            raise DatumInvalid(f"v_A(beta) = {v} must be negative")
-        j = -v
-        s0 = _ceil_div(j, order.e)
-        cert = _field_certificate(order, beta, ctx, j, s0)
-        normalizes = _normalizer_check(order, beta, ctx)
+        g = v_A(rows, order, p)
+        if g is None:
+            raise DatumInvalid("beta must be nonzero")
+        j = -(g + order.e * scale)
+        if j <= 0:
+            raise DatumInvalid(f"v_A(beta) = {-j} must be negative")
+        bi = scaled_integral(rows, p, _ceil_div(j, order.e) + scale)
+        if bi is None:
+            raise DatumInvalid("p^ceil(j/e) * beta is not integral")
+        cert = _field_certificate(order, p, rows, scale, j, bi)
+        normalizes = _normalizer_check(order, p, rows)
         if strict:
             if cert is None or not cert.certified:
                 if math.gcd(j, order.e) == 1:
@@ -343,65 +333,57 @@ class InductionDatum:
                     "certified; construct with strict=False to inspect it")
             if not normalizes:
                 raise DatumInvalid("L* does not normalize the order")
-        return cls(order, beta, ctx, field_cert=cert, normalizes=normalizes)
+        return cls(order, p, [list(r) for r in rows], scale, j, bi, cert,
+                   normalizes)
 
 
-def _field_certificate(order, beta, ctx, j, s0):
+def _field_certificate(order, p, rows, scale, j, beta_integral):
     """Unified two-part certificate.
 
     (1) the Newton polygon of the characteristic polynomial of p^s0 * beta is
         pure of slope with denominator exactly e, forcing e | deg of every
         irreducible factor over Q_p;
-    (2) the reduction of p^j beta^e has an m x m diagonal block whose minimal
-        polynomial over F_p is irreducible of degree f = n/e, forcing the
-        residue degree.
+    (2) the reduction of gamma = p^j beta^e = p^(j + e*scale) * rows^e has an
+        m x m diagonal block whose minimal polynomial over F_p is irreducible
+        of degree f = n/e, forcing the residue degree.
     Together these certify [F[beta] : F] = e * f = n.  Inconclusive data
     (for example non-pure polygons) return None.
     """
-    p = ctx.p
-    bi = (beta * p ** s0).normalize()
-    if bi.scale < 0:
-        return None
-    rows = [[v * p ** bi.scale for v in row] for row in bi.entries]
-    coeffs = charpoly_int(rows)
-    denom = newton_slope_denominator(coeffs, p)
+    denom = newton_slope_denominator(charpoly_int(beta_integral), p)
     if denom is None or denom != order.e:
         return None
-    # residue part: gamma = p^j * beta^e must be integral of grade 0
-    gamma = (beta.pow(order.e) * p ** (j * 1)).normalize()
-    if gamma.zero or gamma.scale < 0:
+    # residue part: gamma must be integral of grade 0
+    power = [[int(r == c) for c in range(order.n)] for r in range(order.n)]
+    for _ in range(order.e):
+        power = mat_mul_int(power, rows)
+    gamma = scaled_integral(power, p, j + order.e * scale)
+    if gamma is None or v_A(gamma, order, p) != 0:
         return None
-    try:
-        if v_A(gamma, order) != 0:
-            return None
-    except PrecisionLoss:
-        return None
-    grows = [[v * p ** gamma.scale % p for v in row] for row in gamma.entries]
     m = order.m
-    block = [[grows[r][c] for c in range(m)] for r in range(m)]
+    block = [[gamma[r][c] % p for c in range(m)] for r in range(m)]
     mp = min_poly_fp(block, p)
-    f = order.n // order.e
     deg = len(mp) - 1
-    irred = deg == f and poly_irreducible_fp(mp, p)
+    irred = deg == m and poly_irreducible_fp(mp, p)
     return FieldCertificate(denom, mp, deg, irred)
 
 
-def _normalizer_check(order, beta, ctx) -> bool:
-    """Instance check that conjugation by beta preserves every grade."""
-    try:
-        binv = beta.inverse()
-    except (PrecisionLoss, ZeroDivisionError):
+def _normalizer_check(order, p, rows) -> bool:
+    """Instance check that conjugation by beta preserves every grade.
+
+    beta E beta^-1 = B E adj(B) / det(B) for beta = p^s * B, so its grade is
+    v_A(B E adj B) - e * v_p(det B); a singular B normalizes nothing.
+    """
+    det = _int_det(rows)
+    if det == 0:
         return False
+    shift = order.e * vp(det, p)
+    adj = _adjugate(rows, order.n)
     for t in range(order.e):
         for (r, c, power) in order.graded_positions(t):
-            ent = [[0] * order.n for _ in range(order.n)]
-            ent[r][c] = ctx.p ** power
-            elt = MatrixApprox.from_exact(ctx, ent)
-            conj = beta * elt * binv
-            try:
-                if v_A(conj, order) != t:
-                    return False
-            except PrecisionLoss:
+            # B (p^power E_rc) adj B: column r of B times row c of adj B
+            conj = [[rows[a][r] * p ** power * adj[c][b]
+                     for b in range(order.n)] for a in range(order.n)]
+            if v_A(conj, order, p) - shift != t:
                 return False
     return True
 
@@ -436,8 +418,6 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
     cancellation cannot occur for alpha_beta against B^(j+2)).
     """
     o, p, j = d.order, d.p, d.j
-    if d.ctx.N < j + 2:
-        raise PrecisionLoss(f"k0 requires N >= j + 2 = {j + 2}, ctx has {d.ctx.N}")
     e, n, s0 = o.e, o.n, d.s0
     Bt = d.beta_integral
     pos = [o.graded_positions(t) for t in range(2 * j + 1)]
@@ -455,7 +435,7 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
 
     def commutator_grade(rows):
         com = mat_sub_int(mat_mul_int(Bt, rows), mat_mul_int(rows, Bt))
-        return int_matrix_grade(com, o, p)   # None means exactly zero
+        return v_A(com, o, p)   # None means exactly zero
 
     def valid(rows, depth):
         g = commutator_grade(rows)

@@ -9,39 +9,37 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 sys.path.insert(0, str(REPO / "src"))
 
-from minvec.padic import MatrixApprox, PrecisionCtx
 from minvec.orders import HereditaryOrder, InductionDatum
 
 
-def build_datum(p, n, e, entries, scale, N=None, strict=True):
-    j_guess = None
-    ctx = PrecisionCtx(p, N if N is not None else 8)
-    beta = MatrixApprox.from_exact(ctx, entries, scale)
-    return InductionDatum.build(HereditaryOrder(n, e), beta, ctx, strict=strict)
+def build_datum(p, n, e, entries, scale, strict=True):
+    """The datum beta = p^scale * entries over the period-e order of M_n."""
+    return InductionDatum.build(HereditaryOrder(n, e), p, entries, scale,
+                                strict=strict)
 
 
 @pytest.fixture(scope="session")
 def datum_a():
     """Ramified quadratic, depth 1: beta = Pi^{-1} at p = 3."""
-    return build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)
+    return build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)
 
 
 @pytest.fixture(scope="session")
 def datum_b():
     """Ramified quadratic, depth 3: beta = Pi^{-3} at p = 3."""
-    return build_datum(3, 2, 2, [[0, 1], [3, 0]], -2, N=6)
+    return build_datum(3, 2, 2, [[0, 1], [3, 0]], -2)
 
 
 @pytest.fixture(scope="session")
 def datum_c():
     """Unramified quadratic, depth 2: beta = p^{-2} u at p = 3."""
-    return build_datum(3, 2, 1, [[0, 1], [1, 1]], -2, N=6)
+    return build_datum(3, 2, 1, [[0, 1], [1, 1]], -2)
 
 
 @pytest.fixture(scope="session")
 def datum_nonminimal():
     """beta = Pi^{-2} = p^{-1}: fails the coprimality clause."""
-    return build_datum(3, 2, 2, [[1, 0], [0, 1]], -1, N=5, strict=False)
+    return build_datum(3, 2, 2, [[1, 0], [0, 1]], -1, strict=False)
 
 
 @pytest.fixture(scope="session")
@@ -65,8 +63,8 @@ def block_c(datum_c):
 @pytest.fixture(scope="session")
 def parabolic_kr():
     from minvec.groups import build_Kpi, prepare_block
-    d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)
-    d2 = build_datum(3, 2, 2, [[0, 1], [-3, 0]], -1, N=4)
+    d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)
+    d2 = build_datum(3, 2, 2, [[0, 1], [-3, 0]], -1)
     return build_Kpi([prepare_block(d1), prepare_block(d2)],
                      inequivalent_assertion=True)
 

@@ -2,6 +2,10 @@
 
 import functools
 import itertools
+import math
+from fractions import Fraction
+
+from minvec.padic import _adjugate, _int_det, mat_mul_int, vp
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,7 +67,6 @@ def enumerate_S_oracle(q, budget=5_000_000, row_order=None, pruned=True):
     soon as more than `budget` candidates are scanned."""
     import numpy as np
     from minvec.errors import BudgetExceeded
-    from minvec.padic import _adjugate
     n, m, B = q.n, q.m, q.entry_bound
     order = list(row_order) if row_order is not None else list(range(n))
     rows = list(itertools.product(range(-B, B + 1), repeat=n))
@@ -247,38 +250,36 @@ def enumerate_h1(d, L):
     return unit_sumset(d.order, d.j // 2 + 1, ol_mats[ul1_mask], d.p, L)
 
 
-def residues_of(m, level):
-    """Residues mod p^level of an integral MatrixApprox value, else None."""
+def residues_of(m, p, level):
+    """Residues mod p^level of a rational matrix with p-integral entries,
+    else None."""
     import numpy as np
-    from minvec.errors import PrecisionLoss
-    p = m.ctx.p
-    if m.zero:
-        return np.zeros((m.n, m.n), dtype=np.int64)
-    mn = m.normalize()
-    if mn.scale < 0:
-        return None
-    if not mn.exact and mn.prec + mn.scale < level:
-        raise PrecisionLoss(f"need {level} digits, have {mn.prec + mn.scale}")
     mod = p ** level
-    return np.array([[v * p ** mn.scale % mod for v in row]
-                     for row in mn.entries], dtype=np.int64)
+    m = [[Fraction(x) for x in row] for row in m]
+    if any(x.denominator % p == 0 for row in m for x in row):
+        return None
+    return np.array([[x.numerator * pow(x.denominator, -1, mod) % mod
+                      for x in row] for row in m], dtype=np.int64)
 
 
 def intertwines_oracle(g, theta, d):
-    """(verdict, witness) of whether the MatrixApprox value g intertwines
-    theta, by the per-element loop: every H1 element at level L + loss is
-    conjugated exactly and reduced through residues_of, where loss is the
-    p-power lost in g^-1, so that conjugates by non-units are decided
-    too."""
-    from minvec.padic import MatrixApprox
+    """(verdict, witness) of whether the rational matrix g intertwines
+    theta, by the per-element loop: every H1 element x at level L + loss is
+    conjugated exactly, g x g^-1 = g x adj(g) / det(g), and reduced through
+    residues_of, where loss is the p-power lost in g^-1, so that conjugates
+    by non-units are decided too."""
     h1 = theta.domain
-    L = h1.level
-    gn = g.normalize()
-    gi = g.inverse().normalize()
-    loss = max(0, -(gn.scale + gi.scale))
+    p, L = d.p, h1.level
+    # conjugation ignores scalars: clear g's denominators
+    g = [[Fraction(x) for x in row] for row in g]
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    g = [[int(x * den) for x in row] for row in g]
+    adj, det = _adjugate(g, len(g)), _int_det(g)
+    loss = max(0, vp(det, p) - min_vp(g, p) - min_vp(adj, p))
     for x_res in enumerate_h1(d, L + loss):
-        x = MatrixApprox.from_exact(d.ctx, x_res.tolist())
-        res = residues_of(gn * x * gi, L)
+        conj = mat_mul_int(mat_mul_int(g, x_res.tolist()), adj)
+        res = residues_of([[Fraction(v, det) for v in row] for row in conj],
+                          p, L)
         if res is None or not h1.contains_residues(res):
             continue
         if theta.exponent_of_residues(x_res % d.p ** L) != \
@@ -456,41 +457,151 @@ def pack_one(mat, p, L):
 
 
 def contains_value(sub, m):
-    """Whether the MatrixApprox value m is integral with residues in sub."""
-    res = residues_of(m, sub.level)
+    """Whether the rational matrix m is p-integral with residues in sub."""
+    res = residues_of(m, sub.p, sub.level)
     return res is not None and sub.contains_residues(res)
 
 
+def prime_element_of_L(d):
+    """A prime element of L = F[beta], v_A = 1, as a Fraction matrix: the
+    integral generator b' = p^s0 beta has grade -r with r = (e s0 - j) mod e
+    coprime to e, and with a r = 1 + k e the element b'^a / p^k has grade
+    1 (when e = 1, a = 0 and k = -1 give p itself)."""
+    o = d.order
+    r = (o.e * d.s0 - d.j) % o.e
+    a = pow(r, -1, o.e)
+    k = (a * r - 1) // o.e
+    return frac_matrix(frac_pow(frac_matrix(d.beta_integral), a), d.p, -k)
+
+
 def j_grade_and_part(bundle, g):
-    """Decompose g = Pi^k g0 with Pi the bundle's prime element of L:
-    returns (k, g0), k = v_A(g) and g0 the compact part."""
-    from minvec.orders import v_A
-    k = v_A(g, bundle.datum.order)
-    return k, (bundle.prime_element.pow(-k) * g).normalize()
+    """Decompose the rational matrix g = Pi^k g0 with Pi the prime element
+    of L: returns (k, g0), k = v_A(g) and g0 the compact part."""
+    d = bundle.datum
+    k = frac_grade(g, d.order.n, d.order.e, d.p)
+    return k, frac_mul(frac_pow(prime_element_of_L(d), -k), g)
 
 
 def j_contains(bundle, g):
     """Membership in J via the symbolic prime-power grading."""
-    from minvec.errors import PrecisionLoss
-    try:
-        _, g0 = j_grade_and_part(bundle, g)
-    except (PrecisionLoss, ValueError):
-        return False
+    _, g0 = j_grade_and_part(bundle, g)
     return contains_value(bundle.jcapk, g0)
 
 
-def approx_equal(a, b, level=None):
-    """Equality of two MatrixApprox values: both zero, or the same
-    normalized scale and the same residues mod p^level at the coarser
-    precision (mod p^prec of the coarser one when level is None)."""
-    a, b = a.normalize(), b.normalize()
-    if a.zero or b.zero:
-        return a.zero and b.zero
-    lv = min(a.prec, b.prec) if level is None else min(level, a.prec, b.prec)
-    m = a.ctx.p ** lv
-    return a.scale == b.scale and all(
-        (x - y) % m == 0 for ra, rb in zip(a.entries, b.entries)
-        for x, y in zip(ra, rb))
+# -- exact matrices over Q for the datum side --------------------------------
+
+def frac_matrix(rows, p=1, scale=0):
+    """p^scale * rows as a matrix of Fractions."""
+    f = Fraction(p) ** scale
+    return [[Fraction(v) * f for v in row] for row in rows]
+
+
+def frac_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def frac_inv(a):
+    """Inverse over Q by Gauss-Jordan elimination; None when singular."""
+    n = len(a)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def frac_pow(a, k):
+    """a^k for any integer k (a invertible when k < 0)."""
+    out = frac_matrix([[int(i == j) for j in range(len(a))]
+                       for i in range(len(a))])
+    base = a if k >= 0 else frac_inv(a)
+    for _ in range(abs(k)):
+        out = frac_mul(out, base)
+    return out
+
+
+def frac_vp(x, p):
+    """p-adic valuation of a nonzero rational number."""
+    x = Fraction(x)
+    return vp(x.numerator, p) - vp(x.denominator, p)
+
+
+def min_vp(m, p):
+    """Least p-adic valuation of the nonzero entries of a rational matrix."""
+    return min(frac_vp(x, p) for row in m for x in row if x)
+
+
+def frac_grade(m, n, e, p):
+    """v_A of a rational matrix for the period-e order, read entry by entry
+    off the block picture: p^v E_rc in block (a, b) has grade e v + b - a.
+    None for the zero matrix."""
+    size = n // e
+    grades = [e * frac_vp(x, p) + c // size - r // size
+              for r, row in enumerate(m) for c, x in enumerate(row) if x]
+    return min(grades) if grades else None
+
+
+def datum_oracle(p, n, e, rows, scale):
+    """The datum-side invariants of beta = p^scale * rows on Fraction
+    matrices, as a dict: v_A always; when v_A < 0 also j, s0,
+    beta_integral, the field certificate as (slope denominator, residue
+    minimal polynomial, its degree, irreducible) or None, and whether
+    conjugation by beta preserves the grade of every basis element
+    p^power E_rc of A / B^e."""
+    from minvec.orders import (charpoly_int, min_poly_fp,
+                               newton_slope_denominator, poly_irreducible_fp)
+    beta = frac_matrix(rows, p, scale)
+    out = {"v_A": frac_grade(beta, n, e, p)}
+    if out["v_A"] is None or out["v_A"] >= 0:
+        return out
+    j = -out["v_A"]
+    s0 = -(-j // e)
+    bi = frac_matrix(rows, p, scale + s0)
+    assert all(x.denominator == 1 for row in bi for x in row)
+    bi = [[int(x) for x in row] for row in bi]
+    out.update(j=j, s0=s0, beta_integral=bi, cert=None)
+    m = n // e
+    if newton_slope_denominator(charpoly_int(bi), p) == e:
+        gamma = [[x * Fraction(p) ** j for x in row]
+                 for row in frac_pow(beta, e)]
+        if all(x.denominator == 1 for row in gamma for x in row) and \
+                frac_grade(gamma, n, e, p) == 0:
+            mp = min_poly_fp([[int(gamma[r][c]) % p for c in range(m)]
+                              for r in range(m)], p)
+            deg = len(mp) - 1
+            out["cert"] = (e, mp, deg, deg == m and poly_irreducible_fp(mp, p))
+    out["normalizes"] = normalizes_oracle(beta, n, e, p)
+    return out
+
+
+def normalizes_oracle(beta, n, e, p):
+    """Whether conjugation by the rational matrix beta keeps the grade t of
+    every basis element p^power E_rc of A / B^e, 0 <= t < e.  From the
+    block picture, power is 0 on and above the block diagonal and 1 below
+    it."""
+    inv = frac_inv(beta)
+    if inv is None:
+        return False
+    m = n // e
+    for r in range(n):
+        for c in range(n):
+            power = int(c // m < r // m)
+            elt = [[int((a, b) == (r, c)) for b in range(n)]
+                   for a in range(n)]
+            conj = frac_mul(frac_mul(beta, frac_matrix(elt, p, power)), inv)
+            if frac_grade(conj, n, e, p) != e * power + c // m - r // m:
+                return False
+    return True
 
 
 def subgroup_dump_lines(sub):
@@ -556,8 +667,7 @@ def k0_flat(d, budget: int = 2_000_000) -> int:
     """Independent flat enumeration of A / B^(j+2) (small data only)."""
     from minvec.errors import BudgetExceeded
     from minvec.orders import (_coeff_tuples, _grade0_projection,
-                               int_matrix_grade, mat_sub_int)
-    from minvec.padic import mat_mul_int
+                               mat_sub_int, v_A)
     o, p, j = d.order, d.p, d.j
     n, e, s0 = o.n, o.e, d.s0
     Bt = d.beta_integral
@@ -585,7 +695,7 @@ def k0_flat(d, budget: int = 2_000_000) -> int:
         for (t, r, c, power), coef in zip(flat_positions, combo):
             ent[r][c] += coef * p ** power
         com = mat_sub_int(mat_mul_int(Bt, ent), mat_mul_int(ent, Bt))
-        g = int_matrix_grade(com, o, p)
+        g = v_A(com, o, p)
         val = j + 1 if g is None else min(g - e * s0, j + 1)
         best = max(best, val)
     return best

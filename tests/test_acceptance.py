@@ -21,7 +21,6 @@ from minvec.groups import (build_Kpi, gl_order, intertwining_dichotomy,
                            prepare_block, verify_character)
 from minvec.orders import (HereditaryOrder, approximation_report,
                            is_minimal, k0, v_A)
-from minvec.padic import MatrixApprox, PrecisionCtx
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
 
@@ -46,13 +45,13 @@ def shipped():
     """The four shipped data, fully prepared (groups, characters, K_pi)."""
     blocks = {}
     krs = {}
-    da = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)
-    db = build_datum(3, 2, 2, [[0, 1], [3, 0]], -2, N=6)
-    dc = build_datum(3, 2, 1, [[0, 1], [1, 1]], -2, N=6)
+    da = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)
+    db = build_datum(3, 2, 2, [[0, 1], [3, 0]], -2)
+    dc = build_datum(3, 2, 1, [[0, 1], [1, 1]], -2)
     for tag, d in (("a", da), ("b", db), ("c", dc)):
         blocks[tag] = prepare_block(d)
         krs[tag] = build_Kpi([blocks[tag]])
-    d2 = build_datum(3, 2, 2, [[0, 1], [-3, 0]], -1, N=4)
+    d2 = build_datum(3, 2, 2, [[0, 1], [-3, 0]], -1)
     krs["par"] = build_Kpi([blocks["a"], prepare_block(d2)],
                            inequivalent_assertion=True)
     return blocks, krs
@@ -60,38 +59,42 @@ def shipped():
 
 def test_criterion_1_filtration_laws():
     with criterion(1, "filtration laws", 5):
-        ctx = PrecisionCtx(3, 8)
         for n in (2, 3, 4):
             for e in [d for d in range(1, n + 1) if n % d == 0]:
                 o = HereditaryOrder(n, e)
                 for i in range(-2 * e, 2 * e + 1):
-                    rep = approximation_report(o, i, ctx)
+                    rep = approximation_report(o, i)
                     assert rep.holds
                     for r in range(n):
                         for c in range(n):
+                            # the spanning element 3^t E_rc of B^i
                             t = o.entry_threshold(i, r, c)
                             ent = [[0] * n for _ in range(n)]
                             ent[r][c] = 1
-                            span = MatrixApprox.from_exact(ctx, ent).scaled(t)
-                            assert v_A(span, o) >= i
+                            unit = v_A(ent, o, 3)   # grade of E_rc
+                            assert unit + e * t >= i
                             # B^(i+e) = p B^i on the spanning element
-                            assert v_A(span * 3, o) >= i + e
-                            assert v_A(span.scaled(-1), o) < i
+                            ent[r][c] = 3
+                            assert v_A(ent, o, 3) + e * t >= i + e
+                            # and p^(t-1) E_rc lies outside B^i
+                            assert unit + e * (t - 1) < i
 
 
 def test_criterion_2_minimality_and_k0():
     with criterion(2, "minimality and k0", 60):
         shipped_minimal = [
-            build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4),
-            build_datum(3, 2, 2, [[0, 1], [3, 0]], -2, N=6),
-            build_datum(3, 2, 1, [[0, 1], [1, 1]], -2, N=6),
+            build_datum(3, 2, 2, [[0, 1], [3, 0]], -1),
+            build_datum(3, 2, 2, [[0, 1], [3, 0]], -2),
+            build_datum(3, 2, 1, [[0, 1], [1, 1]], -2),
         ]
         for d in shipped_minimal:
             assert is_minimal(d)
             res = k0(d)
-            assert res.value == v_A(d.beta, d.order) == -d.j
+            v_beta = v_A(d.beta_rows, d.order, d.p) + \
+                d.order.e * d.beta_scale
+            assert res.value == v_beta == -d.j
             assert not res.capped
-        degenerate = build_datum(3, 2, 2, [[1, 0], [0, 1]], -1, N=5,
+        degenerate = build_datum(3, 2, 2, [[1, 0], [0, 1]], -1,
                                  strict=False)
         assert not is_minimal(degenerate)
         assert k0(degenerate).value > -degenerate.j

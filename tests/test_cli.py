@@ -94,6 +94,24 @@ class TestExitCodes:
         code, _ = run_cli("order", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("p", 4), ("p", True), ("p", 3.0), ("n", True), ("e", True),
+        ("j", True), ("scale", "x"), ("scale", True), ("scale", -1.0),
+    ])
+    def test_order_rejects_bad_field(self, tmp_path, key, value, capsys):
+        obj = json.loads((DATA_DIR / "datum_n2e2j1p3.json").read_text())
+        (obj["beta"] if key == "scale" else obj)[key] = value
+        bad = tmp_path / "bad_datum.json"
+        bad.write_text(canonical_dumps(obj))
+        code, _ = run_cli("order", str(bad))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_precision_margin_is_gone(self):
+        code, _ = run_cli("order", str(DATA_DIR / "datum_n2e2j1p3.json"),
+                          "--precision-margin", "1")
+        assert code == 2
+
     def test_exponent_values(self):
         code, out = run_cli("exponent", "2")
         assert code == 0
@@ -162,6 +180,16 @@ class TestExitCodes:
         bad.write_text(canonical_dumps(obj))
         code, _ = run_cli("count", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("p", [4, 1])
+    def test_count_rejects_non_prime(self, tmp_path, p, capsys):
+        obj = json.loads((DATA_DIR / "query_m1_shallow.json").read_text())
+        obj["p"] = p
+        bad = tmp_path / "bad_query.json"
+        bad.write_text(canonical_dumps(obj))
+        code, out = run_cli("count", str(bad))
+        assert code == 2 and out == ""
+        assert "must be a prime integer" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -260,7 +288,7 @@ class TestReportAll:
         build = datafiles.DatumSpec.build
 
         def recording(self, *args, **kwargs):
-            built.append(kwargs.get("strict", "auto"))
+            built.append(self.j)
             return build(self, *args, **kwargs)
 
         monkeypatch.setattr(datafiles.DatumSpec, "build", recording)
@@ -268,8 +296,8 @@ class TestReportAll:
             (DATA_DIR / "datum_n2e2j1p3.json").read_text())
         code, out = run_cli("report-all", str(tmp_path))
         assert code == 0 and "minvec report: verify" in out
-        # one build for the order report, one shared by the verify half
-        assert built == ["auto", "always"]
+        # one build, shared by the order report and the verify half
+        assert built == [1]
 
 
 class TestParabolicCli:

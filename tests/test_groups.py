@@ -12,16 +12,16 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
                            formula_exponent_nums, gl_order,
                            intertwining_dichotomy, intertwining_spot,
                            prepare_block, verify_character)
-from minvec.padic import MatrixApprox, PrecisionCtx
 from minvec.residues import contains_codes, det_inv_mod, pack
 
 from conftest import build_datum
 from oracles import (character_certificate_oracle,
                      coset_decomposition_oracle, contains_value,
-                     dichotomy_oracle, extend_character_oracle,
-                     induced_laws_oracle, intertwines_oracle, j_contains,
-                     j_grade_and_part, kpi_exponent_oracle,
-                     kpi_member_oracle, pairing_forms_oracle,
+                     dichotomy_oracle, extend_character_oracle, frac_matrix,
+                     frac_mul, frac_pow, induced_laws_oracle,
+                     intertwines_oracle, j_contains, j_grade_and_part,
+                     kpi_exponent_oracle, kpi_member_oracle,
+                     pairing_forms_oracle, prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
                      row_disagrees, spot_oracle, subgroup_dump_lines)
 
@@ -229,11 +229,9 @@ class TestSimpleCharacter:
         # theta(1 + p E_11) = psi(Tr(beta p E_11)), evaluated independently
         d = block_a.datum
         theta = block_a.simple.theta
-        diff = MatrixApprox.from_exact(d.ctx, [[3, 0], [0, 0]])
-        prod = d.beta * diff
-        tr = Fraction(sum(prod.entries[i][i] for i in range(2))) \
-            * Fraction(d.p) ** prod.scale
-        expected = psi_exponent(tr, d.p)
+        prod = frac_mul(frac_matrix(d.beta_rows, d.p, d.beta_scale),
+                        frac_matrix([[3, 0], [0, 0]]))
+        expected = psi_exponent(prod[0][0] + prod[1][1], d.p)
         assert theta.exponent_of_residues([[1 + 3, 0], [0, 1]]) == expected
 
     def test_multiplicativity_exhaustive(self, block_a, block_c):
@@ -517,25 +515,24 @@ class TestArrayKernels:
 class TestIntertwining:
     def test_identity(self, block_a):
         d = block_a.datum
-        ok, _ = intertwines_oracle(MatrixApprox.identity(d.ctx, 2),
-                                   block_a.simple.theta, d)
+        ok, _ = intertwines_oracle([[1, 0], [0, 1]], block_a.simple.theta, d)
         assert ok
 
     def test_field_unit(self, block_a):
         d = block_a.datum
-        g = MatrixApprox.from_exact(d.ctx, [[1, 1], [3, 1]])  # 1 + Pi
-        ok, _ = intertwines_oracle(g, block_a.simple.theta, d)
+        ok, _ = intertwines_oracle([[1, 1], [3, 1]],   # 1 + Pi
+                                   block_a.simple.theta, d)
         assert ok
 
     def test_prime_element(self, block_a):
-        ok, _ = intertwines_oracle(block_a.bundle.prime_element,
+        ok, _ = intertwines_oracle(prime_element_of_L(block_a.datum),
                                    block_a.simple.theta, block_a.datum)
         assert ok
 
     def test_split_torus_fails(self, block_a):
         d = block_a.datum
-        g = MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]])
-        ok, witness = intertwines_oracle(g, block_a.simple.theta, d)
+        ok, witness = intertwines_oracle([[1, 0], [0, 3]],
+                                         block_a.simple.theta, d)
         assert not ok and witness is not None
 
     def test_dichotomy_exhaustive(self, block_a):
@@ -699,7 +696,7 @@ class TestKpi:
             kr.theta.nums_of_residues(outside_b1)
 
     def test_gl1_blocks_rejected(self):
-        d = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)
+        d = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)
         blk = prepare_block(d)
 
         class Fake:
@@ -714,8 +711,8 @@ class TestKpi:
             build_Kpi([blk, fake], inequivalent_assertion=True)
 
     def test_same_shape_needs_assertion(self):
-        d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)
-        d2 = build_datum(3, 2, 2, [[0, 1], [-3, 0]], -1, N=4)
+        d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)
+        d2 = build_datum(3, 2, 2, [[0, 1], [-3, 0]], -1)
         b1, b2 = prepare_block(d1), prepare_block(d2)
         with pytest.raises(DatumInvalid):
             build_Kpi([b1, b2], inequivalent_assertion=False)
@@ -723,8 +720,8 @@ class TestKpi:
         assert kr.checks.inequivalence_source == "user assertion"
 
     def test_depth_band(self):
-        d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1, N=4)   # c = 1/2
-        d2 = build_datum(3, 2, 1, [[0, 1], [1, 1]], -2, N=6)   # c = 2
+        d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)   # c = 1/2
+        d2 = build_datum(3, 2, 1, [[0, 1], [1, 1]], -2)   # c = 2
         b1, b2 = prepare_block(d1), prepare_block(d2)
         with pytest.raises(DatumInvalid):
             build_Kpi([b1, b2], inequivalent_assertion=True)
@@ -751,18 +748,17 @@ class TestGlOrder:
 class TestSymbolicJ:
     def test_prime_graded_membership(self, block_a):
         b = block_a.bundle
-        d = block_a.datum
-        Pi = b.prime_element
-        unit = MatrixApprox.from_exact(d.ctx, [[1, 1], [3, 1]])
-        assert j_contains(b, (Pi * unit).normalize())
-        assert j_contains(b, (Pi.pow(-2) * unit).normalize())
-        assert j_contains(b, MatrixApprox.identity(d.ctx, 2))
-        assert not j_contains(b, MatrixApprox.from_exact(d.ctx, [[1, 0], [0, 3]]))
+        Pi = prime_element_of_L(block_a.datum)
+        unit = frac_matrix([[1, 1], [3, 1]])
+        assert j_contains(b, frac_mul(Pi, unit))
+        assert j_contains(b, frac_mul(frac_pow(Pi, -2), unit))
+        assert j_contains(b, frac_matrix([[1, 0], [0, 1]]))
+        assert not j_contains(b, frac_matrix([[1, 0], [0, 3]]))
 
     def test_grading_matches_valuation(self, block_a):
         b = block_a.bundle
-        Pi = b.prime_element
+        Pi = prime_element_of_L(block_a.datum)
         for k in (-2, -1, 0, 1, 3):
-            grade, part = j_grade_and_part(b, Pi.pow(k))
+            grade, part = j_grade_and_part(b, frac_pow(Pi, k))
             assert grade == k
             assert contains_value(b.jcapk, part)

@@ -120,14 +120,11 @@ UNREACHED_OK = {
                   "runs out of memory",
     "residues.matrix_keys": "torus codes past int64 packing; no shipped "
                             "query has (p^c)^(n^2) >= 2^62",
-    "padic.MatrixApprox.zero_of": "the exact zero value; no shipped datum "
-                                  "forms a zero product or input",
     "cyclotomic.CyclotomicSum.__sub__": "re-decides an induced-law row that "
                                         "the integer numerators leave open",
     "cyclotomic.CyclotomicSum.__eq__": "the same re-decision path",
     "cyclotomic.CyclotomicSum.is_zero": "the same re-decision path",
     "cyclotomic.CyclotomicSum.__repr__": "shown in tracebacks and debuggers",
-    "padic.MatrixApprox.__repr__": "shown in tracebacks and debuggers",
     "datafiles.extract_block": "the reader of the block that render_report "
                                "writes, kept beside its writer",
 }
