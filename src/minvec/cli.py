@@ -210,8 +210,8 @@ def _check_intertwine(blocks, kr, args):
 
 def _check_omega(blocks, kr, args):
     import numpy as np
-    from .residues import sample_units_outside
-    rng = np.random.default_rng(args.seed)
+    from .residues import Draws, sample_units_outside
+    rng = Draws(args.seed)
     n = kr.n
     ident = np.eye(n, dtype=np.int64)
     at_one = kr.theta.exponent_of_residues(ident) \
@@ -499,7 +499,7 @@ def _common_flags():
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="enumeration/search budget (elements)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for sampled checks")
+                        help="seed for sampled checks (non-negative)")
     common.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write the report to a file instead of stdout")
     return common
@@ -549,6 +549,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            ap.error("--seed must be a non-negative integer")
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     for key, value in _FLAG_DEFAULTS.items():

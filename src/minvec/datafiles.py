@@ -127,7 +127,10 @@ def parse_datum_text(text: str):
         blocks = [_parse_block(b) for b in obj["blocks"]]
         p = obj.get("p", blocks[0].p)
         _require(all(b.p == p for b in blocks), "blocks must share p")
-        return ParabolicSpec(p, blocks, bool(obj.get("inequivalent", False)))
+        inequivalent = obj.get("inequivalent", False)
+        _require(isinstance(inequivalent, bool),
+                 "inequivalent must be true or false")
+        return ParabolicSpec(p, blocks, inequivalent)
     raise DatumInvalid(f"unknown datum kind {kind!r}")
 
 

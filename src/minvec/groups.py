@@ -24,9 +24,9 @@ import numpy as np
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, fp_reduce
 from .padic import vp
-from .residues import (box_enumerate, chunk_rows, contains_codes, det_inv_mod,
-                       pack, sample_units_outside, sorted_index, sorted_unique,
-                       unpack)
+from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
+                       det_inv_mod, pack, sample_units_outside, sorted_index,
+                       sorted_unique, unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -58,17 +58,20 @@ class CharacterCertificate:
 class FiniteSubgroup:
     """An explicit subgroup of GL_n(Z/p^L).
 
-    Either fully enumerated (sorted code array plus matrices) or given by a
-    membership predicate with a size formula, for groups too large to list.
+    Either fully enumerated (sorted code array plus matrices), or a sumset
+    (sorted class codes mod steps, see sumset_classes), or given by a
+    membership predicate with a size formula; the last two are never
+    listed.
     """
 
     def __init__(self, name, p, level, n, mats=None, membership=None,
-                 size=None):
+                 size=None, sumset=None):
         self.name = name
         self.p = p
         self.level = level
         self.n = n
         self.membership = membership
+        self.classes, self.steps = sumset or (None, None)
         if mats is not None:
             mats = np.asarray(mats, dtype=np.int64) % p ** level
             codes = pack(mats, p, level)
@@ -82,6 +85,9 @@ class FiniteSubgroup:
         else:
             self.codes = None
             self.mats = None
+            if sumset is not None:
+                size = len(self.classes) * math.prod(
+                    (self.modulus // self.steps).ravel().tolist())
             if size is None:
                 raise ValueError("membership-only subgroups need a size formula")
             self.size = size
@@ -95,7 +101,20 @@ class FiniteSubgroup:
         mats = np.asarray(mats, dtype=np.int64) % self.modulus
         if self.codes is not None:
             return contains_codes(self.codes, pack(mats, self.p, self.level))
+        if self.classes is not None:
+            return contains_codes(self.classes, pack(mats % self.steps,
+                                                     self.p, self.level))
         return self.membership(mats)
+
+    def draw(self, rng: Draws, count: int) -> np.ndarray:
+        """count seeded members of a sumset, uniform: a class, then an
+        element of the box, as a (count, n, n) stack."""
+        counts = (self.modulus // self.steps).ravel()
+        cls = rng.integers(0, len(self.classes), size=count)
+        box = rng.integers(0, math.prod(counts.tolist()), size=count)
+        digits = np.stack(np.unravel_index(box, counts), axis=1)
+        return (unpack(self.classes[cls], self.p, self.level, self.n)
+                + self.steps * digits.reshape(-1, self.n, self.n))
 
     def contains_residues(self, mat) -> bool:
         return bool(self.member_mask(np.asarray(mat)[None])[0])
@@ -143,21 +162,30 @@ class FiniteSubgroup:
         return self._tree
 
 
-def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
-                budget: int = 2_000_000) -> np.ndarray:
-    """units * U_A(k) mod p^L, k >= 1, as residue matrices in code order.
+def sumset_classes(o: HereditaryOrder, k: int, units, p: int, L: int):
+    """(classes, steps) of units * U_A(k) mod p^L, k >= 1: the sorted codes
+    of the units mod B^k and the entrywise p-powers that cut out B^k.
 
     B^k is a two-sided ideal of A and the units lie in A^*, so
     l U_A(k) = l + B^k: the set is the classes of the units mod B^k plus
-    the lattice box B^k, every element once.  Its size is known, and held
-    to the budget, before anything is allocated.
+    the lattice box B^k, every element once, and g lies in it exactly when
+    g mod steps is one of the classes.
     """
     n = o.n
-    mod = p ** L
     steps = np.array([[p ** min(L, max(0, o.entry_threshold(k, r, c)))
                        for c in range(n)] for r in range(n)], dtype=np.int64)
     classes = sorted_unique(pack(np.asarray(units, dtype=np.int64) % steps,
                                  p, L))
+    return classes, steps
+
+
+def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
+                budget: int = 2_000_000) -> np.ndarray:
+    """units * U_A(k) mod p^L as residue matrices in code order.  Its size
+    is known, and held to the budget, before anything is allocated."""
+    n = o.n
+    mod = p ** L
+    classes, steps = sumset_classes(o, k, units, p, L)
     counts = (mod // steps).ravel().tolist()
     size = len(classes) * math.prod(counts)
     if size > budget:
@@ -208,8 +236,10 @@ class SubgroupBundle:
     """Explicit subgroup family of one supercuspidal datum at one level.
 
     The noncompact group J = L^* U_A(floor((j+1)/2)) is never materialized:
-    only its compact part J cap K is enumerated, and the powers of a prime
-    element of L grade the cosets J / (J cap K).
+    its compact part J cap K is a sumset, decided by a class lookup and
+    never listed, and the powers of a prime element of L grade the cosets
+    J / (J cap K).  ua holds only U_A(floor(j/2)+1), the base of the
+    simple character, and U_A(j+1), on which it must be trivial.
     """
 
     datum: InductionDatum
@@ -224,7 +254,8 @@ class SubgroupBundle:
 
 def build_subgroups(d: InductionDatum, level: int | None = None,
                     budget: int = 2_000_000) -> SubgroupBundle:
-    """Element lists for U_A(i), U_L(1), H^1, J^1 and J cap K mod p^level."""
+    """Element lists for U_A(floor(j/2)+1), U_A(j+1), U_L(1), H^1 and J^1,
+    and the sumset J cap K, mod p^level."""
     from .orders import is_minimal
     if not is_minimal(d):
         raise DatumInvalid("subgroup construction requires a minimal datum")
@@ -233,7 +264,7 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
     ident = np.eye(o.n, dtype=np.int64)[None]
     ua = {i: FiniteSubgroup(f"U_A({i})", p, L, o.n,
                             unit_sumset(o, i, ident, p, L, budget))
-          for i in range(1, j + 2)}
+          for i in sorted({j // 2 + 1, j + 1})}
     ol_mats, unit_mask, ul1_mask = enumerate_field_order(d, L)
     ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_mats[ul1_mask])
     ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_mats[unit_mask])
@@ -242,8 +273,8 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
                         unit_sumset(o, j // 2 + 1, ul1.mats, p, L, budget))
     j1 = FiniteSubgroup("J1", p, L, o.n,
                         unit_sumset(o, half_high, ul1.mats, p, L, budget))
-    jcapk = FiniteSubgroup("JcapK", p, L, o.n,
-                           unit_sumset(o, half_high, ol_units.mats, p, L, budget))
+    jcapk = FiniteSubgroup("JcapK", p, L, o.n, sumset=sumset_classes(
+        o, half_high, ol_units.mats, p, L))
     return SubgroupBundle(d, L, ua, ul1, ol_units, h1, j1, jcapk)
 
 
@@ -922,15 +953,15 @@ def intertwining_spot(d: InductionDatum, bundle: SubgroupBundle,
                       theta: GroupCharacter, members: int = 40,
                       nonmembers: int = 40, seed: int = 0) -> SpotIntertwiningReport:
     """Budget-friendly instance of the dichotomy on sampled conjugators:
-    sampled elements of J cap K must intertwine theta and sampled units
-    outside it must not.  All of them are decided in one stacked call; the
-    counts and the witness are those of deciding them in turn, members
-    first, up to the first failure."""
+    sampled elements of J cap K (a class, then a box element) must
+    intertwine theta and sampled units outside it must not.  All of them
+    are decided in one stacked call; the counts and the witness are those
+    of deciding them in turn, members first, up to the first failure."""
     p, n = d.p, d.order.n
     L = bundle.level
     h1, jk = bundle.h1, bundle.jcapk
-    rng = np.random.default_rng(seed)
-    gs = jk.mats[rng.integers(0, jk.size, size=members)]
+    rng = Draws(seed)
+    gs = jk.draw(rng, members)
     outside = sample_units_outside(jk.member_mask, p, L, n, rng,
                                    100 * nonmembers)
     conj = np.concatenate([gs] + [g[None] for g in
@@ -980,7 +1011,7 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     reps, coset = _coset_decomposition(codes, units, h1.mats, p, L)
     inter = (_first_not_intertwined(units[reps], inv_all[reps], h1.mats,
                                     theta) < 0)[coset]
-    disagree = inter != contains_codes(jk.codes, codes)
+    disagree = inter != jk.member_mask(units)
     witness = units[np.argmax(disagree)] if disagree.any() else None
     return DichotomyReport(len(units), int(inter.sum()), jk.size,
                            witness is None, witness)
@@ -1176,7 +1207,7 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     # --- seeded verifications, all pairs at once ---
     cf = depth_bound_cfrak(data)
     cmod = p ** (c_val + 1)
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     xs, ys = sampler(rng, samples), sampler(rng, samples)
     xy = xs @ ys % mod
     _, xinv, unit = det_inv_mod(xs, p, level)

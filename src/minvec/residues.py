@@ -12,6 +12,9 @@ running at numpy speed.
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 
 # bytes that the temporaries of one chunk of a stacked kernel may hold
@@ -119,20 +122,61 @@ def det_inv_mod(mats, p: int, L: int):
     return det, aug[:, :, n:], det % p != 0
 
 
-def sample_units_outside(inside, p: int, L: int, n: int, rng, tries: int):
+class Draws:
+    """Seeded uniform integers for the sampled checks, from the standard
+    library's Mersenne Twister (numpy.random, with its OpenSSL-backed
+    seeding, is never imported).
+
+    The stream is one sequence of 64-bit words.  A draw from [low, high)
+    masks the next word to the bit length of high - low - 1 and keeps it
+    when it is below high - low, else moves on to the next word, so every
+    kept value is exactly uniform and k draws consume the same words
+    whether they are asked for at once or one at a time.  Each rejection
+    round asks for as many words as values are missing; a word is kept with
+    probability above 1/2, so after 64 + log2(count) rounds a value is
+    still missing with probability below 2^-64, and such a draw raises.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def integers(self, low: int, high: int, size=()) -> np.ndarray:
+        """An int64 array of the given shape, uniform on [low, high)."""
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        count, span = math.prod(shape), high - low
+        if not 0 < span <= 1 << 63:
+            raise ValueError(f"cannot draw from [{low}, {high})")
+        mask = np.uint64((1 << (span - 1).bit_length()) - 1)
+        out = np.empty(count, dtype=np.int64)
+        filled, rounds = 0, 64 + count.bit_length()
+        while filled < count:
+            if not rounds:
+                raise RuntimeError("rejection sampling exceeded its bound")
+            rounds -= 1
+            need = count - filled
+            words = np.frombuffer(self._random.getrandbits(64 * need)
+                                  .to_bytes(8 * need, "little"), "<u8") & mask
+            kept = words[words < span]
+            out[filled:filled + len(kept)] = kept
+            filled += len(kept)
+        return (out + low).reshape(shape)
+
+
+def sample_units_outside(inside, p: int, L: int, n: int, rng: Draws,
+                         tries: int):
     """Yield the units g of GL_n(Z/p^L) with inside(g) False.
 
-    Draws rng.integers(0, p^L, (n, n)) one matrix at a time, at most `tries`
-    times, so the stream of draws does not depend on how many points the
-    caller takes.  The unit test and `inside`, a predicate on (k, n, n)
-    stacks, are decided on blocks of draws that double in size, so rng may
-    be left up to one block past the last yielded draw.
+    Draws at most `tries` matrices rng.integers(0, p^L, (n, n)).  They are
+    taken in blocks that double in size, which by the word stream of Draws
+    are the draws of one matrix at a time, so the units yielded do not
+    depend on how many of them the caller takes.  The unit test and
+    `inside`, a predicate on (k, n, n) stacks, are decided per block, so
+    rng may be left up to one block past the last yielded draw.
     """
     block = 8
     while tries > 0:
         k = min(block, tries)
-        gs = np.array([rng.integers(0, p ** L, size=(n, n))
-                       for _ in range(k)], dtype=np.int64)
+        gs = rng.integers(0, p ** L, size=(k, n, n))
         keep = det_inv_mod(gs, p, L)[2]
         if keep.any():
             keep[keep] = ~np.asarray(inside(gs[keep]), dtype=bool)

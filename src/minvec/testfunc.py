@@ -19,7 +19,7 @@ from .errors import ConstructionFailure
 from .groups import (KpiResult, _torus_approximation, first_torus_match,
                      gl_order, verify_character)
 from .padic import vp
-from .residues import det_inv_mod, sample_units_outside
+from .residues import Draws, det_inv_mod, sample_units_outside
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -123,7 +123,7 @@ def _convolve_full(tf, samples, seed):
     # cross-check: sampled units g outside the support have g^-1 K_pi
     # disjoint from K_pi.  K_pi is a group, so g^-1 K_pi meets K_pi exactly
     # when g^-1 lies in K_pi; a failure reports the last failing g
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     outside = sample_units_outside(kpi.member_mask, p, L, n, rng,
                                    50 * samples)
     cands = np.array(list(itertools.islice(outside, min(samples, 64))),
@@ -143,7 +143,7 @@ def _convolve_sampled(tf, samples, seed):
     p, L, n = kpi.p, kpi_result.level, kpi_result.n
     mod = p ** L
     d_pi = Fraction(kpi.size, gl_order(n, p, L))
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     t = theta.nums_of_residues
     witness = None
     # on the support: g^-1 x lies in K_pi and Theta(x) - Theta(g^-1 x) =
@@ -204,7 +204,7 @@ def concentration_check(tf: TestFunction, samples: int = 500,
         count = kpi.size if kpi.mats is not None else samples
         return ConcentrationReport(0, True, count, True, 0, None)
     if kpi.mats is None:
-        xs = kpi_result.sampler(np.random.default_rng(seed), samples)
+        xs = kpi_result.sampler(Draws(seed), samples)
         found = _torus_approximation(xs, kpi_result.blocks, cf)
         bad = None if found.all() else xs[np.argmin(found)]
         return ConcentrationReport(cf, False, samples, bad is None, -1, bad)

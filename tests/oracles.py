@@ -311,22 +311,33 @@ def first_not_intertwined_oracle(G, Gi, xs, theta):
 def sample_units_outside_oracle(inside, p, L, n, rng, tries):
     """Units g of GL_n(Z/p^L) with inside(g) False for a one-matrix
     predicate, deciding each of at most `tries` draws of
-    rng.integers(0, p^L, (n, n)) as it is drawn."""
+    rng.integers(0, p^L, (n, n)) from a Draws stream as it is drawn."""
     for _ in range(tries):
         g = rng.integers(0, p ** L, size=(n, n))
         if leibniz_det(g.tolist()) % p and not inside(g):
             yield g
 
 
+def jcapk_oracle(bundle):
+    """J cap K = O_L^* U_A(ceil(j/2)) mod p^L, enumerated element by element
+    by unit_sumset: the reference for the membership-only bundle.jcapk."""
+    from minvec.groups import FiniteSubgroup, unit_sumset
+    d = bundle.datum
+    mats = unit_sumset(d.order, (d.j + 1) // 2, bundle.ol_units.mats, d.p,
+                       bundle.level, budget=10 ** 7)
+    return FiniteSubgroup("JcapK-oracle", d.p, bundle.level, d.order.n, mats)
+
+
 def dichotomy_oracle(d, bundle, theta, jcapk=None):
     """(total, intertwining, jcapk_size, agree, witness) of the dichotomy by
-    scanning all of H1 for every unit of K."""
+    scanning all of H1 for every unit of K, with membership in an
+    enumerated J cap K (jcapk_oracle unless given)."""
     import numpy as np
     from minvec.residues import (box_enumerate, contains_codes, det_inv_mod,
                                  pack)
     p, n, L = d.p, d.order.n, bundle.level
     mod = p ** L
-    jk = bundle.jcapk if jcapk is None else jcapk
+    jk = jcapk_oracle(bundle) if jcapk is None else jcapk
     allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n),
                          mod).reshape(-1, n, n)
     _, inv_all, unit = det_inv_mod(allm, p, L)
@@ -339,21 +350,49 @@ def dichotomy_oracle(d, bundle, theta, jcapk=None):
     return len(units), int(inter.sum()), jk.size, witness is None, witness
 
 
-def spot_oracle(d, bundle, theta, members=40, nonmembers=40, seed=0):
+def sumset_draws_oracle(jcapk, steps, rng, count):
+    """The members that FiniteSubgroup.draw takes from the same Draws
+    stream, decoded one at a time in Python integers: the classes are the
+    distinct residues mod steps of an enumerated J cap K, a draw picks a
+    class and then a box index, whose mixed-radix digits (last entry
+    fastest) are the multiples of steps added to the class."""
+    import numpy as np
+    p, L, n = jcapk.p, jcapk.level, jcapk.n
+    classes = sorted({pack_one(m % steps, p, L) for m in jcapk.mats})
+    radices = [p ** L // int(s) for s in steps.ravel()]
+    cls = rng.integers(0, len(classes), size=count)
+    box = rng.integers(0, math.prod(radices), size=count)
+    out = []
+    for c, t in zip(cls.tolist(), box.tolist()):
+        code, entries = classes[c], []
+        for radix, step in zip(reversed(radices), reversed(steps.ravel())):
+            t, digit = divmod(t, radix)
+            code, rest = divmod(code, p ** L)
+            entries.append(rest + int(step) * digit)
+        out.append(np.array(entries[::-1], dtype=np.int64).reshape(n, n))
+    return np.array(out, dtype=np.int64).reshape(-1, n, n)
+
+
+def spot_oracle(d, bundle, theta, jcapk=None, members=40, nonmembers=40,
+                seed=0):
     """(members_checked, nonmembers_checked, agree, witness) of the spot
     check by deciding the sampled conjugators one at a time, members first,
-    up to the first failure."""
+    up to the first failure, with membership in an enumerated J cap K
+    (jcapk_oracle unless given)."""
     import numpy as np
+    from minvec.residues import Draws
     p, n, L = d.p, d.order.n, bundle.level
-    h1, jk = bundle.h1, bundle.jcapk
-    rng = np.random.default_rng(seed)
+    h1 = bundle.h1
+    jk = jcapk_oracle(bundle) if jcapk is None else jcapk
+    rng = Draws(seed)
 
     def intertwines(g):
         ginv = np.array(mat_inv_mod(g.tolist(), p, L))
         return first_not_intertwined_oracle(g[None], ginv[None], h1.mats,
                                             theta)[0] < 0
 
-    gs = jk.mats[rng.integers(0, jk.size, size=members)]
+    gs = sumset_draws_oracle(jk, bundle.jcapk.steps, rng, members)
+    assert all(jk.contains_residues(g) for g in gs)
     for i, g in enumerate(gs):
         if not intertwines(g):
             return i, 0, False, g

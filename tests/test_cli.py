@@ -16,7 +16,7 @@ from oracles import (character_dump_lines, omega_exponent, row_disagrees,
                      serialize_spec, subgroup_dump_lines)
 
 from minvec import cli, testfunc
-from minvec.residues import sample_units_outside
+from minvec.residues import Draws, sample_units_outside
 from minvec.datafiles import (canonical_dumps, extract_block, load_datum,
                               parse_datum_text, parse_query_text)
 from minvec.errors import DatumInvalid
@@ -56,6 +56,19 @@ class TestDatumFiles:
         spec = parse_datum_text(text)
         with pytest.raises(DatumInvalid, match="v_A"):
             spec.build()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_inequivalent_must_be_a_boolean(self, tmp_path, value, capsys):
+        # "false" is a truthy string: it must not assert inequivalence
+        obj = json.loads((DATA_DIR / "datum_parabolic_n4p3.json").read_text())
+        obj["inequivalent"] = value
+        with pytest.raises(DatumInvalid, match="inequivalent"):
+            parse_datum_text(canonical_dumps(obj))
+        bad = tmp_path / "bad_parabolic.json"
+        bad.write_text(canonical_dumps(obj))
+        code, _ = run_cli("verify", str(bad), "--checks", "character")
+        assert code == 2
+        assert "inequivalent must be true or false" in capsys.readouterr().err
 
     def test_serialize_is_canonical(self):
         spec = load_datum(DATA_DIR / "datum_n2e2j1p3.json")
@@ -111,6 +124,18 @@ class TestExitCodes:
         code, _ = run_cli("order", str(DATA_DIR / "datum_n2e2j1p3.json"),
                           "--precision-margin", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_negative_seed_is_a_usage_error(self, where, capsys):
+        # exit 1 means a falsified identity; a bad flag is exit 2, and -1
+        # must not alias seed 1
+        datum = str(DATA_DIR / "datum_n2e2j3p3.json")
+        argv = (["--seed", "-1", "verify", datum] if where == "before"
+                else ["verify", datum, "--seed", "-1"])
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert "--seed must be a non-negative integer" in \
+            capsys.readouterr().err
 
     def test_exponent_values(self):
         code, out = run_cli("exponent", "2")
@@ -281,6 +306,50 @@ class TestConsoleEntry:
         assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
+    def test_report_all_leaves_numpy_random_unimported(self, tmp_path):
+        # seeded draws come from the standard library's random.Random;
+        # numpy.random pulls in secrets, hmac and OpenSSL's _hashlib
+        script = ("import sys\nfrom minvec import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])]
+            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "report-all", str(DATA_DIR),
+             "--out", str(tmp_path / "report.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="thread count read from /proc")
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+    def test_verify_runs_on_one_thread(self, tmp_path, preset, want):
+        # the kernels are integer and never reach BLAS, so OpenBLAS's
+        # worker pool is kept to the main thread unless the caller sets it
+        script = ("import os, sys\nfrom minvec import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(code, os.environ['OPENBLAS_NUM_THREADS'],\n"
+                  "      len(os.listdir('/proc/self/task')))\n")
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])]
+            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify",
+             str(DATA_DIR / "datum_n2e2j3p3.json"),
+             "--out", str(tmp_path / "report.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        code, value, threads = proc.stdout.split()
+        assert (code, value) == ("0", want), proc.stderr
+        if preset is None:
+            assert threads == "1"
+
+
 class TestReportAll:
     def test_verify_reuses_the_checked_build(self, tmp_path, monkeypatch):
         from minvec import datafiles
@@ -363,8 +432,8 @@ class TestOmegaCheck:
                                      for g in gs]
             seen.append(len(gs))
             return mask
-        rng = np.random.default_rng(seed)
-        list(sample_units_outside(inside, kpi.p, kpi.level, kr.n, rng, 2000))
+        list(sample_units_outside(inside, kpi.p, kpi.level, kr.n,
+                                  Draws(seed), 2000))
         assert sum(seen) > 0
 
 

@@ -11,8 +11,9 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
                            build_subgroups, extend_character,
                            formula_exponent_nums, gl_order,
                            intertwining_dichotomy, intertwining_spot,
-                           prepare_block, verify_character)
-from minvec.residues import contains_codes, det_inv_mod, pack
+                           prepare_block, unit_sumset, verify_character)
+from minvec.residues import (Draws, box_enumerate, contains_codes,
+                             det_inv_mod, pack, sorted_unique)
 
 from conftest import build_datum
 from oracles import (character_certificate_oracle,
@@ -20,10 +21,11 @@ from oracles import (character_certificate_oracle,
                      dichotomy_oracle, extend_character_oracle, frac_matrix,
                      frac_mul, frac_pow, induced_laws_oracle,
                      intertwines_oracle, j_contains, j_grade_and_part,
-                     kpi_exponent_oracle, kpi_member_oracle,
+                     jcapk_oracle, kpi_exponent_oracle, kpi_member_oracle,
                      pairing_forms_oracle, prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
-                     row_disagrees, spot_oracle, subgroup_dump_lines)
+                     row_disagrees, spot_oracle, subgroup_dump_lines,
+                     sumset_draws_oracle)
 
 
 def assert_closed(sub):
@@ -71,18 +73,27 @@ class TestSubgroups:
         # [J1 : H1] = p^(n^2 - n) = 9
         assert b.j1.size // b.h1.size == 9
 
+    def test_only_the_read_filtrations_are_built(self, block_a, block_b,
+                                                 block_c):
+        # simple_character reads U_A(floor(j/2)+1) and U_A(j+1), no other
+        for blk, keys in ((block_a, [1, 2]), (block_b, [2, 4]),
+                          (block_c, [2, 3])):
+            assert sorted(blk.bundle.ua) == keys
+
     def test_closure(self, block_a, block_c):
         for blk in (block_a, block_c):
             b = blk.bundle
-            for sub in [b.ua[1], b.ul1, b.ol_units, b.h1, b.j1, b.jcapk]:
+            for sub in list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, b.j1,
+                                              jcapk_oracle(b)]:
                 assert_closed(sub)
 
     def test_closure_large_groups(self, block_b):
-        # |H1| = 6561 and |JcapK| = 13122 are certified exhaustively too
+        # |H1| = 6561 and the enumerated |JcapK| = 13122 are certified
+        # exhaustively too
         b = block_b.bundle
         assert b.h1.size > 3000
         assert_closed(b.h1)
-        assert_closed(b.jcapk)
+        assert_closed(jcapk_oracle(b))
 
     def test_missing_identity_is_a_construction_failure(self, block_a):
         h1 = block_a.bundle.h1
@@ -107,8 +118,7 @@ class TestSubgroups:
 
 def enumerated_groups(blk):
     b = blk.bundle
-    subs = list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, b.j1, b.jcapk,
-                                  blk.pol.b1]
+    subs = list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, b.j1, blk.pol.b1]
     return list({id(sub): sub for sub in subs}.values())
 
 
@@ -196,20 +206,75 @@ class TestProductTable:
 class TestSumsets:
     def test_match_product_set_oracle(self, block_a, block_b, block_c):
         for blk in (block_a, block_b, block_c):
-            b, j = blk.bundle, blk.datum.j
-            for got, units, k in [(b.h1, b.ul1, j // 2 + 1),
-                                  (b.j1, b.ul1, (j + 1) // 2),
-                                  (b.jcapk, b.ol_units, (j + 1) // 2)]:
-                want = product_set_oracle(units.mats, b.ua[k].mats,
-                                          b.datum.p, b.level)
+            b, d = blk.bundle, blk.datum
+            ident = np.eye(d.order.n, dtype=np.int64)[None]
+            for got, units, k in [(b.h1, b.ul1, d.j // 2 + 1),
+                                  (b.j1, b.ul1, (d.j + 1) // 2),
+                                  (jcapk_oracle(b), b.ol_units,
+                                   (d.j + 1) // 2)]:
+                ua = unit_sumset(d.order, k, ident, d.p, b.level)
+                want = product_set_oracle(units.mats, ua, d.p, b.level)
                 assert np.array_equal(got.codes, want)
 
     def test_budget_is_the_exact_size(self, datum_c):
-        # |J cap K| = 52488 is the only group of datum c past 52487
+        # J1 (6561) is the largest group of datum c that is enumerated;
+        # J cap K (52488) is a sumset, sized without allocation
         with pytest.raises(BudgetExceeded) as err:
-            build_subgroups(datum_c, budget=52487)
-        assert err.value.estimate == 52488
-        assert build_subgroups(datum_c, budget=52488).jcapk.size == 52488
+            build_subgroups(datum_c, budget=6560)
+        assert err.value.estimate == 6561
+        b = build_subgroups(datum_c, budget=6561)
+        assert b.j1.size == 6561
+        assert b.jcapk.size == 52488 and b.jcapk.mats is None
+
+    def test_membership_only_jcapk_at_p5(self):
+        # beta = 5^-2 [[0, 1], [3, 4]]: 24 classes mod B^1 times 5^8, past
+        # the default budget, which only enumerated groups are held to
+        d = build_datum(5, 2, 1, [[0, 1], [3, 4]], -2)
+        jk = build_subgroups(d).jcapk
+        assert jk.size == 9_375_000 and len(jk.classes) == 24
+        assert jk.mats is None and jk.codes is None
+
+
+class TestMembershipOnlyJcapK:
+    """The class lookup of bundle.jcapk against the enumerated oracle."""
+
+    def test_size_and_members(self, block_a, block_b, block_c, parabolic_kr):
+        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
+            jk, want = blk.bundle.jcapk, jcapk_oracle(blk.bundle)
+            assert jk.mats is None
+            assert jk.size == want.size
+            assert jk.member_mask(want.mats).all()
+
+    def test_nonmembers(self, block_a, block_b, block_c, parabolic_kr):
+        # every matrix mod p^2 where K is small, seeded draws otherwise
+        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
+            jk, want = blk.bundle.jcapk, jcapk_oracle(blk.bundle)
+            p, L, n = jk.p, jk.level, jk.n
+            if L == 2:
+                mats = box_enumerate([0] * (n * n), [1] * (n * n),
+                                     [p ** L] * (n * n),
+                                     p ** L).reshape(-1, n, n)
+            else:
+                mats = Draws(0).integers(0, p ** L, size=(20000, n, n))
+            mats = mats[det_inv_mod(mats, p, L)[2]]
+            member = contains_codes(want.codes, pack(mats, p, L))
+            assert 0 < member.sum() < len(mats)
+            assert jk.member_mask(mats).tolist() == member.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_draws_land_in_the_oracle(self, block_a, block_b, block_c,
+                                      parabolic_kr, seed):
+        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
+            jk, want = blk.bundle.jcapk, jcapk_oracle(blk.bundle)
+            gs = jk.draw(Draws(seed), 500)
+            assert gs.shape == (500, jk.n, jk.n)
+            codes = pack(gs, jk.p, jk.level)
+            assert contains_codes(want.codes, codes).all()
+            assert np.array_equal(gs, sumset_draws_oracle(
+                want, jk.steps, Draws(seed), 500))
+            # every class is reached on the small sumsets
+            hit = sorted_unique(pack(gs % jk.steps, jk.p, jk.level))
+            assert len(jk.classes) > 100 or np.array_equal(hit, jk.classes)
 
 
 class TestSimpleCharacter:
@@ -553,15 +618,30 @@ def oracle_tuple(res):
     return (*head, None if witness is None else witness.tolist())
 
 
+def first_outside_h1(bundle):
+    """The index in the enumerated J cap K of its first element outside
+    H1."""
+    codes = jcapk_oracle(bundle).codes
+    return int(np.flatnonzero(~contains_codes(bundle.h1.codes, codes))[0])
+
+
 def without_coset(bundle, k):
-    """A copy of the bundle whose J cap K misses the coset g H1 of its k-th
-    element; returns (bundle, sorted codes of that coset)."""
-    jk, h1 = bundle.jcapk, bundle.h1
+    """A copy of the bundle whose J cap K misses the coset g H1 of the k-th
+    element of the enumerated J cap K; returns (bundle, the enumerated
+    J cap K minus that coset, sorted codes of the coset).  The copy is a
+    sumset like bundle.jcapk: at odd depth H1 contains U_A(ceil(j/2)), so
+    the coset is a union of classes."""
+    jk, h1 = jcapk_oracle(bundle), bundle.h1
     coset = np.sort(pack(jk.mats[k] @ h1.mats % jk.modulus, jk.p, jk.level))
     keep = ~contains_codes(coset, jk.codes)
+    want = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
+                          jk.mats[keep])
+    steps = bundle.jcapk.steps
+    classes = sorted_unique(pack(want.mats % steps, jk.p, jk.level))
     broken = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
-                            jk.mats[keep])
-    return dataclasses.replace(bundle, jcapk=broken), coset
+                            sumset=(classes, steps))
+    assert broken.size == want.size
+    return dataclasses.replace(bundle, jcapk=broken), want, coset
 
 
 def flipped_theta(theta):
@@ -596,12 +676,12 @@ class TestCosetSweep:
 
     def test_missing_coset_gives_the_oracle_witness(self, block_a):
         b = block_a.bundle
-        k = int(np.flatnonzero(~contains_codes(b.h1.codes, b.jcapk.codes))[0])
-        broken, coset = without_coset(b, k)
+        broken, want, coset = without_coset(b, first_outside_h1(b))
         args = (block_a.datum, broken, block_a.simple.theta)
         rep = intertwining_dichotomy(*args)
         assert not rep.agree and rep.jcapk_size == 486 - 243
-        assert dichotomy_tuple(rep) == oracle_tuple(dichotomy_oracle(*args))
+        assert dichotomy_tuple(rep) == \
+            oracle_tuple(dichotomy_oracle(*args, jcapk=want))
         # the first unit of the removed coset in code order
         assert pack(rep.witness[None], 3, 2)[0] == coset[0]
 
@@ -618,15 +698,19 @@ class TestSpotBatch:
     @pytest.mark.parametrize("case", ["plain", "missing coset", "flipped"])
     def test_matches_sequential_loop(self, block_a, case):
         bundle, theta = block_a.bundle, block_a.simple.theta
+        jcapk = jcapk_oracle(bundle)
         if case == "missing coset":
-            k = int(np.flatnonzero(~contains_codes(bundle.h1.codes,
-                                                   bundle.jcapk.codes))[0])
-            bundle, _ = without_coset(bundle, k)
+            bundle, jcapk, _ = without_coset(bundle, first_outside_h1(bundle))
         elif case == "flipped":
             theta = flipped_theta(theta)
+        # 200 non-members: a draw outside the broken J cap K lands in the
+        # removed coset with probability 243/3645, so 40 draws miss it at
+        # about one seed in sixteen, and 200 at about one in a million
         for seed in (0, 3):
-            rep = intertwining_spot(block_a.datum, bundle, theta, seed=seed)
-            want = spot_oracle(block_a.datum, bundle, theta, seed=seed)
+            rep = intertwining_spot(block_a.datum, bundle, theta,
+                                    nonmembers=200, seed=seed)
+            want = spot_oracle(block_a.datum, bundle, theta, jcapk,
+                               nonmembers=200, seed=seed)
             got = (rep.members_checked, rep.nonmembers_checked, rep.agree,
                    None if rep.witness is None else rep.witness.tolist())
             assert got == oracle_tuple(want)
@@ -653,8 +737,7 @@ class TestKpi:
 
     def test_parabolic_membership(self, parabolic_kr):
         kr = parabolic_kr
-        rng = np.random.default_rng(42)
-        g = kr.sampler(rng, 1)[0]
+        g = kr.sampler(Draws(42), 1)[0]
         assert kr.kpi.contains_residues(g)
         bad = g.copy()
         bad[0, 2] = 1   # breaks the off-diagonal congruence
@@ -662,8 +745,7 @@ class TestKpi:
 
     def test_theta_blockwise(self, parabolic_kr):
         kr = parabolic_kr
-        rng = np.random.default_rng(7)
-        g = kr.sampler(rng, 1)[0]
+        g = kr.sampler(Draws(7), 1)[0]
         t = kr.theta.exponent_of_residues(g)
         parts = Fraction(0)
         for blk, off in zip(kr.blocks, (0, 2)):
@@ -674,7 +756,7 @@ class TestKpi:
 
     def test_stacks_match_per_matrix(self, parabolic_kr):
         kr = parabolic_kr
-        mats = kr.sampler(np.random.default_rng(11), 500)
+        mats = kr.sampler(Draws(11), 500)
         # a unit entry in an off-diagonal block, at every corner in turn
         off_diag = mats.copy()
         for i, (r, c) in enumerate([(0, 2), (2, 0), (1, 3), (3, 1)] * 125):

@@ -14,7 +14,7 @@ from minvec.groups import (GroupCharacter, _first_not_intertwined,
                            intertwining_dichotomy, intertwining_spot)
 from minvec.orders import min_poly_fp
 from minvec.padic import mat_mul_int
-from minvec.residues import det_inv_mod, pack, sample_units_outside
+from minvec.residues import Draws, det_inv_mod, pack, sample_units_outside
 
 from oracles import (first_not_intertwined_oracle, intertwines_oracle,
                      leibniz_det, mat_inv_mod, sample_units_outside_oracle)
@@ -100,12 +100,11 @@ class TestIntertwiningKernel:
     def test_stack_matches_reference_in_any_chunking(self, block_a,
                                                       monkeypatch):
         # 30 random units of GL_2(Z/9) and 30 elements of J cap K
-        rng = np.random.default_rng(2)
+        rng = Draws(2)
         mats = rng.integers(0, 9, size=(200, 2, 2))
         unit = det_inv_mod(mats, 3, 2)[2]
-        jk = block_a.bundle.jcapk
         G = np.concatenate([mats[unit][:30],
-                            jk.mats[rng.integers(0, jk.size, size=30)]])
+                            block_a.bundle.jcapk.draw(rng, 30)])
         Gi = det_inv_mod(G, 3, 2)[1]
         theta = block_a.simple.theta
         xs = theta.domain.mats
@@ -237,10 +236,8 @@ class TestSampler:
         def inside_stack(gs):
             return gs[:, 0, n - 1] % p == 0
 
-        got = sample_units_outside(inside_stack, p, L, n,
-                                   np.random.default_rng(seed), 300)
-        want = sample_units_outside_oracle(inside, p, L, n,
-                                           np.random.default_rng(seed), 300)
+        got = sample_units_outside(inside_stack, p, L, n, Draws(seed), 300)
+        want = sample_units_outside_oracle(inside, p, L, n, Draws(seed), 300)
         got, want = list(got), list(want)
         assert 0 < len(want) < 300
         assert [g.tolist() for g in got] == [g.tolist() for g in want]
@@ -249,22 +246,69 @@ class TestSampler:
     def test_membership_stack_matches_per_matrix(self, block_a, seed):
         jk = block_a.bundle.jcapk
         got = itertools.islice(sample_units_outside(
-            jk.member_mask, 3, 2, 2, np.random.default_rng(seed), 400), 40)
+            jk.member_mask, 3, 2, 2, Draws(seed), 400), 40)
         want = itertools.islice(sample_units_outside_oracle(
-            jk.contains_residues, 3, 2, 2, np.random.default_rng(seed), 400),
-            40)
+            jk.contains_residues, 3, 2, 2, Draws(seed), 400), 40)
         assert [g.tolist() for g in got] == [g.tolist() for g in want]
 
     def test_tries_bound_the_draws(self):
         # everything is inside: no point is yielded after `tries` draws
-        rng = np.random.default_rng(0)
+        rng = Draws(0)
         assert list(sample_units_outside(
             lambda gs: np.ones(len(gs), dtype=bool), 3, 1, 2, rng, 50)) == []
         left = rng.integers(0, 3, size=(2, 2))
-        again = np.random.default_rng(0)
+        again = Draws(0)
         for _ in range(50):
             again.integers(0, 3, size=(2, 2))
         assert left.tolist() == again.integers(0, 3, size=(2, 2)).tolist()
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_reproducible_per_seed(self, seed):
+        a = Draws(seed).integers(0, 81, size=(40, 2, 2))
+        b = Draws(seed).integers(0, 81, size=(40, 2, 2))
+        assert a.dtype == np.int64 and a.shape == (40, 2, 2)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, Draws(seed + 1).integers(
+            0, 81, size=(40, 2, 2)))
+
+    @pytest.mark.parametrize("low, high", [
+        (0, 1), (7, 8), (0, 2), (0, 64), (0, 1 << 32), (0, 3), (0, 243),
+        (0, 3 ** 20), (5, 12), (-4, 4), (0, 1 << 63)])
+    def test_in_range(self, low, high):
+        got = Draws(3).integers(low, high, size=5000)
+        assert got.min() >= low and got.max() < high
+        if high - low == 1:
+            assert (got == low).all()
+
+    @pytest.mark.parametrize("span", [2, 3, 5, 6, 9, 16])
+    def test_covers_a_small_range(self, span):
+        got = Draws(0).integers(0, span, size=400)
+        assert sorted(set(got.tolist())) == list(range(span))
+
+    def test_chunking_does_not_move_the_stream(self):
+        # one call of 30 draws, or 30 calls of one, consume the same words
+        whole = Draws(11).integers(0, 9, size=30)
+        rng = Draws(11)
+        parts = [int(rng.integers(0, 9)) for _ in range(30)]
+        assert whole.tolist() == parts
+
+    def test_matches_a_scalar_rejection_loop(self):
+        # the stream is the 64-bit words of random.Random, little end
+        # first, masked to the bit length of 242 and kept below 243
+        import random
+        ref = random.Random(4)
+        want = []
+        while len(want) < 100:
+            word = ref.getrandbits(64) & 0xFF
+            if word < 243:
+                want.append(word)
+        assert Draws(4).integers(0, 243, size=100).tolist() == want
+
+    def test_empty_range_is_rejected(self):
+        with pytest.raises(ValueError):
+            Draws(0).integers(3, 3, size=2)
 
 
 def test_no_float_decisions():

@@ -8,7 +8,7 @@ import pytest
 
 from minvec.groups import (BlockCharacter, FiniteSubgroup, GroupCharacter,
                            _torus_approximation, gl_order, verify_character)
-from minvec.residues import det_inv_mod, sample_units_outside
+from minvec.residues import Draws, det_inv_mod, sample_units_outside
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
 
@@ -142,7 +142,7 @@ class TestSingleScanConvolution:
 
     def test_offsupport_membership_matches_product_scan(self, kr_a, kr_c):
         # g^-1 K_pi meets the group K_pi exactly when g^-1 lies in it
-        rng = np.random.default_rng(3)
+        rng = Draws(3)
         for kr in (kr_a, kr_c):
             kpi = kr.kpi
             p, L, n = kpi.p, kpi.level, kpi.n
@@ -180,7 +180,7 @@ class TestStackedParabolic:
         assert i < 2000
         # redraw the pairs: every pair before the witness's satisfies the
         # termwise law and the witness g fails it at its x
-        rng = np.random.default_rng(0)
+        rng = Draws(0)
         gs, xs = kr.sampler(rng, 2000), kr.sampler(rng, 2000)
         assert np.array_equal(rep.witness, gs[i])
         assert all(termwise_law(kr, g, x)
@@ -198,7 +198,7 @@ class TestStackedParabolic:
         # with cfrak = 1 the parabolic support is searched on samples
         kr = dataclasses.replace(parabolic_kr, cfrak=1)
         rep = concentration_check(make_omega(kr), samples=200, seed=4)
-        xs = kr.sampler(np.random.default_rng(4), 200)
+        xs = kr.sampler(Draws(4), 200)
         want = [torus_oracle(kr, x, 1) for x in xs]
         assert rep.points_checked == 200
         assert rep.all_found == all(want)
