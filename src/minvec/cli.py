@@ -21,7 +21,6 @@ from pathlib import Path
 from . import datafiles
 from .errors import (BudgetExceeded, ConstructionFailure, DatumInvalid,
                      MinvecError)
-from .orders import approximation_report, is_minimal, k0
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -61,6 +60,7 @@ def _block_specs(spec):
 def cmd_order(args, data=None) -> int:
     """Order invariants of one datum file.  `data` are its blocks' data when
     they are already built, as report-all has them."""
+    from .orders import approximation_report, is_minimal, k0
     specs = _block_specs(_load(args.datum, datafiles.load_datum))
     if data is None:
         data = [s.build() for s in specs]
@@ -110,6 +110,7 @@ def cmd_order(args, data=None) -> int:
 def _prepare(spec, budget, seed, data=None):
     """Blocks and K_pi of a datum file, built from `data` when given."""
     from . import groups
+    from .orders import is_minimal
     if data is None:
         data = [s.build() for s in _block_specs(spec)]
     if isinstance(spec, datafiles.ParabolicSpec):
@@ -431,6 +432,7 @@ def cmd_report_all(args) -> int:
     for path in sorted(data_dir.glob("*.json")):
         kind = json.loads(path.read_text()).get("kind", "supercuspidal")
         if kind in ("supercuspidal", "parabolic"):
+            from .orders import is_minimal
             data = [s.build()
                     for s in _block_specs(datafiles.load_datum(path))]
             run(lambda a: cmd_order(a, data), datum=str(path), checks=None)

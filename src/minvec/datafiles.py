@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DatumInvalid
-from .orders import HereditaryOrder, InductionDatum, v_A
 from .padic import is_prime
 
 BLOCK_BEGIN = "--- BEGIN STRUCTURED BLOCK ---"
@@ -51,6 +50,7 @@ class DatumSpec:
         normalizer check are required only of data that pass the
         coprimality clause; the others are built flagged, so that the order
         report can show why they are not minimal."""
+        from .orders import HereditaryOrder, InductionDatum, v_A
         order = HereditaryOrder(self.n, self.e)
         g = v_A(self.beta_entries, order, self.p)
         val = None if g is None else g + self.e * self.beta_scale
@@ -126,6 +126,7 @@ def parse_datum_text(text: str):
                  and obj["blocks"], "parabolic datum needs blocks")
         blocks = [_parse_block(b) for b in obj["blocks"]]
         p = obj.get("p", blocks[0].p)
+        _require_prime(p)
         _require(all(b.p == p for b in blocks), "blocks must share p")
         inequivalent = obj.get("inequivalent", False)
         _require(isinstance(inequivalent, bool),

@@ -10,6 +10,12 @@ of that level sits inside U_A(j+1), on which every simple character dies.
 Characters are stored as exponent tables (values e^{2 pi i t} with t a
 p-power-denominator rational), so every verification below is an integer
 congruence and "equal" always means exactly equal.
+
+An enumerated group is built from its sorted, distinct codes, and its
+elements are in code order.  Every product that is looked up in a group
+goes through one chunked kernel, product_index: the generator tree, the
+cosets, the character extension, the conjugation tables and the
+intertwining scan are all calls of it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, fp_reduce
 from .padic import vp
+from . import residues
 from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
                        det_inv_mod, pack, sample_units_outside, sorted_index,
                        sorted_unique, unpack)
@@ -58,13 +65,13 @@ class CharacterCertificate:
 class FiniteSubgroup:
     """An explicit subgroup of GL_n(Z/p^L).
 
-    Either fully enumerated (sorted code array plus matrices), or a sumset
-    (sorted class codes mod steps, see sumset_classes), or given by a
-    membership predicate with a size formula; the last two are never
-    listed.
+    Either enumerated from its sorted, distinct codes (their matrices are
+    unpacked once, in code order), or a sumset (sorted class codes mod
+    steps, see sumset_classes), or given by a membership predicate with a
+    size formula; the last two are never listed.
     """
 
-    def __init__(self, name, p, level, n, mats=None, membership=None,
+    def __init__(self, name, p, level, n, codes=None, membership=None,
                  size=None, sumset=None):
         self.name = name
         self.p = p
@@ -72,14 +79,9 @@ class FiniteSubgroup:
         self.n = n
         self.membership = membership
         self.classes, self.steps = sumset or (None, None)
-        if mats is not None:
-            mats = np.asarray(mats, dtype=np.int64) % p ** level
-            codes = pack(mats, p, level)
-            order = np.argsort(codes)
-            self.codes = codes[order]
-            self.mats = mats[order]
-            if np.any(self.codes[1:] == self.codes[:-1]):
-                raise ConstructionFailure(f"{name}: duplicate elements")
+        if codes is not None:
+            self.codes = np.asarray(codes, dtype=np.int64)
+            self.mats = unpack(self.codes, p, level, n)
             self.size = len(self.codes)
             self._tree = None
         else:
@@ -142,8 +144,7 @@ class FiniteSubgroup:
             perms = []
             while not reached.all():
                 s = int(np.argmin(reached))
-                perm = self.index_of_codes(pack(
-                    self.mats @ self.mats[s] % self.modulus, self.p, self.level))
+                perm = product_index(self, self.mats, self.mats[s:s + 1])[:, 0]
                 if np.any(perm < 0):
                     raise ConstructionFailure(
                         f"{self.name} is not closed under products "
@@ -160,6 +161,34 @@ class FiniteSubgroup:
                     reached[frontier] = True
             self._tree = root, perms
         return self._tree
+
+
+def product_index(target: FiniteSubgroup, left, mid, right=None) -> np.ndarray:
+    """Index in target's sorted codes of left[a] mid[b] right[a] mod p^L,
+    or of left[a] mid[b] when right is None, for every a and b: a
+    (len(left), len(mid)) array, -1 where the product is not in target.
+
+    The one product scan of this module.  A block of left (and right) rows
+    is broadcast against a block of mid, and the products are packed and
+    binary-searched; the blocks are sized so that one block's temporaries,
+    two product stacks and the lookup's code, position and index per pair,
+    stay in CHUNK_BYTES.
+    """
+    p, L, n, mod = target.p, target.level, target.n, target.modulus
+    out = np.empty((len(left), len(mid)), dtype=np.intp)
+    pair_bytes = 8 * (2 * n * n + 3)
+    cols = max(1, min(len(mid), chunk_rows(pair_bytes)))
+    rows = chunk_rows(pair_bytes * cols)
+    for a in range(0, len(left), rows):
+        for b in range(0, len(mid), cols):
+            prods = left[a:a + rows, None] @ mid[b:b + cols]
+            prods %= mod
+            if right is not None:
+                prods = prods @ right[a:a + rows, None]
+                prods %= mod
+            out[a:a + rows, b:b + cols] = target.index_of_codes(
+                pack(prods.reshape(-1, n, n), p, L)).reshape(prods.shape[:2])
+    return out
 
 
 def sumset_classes(o: HereditaryOrder, k: int, units, p: int, L: int):
@@ -181,8 +210,10 @@ def sumset_classes(o: HereditaryOrder, k: int, units, p: int, L: int):
 
 def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
                 budget: int = 2_000_000) -> np.ndarray:
-    """units * U_A(k) mod p^L as residue matrices in code order.  Its size
-    is known, and held to the budget, before anything is allocated."""
+    """The sorted codes of units * U_A(k) mod p^L.  Its size is known, and
+    held to the budget, before anything is allocated.  The codes are
+    distinct: an entry below its step plus a multiple of the step below
+    p^L packs without carries, and each residue splits so in one way."""
     n = o.n
     mod = p ** L
     classes, steps = sumset_classes(o, k, units, p, L)
@@ -193,15 +224,14 @@ def unit_sumset(o: HereditaryOrder, k: int, units, p: int, L: int,
                              f"classes mod B^{k} times {math.prod(counts)}",
                              estimate=size)
     box = box_enumerate([0] * (n * n), steps.ravel().tolist(), counts, mod)
-    codes = np.sort((classes[:, None] + pack(box.reshape(-1, n, n), p, L)
-                     ).ravel())
-    return unpack(codes, p, L, n)
+    return np.sort((classes[:, None] + pack(box.reshape(-1, n, n), p, L)
+                    ).ravel())
 
 
 def enumerate_field_order(d: InductionDatum, L: int):
     """O_L mod p^L as the span of powers of the integral generator.
 
-    Returns (mats, is_unit_mask, in_UL1_mask).
+    Returns (codes, is_unit_mask, in_UL1_mask), the codes sorted.
     """
     p, n, o = d.p, d.order.n, d.order
     mod = p ** L
@@ -213,10 +243,11 @@ def enumerate_field_order(d: InductionDatum, L: int):
         cur = cur @ bt
     powers = np.array(powers)
     coeffs = box_enumerate([0] * n, [1] * n, [mod] * n, mod)
-    mats = np.einsum("mc,cij->mij", coeffs, powers) % mod
-    codes = pack(mats, p, L)
-    if len(sorted_unique(codes)) != len(codes):
+    codes = sorted_unique(pack(np.einsum("mc,cij->mij", coeffs, powers) % mod,
+                               p, L))
+    if len(codes) != len(coeffs):
         raise ConstructionFailure("power basis of O_L is not free mod p^L")
+    mats = unpack(codes, p, L, n)
     # unit iff invertible iff not in the radical: grade-0 part nonzero
     unit = np.zeros(len(mats), dtype=bool)
     ul1 = np.ones(len(mats), dtype=bool)
@@ -228,7 +259,7 @@ def enumerate_field_order(d: InductionDatum, L: int):
                 unit |= mats[:, r, c] % p ** min(t1, L) != 0
             diff = (mats[:, r, c] - ident[r, c]) % mod
             ul1 &= diff % p ** min(t1, L) == 0 if t1 > 0 else np.ones(len(mats), bool)
-    return mats, unit, ul1
+    return codes, unit, ul1
 
 
 @dataclass
@@ -255,19 +286,21 @@ class SubgroupBundle:
 def build_subgroups(d: InductionDatum, level: int | None = None,
                     budget: int = 2_000_000) -> SubgroupBundle:
     """Element lists for U_A(floor(j/2)+1), U_A(j+1), U_L(1), H^1 and J^1,
-    and the sumset J cap K, mod p^level."""
+    and the sumset J cap K, mod p^level.  O_L, a p^(nL) box, is built and
+    checked first, so a datum whose power basis is not free fails before
+    any U_A(i) is listed."""
     from .orders import is_minimal
     if not is_minimal(d):
         raise DatumInvalid("subgroup construction requires a minimal datum")
     o, p, j = d.order, d.p, d.j
     L = d.group_level if level is None else level
+    ol_codes, unit_mask, ul1_mask = enumerate_field_order(d, L)
+    ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_codes[ul1_mask])
+    ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_codes[unit_mask])
     ident = np.eye(o.n, dtype=np.int64)[None]
     ua = {i: FiniteSubgroup(f"U_A({i})", p, L, o.n,
                             unit_sumset(o, i, ident, p, L, budget))
           for i in sorted({j // 2 + 1, j + 1})}
-    ol_mats, unit_mask, ul1_mask = enumerate_field_order(d, L)
-    ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_mats[ul1_mask])
-    ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_mats[unit_mask])
     half_high = (j + 1) // 2     # J^1 congruence part
     h1 = FiniteSubgroup("H1", p, L, o.n,
                         unit_sumset(o, j // 2 + 1, ul1.mats, p, L, budget))
@@ -382,8 +415,6 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
     additivity of the coset coordinates, both decided on the generators of
     the group.
     """
-    p, L, n = group.p, group.level, group.n
-    mod = group.modulus
     group._generator_tree()     # certifies closure: no product below leaves
     sub_idx = group.index_of_codes(np.asarray(sub_codes, dtype=np.int64))
     if np.any(sub_idx < 0):
@@ -396,13 +427,12 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
     orders = []
     while not assigned.all():
         g = group.mats[np.argmin(assigned)]
-        powers = [np.eye(n, dtype=np.int64)]        # g^c for c < m
+        powers = [np.eye(group.n, dtype=np.int64)]  # g^c for c < m
         for _ in range(group.size):
-            power = powers[-1] @ g % mod
-            at = int(group.index_of_codes(pack(power[None], p, L))[0])
+            at = int(product_index(group, powers[-1][None], g[None])[0, 0])
             if assigned[at]:
                 break
-            powers.append(power)
+            powers.append(group.mats[at])
         else:
             raise ConstructionFailure(
                 f"no power of an element of {group.name} is in the subgroup")
@@ -411,15 +441,9 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
         denom *= scale
         nums *= scale
         t = int(nums[at]) // m % denom
-        # the cosets g^c A, 0 < c < m, as one chunked product stack
+        # the cosets g^c A, 0 < c < m
         base = np.flatnonzero(assigned)
-        gc = np.array(powers[1:])
-        new = np.empty((m - 1, len(base)), dtype=np.intp)
-        step = chunk_rows(3 * gc.size * 8)
-        for lo in range(0, len(base), step):
-            prods = gc[:, None] @ group.mats[base[lo:lo + step]] % mod
-            new[:, lo:lo + step] = group.index_of_codes(
-                pack(prods.reshape(-1, n, n), p, L)).reshape(m - 1, -1)
+        new = product_index(group, np.array(powers[1:]), group.mats[base])
         c = np.arange(1, m)[:, None]
         nums[new] = nums[base] + c * t
         coords = np.column_stack([coords, np.zeros(group.size, np.int64)])
@@ -493,47 +517,25 @@ class PolarizationData:
     quotient_index: int
 
 
-def _coset_decomposition(codes, mats, small_mats, p: int, L: int):
-    """Left cosets g S of an enumerated subgroup S inside a sorted code
-    array with its matrices; returns (rep_indices, coset_id aligned to codes).
+def _coset_decomposition(group: FiniteSubgroup, small_mats):
+    """Left cosets g S of an enumerated subgroup S (given by its matrices)
+    inside an enumerated group; returns (rep_indices, coset_id aligned to
+    the group's codes).
 
     A coset is keyed by its first element in code order, which is its
     representative, and cosets are numbered in that order.  Each round
-    multiplies out, as one chunked stack, as many free candidates as cosets
-    are left, spread over the free elements, and assigns every coset they
-    reach.
+    multiplies out as many free candidates as cosets are left, spread over
+    the free elements, and assigns every coset they reach.
     """
-    n = mats.shape[1]
-    first = np.full(len(codes), -1, dtype=np.intp)
-    step = chunk_rows(3 * small_mats.size * 8)
+    first = np.full(group.size, -1, dtype=np.intp)
     while (free := np.flatnonzero(first < 0)).size:
-        cands = free[::len(small_mats)]
-        for lo in range(0, len(cands), step):
-            prods = mats[cands[lo:lo + step], None] @ small_mats % p ** L
-            idx = sorted_index(codes, pack(prods.reshape(-1, n, n), p, L))
-            if np.any(idx < 0):
-                raise ConstructionFailure("coset leaves the overgroup")
-            idx = idx.reshape(len(prods), -1)
-            first[idx] = idx.min(axis=1, keepdims=True)
+        idx = product_index(group, group.mats[free[::len(small_mats)]],
+                            small_mats)
+        if np.any(idx < 0):
+            raise ConstructionFailure("coset leaves the overgroup")
+        first[idx] = idx.min(axis=1, keepdims=True)
     reps = sorted_unique(first)
     return reps, np.searchsorted(reps, first)
-
-
-def _conjugate_index(group: FiniteSubgroup, left, right,
-                     target: FiniteSubgroup) -> np.ndarray:
-    """Index in target of left_r g right_r for every r of two (R, n, n)
-    stacks and every g in group, as an (R, |group|) array with -1 outside
-    target; the R |group| products are taken in chunks of CHUNK_BYTES."""
-    p, L, n = group.p, group.level, group.n
-    pairs = len(left) * group.size
-    idx = np.empty(pairs, dtype=np.intp)
-    step = chunk_rows(4 * n * n * 8)
-    for lo in range(0, pairs, step):
-        r, g = np.divmod(np.arange(lo, min(lo + step, pairs)), group.size)
-        conj = (left[r] @ group.mats[g] % group.modulus) @ right[r]
-        idx[lo:lo + step] = target.index_of_codes(
-            pack(conj % group.modulus, p, L))
-    return idx.reshape(len(left), group.size)
 
 
 def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
@@ -556,25 +558,22 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         raise ConstructionFailure("even depth but J1 == H1; datum is ill-formed")
     L = bundle.level
     mod = p ** L
-    rep_idx, coset_id = _coset_decomposition(j1.codes, j1.mats, h1.mats, p, L)
+    rep_idx, coset_id = _coset_decomposition(j1, h1.mats)
     k = len(rep_idx)
     dim = vp(k, p)
     if p ** dim != k:
         raise ConstructionFailure("J1/H1 is not a p-group quotient")
     # normality: conjugating H1 by the representatives fixes it
     reps = j1.mats[rep_idx]
-    if np.any(_conjugate_index(h1, reps, det_inv_mod(reps, p, L)[1], h1) < 0):
+    inverses = det_inv_mod(reps, p, L)[1]
+    if np.any(product_index(h1, reps, h1.mats, inverses) < 0):
         raise ConstructionFailure("H1 is not normal in J1")
 
     # coset multiplication table and an F_p basis of V = J1/H1
-    table = np.empty((k, k), dtype=np.int64)
-    step = chunk_rows(3 * reps.size * 8)
-    for lo in range(0, k, step):
-        prods = reps[lo:lo + step, None] @ reps % mod
-        idx = j1.index_of_codes(pack(prods.reshape(-1, o.n, o.n), p, L))
-        if np.any(idx < 0):
-            raise ConstructionFailure("J1 is not closed under products")
-        table[lo:lo + step] = coset_id[idx].reshape(-1, k)
+    idx = product_index(j1, reps, reps)
+    if np.any(idx < 0):
+        raise ConstructionFailure("J1 is not closed under products")
+    table = coset_id[idx]
     if not np.array_equal(table, table.T):
         raise ConstructionFailure("J1/H1 is not abelian")
 
@@ -659,7 +658,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
                 cid = int(table[cid, coord])
         member_cosets.add(cid)
     mask = np.isin(coset_id, sorted(member_cosets))
-    b1 = FiniteSubgroup("B1", p, L, o.n, j1.mats[mask])
+    b1 = FiniteSubgroup("B1", p, L, o.n, j1.codes[mask])
     return PolarizationData(
         trivial=False, reason="", dim=dim, coset_reps=basis_mats,
         pairing=pairing, isotropic=iso_vecs, b1=b1,
@@ -746,17 +745,15 @@ class InducedResult:
 
 
 def induced_table(j1: FiniteSubgroup, chi: GroupCharacter) -> EtaTable:
-    """The induction of a character of a subgroup B to J^1, by one chunked
-    conjugation stack over the coset representatives t of J^1/B and one
-    lookup in B.  Induction from B = J^1 itself is chi."""
+    """The induction of a character of a subgroup B to J^1: the conjugates
+    t^-1 g t over the coset representatives t of J^1/B, looked up in B by
+    the product kernel.  Induction from B = J^1 itself is chi."""
     sub = chi.domain
     if sub.size == j1.size:
         nums = chi.restricted_nums(j1.codes)[:, None]
         return EtaTable(nums, np.ones(nums.shape, dtype=bool), chi.denom)
-    reps, _ = _coset_decomposition(j1.codes, j1.mats, sub.mats, j1.p,
-                                   j1.level)
-    t = j1.mats[reps]
-    idx = _conjugate_index(j1, det_inv_mod(t, j1.p, j1.level)[1], t, sub).T
+    t = j1.mats[_coset_decomposition(j1, sub.mats)[0]]
+    idx = product_index(sub, det_inv_mod(t, j1.p, j1.level)[1], j1.mats, t).T
     mask = idx >= 0
     return EtaTable(np.where(mask, chi.nums[idx], 0), mask, chi.denom)
 
@@ -821,7 +818,7 @@ def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
 
     root, perms = j1._generator_tree()
     gens = j1.mats[[int(perm[root]) for perm in perms]]
-    conj = _conjugate_index(j1, gens, det_inv_mod(gens, p, j1.level)[1], j1)
+    conj = product_index(j1, gens, j1.mats, det_inv_mod(gens, p, j1.level)[1])
     if np.any(conj < 0):
         raise ConstructionFailure("conjugation left J1")
     keys = np.sort(np.where(mask, nums, -1), axis=1)
@@ -872,23 +869,15 @@ def _fixed_on_generators(G, Gi, theta: GroupCharacter) -> np.ndarray:
     Gi is not the inverse of G is never certified.
     """
     h1 = theta.domain
-    p, L, n, mod = h1.p, h1.level, h1.n, h1.modulus
-    fixed = np.zeros(len(G), dtype=bool)
     if _relation_witness(h1, theta.nums, theta.denom) is not None:
-        return fixed
+        return np.zeros(len(G), dtype=bool)
     root, perms = h1._generator_tree()
     gens = np.array([perm[root] for perm in perms], dtype=np.intp)
-    ident = np.eye(n, dtype=np.int64)
-    step = chunk_rows(3 * (len(gens) + 1) * n * n * 8)
-    for lo in range(0, len(G), step):
-        g, gi = G[lo:lo + step], Gi[lo:lo + step]
-        inverse = np.all(g @ gi % mod == ident, axis=(1, 2))
-        conj = (g[:, None] @ h1.mats[gens] % mod) @ gi[:, None] % mod
-        idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
-        idx = idx.reshape(len(g), len(gens))
-        agree = (idx >= 0) & (theta.nums[idx] == theta.nums[gens])
-        fixed[lo:lo + step] = inverse & agree.all(axis=1)
-    return fixed
+    inverse = np.all(G @ Gi % h1.modulus == np.eye(h1.n, dtype=np.int64),
+                     axis=(1, 2))
+    idx = product_index(h1, G, h1.mats[gens], Gi)
+    agree = (idx >= 0) & (theta.nums[idx] == theta.nums[gens])
+    return inverse & agree.all(axis=1)
 
 
 def _first_not_intertwined(G, Gi, xs, theta: GroupCharacter):
@@ -898,37 +887,26 @@ def _first_not_intertwined(G, Gi, xs, theta: GroupCharacter):
     intertwines.
 
     The rows that `_fixed_on_generators` certifies are -1 after |S|
-    conjugates.  Every other row scans xs in order, in blocks that grow
-    fourfold up to CHUNK_BYTES of temporaries, and leaves the scan at its
-    first bad x.
+    conjugates.  Every other row scans xs in order, in windows that grow
+    fourfold while the window's index table stays in CHUNK_BYTES, and
+    leaves the scan at its first bad x.
     """
     h1 = theta.domain
-    p, L, n, mod = h1.p, h1.level, h1.n, h1.modulus
     first = np.full(len(G), -1, dtype=np.intp)
     rows = np.flatnonzero(~_fixed_on_generators(G, Gi, theta))
-    # (row, x) pairs per chunk: two product stacks live at once, and the
-    # lookups
-    cap = chunk_rows(3 * n * n * 8)
     lo, width = 0, 64
     while len(rows) and lo < len(xs):
-        hi = min(len(xs), lo + min(width, cap))
-        x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi], p, L))]
-        step = max(1, cap // (hi - lo))
-        keep = np.ones(len(rows), dtype=bool)
-        for r in range(0, len(rows), step):
-            block = rows[r:r + step]
-            conj = G[block, None] @ xs[lo:hi]
-            conj %= mod
-            conj = conj @ Gi[block, None]
-            conj %= mod
-            c_idx = h1.index_of_codes(pack(conj.reshape(-1, n, n), p, L))
-            c_idx = c_idx.reshape(conj.shape[:2])
-            bad = (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
-            hit = bad.any(axis=1)
-            first[block[hit]] = lo + bad[hit].argmax(axis=1)
-            keep[r:r + step] = ~hit
-        rows = rows[keep]
-        lo, width = hi, 4 * width
+        hi = min(len(xs), lo + width)
+        x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi], h1.p,
+                                                   h1.level))]
+        c_idx = product_index(h1, G[rows], xs[lo:hi], Gi[rows])
+        bad = (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+        hit = bad.any(axis=1)
+        first[rows[hit]] = lo + bad[hit].argmax(axis=1)
+        rows = rows[~hit]
+        lo = hi
+        width = min(4 * width, max(64, residues.CHUNK_BYTES
+                                   // (8 * max(1, len(rows)))))
     return first
 
 
@@ -998,22 +976,21 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     if work > budget:
         raise BudgetExceeded("K sweep too expensive at this level",
                              estimate=work)
-    # odometer order is code order
-    allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n),
-                         mod).reshape(-1, n, n)
-    _, inv_all, unit = det_inv_mod(allm, p, L)
-    units, inv_all = allm[unit], inv_all[unit]
+    # the code of a residue matrix is its place in odometer order
+    _, inv_all, unit = det_inv_mod(
+        unpack(np.arange(mod ** (n * n)), p, L, n), p, L)
+    units = FiniteSubgroup("GL_n(Z/p^L)", p, L, n, np.flatnonzero(unit))
+    inv_all = inv_all[unit]
     cert = verify_character(h1, theta.nums, theta.denom)
     if not cert.multiplicative:
-        return DichotomyReport(len(units), 0, jk.size, False,
+        return DichotomyReport(units.size, 0, jk.size, False,
                                h1.mats[cert.witness[0]])
-    codes = pack(units, p, L)
-    reps, coset = _coset_decomposition(codes, units, h1.mats, p, L)
-    inter = (_first_not_intertwined(units[reps], inv_all[reps], h1.mats,
+    reps, coset = _coset_decomposition(units, h1.mats)
+    inter = (_first_not_intertwined(units.mats[reps], inv_all[reps], h1.mats,
                                     theta) < 0)[coset]
-    disagree = inter != jk.member_mask(units)
-    witness = units[np.argmax(disagree)] if disagree.any() else None
-    return DichotomyReport(len(units), int(inter.sum()), jk.size,
+    disagree = inter != jk.member_mask(units.mats)
+    witness = units.mats[np.argmax(disagree)] if disagree.any() else None
+    return DichotomyReport(units.size, int(inter.sum()), jk.size,
                            witness is None, witness)
 
 

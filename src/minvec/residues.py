@@ -7,7 +7,9 @@ Element sets are numpy arrays of shape (M, n, n) with int64 residues in
 (sorted_unique) and looked up by binary search (sorted_index); the lattice
 torus closure keeps its elements this way.  All heavy pairwise checks go
 through these helpers so they stay exact (integer arithmetic only) while
-running at numpy speed.
+running at numpy speed.  A stacked kernel sizes its chunks with chunk_rows
+to hold CHUNK_BYTES of temporaries; in groups, every product that is
+looked up goes through the one such kernel there, groups.product_index.
 """
 
 from __future__ import annotations

@@ -137,6 +137,23 @@ def product_table_oracle(sub, rows):
     return sorted_index(sub.codes, codes).reshape(len(rows), sub.size)
 
 
+def product_index_oracle(target, left, mid, right=None):
+    """groups.product_index by one einsum per row of left and one lookup:
+    entry [a, b] is the index in target of left[a] mid[b] right[a] (no
+    right factor when right is None), or -1 where it is not in target."""
+    import numpy as np
+    from minvec.residues import pack, sorted_index
+    mod = target.modulus
+    out = np.empty((len(left), len(mid)), dtype=np.intp)
+    for a in range(len(left)):
+        prods = np.einsum("ij,mjk->mik", left[a], mid) % mod
+        if right is not None:
+            prods = np.einsum("mij,jk->mik", prods, right[a]) % mod
+        out[a] = sorted_index(target.codes, pack(prods, target.p,
+                                                 target.level))
+    return out
+
+
 def character_certificate_oracle(sub, nums, denom, coords=None,
                                  coord_orders=None, rows=None):
     """The full-table certificate: every pair (g_i, g_k) of the product
@@ -246,8 +263,12 @@ def enumerate_h1(d, L):
     """H^1 = U_L(1) U_A(floor(j/2)+1) mod p^L, residue matrices in code
     order."""
     from minvec.groups import enumerate_field_order, unit_sumset
-    ol_mats, _, ul1_mask = enumerate_field_order(d, L)
-    return unit_sumset(d.order, d.j // 2 + 1, ol_mats[ul1_mask], d.p, L)
+    from minvec.residues import unpack
+    n = d.order.n
+    ol_codes, _, ul1_mask = enumerate_field_order(d, L)
+    codes = unit_sumset(d.order, d.j // 2 + 1,
+                        unpack(ol_codes[ul1_mask], d.p, L, n), d.p, L)
+    return unpack(codes, d.p, L, n)
 
 
 def residues_of(m, p, level):
@@ -323,9 +344,9 @@ def jcapk_oracle(bundle):
     by unit_sumset: the reference for the membership-only bundle.jcapk."""
     from minvec.groups import FiniteSubgroup, unit_sumset
     d = bundle.datum
-    mats = unit_sumset(d.order, (d.j + 1) // 2, bundle.ol_units.mats, d.p,
-                       bundle.level, budget=10 ** 7)
-    return FiniteSubgroup("JcapK-oracle", d.p, bundle.level, d.order.n, mats)
+    codes = unit_sumset(d.order, (d.j + 1) // 2, bundle.ol_units.mats, d.p,
+                        bundle.level, budget=10 ** 7)
+    return FiniteSubgroup("JcapK-oracle", d.p, bundle.level, d.order.n, codes)
 
 
 def dichotomy_oracle(d, bundle, theta, jcapk=None):

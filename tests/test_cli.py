@@ -70,6 +70,18 @@ class TestDatumFiles:
         assert code == 2
         assert "inequivalent must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [3.0, "3", True])
+    def test_parabolic_p_must_be_a_prime_integer(self, tmp_path, value,
+                                                 capsys):
+        # 3.0 == 3 equals the blocks' p, yet it is no integer
+        obj = json.loads((DATA_DIR / "datum_parabolic_n4p3.json").read_text())
+        obj["p"] = value
+        bad = tmp_path / "bad_parabolic.json"
+        bad.write_text(canonical_dumps(obj))
+        code, _ = run_cli("verify", str(bad))
+        assert code == 2
+        assert "must be a prime integer" in capsys.readouterr().err
+
     def test_serialize_is_canonical(self):
         spec = load_datum(DATA_DIR / "datum_n2e2j1p3.json")
         assert serialize_spec(spec) == \

@@ -13,7 +13,7 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
                            intertwining_dichotomy, intertwining_spot,
                            prepare_block, unit_sumset, verify_character)
 from minvec.residues import (Draws, box_enumerate, contains_codes,
-                             det_inv_mod, pack, sorted_unique)
+                             det_inv_mod, pack, sorted_unique, unpack)
 
 from conftest import build_datum
 from oracles import (character_certificate_oracle,
@@ -98,7 +98,7 @@ class TestSubgroups:
     def test_missing_identity_is_a_construction_failure(self, block_a):
         h1 = block_a.bundle.h1
         ident = h1.identity_index()
-        rest = np.delete(h1.mats, ident, axis=0)
+        rest = np.delete(h1.codes, ident)
         broken = FiniteSubgroup("H1-minus-I", h1.p, h1.level, h1.n, rest)
         with pytest.raises(ConstructionFailure, match="identity"):
             broken.identity_index()
@@ -108,6 +108,20 @@ class TestSubgroups:
     def test_requires_minimal(self, datum_nonminimal):
         with pytest.raises(DatumInvalid):
             build_subgroups(datum_nonminimal)
+
+    def test_unfree_power_basis_fails_before_any_sumset(self, monkeypatch):
+        # p = 2, e = n = 4, j = 1: the powers of beta are not free mod 2^L.
+        # O_L is built first, so neither U_A(1) (4,194,304 elements) nor
+        # U_A(2) is listed before the failure
+        d = build_datum(2, 4, 4, [[0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0],
+                                  [0, 0, 2, 0]], -1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("unit_sumset was called")
+
+        monkeypatch.setattr(groups, "unit_sumset", never)
+        with pytest.raises(ConstructionFailure, match="not free"):
+            build_subgroups(d)
 
     def test_dump_format(self, block_a):
         lines = subgroup_dump_lines(block_a.bundle.h1)
@@ -212,7 +226,8 @@ class TestSumsets:
                                   (b.j1, b.ul1, (d.j + 1) // 2),
                                   (jcapk_oracle(b), b.ol_units,
                                    (d.j + 1) // 2)]:
-                ua = unit_sumset(d.order, k, ident, d.p, b.level)
+                ua = unpack(unit_sumset(d.order, k, ident, d.p, b.level),
+                            d.p, b.level, d.order.n)
                 want = product_set_oracle(units.mats, ua, d.p, b.level)
                 assert np.array_equal(got.codes, want)
 
@@ -523,8 +538,7 @@ class TestArrayKernels:
     def test_coset_decomposition_matches_loop(self, block_c):
         b = block_c.bundle
         for small in (b.h1, block_c.pol.b1):
-            got = groups._coset_decomposition(b.j1.codes, b.j1.mats,
-                                              small.mats, b.j1.p, b.j1.level)
+            got = groups._coset_decomposition(b.j1, small.mats)
             want = coset_decomposition_oracle(b.j1, small.codes)
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
@@ -553,9 +567,8 @@ class TestArrayKernels:
         # <g> of order 9 mod 9 over <g^3> with theta(g^3) = 1/3: the
         # relative order 3 does not divide the numerator, so D goes 3 -> 9
         g = np.array([[1, 1], [0, 1]])
-        cyclic = FiniteSubgroup("C9", 3, 2, 2,
-                                [np.linalg.matrix_power(g, k) % 9
-                                 for k in range(9)])
+        cyclic = FiniteSubgroup("C9", 3, 2, 2, sorted_unique(pack(np.array(
+            [np.linalg.matrix_power(g, k) % 9 for k in range(9)]), 3, 2)))
         sub = np.array([np.linalg.matrix_power(g, k) % 9 for k in (0, 3, 6)])
         ext = extend_character(cyclic, pack(sub, 3, 2), [0, 1, 2], 3)
         assert ext.denom == 9 and ext.count == 3
@@ -635,7 +648,7 @@ def without_coset(bundle, k):
     coset = np.sort(pack(jk.mats[k] @ h1.mats % jk.modulus, jk.p, jk.level))
     keep = ~contains_codes(coset, jk.codes)
     want = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
-                          jk.mats[keep])
+                          jk.codes[keep])
     steps = bundle.jcapk.steps
     classes = sorted_unique(pack(want.mats % steps, jk.p, jk.level))
     broken = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,

@@ -1,6 +1,8 @@
 """Differential tests of the residue kernels against slow references."""
 
+import ast
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +12,16 @@ from hypothesis import strategies as st
 
 import minvec
 from minvec import groups, residues
-from minvec.groups import (GroupCharacter, _first_not_intertwined,
-                           intertwining_dichotomy, intertwining_spot)
-from minvec.orders import min_poly_fp
+from minvec.groups import (FiniteSubgroup, GroupCharacter,
+                           _first_not_intertwined, intertwining_dichotomy,
+                           intertwining_spot, product_index, unit_sumset)
+from minvec.orders import HereditaryOrder, min_poly_fp
 from minvec.padic import mat_mul_int
 from minvec.residues import Draws, det_inv_mod, pack, sample_units_outside
 
 from oracles import (first_not_intertwined_oracle, intertwines_oracle,
-                     leibniz_det, mat_inv_mod, sample_units_outside_oracle)
+                     leibniz_det, mat_inv_mod, product_index_oracle,
+                     product_table_oracle, sample_units_outside_oracle)
 
 
 @st.composite
@@ -79,6 +83,94 @@ class TestMinPoly:
         for deg in range(len(mp) - 1):
             for lower in itertools.product(range(p), repeat=deg):
                 assert poly_at(list(lower) + [1], rows, p) != zero
+
+
+BLOCKS = ["block_a", "block_b", "block_c", "parabolic 0", "parabolic 1"]
+
+
+def get_block(request, name):
+    """A prepared block: data a, b, c or a block of the parabolic datum."""
+    if name.startswith("parabolic"):
+        kr = request.getfixturevalue("parabolic_kr")
+        return kr.blocks[int(name.split()[1])]
+    return request.getfixturevalue(name)
+
+
+def counted_packs(monkeypatch):
+    """A list that grows by one at each pack call in groups: one per chunk
+    of the product kernel."""
+    calls = []
+
+    def counting(mats, p, L):
+        calls.append(len(mats))
+        return pack(mats, p, L)
+
+    monkeypatch.setattr(groups, "pack", counting)
+    return calls
+
+
+class TestProductIndex:
+    """The one product-lookup kernel of groups.py against one einsum per
+    row, with chunks of a few KiB so that every call spans several."""
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_matches_einsum_oracle(self, name, request, monkeypatch):
+        b = get_block(request, name).bundle
+        h1, j1 = b.h1, b.j1
+        p, L, n = h1.p, h1.level, h1.n
+        rng = Draws(3)
+        mats = rng.integers(0, p ** L, size=(40, n, n))
+        G = np.concatenate([mats[det_inv_mod(mats, p, L)[2]][:8],
+                            b.jcapk.draw(rng, 8)])
+        Gi = det_inv_mod(G, p, L)[1]
+        cases = [(h1, h1.mats, h1.mats[5:6], None),    # a tree generator
+                 (j1, j1.mats[::max(1, j1.size // 40)], h1.mats, None),
+                 (h1, G, h1.mats, Gi),                 # conjugation
+                 (h1, j1.mats[:7], j1.mats[::13], None)]
+        monkeypatch.setattr(residues, "CHUNK_BYTES", 1 << 12)
+        packs = counted_packs(monkeypatch)
+        found = set()
+        for target, left, mid, right in cases:
+            want = product_index_oracle(target, left, mid, right)
+            del packs[:]
+            got = product_index(target, left, mid, right)
+            assert len(packs) > 1
+            assert got.shape == (len(left), len(mid))
+            assert np.array_equal(got, want)
+            found |= {bool(v) for v in np.unique(want >= 0)}
+        # both hits and misses were compared
+        assert found == {False, True}
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_generator_tree_matches_product_table(self, name, request,
+                                                  monkeypatch):
+        blk = get_block(request, name)
+        monkeypatch.setattr(residues, "CHUNK_BYTES", 1 << 12)
+        for group in (blk.bundle.h1, blk.bundle.j1, blk.pol.b1):
+            # a fresh copy, since the tree is memoized
+            sub = FiniteSubgroup(group.name, group.p, group.level, group.n,
+                                 group.codes)
+            root, perms = sub._generator_tree()
+            rows = np.arange(0, sub.size, max(1, sub.size // 48))
+            table = product_table_oracle(sub, rows)
+            for perm in perms:
+                assert np.array_equal(perm[rows], table[:, perm[root]])
+
+    def test_generator_tree_stays_in_its_chunks(self, monkeypatch):
+        # U_A(2) of the period-3 order of M_3 mod 9: 19,683 elements of 72
+        # bytes.  The tree's peak is its perms and its search; one stack of
+        # all right products g_i s would add another copy of the group
+        codes = unit_sumset(HereditaryOrder(3, 3), 2,
+                            np.eye(3, dtype=np.int64)[None], 3, 2)
+        sub = FiniteSubgroup("U_A(2)", 3, 2, 3, codes)
+        monkeypatch.setattr(residues, "CHUNK_BYTES", 1 << 14)
+        tracemalloc.start()
+        try:
+            sub._generator_tree()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sub.mats.nbytes
 
 
 class TestIntertwiningKernel:
@@ -309,6 +401,27 @@ class TestDraws:
     def test_empty_range_is_rejected(self):
         with pytest.raises(ValueError):
             Draws(0).integers(3, 3, size=2)
+
+
+# Loops of groups.py that size chunks with chunk_rows but look nothing
+# up, each with what it computes; every product that is looked up goes
+# through product_index.
+CHUNKED_WITHOUT_LOOKUP = {
+    "heisenberg": "the pairing forms at x h for h in H1, traces only",
+    "induced_laws": "a bincount of the numerator differences of eta's rows",
+}
+
+
+def test_one_product_scan():
+    tree = ast.parse(Path(groups.__file__).read_text())
+    callers = set()
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "chunk_rows" in (
+                    getattr(call.func, "id", None),
+                    getattr(call.func, "attr", None)):
+                callers.add(node.name)
+    assert callers == {"product_index"} | set(CHUNKED_WITHOUT_LOOKUP)
 
 
 def test_no_float_decisions():

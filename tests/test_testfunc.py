@@ -105,7 +105,7 @@ class TestConvolution:
 def with_flipped_entry(kr):
     """A fresh copy of the support whose character is wrong at one element."""
     kpi, theta = kr.kpi, kr.theta
-    copy = FiniteSubgroup(kpi.name, kpi.p, kpi.level, kpi.n, kpi.mats)
+    copy = FiniteSubgroup(kpi.name, kpi.p, kpi.level, kpi.n, kpi.codes)
     nums = theta.nums.copy()
     k = (copy.identity_index() + 1) % copy.size
     nums[k] = (nums[k] + 1) % theta.denom

@@ -96,7 +96,7 @@ def loaded_modules(tmp_path, call):
 
 
 def test_import_boundary(tmp_path):
-    # count and exponent never import the verify stack
+    # count and exponent never import the verify stack, nor the orders
     data = tmp_path / "data"
     data.mkdir()
     query = DATA_DIR / "query_m1_deep.json"
@@ -111,6 +111,7 @@ def test_import_boundary(tmp_path):
         loaded = loaded_modules(tmp_path, run)
         assert "minvec.counting" in loaded
         assert not loaded & verify_stack, argv
+        assert "minvec.orders" not in loaded, argv
 
 
 # Functions and methods of src/minvec that `report-all data/` does not run,
