@@ -131,18 +131,18 @@ def _check_character(blocks, kr, args):
     out = []
     for i, blk in enumerate(blocks):
         sc = blk.simple
-        ok, witness, _ = groups.verify_character(
+        cert = groups.verify_character(
             blk.bundle.h1, sc.theta.nums, sc.theta.denom)
         out.append({
             "block": i,
             "H1_size": blk.bundle.h1.size,
             "extensions": sc.extension_count,
             "denominator": sc.denom,
-            "multiplicative": ok,
+            "multiplicative": cert.multiplicative,
             "trivial_on": f"U_A({sc.trivial_level})",
         })
-        if not ok:
-            return "FAIL", out, f"theta not multiplicative at {witness}"
+        if not cert.multiplicative:
+            return "FAIL", out, f"theta not multiplicative at {cert.witness}"
     return "PASS", out, None
 
 
@@ -169,7 +169,8 @@ def _check_heisenberg(blocks, kr, args):
             entry["raw_pairing_alternating"] = pol.raw_pairing_alternating
         out.append(entry)
         bad = (ind.inner_product != 1 or not ind.restriction_is_multiple
-               or ind.restriction_inner != ind.dim)
+               or ind.restriction_inner != ind.dim
+               or not ind.class_constancy)
         if bad:
             return "FAIL", out, f"Heisenberg law failed on block {i}"
     return "PASS", out, None

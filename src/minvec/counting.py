@@ -195,32 +195,25 @@ class CountReport:
         return len(self.matches)
 
 
-def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
-                row_order=None, pruned: bool = True) -> CountReport:
+def enumerate_S(q: LatticeQuery, budget: int = 5_000_000) -> CountReport:
     """All integer matrices with |entries| <= B, det = m, reduction in T.
 
-    Row-by-row search over the first n-2 rows of row_order with exact
+    Row-by-row search over the first n-2 rows, in order, with exact
     Hadamard-type pruning; the last two rows are decided in one stacked
     int64 kernel.  The last row's cofactors are linear in the row before
     it, so with C their values at the n unit rows, rows @ C @ rows.T holds
     all R x R determinants (R = (2B+1)^n) and the pruning becomes masks on
     it (n = 1 keeps a one-row leaf).  Torus membership is then tested in
-    one batched lookup on the det = m candidates only.  candidates_scanned
-    counts every row tried at every level plus every leaf that survives
-    pruning, from cumulative sums; the budget is raised at the same row,
-    with the same partial, as by a row-by-row search.  The result is
-    independent of the row ordering (canonical sorted output), which
-    row_order exposes for the permutation-stability test.
+    one batched lookup on the det = m candidates only, so a search that
+    exceeds the budget never builds the torus.  candidates_scanned counts
+    every row tried at every level plus every leaf that survives pruning,
+    from cumulative sums; the budget is raised at the same row as by a
+    row-by-row search.  The output is sorted, so it does not depend on the
+    order in which rows are fixed.
     """
     t0 = time.perf_counter()
     n, m, B = q.n, q.m, q.entry_bound
     total = (2 * B + 1) ** (n * n)
-    if not pruned and total > budget:
-        raise BudgetExceeded("flat candidate space exceeds the budget",
-                             estimate=total)
-    order = list(row_order) if row_order is not None else list(range(n))
-    if sorted(order) != list(range(n)):
-        raise ValueError("row_order must be a permutation of the rows")
     top = n * B * B                    # the largest |row|^2
     if (2 * B + 1) ** n > budget or math.factorial(n) * B ** n >= 2 ** 63 \
             or top * (top + 1) >= 2 ** 63:
@@ -238,22 +231,18 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
     scanned = 0
 
     def over_budget():
-        return BudgetExceeded("enumeration budget exceeded", estimate=total,
-                              partial=int(q.in_torus(np.concatenate(parts))
-                                          .sum()))
+        return BudgetExceeded("enumeration budget exceeded", estimate=total)
 
     def floor_sq(sq_prod, sq):
         """Least |row|^2 of a surviving leaf below rows of squared norms
         sq_prod * sq (ceiling division); top + 1 where none survives."""
-        if not pruned:
-            return np.zeros_like(sq)
         # the cap keeps num in int64 and changes no floor below top + 1
         num = min(-(-m * m // sq_prod), top * (top + 1))
         return np.minimum(-(-num // np.maximum(sq, 1)), top + 1)
 
     def two_rows(sq_prod):
         nonlocal scanned
-        prev, last = order[-2:]
+        prev, last = n - 2, n - 1
         cof = np.empty((n, n), dtype=np.int64)
         for t, unit in enumerate(np.eye(n, dtype=np.int64)):
             fixed[prev] = unit
@@ -261,15 +250,14 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
             cof[t] = [r[last] for r in _adjugate(fixed.tolist(), n)]
         # rows_arr[i] as row `prev` reaches the last row where it survives
         floor = floor_sq(sq_prod, row_sq)
-        enters = (row_sq > 0) & (floor <= top) if pruned else \
-            np.ones(R, dtype=bool)
+        enters = (row_sq > 0) & (floor <= top)
         # each row tried scans 1, then its leaf R rows plus the survivors
         live = R - np.searchsorted(np.sort(row_sq), floor)
         leaf = np.where(enters, R + live, 0)
         reach = scanned + np.cumsum(np.stack([np.ones_like(leaf), leaf], 1))
-        over = np.flatnonzero(reach > budget)
-        stop = over[0] // 2 if len(over) else R
-        entered = np.flatnonzero(enters[:stop])
+        if reach[-1] > budget:
+            raise over_budget()
+        entered = np.flatnonzero(enters)
         step = chunk_rows(4 * 8 * R)
         for lo in range(0, len(entered), step):
             idx = entered[lo:lo + step]
@@ -278,13 +266,11 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
             mats = np.repeat(fixed[None], len(i), axis=0)
             mats[:, prev], mats[:, last] = rows_arr[idx[i]], rows_arr[j]
             parts.append(mats)
-        if len(over):
-            raise over_budget()
         scanned = int(reach[-1])
 
     def rec(k, sq_prod):
         nonlocal scanned
-        if pruned and sq_prod * bound_sq[n - k] < m * m:
+        if sq_prod * bound_sq[n - k] < m * m:
             return
         if k == n - 1:
             # n = 1: a one-row leaf whose determinant is its entry
@@ -296,15 +282,14 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000,
             return
         if k == n - 2:
             return two_rows(sq_prod)
-        ridx = order[k]
         for row, sq in zip(rows_arr, row_sq.tolist()):
             scanned += 1
             if scanned > budget:
                 raise over_budget()
-            fixed[ridx] = row
-            if pruned and sq == 0:
+            fixed[k] = row
+            if sq == 0:
                 continue
-            rec(k + 1, sq_prod * (sq or 1))
+            rec(k + 1, sq_prod * sq)
 
     rec(0, 1)
     candidates = np.concatenate(parts)

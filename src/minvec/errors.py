@@ -8,14 +8,12 @@ class MinvecError(Exception):
 class BudgetExceeded(MinvecError):
     """An enumeration or search exceeded its configured budget.
 
-    Carries an estimate of the required size and, for searches, the best
-    partial result found so far.
+    Carries an estimate of the required size where one is known.
     """
 
-    def __init__(self, message, estimate=None, partial=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.partial = partial
 
 
 class DatumInvalid(MinvecError):

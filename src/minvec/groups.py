@@ -50,16 +50,11 @@ def gl_order(n: int, p: int, L: int) -> int:
 
 @dataclass
 class CharacterCertificate:
-    """What the generator relations proved about an exponent table; unpacks
-    as (multiplicative, witness, coords_additive)."""
+    """What the generator relations proved about an exponent table."""
 
     multiplicative: bool
     witness: tuple | None         # generator pair (i, s) where it fails
     coords_additive: bool | None  # None when no coordinates were checked
-
-    def __iter__(self):
-        return iter((self.multiplicative, self.witness,
-                     self.coords_additive is not False))
 
 
 class FiniteSubgroup:
@@ -283,7 +278,7 @@ class SubgroupBundle:
     jcapk: FiniteSubgroup
 
 
-def build_subgroups(d: InductionDatum, level: int | None = None,
+def build_subgroups(d: InductionDatum,
                     budget: int = 2_000_000) -> SubgroupBundle:
     """Element lists for U_A(floor(j/2)+1), U_A(j+1), U_L(1), H^1 and J^1,
     and the sumset J cap K, mod p^level.  O_L, a p^(nL) box, is built and
@@ -293,7 +288,7 @@ def build_subgroups(d: InductionDatum, level: int | None = None,
     if not is_minimal(d):
         raise DatumInvalid("subgroup construction requires a minimal datum")
     o, p, j = d.order, d.p, d.j
-    L = d.group_level if level is None else level
+    L = d.group_level
     ol_codes, unit_mask, ul1_mask = enumerate_field_order(d, L)
     ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_codes[ul1_mask])
     ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_codes[unit_mask])
@@ -398,7 +393,6 @@ class ExtensionData:
     coords: np.ndarray          # per element, exponents of the coset generators
     orders: list                # relative orders of the generators
     count: int                  # number of extensions (certified)
-    coords_additive: bool
 
 
 def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
@@ -455,17 +449,16 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
     reduced = denom // math.gcd(denom, int(np.gcd.reduce(nums)))
     final = math.lcm(reduced, denom_hint) if denom_hint else reduced
     nums = nums // (denom // reduced) * (final // reduced) % final
-    ok, witness, coords_ok = verify_character(group, nums, final,
-                                              coords=coords,
-                                              coord_orders=orders)
-    if not ok:
+    cert = verify_character(group, nums, final, coords=coords,
+                            coord_orders=orders)
+    if not cert.multiplicative:
         raise ConstructionFailure(
             f"no multiplicative extension found on {group.name}; "
             f"f(g_i g_s) != f(g_i) + f(g_s) at generator pair (i, s) = "
-            f"{witness}")
+            f"{cert.witness}")
     # unless coordinates add, count only the verified base extension
-    count = math.prod(orders) if coords_ok else 1
-    return ExtensionData(nums, final, coords, orders, count, coords_ok)
+    count = math.prod(orders) if cert.coords_additive else 1
+    return ExtensionData(nums, final, coords, orders, count)
 
 
 @dataclass
@@ -484,10 +477,11 @@ def simple_character(d: InductionDatum, bundle: SubgroupBundle) -> SimpleCharact
     base = bundle.ua[j // 2 + 1]
     denom0 = p ** (d.s0 + 1)
     base_nums = formula_exponent_nums(d, base.mats, denom0)
-    ok, witness, _ = verify_character(base, base_nums, denom0)
-    if not ok:
+    cert = verify_character(base, base_nums, denom0)
+    if not cert.multiplicative:
         raise ConstructionFailure(
-            f"trace formula is not multiplicative on {base.name}: {witness}")
+            f"trace formula is not multiplicative on {base.name}: "
+            f"{cert.witness}")
     ext = extend_character(bundle.h1, base.codes, base_nums, denom0,
                            denom_hint=denom0)
     theta = GroupCharacter(bundle.h1, ext.nums, ext.denom)
@@ -514,7 +508,6 @@ class PolarizationData:
     b1: FiniteSubgroup
     raw_pairing_well_defined: bool | None
     raw_pairing_alternating: bool | None
-    quotient_index: int
 
 
 def _coset_decomposition(group: FiniteSubgroup, small_mats):
@@ -552,8 +545,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         return PolarizationData(
             trivial=True, reason="J1 == H1 at odd depth; take B1 = H1",
             dim=0, coset_reps=None, pairing=None, isotropic=None,
-            b1=h1, raw_pairing_well_defined=None, raw_pairing_alternating=None,
-            quotient_index=1)
+            b1=h1, raw_pairing_well_defined=None, raw_pairing_alternating=None)
     if j1.size == h1.size:
         raise ConstructionFailure("even depth but J1 == H1; datum is ill-formed")
     L = bundle.level
@@ -662,8 +654,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     return PolarizationData(
         trivial=False, reason="", dim=dim, coset_reps=basis_mats,
         pairing=pairing, isotropic=iso_vecs, b1=b1,
-        raw_pairing_well_defined=raw_well, raw_pairing_alternating=raw_alt,
-        quotient_index=k)
+        raw_pairing_well_defined=raw_well, raw_pairing_alternating=raw_alt)
 
 
 def _symplectic_isotropic_basis(pairing, p):
@@ -1017,9 +1008,8 @@ class PreparedBlock:
         return self.induced.theta_tilde
 
 
-def prepare_block(d: InductionDatum, level: int | None = None,
-                  budget: int = 2_000_000) -> PreparedBlock:
-    bundle = build_subgroups(d, level=level, budget=budget)
+def prepare_block(d: InductionDatum, budget: int = 2_000_000) -> PreparedBlock:
+    bundle = build_subgroups(d, budget=budget)
     simple = simple_character(d, bundle)
     pol = heisenberg(d, bundle, simple.theta)
     induced = extend_and_induce(d, bundle, simple.theta, pol)
@@ -1054,16 +1044,6 @@ class BlockCharacter:
 
 
 @dataclass
-class KpiChecks:
-    closure_sampled: bool
-    theta_multiplicative_sampled: bool
-    block_congruence: bool
-    containment: bool
-    inequivalence_source: str
-    samples: int
-
-
-@dataclass
 class KpiResult:
     kpi: FiniteSubgroup
     theta: object                 # GroupCharacter or BlockCharacter
@@ -1071,7 +1051,6 @@ class KpiResult:
     c: object                     # Fraction (single) or int (parabolic)
     cfrak: int
     level: int
-    checks: KpiChecks | None
     sampler: object | None
 
     @property
@@ -1084,17 +1063,20 @@ def depth_bound_cfrak(data) -> int:
     return min(((d.j + 1) // 2) // d.order.e for d in data)
 
 
-def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
-              inequivalent_assertion: bool = False, samples: int = 200,
+def build_Kpi(blocks, inequivalent_assertion: bool = False,
               seed: int = 0) -> KpiResult:
     """Assemble K_pi and Theta from prepared supercuspidal blocks.
 
     A single block returns the uniform convention K_pi = B^1, Theta = the
-    extended character.  Multiple blocks assemble the block-congruence group
-    with p^floor((c+1)/2) above and p^ceil((c+1)/2) below the diagonal and
-    verify on seeded samples that it is a group, that Theta is multiplicative
-    through the mod p^(c+1) block congruence, and that the support sits inside
-    U_L(1) (1 + p^cfrak M_n(O)).
+    extended character.  Multiple blocks take c = ceil(max normalised
+    depth), and each block's depth must lie within 1 of it; blocks of the
+    same (e, j) need inequivalent_assertion.  They assemble the
+    block-congruence group with p^floor((c+1)/2) above and p^ceil((c+1)/2)
+    below the diagonal, and on 200 seeded pairs verify that it is closed
+    under products and inverses, that Theta is multiplicative and that
+    products respect the mod p^(c+1) block congruence; ConstructionFailure
+    is raised otherwise.  That the support sits inside U_L(1) mod p^cfrak
+    is decided by testfunc.concentration_check.
     """
     if not blocks:
         raise DatumInvalid("at least one block is required")
@@ -1105,7 +1087,7 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
         return KpiResult(
             kpi=blk.b1, theta=blk.theta_tilde, blocks=list(blocks),
             c=d.normalised_depth, cfrak=depth_bound_cfrak([d]),
-            level=blk.bundle.level, checks=None, sampler=None)
+            level=blk.bundle.level, sampler=None)
 
     data = [b.datum for b in blocks]
     if any(b.datum.p != p for b in blocks):
@@ -1113,17 +1095,13 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     if any(b.datum.order.n < 2 for b in blocks):
         raise DatumInvalid("every block must have dimension at least 2")
     cs = [b.datum.normalised_depth for b in blocks]
-    c_val = c if c is not None else math.ceil(max(cs))
+    c_val = math.ceil(max(cs))
     for ci in cs:
-        if abs(ci - c_val) > band:
+        if abs(ci - c_val) > 1:
             raise DatumInvalid(
                 f"normalised depth {ci} violates the O(1) band around {c_val}")
     shapes = {(b.datum.order.e, b.datum.j) for b in blocks}
-    if len(shapes) == len(blocks):
-        ineq_source = "heuristic (distinct invariants)"
-    elif inequivalent_assertion:
-        ineq_source = "user assertion"
-    else:
+    if len(shapes) < len(blocks) and not inequivalent_assertion:
         raise DatumInvalid(
             "blocks share (e, j); pairwise inequivalence must be asserted")
 
@@ -1182,10 +1160,9 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
         return mats
 
     # --- seeded verifications, all pairs at once ---
-    cf = depth_bound_cfrak(data)
     cmod = p ** (c_val + 1)
     rng = Draws(seed)
-    xs, ys = sampler(rng, samples), sampler(rng, samples)
+    xs, ys = sampler(rng, 200), sampler(rng, 200)
     xy = xs @ ys % mod
     _, xinv, unit = det_inv_mod(xs, p, level)
     in_kpi = membership(xy)
@@ -1197,39 +1174,9 @@ def build_Kpi(blocks, c: int | None = None, band: Fraction = Fraction(1),
     t = theta.nums_of_residues
     theta_ok = not np.any((t(xs[in_kpi]) + t(ys[in_kpi]) - t(xy[in_kpi]))
                           % theta.denom)
-    contain_ok = bool(np.all(_torus_approximation(xs, blocks, cf)))
     if not (closure_ok and theta_ok and congruence_ok):
         raise ConstructionFailure(
             f"K_pi verification failed: closure={closure_ok} "
             f"theta={theta_ok} congruence={congruence_ok}")
-    checks = KpiChecks(closure_ok, theta_ok, congruence_ok, contain_ok,
-                       ineq_source, samples)
-    return KpiResult(kpi, theta, list(blocks), c_val, cf, level, checks, sampler)
-
-
-def first_torus_match(mats, ul1: FiniteSubgroup, cf: int) -> np.ndarray:
-    """For each x in mats, the index of the first l in U_L(1) with
-    x l^{-1} = 1 mod p^cf, that is x = l mod p^cf; -1 where there is none."""
-    p = ul1.p
-    codes, first = np.unique(pack(ul1.mats % p ** cf, p, cf),
-                             return_index=True)
-    idx = sorted_index(codes, pack(mats % p ** cf, p, cf))
-    return np.where(idx >= 0, first[idx], -1)
-
-
-def _torus_approximation(mats, blocks, cf) -> np.ndarray:
-    """Per matrix of a stack, whether some l in U_L(1), one per diagonal
-    block, has mat l^{-1} = 1 mod p^cf."""
-    found = np.ones(len(mats), dtype=bool)
-    if cf == 0:
-        return found
-    torus = np.zeros_like(mats)
-    off = 0
-    for b in blocks:
-        sl = slice(off, off + b.datum.order.n)
-        off = sl.stop
-        hit = first_torus_match(mats[:, sl, sl], b.bundle.ul1, cf)
-        found &= hit >= 0
-        torus[:, sl, sl] = b.bundle.ul1.mats[hit]
-    return found & np.all((mats - torus) % blocks[0].datum.p ** cf == 0,
-                          axis=(1, 2))
+    return KpiResult(kpi, theta, list(blocks), c_val,
+                     depth_bound_cfrak(data), level, sampler)

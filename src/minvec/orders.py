@@ -77,9 +77,6 @@ class HereditaryOrder:
 class ApproximationReport:
     """Outcome of the two-sided comparison of B^i against powers of p*M_n."""
 
-    i: int
-    lower_exponent: int   # B_0^lower subset of B^i
-    upper_exponent: int   # B^i subset of B_0^upper
     holds: bool
     lower_strict: bool
     upper_strict: bool
@@ -105,7 +102,7 @@ def approximation_report(o: HereditaryOrder, i: int) -> ApproximationReport:
                 lower_strict = True   # p^t E_rc lies in B^i but not in B_0^lower
             if t > upper:
                 upper_strict = True   # B_0^upper has p^upper E_rc outside B^i
-    return ApproximationReport(i, lower, upper, holds, lower_strict, upper_strict)
+    return ApproximationReport(holds, lower_strict, upper_strict)
 
 
 # -- integer matrix helpers for the exact searches ---------------------------
@@ -394,7 +391,6 @@ def _normalizer_check(order, p, rows) -> bool:
 class K0Result:
     value: int
     capped: bool
-    witness: list | None
     nodes: int
 
 
@@ -447,7 +443,6 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
     cap_depth = 2 * j
     nodes = 0
     best_depth = -1
-    best_witness = None
 
     def layer_elements(t):
         for combo in _coeff_tuples(len(pos[t]), p):
@@ -462,18 +457,13 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
         pass
 
     def dfs(rows, depth):
-        nonlocal nodes, best_depth, best_witness
+        nonlocal nodes, best_depth
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(
-                "k0 search budget exceeded",
-                estimate=budget,
-                partial=-j + best_depth + 1)
+            raise BudgetExceeded("k0 search budget exceeded", estimate=budget)
         if not valid(rows, depth):
             return
-        if depth > best_depth:
-            best_depth = depth
-            best_witness = [row[:] for row in rows]
+        best_depth = max(best_depth, depth)
         if depth == cap_depth:
             raise _Capped
         for layer in layer_elements(depth + 1):
@@ -488,7 +478,7 @@ def k0(d: InductionDatum, budget: int = 500_000) -> K0Result:
         capped = True
         best_depth = cap_depth
     value = -j + best_depth + 1
-    return K0Result(value, capped, best_witness, nodes)
+    return K0Result(value, capped, nodes)
 
 
 def _coeff_tuples(k, p):

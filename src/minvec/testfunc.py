@@ -16,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionFailure
-from .groups import (KpiResult, _torus_approximation, first_torus_match,
-                     gl_order, verify_character)
+from .groups import FiniteSubgroup, KpiResult, gl_order, verify_character
 from .padic import vp
-from .residues import Draws, det_inv_mod, sample_units_outside
+from .residues import (Draws, det_inv_mod, pack, sample_units_outside,
+                       sorted_index)
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -49,11 +49,9 @@ class VolumeReport:
     d_pi: Fraction
     support_count: int
     k_count: int
-    c: Fraction
     target_exponent: Fraction      # c (n^2 - n) / 2
     valuation_of_inverse: int      # v_p(1/d_pi)
-    bound_margin: int              # allowed |log_p(1/d_pi) - target|
-    bounded: bool
+    bounded: bool                  # |log_p(1/d_pi) - target| <= n^2
 
 
 def volume(kpi_result: KpiResult) -> VolumeReport:
@@ -72,7 +70,7 @@ def volume(kpi_result: KpiResult) -> VolumeReport:
     hi = compare_with_p_power(inv, p, target + margin)
     bounded = lo >= 0 and hi <= 0
     val = vp(inv.numerator, p) - vp(inv.denominator, p)
-    return VolumeReport(d_pi, kpi.size, k_count, c, target, val, margin, bounded)
+    return VolumeReport(d_pi, kpi.size, k_count, target, val, bounded)
 
 
 @dataclass
@@ -89,20 +87,25 @@ class ConvolutionReport:
     witness: object
 
 
-def convolve_check(tf: TestFunction, samples: int = 2000,
-                   seed: int = 0) -> ConvolutionReport:
+CONVOLVE_SAMPLES = 2000
+CONCENTRATION_SAMPLES = 500
+
+
+def convolve_check(tf: TestFunction, seed: int = 0) -> ConvolutionReport:
     """Verify omega * omega^* = d_pi omega exactly.
 
     Enumerated supports are checked on every pair: the support's generator
     certificate (verify_character) proves it is a group, which settles all
     points outside the support at once, and that Theta is multiplicative,
-    which is the termwise law for every pair.  Membership-only supports are
-    checked on seeded samples, term by term.
+    which is the termwise law for every pair; up to 64 seeded units off the
+    support cross-check it.  Membership-only supports are checked on
+    CONVOLVE_SAMPLES seeded pairs on the support and as many off it, term
+    by term.
     """
     kpi = tf.kpi_result.kpi
     if kpi.mats is not None:
-        return _convolve_full(tf, samples, seed)
-    return _convolve_sampled(tf, samples, seed)
+        return _convolve_full(tf, CONVOLVE_SAMPLES, seed)
+    return _convolve_sampled(tf, CONVOLVE_SAMPLES, seed)
 
 
 def _convolve_full(tf, samples, seed):
@@ -174,8 +177,8 @@ def _convolve_sampled(tf, samples, seed):
     off_checked = len(gs) if off_ok else int(np.argmax(lands))
     if not off_ok:
         witness = gs[off_checked]
-    closure = kpi_result.checks.closure_sampled if kpi_result.checks else False
-    return ConvolutionReport(d_pi, "sampled", checked, ok, closure,
+    # build_Kpi raised unless its sampled closure check held
+    return ConvolutionReport(d_pi, "sampled", checked, ok, True,
                              off_checked, off_ok, d_pi, True, witness)
 
 
@@ -189,25 +192,24 @@ class ConcentrationReport:
     witness: object
 
 
-def concentration_check(tf: TestFunction, samples: int = 500,
-                        seed: int = 0) -> ConcentrationReport:
+def concentration_check(tf: TestFunction, seed: int = 0) -> ConcentrationReport:
     """For every x in the support find l in U_L(1) with x l^{-1} = 1 mod p^cf.
 
-    Exhaustive over enumerated supports; seeded samples otherwise.  cf = 0
-    makes the congruence vacuous (modulus 1), which is reported as trivial
-    but still witnessed by l = 1.
+    Exhaustive over enumerated supports; CONCENTRATION_SAMPLES seeded
+    points otherwise.  cf = 0 makes the congruence vacuous (modulus 1),
+    which is reported as trivial but still witnessed by l = 1.
     """
     kpi_result = tf.kpi_result
     kpi = kpi_result.kpi
     cf = kpi_result.cfrak
     if cf == 0:
-        count = kpi.size if kpi.mats is not None else samples
+        count = kpi.size if kpi.mats is not None else CONCENTRATION_SAMPLES
         return ConcentrationReport(0, True, count, True, 0, None)
     if kpi.mats is None:
-        xs = kpi_result.sampler(Draws(seed), samples)
+        xs = kpi_result.sampler(Draws(seed), CONCENTRATION_SAMPLES)
         found = _torus_approximation(xs, kpi_result.blocks, cf)
         bad = None if found.all() else xs[np.argmin(found)]
-        return ConcentrationReport(cf, False, samples, bad is None, -1, bad)
+        return ConcentrationReport(cf, False, len(xs), bad is None, -1, bad)
     # enumerated: single supercuspidal block; worst is the largest number
     # of U_L(1) candidates scanned, in order, before a support element's match
     hits = first_torus_match(kpi.mats, kpi_result.blocks[0].bundle.ul1, cf)
@@ -217,6 +219,34 @@ def concentration_check(tf: TestFunction, samples: int = 500,
             f"witness {kpi.mats[np.argmax(hits < 0)].tolist()}")
     return ConcentrationReport(cf, False, kpi.size, True, int(hits.max()) + 1,
                                None)
+
+
+def first_torus_match(mats, ul1: FiniteSubgroup, cf: int) -> np.ndarray:
+    """For each x in mats, the index of the first l in U_L(1) with
+    x l^{-1} = 1 mod p^cf, that is x = l mod p^cf; -1 where there is none."""
+    p = ul1.p
+    codes, first = np.unique(pack(ul1.mats % p ** cf, p, cf),
+                             return_index=True)
+    idx = sorted_index(codes, pack(mats % p ** cf, p, cf))
+    return np.where(idx >= 0, first[idx], -1)
+
+
+def _torus_approximation(mats, blocks, cf) -> np.ndarray:
+    """Per matrix of a stack, whether some l in U_L(1), one per diagonal
+    block, has mat l^{-1} = 1 mod p^cf."""
+    found = np.ones(len(mats), dtype=bool)
+    if cf == 0:
+        return found
+    torus = np.zeros_like(mats)
+    off = 0
+    for b in blocks:
+        sl = slice(off, off + b.datum.order.n)
+        off = sl.stop
+        hit = first_torus_match(mats[:, sl, sl], b.bundle.ul1, cf)
+        found &= hit >= 0
+        torus[:, sl, sl] = b.bundle.ul1.mats[hit]
+    return found & np.all((mats - torus) % blocks[0].datum.p ** cf == 0,
+                          axis=(1, 2))
 
 
 @dataclass
@@ -230,9 +260,8 @@ class DepthReport:
     volume_bounded: bool
 
 
-def depth_report(kpi_result: KpiResult, vol: VolumeReport | None = None) -> DepthReport:
-    if vol is None:
-        vol = volume(kpi_result)
+def depth_report(kpi_result: KpiResult) -> DepthReport:
+    vol = volume(kpi_result)
     n = kpi_result.n
     c = Fraction(kpi_result.c)
     depth = max(b.datum.j for b in kpi_result.blocks)

@@ -61,10 +61,10 @@ def brute_force_S(q):
 
 def enumerate_S_oracle(q, budget=5_000_000, row_order=None, pruned=True):
     """(sorted matches, candidates_scanned) of the row-by-row search over
-    all n rows, each last row decided by one dot product with the cofactor
-    vector of the fixed rows.  Raises BudgetExceeded, with the torus
-    members among the det = m candidates found so far as `partial`, as
-    soon as more than `budget` candidates are scanned."""
+    all n rows, fixed in the positions of row_order, each last row decided
+    by one dot product with the cofactor vector of the fixed rows, with the
+    Hadamard pruning or (pruned=False) without it.  Raises BudgetExceeded
+    as soon as more than `budget` candidates are scanned."""
     import numpy as np
     from minvec.errors import BudgetExceeded
     n, m, B = q.n, q.m, q.entry_bound
@@ -79,8 +79,7 @@ def enumerate_S_oracle(q, budget=5_000_000, row_order=None, pruned=True):
     rows_buf = [(0,) * n] * n
 
     def over_budget():
-        return BudgetExceeded("enumeration budget exceeded",
-                              partial=int(q.in_torus(candidates).sum()))
+        return BudgetExceeded("enumeration budget exceeded")
 
     def rec(k, sq_prod):
         nonlocal scanned

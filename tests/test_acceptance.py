@@ -106,9 +106,8 @@ def test_criterion_3_simple_character(shipped):
         for tag in ("a", "b", "c"):
             blk = blocks[tag]
             theta = blk.simple.theta
-            ok, witness, _ = verify_character(blk.bundle.h1, theta.nums,
-                                              theta.denom)
-            assert ok, witness
+            cert = verify_character(blk.bundle.h1, theta.nums, theta.denom)
+            assert cert.multiplicative, cert.witness
             top = blk.bundle.ua[blk.datum.j + 1]
             assert not np.any(theta.restricted_nums(top.codes) % theta.denom)
 
@@ -155,7 +154,7 @@ def test_criterion_6_test_function_identities(shipped):
             conc = concentration_check(tf)
             assert conc.all_found
         tf = make_omega(krs["par"])
-        conv = convolve_check(tf, samples=400)
+        conv = convolve_check(tf)
         assert conv.mode == "sampled"
         assert conv.support_ok and conv.offsupport_ok
         conc = concentration_check(tf)
@@ -174,7 +173,7 @@ def test_criterion_7_volume_and_conductor(shipped):
             inv = 1 / vol.d_pi
             assert compare_with_p_power(inv, 3, target - n * n) >= 0
             assert compare_with_p_power(inv, 3, target + n * n) <= 0
-            rep = depth_report(kr, vol)
+            rep = depth_report(kr)
             assert abs(Fraction(rep.cfrak) - c / 2) <= 1
 
 

@@ -507,6 +507,26 @@ class TestGeneratorCertificate:
         assert not b1.contains_residues(b1.mats[i] @ b1.mats[k])
 
 
+class TestHeisenbergVerdict:
+    def test_class_constancy_failure_is_falsified(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # a class-constancy verdict of False fails the heisenberg check
+        from minvec import groups
+        laws = groups.induced_laws
+
+        def not_constant(*args):
+            return (*laws(*args)[:4], False)
+
+        monkeypatch.setattr(groups, "induced_laws", not_constant)
+        report = tmp_path / "report.txt"
+        code = cli.main(["verify", str(DATA_DIR / "datum_n2e1j2p3.json"),
+                         "--out", str(report)])
+        assert code == cli.EXIT_FALSIFIED
+        block = extract_block(report.read_text())
+        assert block["checks"]["heisenberg"]["verdict"] == "FAIL"
+        assert "Heisenberg law failed on block 0" in capsys.readouterr().err
+
+
 # beta = p^-1 [[0, 1, 0], [0, 0, 1], [3, 0, 0]] at p = 3: n = 3, e = 3, j = 2
 N3_DATUM = {"beta": {"entries": [[0, 1, 0], [0, 0, 1], [3, 0, 0]],
                      "scale": -1},
@@ -527,6 +547,19 @@ class TestHonestExits:
                               timeout=20)
         assert proc.returncode == cli.EXIT_BUDGET
         assert "budget exceeded" in proc.stderr
+
+    def test_count_over_budget_builds_no_torus(self, monkeypatch, capsys):
+        # the search stops on its candidate count, before any torus lookup:
+        # query_m4_deep's closure has 531,441 elements
+        from minvec.counting import LatticeQuery
+        calls = []
+        monkeypatch.setattr(LatticeQuery, "torus_set",
+                            lambda self, *args: calls.append(args))
+        code = cli.main(["count", "--budget", "200",
+                         str(DATA_DIR / "query_m4_deep.json")])
+        assert code == cli.EXIT_BUDGET
+        assert "enumeration budget exceeded" in capsys.readouterr().err
+        assert calls == []
 
     def test_memory_error_exits_4_and_names_the_stage(self, tmp_path,
                                                       monkeypatch, capsys):

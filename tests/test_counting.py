@@ -66,10 +66,13 @@ class TestEnumerate:
         assert rep.partition_bound == 3 and rep.bound_ok
 
     def test_permutation_stability(self):
+        # the search fixes rows 0..n-1 in order; the unpruned oracle, in
+        # either order, finds the same set
         q = LatticeQuery(2, 4, 4, 3, 7, (((1, 0), (0, 4)), ((4, 0), (0, 1))))
         base = enumerate_S(q).matches
         for order in itertools.permutations(range(2)):
-            assert enumerate_S(q, row_order=order).matches == base
+            assert enumerate_S_oracle(q, row_order=order,
+                                      pruned=False)[0] == base
 
     @pytest.mark.parametrize("q, orthogonal", [
         # rows of norm sqrt(13) meet the bound exactly, e.g. [[3,2],[-2,3]]
@@ -78,7 +81,7 @@ class TestEnumerate:
     ])
     def test_hadamard_bound_attained(self, q, orthogonal):
         rep = enumerate_S(q)
-        assert rep.matches == enumerate_S(q, pruned=False).matches
+        assert rep.matches == enumerate_S_oracle(q, pruned=False)[0]
         assert rep.matches == brute_force_S(q)
         assert orthogonal in rep.matches
 
@@ -294,10 +297,15 @@ class TestEnumerateDifferential:
         q = LatticeQuery(3, m, 1, 3, 1, gens)
         want = brute_force_S(q)
         assert want
+        rep = enumerate_S(q)
+        assert rep.matches == want
         for order in itertools.permutations(range(3)):
-            for pruned in (True, False):
-                rep = enumerate_S(q, row_order=order, pruned=pruned)
-                assert rep.matches == want
+            # pruning and the order of the fixed rows change no match, and
+            # the pruned count does not depend on the order
+            assert enumerate_S_oracle(q, row_order=order) == \
+                (want, rep.candidates_scanned)
+            assert enumerate_S_oracle(q, row_order=order,
+                                      pruned=False)[0] == want
 
     @pytest.mark.parametrize("name, scanned", [
         ("query_m1_deep", 145),
@@ -338,44 +346,44 @@ def lattice_queries(draw):
 
 
 class TestBudgetPath:
-    """The two-row kernel against the row-by-row search over all n rows:
-    the same matches and candidates_scanned, and the same raise point and
-    partial count under the budget."""
+    """The two-row kernel against the row-by-row search over all n rows, in
+    any order of the rows: the same matches and candidates_scanned, and a
+    raise under the same budgets."""
 
     @settings(max_examples=150, deadline=None)
-    @given(lattice_queries(), st.booleans(), st.data())
-    def test_matches_row_by_row_search(self, q, pruned, data):
+    @given(lattice_queries(), st.data())
+    def test_matches_row_by_row_search(self, q, data):
         n, rows = q.n, (2 * q.entry_bound + 1) ** q.n
         order = data.draw(st.permutations(range(n)))
         flat = rows ** n
         budget = data.draw(st.integers(rows, 2 * flat + rows * rows + 2))
-        if not pruned and flat > budget:
-            with pytest.raises(BudgetExceeded) as err:
-                enumerate_S(q, budget, order, pruned)
-            assert err.value.partial is None
-            return
         try:
-            want = enumerate_S_oracle(q, budget, order, pruned)
+            want = enumerate_S_oracle(q, budget, order)
         except BudgetExceeded as oracle_err:
+            # the same raise: the search's budget, or the torus closure's
             with pytest.raises(BudgetExceeded) as err:
-                enumerate_S(q, budget, order, pruned)
-            assert err.value.partial == oracle_err.partial
+                enumerate_S(q, budget)
+            assert str(err.value) == str(oracle_err)
             return
-        rep = enumerate_S(q, budget, order, pruned)
+        rep = enumerate_S(q, budget)
         assert (rep.matches, rep.candidates_scanned) == want
 
-    @pytest.mark.parametrize("q, budget, partial", [
+    @pytest.mark.parametrize("q, budget", [
         (LatticeQuery(2, 1, 10, 3, 1, (((2, 0), (0, 1)), ((1, 0), (0, 2)))),
-         20_000, 4),
+         20_000),
         (LatticeQuery(2, 1, 10, 3, 1, (((2, 0), (0, 1)), ((1, 0), (0, 2)))),
-         3_000, 1),
-        (None, 3_000, 0),
+         3_000),
+        (None, 3_000),
     ], ids=["m1-b10-20000", "m1-b10-3000", "m4-deep-3000"])
-    def test_partial_pinned(self, q, budget, partial):
+    def test_raises_before_any_torus_lookup(self, q, budget, monkeypatch):
         q = q or load_query(DATA_DIR / "query_m4_deep.json").query()
+        calls = []
+        monkeypatch.setattr(LatticeQuery, "torus_set",
+                            lambda self, *args: calls.append(args))
         with pytest.raises(BudgetExceeded) as err:
             enumerate_S(q, budget=budget)
-        assert err.value.partial == partial
+        assert err.value.estimate == (2 * q.entry_bound + 1) ** (q.n * q.n)
+        assert calls == []
 
 
 class TestAbelian:

@@ -12,6 +12,7 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
                            formula_exponent_nums, gl_order,
                            intertwining_dichotomy, intertwining_spot,
                            prepare_block, unit_sumset, verify_character)
+from minvec.testfunc import _torus_approximation
 from minvec.residues import (Draws, box_enumerate, contains_codes,
                              det_inv_mod, pack, sorted_unique, unpack)
 
@@ -316,9 +317,9 @@ class TestSimpleCharacter:
 
     def test_multiplicativity_exhaustive(self, block_a, block_c):
         for blk in (block_a, block_c):
-            ok, _, _ = verify_character(
-                blk.bundle.h1, blk.simple.theta.nums, blk.simple.theta.denom)
-            assert ok
+            assert verify_character(
+                blk.bundle.h1, blk.simple.theta.nums,
+                blk.simple.theta.denom).multiplicative
 
     def test_extension_counts(self, block_a, block_b, block_c):
         # the count equals [H1 : U_A(floor(j/2)+1)]
@@ -702,9 +703,10 @@ class TestCosetSweep:
         theta = flipped_theta(block_a.simple.theta)
         rep = intertwining_dichotomy(block_a.datum, block_a.bundle, theta)
         assert not rep.agree
-        ok, witness, _ = verify_character(theta.domain, theta.nums, theta.denom)
-        assert not ok
-        assert np.array_equal(rep.witness, theta.domain.mats[witness[0]])
+        cert = verify_character(theta.domain, theta.nums, theta.denom)
+        assert not cert.multiplicative
+        assert np.array_equal(rep.witness,
+                              theta.domain.mats[cert.witness[0]])
 
 
 class TestSpotBatch:
@@ -744,9 +746,27 @@ class TestKpi:
         assert kr.cfrak == 0
         assert kr.level == 3
         assert kr.kpi.size == 3 ** 34
-        ch = kr.checks
-        assert ch.closure_sampled and ch.theta_multiplicative_sampled
-        assert ch.block_congruence and ch.containment
+
+    def test_parabolic_laws_on_samples(self, parabolic_kr):
+        # what build_Kpi decides on its samples, by the per-matrix oracles
+        # on fresh ones: closure under products and inverses, Theta
+        # multiplicative and the block congruence mod p^(c+1); and the
+        # support inside U_L(1) mod p^cfrak, vacuous at cfrak 0
+        kr = parabolic_kr
+        xs, ys = kr.sampler(Draws(13), 100), kr.sampler(Draws(14), 100)
+        xy = xs @ ys % kr.kpi.modulus
+        _, xinv, unit = det_inv_mod(xs, 3, kr.level)
+        assert unit.all()
+        cmod = 3 ** (kr.c + 1)
+        for x, y, prod, xi in zip(xs, ys, xy, xinv):
+            assert kpi_member_oracle(kr, prod) and kpi_member_oracle(kr, xi)
+            law = (kpi_exponent_oracle(kr, x) + kpi_exponent_oracle(kr, y)
+                   - kpi_exponent_oracle(kr, prod))
+            assert law.denominator == 1
+            for sl in (slice(0, 2), slice(2, 4)):
+                assert np.array_equal(prod[sl, sl] % cmod,
+                                      x[sl, sl] @ y[sl, sl] % cmod)
+        assert _torus_approximation(xs, kr.blocks, kr.cfrak).all()
 
     def test_parabolic_membership(self, parabolic_kr):
         kr = parabolic_kr
@@ -812,18 +832,15 @@ class TestKpi:
         with pytest.raises(DatumInvalid):
             build_Kpi([b1, b2], inequivalent_assertion=False)
         kr = build_Kpi([b1, b2], inequivalent_assertion=True)
-        assert kr.checks.inequivalence_source == "user assertion"
+        assert kr.n == 4
 
     def test_depth_band(self):
         d1 = build_datum(3, 2, 2, [[0, 1], [3, 0]], -1)   # c = 1/2
         d2 = build_datum(3, 2, 1, [[0, 1], [1, 1]], -2)   # c = 2
         b1, b2 = prepare_block(d1), prepare_block(d2)
-        with pytest.raises(DatumInvalid):
+        # c = ceil(2) = 2 and |1/2 - 2| exceeds the band of 1
+        with pytest.raises(DatumInvalid, match="band"):
             build_Kpi([b1, b2], inequivalent_assertion=True)
-        # widening the band accepts the same pair
-        kr = build_Kpi([b1, b2], inequivalent_assertion=True,
-                       band=Fraction(2))
-        assert kr.c == 2
 
 
 class TestGlOrder:

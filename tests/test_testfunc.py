@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from minvec.groups import (BlockCharacter, FiniteSubgroup, GroupCharacter,
-                           _torus_approximation, gl_order, verify_character)
+                           gl_order, verify_character)
 from minvec.residues import Draws, det_inv_mod, sample_units_outside
-from minvec.testfunc import (compare_with_p_power, concentration_check,
-                             convolve_check, depth_report, make_omega, volume)
+from minvec.testfunc import (_torus_approximation, compare_with_p_power,
+                             concentration_check, convolve_check,
+                             depth_report, make_omega, volume)
 
 from oracles import (convolution_rows_oracle, kpi_exponent_oracle,
                      mat_inv_mod, offsupport_lands_oracle, omega_exponent,
@@ -65,7 +66,7 @@ class TestConvolution:
 
     def test_sampled_parabolic(self, parabolic_kr):
         tf = make_omega(parabolic_kr)
-        rep = convolve_check(tf, samples=300)
+        rep = convolve_check(tf)
         assert rep.mode == "sampled"
         assert rep.support_ok and rep.offsupport_ok
 
@@ -116,8 +117,8 @@ def with_flipped_entry(kr):
 class TestSingleScanConvolution:
     def test_flipped_entry_fails_both_checks(self, kr_a):
         kr = with_flipped_entry(kr_a)
-        ok, witness, _ = verify_character(kr.kpi, kr.theta.nums, kr.theta.denom)
-        assert not ok and witness is not None
+        cert = verify_character(kr.kpi, kr.theta.nums, kr.theta.denom)
+        assert not cert.multiplicative and cert.witness is not None
         rep = convolve_check(make_omega(kr))
         assert rep.mode == "full" and rep.support_points_checked == kr.kpi.size
         assert not rep.support_ok and rep.witness is not None
@@ -173,7 +174,7 @@ def with_flipped_block(kr, b=0):
 class TestStackedParabolic:
     def test_flipped_block_character_fails_convolution(self, parabolic_kr):
         kr = with_flipped_block(parabolic_kr)
-        rep = convolve_check(make_omega(kr), samples=2000, seed=0)
+        rep = convolve_check(make_omega(kr), seed=0)
         assert rep.mode == "sampled" and not rep.support_ok
         assert rep.offsupport_ok
         i = rep.support_points_checked
@@ -197,10 +198,10 @@ class TestStackedParabolic:
                                                             parabolic_kr):
         # with cfrak = 1 the parabolic support is searched on samples
         kr = dataclasses.replace(parabolic_kr, cfrak=1)
-        rep = concentration_check(make_omega(kr), samples=200, seed=4)
-        xs = kr.sampler(Draws(4), 200)
+        rep = concentration_check(make_omega(kr), seed=4)
+        xs = kr.sampler(Draws(4), 500)
         want = [torus_oracle(kr, x, 1) for x in xs]
-        assert rep.points_checked == 200
+        assert rep.points_checked == 500
         assert rep.all_found == all(want)
         if not rep.all_found:
             assert np.array_equal(rep.witness, xs[want.index(False)])
