@@ -111,13 +111,21 @@ def _parse_block(obj) -> DatumSpec:
     return DatumSpec(p, n, e, j, [list(r) for r in ent], beta["scale"])
 
 
-def parse_datum_text(text: str):
-    """Parse a datum file: a DatumSpec or a ParabolicSpec."""
+def _json_object(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
-        raise DatumInvalid(f"malformed datum file: {err}") from None
-    _require(isinstance(obj, dict), "datum file must hold a JSON object")
+        raise DatumInvalid(f"malformed {what} file: {err}") from None
+    _require(isinstance(obj, dict), f"{what} file must hold a JSON object")
+    return obj
+
+
+def parse_datum_text(text: str):
+    """Parse a datum file: a DatumSpec or a ParabolicSpec."""
+    return _datum_spec(_json_object(text, "datum"))
+
+
+def _datum_spec(obj: dict):
     kind = obj.get("kind", "supercuspidal")
     if kind == "supercuspidal":
         return _parse_block(obj)
@@ -136,11 +144,10 @@ def parse_datum_text(text: str):
 
 
 def parse_query_text(text: str) -> QuerySpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DatumInvalid(f"malformed query file: {err}") from None
-    _require(isinstance(obj, dict), "query file must hold a JSON object")
+    return _query_spec(_json_object(text, "query"))
+
+
+def _query_spec(obj: dict) -> QuerySpec:
     _require(obj.get("kind", "lattice-query") == "lattice-query",
              "not a lattice query file")
     for key in ("n", "m", "entry_bound", "p", "c"):
@@ -174,6 +181,19 @@ def load_datum(path):
 
 def load_query(path):
     return parse_query_text(Path(path).read_text())
+
+
+def load_any(path):
+    """A data file's spec: a QuerySpec when its kind is lattice-query, else
+    a DatumSpec or ParabolicSpec.  A bad file raises DatumInvalid naming it."""
+    path = Path(path)
+    try:
+        obj = _json_object(path.read_text(), "data")
+        if obj.get("kind") == "lattice-query":
+            return _query_spec(obj)
+        return _datum_spec(obj)
+    except DatumInvalid as err:
+        raise DatumInvalid(f"{path.name}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,10 @@ class FiniteSubgroup:
                 perms.append(perm)
                 frontier = np.flatnonzero(reached)
                 while len(frontier):
-                    images = np.concatenate([perm[frontier] for perm in perms])
-                    frontier = sorted_unique(images[~reached[images]])
+                    step = np.zeros(self.size, dtype=bool)
+                    for perm in perms:
+                        step[perm[frontier]] = True
+                    frontier = np.flatnonzero(step & ~reached)
                     reached[frontier] = True
             self._tree = root, perms
         return self._tree
@@ -337,17 +339,18 @@ class GroupCharacter:
         return self.nums[idx]
 
 
+def _beta_trace(d: InductionDatum, xs: np.ndarray) -> np.ndarray:
+    """Tr(beta' x) mod p^(s0+1), beta' = p^s0 beta, for each matrix x of a
+    stack: the argument of psi in theta's trace formula and in the
+    Heisenberg pairing."""
+    bt = np.array(d.beta_integral, dtype=np.int64)
+    return np.einsum("ij,mji->m", bt, xs) % d.p ** (d.s0 + 1)
+
+
 def formula_exponent_nums(d: InductionDatum, mats: np.ndarray, denom: int):
     """Exponents of psi(Tr(beta (x - 1))) for integral residue matrices."""
-    p, n = d.p, d.order.n
-    lvl = d.s0 + 1
-    mod = p ** lvl
-    bt = np.array(d.beta_integral, dtype=np.int64)
-    diff = mats.copy()
-    for i in range(n):
-        diff[:, i, i] -= 1
-    tr = np.einsum("ij,mji->m", bt, diff) % mod
-    return tr * (denom // mod) % denom
+    tr = _beta_trace(d, mats - np.eye(d.order.n, dtype=np.int64))
+    return tr * (denom // d.p ** (d.s0 + 1)) % denom
 
 
 def _relation_witness(sub: FiniteSubgroup, table, m: int):
@@ -589,20 +592,18 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     if len(basis) != dim:
         raise ConstructionFailure("failed to find an F_p basis of J1/H1")
 
-    bt = np.array(d.beta_integral, dtype=np.int64)
-    lvl = d.s0 + 1
-    pmod = p ** lvl
+    scale = p ** d.s0
     eye = np.eye(o.n, dtype=np.int64)
 
     def forms(xs, y):
         # per x of a stack: the commutator form Tr(beta' [x - 1, y - 1])
         # scaled into F_p, and the raw form Tr(beta' (x - 1)(y - 1))
         u, v = xs - eye, y - eye
-        raw = np.einsum("ij,mji->m", bt, u @ v) % pmod
-        tr = (raw - np.einsum("ij,mji->m", bt, v @ u)) % pmod
-        if np.any(tr % p ** (lvl - 1)):
+        raw = _beta_trace(d, u @ v)
+        tr = (raw - _beta_trace(d, v @ u)) % (p * scale)
+        if np.any(tr % scale):
             raise ConstructionFailure("pairing value is not F_p-valued")
-        return tr // p ** (lvl - 1), raw
+        return tr // scale, raw
 
     basis_mats = j1.mats[rep_idx[basis]]
     at_basis = [[forms(x[None], y) for y in basis_mats] for x in basis_mats]
@@ -749,37 +750,49 @@ def induced_table(j1: FiniteSubgroup, chi: GroupCharacter) -> EtaTable:
     return EtaTable(np.where(mask, chi.nums[idx], 0), mask, chi.denom)
 
 
+def root_sum_coords(counts: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of sum_a counts[..., a] z^a, z = e^{2 pi i/D}, D = p^k > 1
+    the last axis's length, on the power basis z^a, a < phi(D), of Z[z].
+
+    As Phi_D(z) = sum_{i<p} z^{i D/p} = 0, z^{r + (p-1) D/p} is minus the
+    other z^{r + i D/p}.  Two sums are equal exactly when their coordinates
+    are, and a sum is rational exactly when all but the first are 0.
+    """
+    *lead, D = counts.shape
+    rows = counts.reshape(*lead, p, D // p)
+    return (rows[..., :-1, :] - rows[..., -1:, :]).reshape(*lead, D - D // p)
+
+
 def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
                  theta: GroupCharacter):
     """(dim, <eta, eta>, eta|H1 == dim theta, <eta|H1, theta>, class
-    constancy) of eta, decided on integer numerators.
+    constancy) of eta, as sums of roots of unity read by root_sum_coords.
 
-    Each law is a statement about multisets of roots of unity: dim and the
-    two inner products are one bincount of numerators (or their differences)
-    mod the common denominator D and one exact CyclotomicSum of at most D
-    terms.  The restriction law holds outright at a row holding dim copies
-    of theta(h); every other row, and every mismatch of class constancy, is
-    re-decided by CyclotomicSum, so each verdict is exact.  Class constancy
-    is checked as eta(s g s^-1) = eta(g) for every g and every generator s
-    of J^1's tree: every element is a word in the s, so by induction on its
-    length this is eta(x g x^-1) = eta(g) for every x and g.
+    dim and the two inner products are one bincount each of numerators (or
+    their differences) mod the common denominator D.  A row of dim copies of
+    theta(h) meets the restriction law, and two rows holding one multiset
+    are equal; the rows left open are bincounted and read on the power
+    basis, so each verdict is exact.  Class constancy is eta(s g s^-1) =
+    eta(g) for every g and every generator s of J^1's tree: every element
+    is a word in the s, so by induction on its length this is
+    eta(x g x^-1) = eta(g) for every x and g.
     """
-    from .cyclotomic import CyclotomicSum
     p = j1.p
     D = math.lcm(eta.denom, theta.denom)
     nums, mask = eta.nums * (D // eta.denom) % D, eta.mask
 
-    def cyclotomic(counts, scale=1):
-        # sum_a counts[a] / scale * e^{2 pi i a/D}, one exact sum
-        return CyclotomicSum(p, {Fraction(int(a), D): Fraction(int(counts[a]),
-                                                               scale)
-                                 for a in np.flatnonzero(counts)})
+    def rational(counts, scale):
+        coords = root_sum_coords(counts, p)
+        return None if coords[1:].any() else Fraction(int(coords[0]), scale)
 
-    def value(g):
-        return cyclotomic(np.bincount(nums[g][mask[g]], minlength=D))
+    def row_counts(idx):
+        # per element of idx, the bincount of its masked numerators
+        rows, cols = np.nonzero(mask[idx])
+        return np.bincount(rows * D + nums[idx][rows, cols],
+                           minlength=len(idx) * D).reshape(len(idx), D)
 
-    dim = value(j1.identity_index()).rational_value()
-    if dim is None or dim.denominator != 1 or dim <= 0:
+    dim = rational(row_counts([j1.identity_index()])[0], 1)
+    if dim is None or dim <= 0:
         raise ConstructionFailure("dimension is not a positive integer")
     dim = int(dim)
 
@@ -791,7 +804,7 @@ def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
         pair = mk[:, :, None] & mk[:, None, :]
         counts += np.bincount(((nm[:, :, None] - nm[:, None, :]) % D)[pair],
                               minlength=D)
-    inner = cyclotomic(counts, j1.size).rational_value()
+    inner = rational(counts, j1.size)
 
     rows = j1.index_of_codes(h1.codes)
     if np.any(rows < 0):
@@ -800,12 +813,12 @@ def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
     hn, hm = nums[rows], mask[rows]
     exact = (hm.sum(axis=1) == dim) & np.all(~hm | (hn == want[:, None]),
                                              axis=1)
-    restriction_ok = all(
-        value(rows[i]) == cyclotomic(np.bincount(want[i:i + 1], minlength=D)
-                                     * dim)
-        for i in np.flatnonzero(~exact))
-    rinner = cyclotomic(np.bincount(((hn - want[:, None]) % D)[hm],
-                                    minlength=D), h1.size).rational_value()
+    open_ = np.flatnonzero(~exact)
+    diff = row_counts(rows[open_])
+    diff[np.arange(len(open_)), want[open_]] -= dim
+    restriction_ok = not root_sum_coords(diff, p).any()
+    rinner = rational(np.bincount(((hn - want[:, None]) % D)[hm],
+                                  minlength=D), h1.size)
 
     root, perms = j1._generator_tree()
     gens = j1.mats[[int(perm[root]) for perm in perms]]
@@ -813,8 +826,9 @@ def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
     if np.any(conj < 0):
         raise ConstructionFailure("conjugation left J1")
     keys = np.sort(np.where(mask, nums, -1), axis=1)
-    constancy = all(value(row[g]) == value(g) for row in conj
-                    for g in np.flatnonzero(np.any(keys[row] != keys, axis=1)))
+    moved = (np.flatnonzero(np.any(keys[row] != keys, axis=1)) for row in conj)
+    constancy = not any(root_sum_coords(row_counts(row[g]) - row_counts(g),
+                                        p).any() for row, g in zip(conj, moved))
     return dim, inner, restriction_ok, rinner, constancy
 
 

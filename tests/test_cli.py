@@ -380,6 +380,19 @@ class TestReportAll:
         # one build, shared by the order report and the verify half
         assert built == [1]
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
+                                      '{"kind": "weird"}'],
+                             ids=["malformed", "list", "unknown-kind"])
+    def test_bad_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        (tmp_path / "datum.json").write_text(
+            (DATA_DIR / "datum_n2e2j1p3.json").read_text())
+        (tmp_path / "later.json").write_text(text)
+        assert cli.main(["report-all", str(tmp_path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: later.json: ")
+        # every file is parsed before the first report is run
+        assert captured.out == ""
+
 
 class TestParabolicCli:
     def test_verify_parabolic(self):

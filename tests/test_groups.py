@@ -426,17 +426,19 @@ def all_blocks(block_a, block_b, block_c, parabolic_kr):
     return [block_a, block_b, block_c] + list(parabolic_kr.blocks)
 
 
-def count_cyclotomic_sums(monkeypatch):
-    from minvec.cyclotomic import CyclotomicSum
-    calls = []
-    init = CyclotomicSum.__init__
+def count_fallback_rows(monkeypatch):
+    """Rows of eta that induced_laws re-decides on the power basis: the
+    batched calls of root_sum_coords, one row per open element."""
+    rows = []
+    coords = groups.root_sum_coords
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
+    def counted(counts, p):
+        if counts.ndim == 2:
+            rows.append(len(counts))
+        return coords(counts, p)
 
-    monkeypatch.setattr(CyclotomicSum, "__init__", counted)
-    return calls
+    monkeypatch.setattr(groups, "root_sum_coords", counted)
+    return rows
 
 
 class TestInducedLaws:
@@ -487,10 +489,10 @@ class TestInducedLaws:
         mask[g] = True
         table = groups.EtaTable(np.hstack([eta.nums, extra]),
                                 np.hstack([eta.mask, mask]), eta.denom)
-        calls = count_cyclotomic_sums(monkeypatch)
+        rows = count_fallback_rows(monkeypatch)
         got = groups.induced_laws(table, b.j1, b.h1, block_c.simple.theta)
         assert got == laws_tuple(ind)
-        assert len(calls) > 3           # rows re-decided cyclotomically
+        assert sum(rows) >= 1           # g re-decided on the power basis
         # two of the three extra terms no longer cancel
         mask[g, 2] = False
         table.mask = np.hstack([eta.mask, mask])
@@ -524,15 +526,15 @@ class TestInducedLaws:
         assert got[4] is False
 
     @pytest.mark.parametrize("name", ["block_b", "block_c"])
-    def test_few_cyclotomic_sums(self, name, request, monkeypatch):
-        # one exact sum each for dim, <eta, eta> and <eta|H1, theta>, and
-        # none per element (13,122 on datum b before)
+    def test_no_row_reaches_the_fallback(self, name, request, monkeypatch):
+        # the sorted multisets decide every row: one bincount each for dim,
+        # <eta, eta> and <eta|H1, theta>, and no row re-decided one by one
         blk = request.getfixturevalue(name)
-        calls = count_cyclotomic_sums(monkeypatch)
+        rows = count_fallback_rows(monkeypatch)
         ind = groups.extend_and_induce(blk.datum, blk.bundle,
                                        blk.simple.theta, blk.pol)
         assert laws_tuple(ind) == laws_tuple(blk.induced)
-        assert len(calls) <= 4
+        assert rows and sum(rows) == 0
 
 
 class TestArrayKernels:

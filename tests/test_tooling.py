@@ -101,7 +101,7 @@ def test_import_boundary(tmp_path):
     data.mkdir()
     query = DATA_DIR / "query_m1_deep.json"
     shutil.copyfile(query, data / query.name)
-    verify_stack = {"minvec.groups", "minvec.testfunc", "minvec.cyclotomic"}
+    verify_stack = {"minvec.groups", "minvec.testfunc"}
     alone = loaded_modules(tmp_path, "import minvec.cli")
     assert not alone & {"minvec.groups", "minvec.counting"}
     for argv in (["count", str(query)], ["exponent", "2"],
@@ -121,11 +121,6 @@ UNREACHED_OK = {
                   "runs out of memory",
     "residues.matrix_keys": "torus codes past int64 packing; no shipped "
                             "query has (p^c)^(n^2) >= 2^62",
-    "cyclotomic.CyclotomicSum.__sub__": "re-decides an induced-law row that "
-                                        "the integer numerators leave open",
-    "cyclotomic.CyclotomicSum.__eq__": "the same re-decision path",
-    "cyclotomic.CyclotomicSum.is_zero": "the same re-decision path",
-    "cyclotomic.CyclotomicSum.__repr__": "shown in tracebacks and debuggers",
     "datafiles.extract_block": "the reader of the block that render_report "
                                "writes, kept beside its writer",
     "testfunc._torus_approximation": "the sampled concentration search; the "
