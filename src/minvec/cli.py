@@ -126,12 +126,10 @@ def _prepare(spec, budget, seed, data=None):
 
 
 def _check_character(blocks, kr, args):
-    from . import groups
     out = []
     for i, blk in enumerate(blocks):
         sc = blk.simple
-        cert = groups.verify_character(
-            blk.bundle.h1, sc.theta.nums, sc.theta.denom)
+        cert = sc.cert
         out.append({
             "block": i,
             "H1_size": blk.bundle.h1.size,

@@ -175,20 +175,34 @@ def _require_prime(p):
     _require(_is_int(p) and is_prime(p), f"p = {p!r} must be a prime integer")
 
 
+def _read_text(path) -> str:
+    """A data file's text.  A file that cannot be read, or is not UTF-8,
+    raises DatumInvalid naming it."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DatumInvalid(f"{path.name}: not UTF-8 text") from None
+    except OSError as err:
+        raise DatumInvalid(f"{path.name}: cannot read: {err.strerror}") \
+            from None
+
+
 def load_datum(path):
-    return parse_datum_text(Path(path).read_text())
+    return parse_datum_text(_read_text(path))
 
 
 def load_query(path):
-    return parse_query_text(Path(path).read_text())
+    return parse_query_text(_read_text(path))
 
 
 def load_any(path):
     """A data file's spec: a QuerySpec when its kind is lattice-query, else
     a DatumSpec or ParabolicSpec.  A bad file raises DatumInvalid naming it."""
     path = Path(path)
+    text = _read_text(path)
     try:
-        obj = _json_object(path.read_text(), "data")
+        obj = _json_object(text, "data")
         if obj.get("kind") == "lattice-query":
             return _query_spec(obj)
         return _datum_spec(obj)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, fp_reduce
-from .padic import vp
 from . import residues
 from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
                        det_inv_mod, pack, sample_units_outside, sorted_index,
@@ -394,8 +393,10 @@ class ExtensionData:
     nums: np.ndarray
     denom: int
     coords: np.ndarray          # per element, exponents of the coset generators
+    gens: list                  # group index of each coset generator
     orders: list                # relative orders of the generators
     count: int                  # number of extensions (certified)
+    cert: CharacterCertificate
 
 
 def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
@@ -421,9 +422,10 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
     nums = np.zeros(group.size, dtype=np.int64)
     nums[sub_idx] = sub_nums
     coords = np.zeros((group.size, 0), dtype=np.int64)
-    orders = []
+    gens, orders = [], []
     while not assigned.all():
-        g = group.mats[np.argmin(assigned)]
+        gens.append(int(np.argmin(assigned)))
+        g = group.mats[gens[-1]]
         powers = [np.eye(group.n, dtype=np.int64)]  # g^c for c < m
         for _ in range(group.size):
             at = int(product_index(group, powers[-1][None], g[None])[0, 0])
@@ -461,12 +463,13 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
             f"{cert.witness}")
     # unless coordinates add, count only the verified base extension
     count = math.prod(orders) if cert.coords_additive else 1
-    return ExtensionData(nums, final, coords, orders, count)
+    return ExtensionData(nums, final, coords, gens, orders, count, cert)
 
 
 @dataclass
 class SimpleCharacterResult:
     theta: GroupCharacter
+    cert: CharacterCertificate    # theta's, from its extension to H^1
     extension_count: int
     base: FiniteSubgroup
     denom: int
@@ -493,7 +496,8 @@ def simple_character(d: InductionDatum, bundle: SubgroupBundle) -> SimpleCharact
     tnums = theta.restricted_nums(top.codes)
     if np.any(tnums % ext.denom != 0):
         raise ConstructionFailure("theta is not trivial on U_A(j+1)")
-    return SimpleCharacterResult(theta, ext.count, base, ext.denom, j + 1)
+    return SimpleCharacterResult(theta, ext.cert, ext.count, base, ext.denom,
+                                 j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +538,18 @@ def _coset_decomposition(group: FiniteSubgroup, small_mats):
     return reps, np.searchsorted(reps, first)
 
 
-def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
-               theta: GroupCharacter) -> PolarizationData:
-    """Polarize J^1/H^1 for the commutator pairing derived from theta.
+def heisenberg(d: InductionDatum, bundle: SubgroupBundle) -> PolarizationData:
+    """Polarize J^1/H^1 for the commutator pairing Tr(beta' [x - 1, y - 1]).
 
     For odd depth J^1 = H^1 and the uniform convention B^1 = H^1 applies;
-    the returned data is flagged trivial.  B^1 is certified a group later,
-    by the generator tree that verify_character builds in extend_and_induce.
+    the returned data is flagged trivial.  Otherwise the trivial character
+    of H^1 is extended to J^1.  Its coset coordinates, certified additive,
+    are a homomorphism J^1 -> prod Z/m_i whose kernel, the elements with
+    all coordinates 0, is H^1; when every m_i is p, J^1/H^1 is F_p^dim with
+    the coset generators as basis.  B^1 is the preimage of a Lagrangian W,
+    which the nondegenerate pairing makes its own orthogonal: the elements
+    whose coordinates pair to 0 with W.  B^1 is certified a group later, by
+    the generator tree that verify_character builds in extend_and_induce.
     """
     p, j, o = d.p, d.j, d.order
     h1, j1 = bundle.h1, bundle.j1
@@ -553,44 +562,15 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         raise ConstructionFailure("even depth but J1 == H1; datum is ill-formed")
     L = bundle.level
     mod = p ** L
-    rep_idx, coset_id = _coset_decomposition(j1, h1.mats)
-    k = len(rep_idx)
-    dim = vp(k, p)
-    if p ** dim != k:
-        raise ConstructionFailure("J1/H1 is not a p-group quotient")
-    # normality: conjugating H1 by the representatives fixes it
-    reps = j1.mats[rep_idx]
-    inverses = det_inv_mod(reps, p, L)[1]
-    if np.any(product_index(h1, reps, h1.mats, inverses) < 0):
-        raise ConstructionFailure("H1 is not normal in J1")
-
-    # coset multiplication table and an F_p basis of V = J1/H1
-    idx = product_index(j1, reps, reps)
-    if np.any(idx < 0):
-        raise ConstructionFailure("J1 is not closed under products")
-    table = coset_id[idx]
-    if not np.array_equal(table, table.T):
-        raise ConstructionFailure("J1/H1 is not abelian")
-
-    id_coset = int(coset_id[j1.identity_index()])
-    basis = []
-    span = {id_coset}
-    for cid in range(k):
-        if cid in span:
-            continue
-        basis.append(cid)
-        powers = [id_coset]
-        cur = id_coset
-        for _ in range(p - 1):
-            cur = int(table[cur, cid])
-            powers.append(cur)
-        if int(table[cur, cid]) != id_coset:
-            raise ConstructionFailure("J1/H1 is not elementary abelian")
-        span = {int(table[s, pw]) for s in span for pw in powers}
-        if len(span) == k:
-            break
-    if len(basis) != dim:
-        raise ConstructionFailure("failed to find an F_p basis of J1/H1")
+    ext = extend_character(j1, h1.codes, np.zeros(h1.size, np.int64), 1)
+    # every element outside H1 was given a nonzero coordinate, so the
+    # zero set lies in H1 and is H1 when the sizes agree
+    kernel = np.count_nonzero(~ext.coords.any(axis=1))
+    if not ext.cert.coords_additive or set(ext.orders) != {p} \
+            or kernel != h1.size:
+        raise ConstructionFailure(
+            "J1/H1 is not an elementary abelian p-group")
+    dim = len(ext.orders)
 
     scale = p ** d.s0
     eye = np.eye(o.n, dtype=np.int64)
@@ -605,7 +585,7 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
             raise ConstructionFailure("pairing value is not F_p-valued")
         return tr // scale, raw
 
-    basis_mats = j1.mats[rep_idx[basis]]
+    basis_mats = j1.mats[ext.gens]
     at_basis = [[forms(x[None], y) for y in basis_mats] for x in basis_mats]
     pairing = [[int(comm[0]) for comm, _ in row] for row in at_basis]
 
@@ -637,20 +617,9 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
 
     iso_vecs = _symplectic_isotropic_basis(pairing, p)
 
-    # lift the isotropic subspace: union of the cosets it spans
-    combos = box_enumerate([0] * len(iso_vecs), [1] * len(iso_vecs),
-                           [p] * len(iso_vecs), p)
-    member_cosets = set()
-    for combo in combos:
-        vec = [0] * dim
-        for cf, bv in zip(combo, iso_vecs):
-            vec = [(a + cf * b) % p for a, b in zip(vec, bv)]
-        cid = int(id_coset)
-        for coord, times in zip(basis, vec):
-            for _ in range(times):
-                cid = int(table[cid, coord])
-        member_cosets.add(cid)
-    mask = np.isin(coset_id, sorted(member_cosets))
+    # W = W^perp: the coordinates that pair to 0 with every w in W
+    mask = np.all(ext.coords @ np.array(pairing) @ np.array(iso_vecs).T % p
+                  == 0, axis=1)
     b1 = FiniteSubgroup("B1", p, L, o.n, j1.codes[mask])
     return PolarizationData(
         trivial=False, reason="", dim=dim, coset_reps=basis_mats,
@@ -1025,7 +994,7 @@ class PreparedBlock:
 def prepare_block(d: InductionDatum, budget: int = 2_000_000) -> PreparedBlock:
     bundle = build_subgroups(d, budget=budget)
     simple = simple_character(d, bundle)
-    pol = heisenberg(d, bundle, simple.theta)
+    pol = heisenberg(d, bundle)
     induced = extend_and_induce(d, bundle, simple.theta, pol)
     return PreparedBlock(d, bundle, simple, pol, induced)
 

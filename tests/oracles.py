@@ -1010,3 +1010,75 @@ def pairing_forms_oracle(d, bundle, pol):
                 comm_ok &= comm(xh, y) == comm(x, y)
                 raw_ok &= raw(xh, y) == raw(x, y)
     return comm_ok, raw_ok
+
+
+def polarization_oracle(d, bundle):
+    """(coset_reps, pairing, isotropic, b1_codes) of heisenberg at even
+    depth by a coset table of J1/H1: the cosets, a normality scan of H1, the
+    k x k coset multiplication table, a greedy F_p basis grown as a span
+    set, and B1 as the union of the cosets that a walk through the table
+    reaches from each combination of the isotropic vectors."""
+    import numpy as np
+    from minvec import groups
+    from minvec.errors import ConstructionFailure
+    from minvec.residues import box_enumerate, det_inv_mod
+    p, L, n = d.p, bundle.level, d.order.n
+    h1, j1 = bundle.h1, bundle.j1
+    rep_idx, coset_id = groups._coset_decomposition(j1, h1.mats)
+    k = len(rep_idx)
+    dim = vp(k, p)
+    if p ** dim != k:
+        raise ConstructionFailure("J1/H1 is not a p-group quotient")
+    reps = j1.mats[rep_idx]
+    inverses = det_inv_mod(reps, p, L)[1]
+    if np.any(groups.product_index(h1, reps, h1.mats, inverses) < 0):
+        raise ConstructionFailure("H1 is not normal in J1")
+    idx = groups.product_index(j1, reps, reps)
+    if np.any(idx < 0):
+        raise ConstructionFailure("J1 is not closed under products")
+    table = coset_id[idx]
+    if not np.array_equal(table, table.T):
+        raise ConstructionFailure("J1/H1 is not abelian")
+
+    id_coset = int(coset_id[j1.identity_index()])
+    basis = []
+    span = {id_coset}
+    for cid in range(k):
+        if cid in span:
+            continue
+        basis.append(cid)
+        powers = [id_coset]
+        cur = id_coset
+        for _ in range(p - 1):
+            cur = int(table[cur, cid])
+            powers.append(cur)
+        if int(table[cur, cid]) != id_coset:
+            raise ConstructionFailure("J1/H1 is not elementary abelian")
+        span = {int(table[s, pw]) for s in span for pw in powers}
+        if len(span) == k:
+            break
+    if len(basis) != dim:
+        raise ConstructionFailure("failed to find an F_p basis of J1/H1")
+
+    basis_mats = j1.mats[rep_idx[basis]]
+    scale, eye = p ** d.s0, np.eye(n, dtype=np.int64)
+    pairing = [[int((groups._beta_trace(d, ((x - eye) @ (y - eye))[None])[0]
+                     - groups._beta_trace(d, ((y - eye) @ (x - eye))[None])[0])
+                    % (p * scale) // scale) for y in basis_mats]
+               for x in basis_mats]
+    iso_vecs = groups._symplectic_isotropic_basis(pairing, p)
+
+    combos = box_enumerate([0] * len(iso_vecs), [1] * len(iso_vecs),
+                           [p] * len(iso_vecs), p)
+    member_cosets = set()
+    for combo in combos:
+        vec = [0] * dim
+        for cf, bv in zip(combo, iso_vecs):
+            vec = [(a + cf * b) % p for a, b in zip(vec, bv)]
+        cid = id_coset
+        for coord, times in zip(basis, vec):
+            for _ in range(times):
+                cid = int(table[cid, coord])
+        member_cosets.add(cid)
+    mask = np.isin(coset_id, sorted(member_cosets))
+    return basis_mats, pairing, iso_vecs, j1.codes[mask]

@@ -111,6 +111,22 @@ class TestExitCodes:
         code, _ = run_cli("order", "no-such-file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["report-all", "verify", "count"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys,
+                                             command):
+        # exit 1 would claim a falsified identity
+        (tmp_path / "b.json").write_bytes(b"\xff\xfe")
+        target = tmp_path if command == "report-all" else tmp_path / "b.json"
+        assert cli.main([command, str(target)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: b.json: not UTF-8 text\n"
+
+    def test_directory_named_json_exits_2_naming_it(self, tmp_path, capsys):
+        (tmp_path / "x.json").mkdir()
+        assert cli.main(["report-all", str(tmp_path)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: x.json: cannot read: ")
+        assert captured.out == ""
+
     def test_order_bad_period(self, tmp_path):
         bad = tmp_path / "bad_e.json"
         bad.write_text(canonical_dumps({
@@ -467,8 +483,9 @@ class TestGeneratorCertificate:
     def test_falsified_character_names_a_failing_row(self, name, tmp_path,
                                                      monkeypatch, capsys):
         # at odd depth B1 = H1 and the Heisenberg laws hold for any table,
-        # so a theta wrong at one element reaches the character check; its
-        # witness (i, s) must name a g_i whose convolution row disagrees
+        # so a theta wrong at one element, returned with its own
+        # certificate, reaches the character check; its witness (i, s)
+        # must name a g_i whose convolution row disagrees
         from minvec import groups
         simple, flipped = groups.simple_character, []
 
@@ -477,6 +494,7 @@ class TestGeneratorCertificate:
             nums, denom = res.theta.nums, res.theta.denom
             k = (res.theta.domain.identity_index() + 1) % len(nums)
             nums[k] = (nums[k] + 1) % denom
+            res.cert = groups.verify_character(res.theta.domain, nums, denom)
             flipped.append(res.theta)
             return res
 

@@ -23,7 +23,8 @@ from oracles import (character_certificate_oracle,
                      frac_mul, frac_pow, induced_laws_oracle,
                      intertwines_oracle, j_contains, j_grade_and_part,
                      jcapk_oracle, kpi_exponent_oracle, kpi_member_oracle,
-                     pairing_forms_oracle, prime_element_of_L,
+                     pairing_forms_oracle, polarization_oracle,
+                     prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
                      row_disagrees, spot_oracle, subgroup_dump_lines,
                      sumset_draws_oracle)
@@ -369,6 +370,28 @@ class TestHeisenberg:
         assert form(iso, iso) == 0
         partner_values = {form(iso, w) for w in [(1, 0), (0, 1)]}
         assert partner_values != {0}
+
+    @pytest.mark.parametrize("p, entries", [(3, [[0, 1], [1, 1]]),
+                                            (5, [[0, 1], [3, 4]])],
+                             ids=["datum_c", "p5_n2e1j2"])
+    def test_matches_coset_table_oracle(self, p, entries):
+        # p^-2 entries over the maximal order: depth 2, unramified
+        d = build_datum(p, 2, 1, entries, -2)
+        bundle = build_subgroups(d)
+        pol = groups.heisenberg(d, bundle)
+        reps, pairing, isotropic, b1_codes = polarization_oracle(d, bundle)
+        assert np.array_equal(pol.coset_reps, reps)
+        assert pol.pairing == pairing
+        assert pol.isotropic == isotropic
+        assert np.array_equal(pol.b1.codes, b1_codes)
+
+    def test_nonabelian_quotient_is_a_construction_failure(self, block_c):
+        # U_A(3) is trivial mod p^3, so J1/U_A(3) is J1, which is not
+        # abelian: its coset coordinates cannot be additive
+        bundle = dataclasses.replace(block_c.bundle,
+                                     h1=block_c.bundle.ua[3])
+        with pytest.raises(ConstructionFailure, match="elementary abelian"):
+            groups.heisenberg(block_c.datum, bundle)
 
     def test_raw_pairing_reported(self, block_c):
         assert block_c.pol.raw_pairing_well_defined is False
