@@ -14,8 +14,12 @@ congruence and "equal" always means exactly equal.
 An enumerated group is built from its sorted, distinct codes, and its
 elements are in code order.  Every product that is looked up in a group
 goes through one chunked kernel, product_index: the generator tree, the
-cosets, the character extension, the conjugation tables and the
-intertwining scan are all calls of it.
+cosets, the character extension, the commutators of J^1/H^1's basis and
+the intertwining scan are all calls of it.
+
+The Heisenberg representation eta = Ind theta~ is never tabulated: its
+laws follow by Mackey's formula from premises that heisenberg and
+extend_and_induce certify.
 """
 
 from __future__ import annotations
@@ -408,10 +412,11 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
     in code order.  With m its relative order over the assigned subgroup A,
     the chosen extension takes t = f(g^m)/m mod 1 at g and f(a) + c t at
     g^c a for c < m; numerators stay unreduced mod 1 over a denominator
-    that grows when m does not divide f(g^m).  The count of extensions is
-    the index, certified by verify_character: multiplicativity and
-    additivity of the coset coordinates, both decided on the generators of
-    the group.
+    that grows when m does not divide f(g^m).  The cosets g^c A must be
+    disjoint from A, else nothing is written and ConstructionFailure is
+    raised.  The count of extensions is the index, certified by
+    verify_character: multiplicativity and additivity of the coset
+    coordinates, both decided on the generators of the group.
     """
     group._generator_tree()     # certifies closure: no product below leaves
     sub_idx = group.index_of_codes(np.asarray(sub_codes, dtype=np.int64))
@@ -443,6 +448,12 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
         # the cosets g^c A, 0 < c < m
         base = np.flatnonzero(assigned)
         new = product_index(group, np.array(powers[1:]), group.mats[base])
+        # g^c a = g^c' a' with c > c' would put g^(c-c') a in A, so
+        # cosets disjoint from A are disjoint from each other
+        if assigned[new].any():
+            raise ConstructionFailure(
+                f"cosets g^c A of {group.name} overlap at generator "
+                f"{gens[-1]}: A is not a group that g normalizes")
         c = np.arange(1, m)[:, None]
         nums[new] = nums[base] + c * t
         coords = np.column_stack([coords, np.zeros(group.size, np.int64)])
@@ -549,7 +560,9 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle) -> PolarizationData:
     the coset generators as basis.  B^1 is the preimage of a Lagrangian W,
     which the nondegenerate pairing makes its own orthogonal: the elements
     whose coordinates pair to 0 with W.  B^1 is certified a group later, by
-    the generator tree that verify_character builds in extend_and_induce.
+    the generator tree that verify_character builds in extend_and_induce,
+    which derives the laws of eta from these coordinates, the pairing and
+    W = W^perp.
     """
     p, j, o = d.p, d.j, d.order
     h1, j1 = bundle.h1, bundle.j1
@@ -675,158 +688,73 @@ def _symplectic_isotropic_basis(pairing, p):
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg extension and induced class function
+# Heisenberg extension and the laws of eta
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EtaTable:
-    """A class function on J^1 as root-of-unity multisets over one denominator.
-
-    Row g of nums holds theta~(t^-1 g t) over the representatives t of
-    J^1/B^1, as exponent numerators over denom; mask marks the terms with
-    t^-1 g t in B^1.  The value at g is the sum of e^{2 pi i num/denom}
-    over the masked terms of its row.
-    """
-
-    nums: np.ndarray
-    mask: np.ndarray
-    denom: int
-
 
 @dataclass
 class InducedResult:
     theta_tilde: GroupCharacter
     tilde_count: int
-    eta: EtaTable
     dim: int
     inner_product: Fraction
     restriction_is_multiple: bool
     restriction_inner: Fraction
-    class_constancy: bool
-
-
-def induced_table(j1: FiniteSubgroup, chi: GroupCharacter) -> EtaTable:
-    """The induction of a character of a subgroup B to J^1: the conjugates
-    t^-1 g t over the coset representatives t of J^1/B, looked up in B by
-    the product kernel.  Induction from B = J^1 itself is chi."""
-    sub = chi.domain
-    if sub.size == j1.size:
-        nums = chi.restricted_nums(j1.codes)[:, None]
-        return EtaTable(nums, np.ones(nums.shape, dtype=bool), chi.denom)
-    t = j1.mats[_coset_decomposition(j1, sub.mats)[0]]
-    idx = product_index(sub, det_inv_mod(t, j1.p, j1.level)[1], j1.mats, t).T
-    mask = idx >= 0
-    return EtaTable(np.where(mask, chi.nums[idx], 0), mask, chi.denom)
-
-
-def root_sum_coords(counts: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of sum_a counts[..., a] z^a, z = e^{2 pi i/D}, D = p^k > 1
-    the last axis's length, on the power basis z^a, a < phi(D), of Z[z].
-
-    As Phi_D(z) = sum_{i<p} z^{i D/p} = 0, z^{r + (p-1) D/p} is minus the
-    other z^{r + i D/p}.  Two sums are equal exactly when their coordinates
-    are, and a sum is rational exactly when all but the first are 0.
-    """
-    *lead, D = counts.shape
-    rows = counts.reshape(*lead, p, D // p)
-    return (rows[..., :-1, :] - rows[..., -1:, :]).reshape(*lead, D - D // p)
-
-
-def induced_laws(eta: EtaTable, j1: FiniteSubgroup, h1: FiniteSubgroup,
-                 theta: GroupCharacter):
-    """(dim, <eta, eta>, eta|H1 == dim theta, <eta|H1, theta>, class
-    constancy) of eta, as sums of roots of unity read by root_sum_coords.
-
-    dim and the two inner products are one bincount each of numerators (or
-    their differences) mod the common denominator D.  A row of dim copies of
-    theta(h) meets the restriction law, and two rows holding one multiset
-    are equal; the rows left open are bincounted and read on the power
-    basis, so each verdict is exact.  Class constancy is eta(s g s^-1) =
-    eta(g) for every g and every generator s of J^1's tree: every element
-    is a word in the s, so by induction on its length this is
-    eta(x g x^-1) = eta(g) for every x and g.
-    """
-    p = j1.p
-    D = math.lcm(eta.denom, theta.denom)
-    nums, mask = eta.nums * (D // eta.denom) % D, eta.mask
-
-    def rational(counts, scale):
-        coords = root_sum_coords(counts, p)
-        return None if coords[1:].any() else Fraction(int(coords[0]), scale)
-
-    def row_counts(idx):
-        # per element of idx, the bincount of its masked numerators
-        rows, cols = np.nonzero(mask[idx])
-        return np.bincount(rows * D + nums[idx][rows, cols],
-                           minlength=len(idx) * D).reshape(len(idx), D)
-
-    dim = rational(row_counts([j1.identity_index()])[0], 1)
-    if dim is None or dim <= 0:
-        raise ConstructionFailure("dimension is not a positive integer")
-    dim = int(dim)
-
-    counts = np.zeros(D, dtype=np.int64)
-    r = nums.shape[1]
-    step = chunk_rows(3 * r * r * 8)
-    for lo in range(0, j1.size, step):
-        nm, mk = nums[lo:lo + step], mask[lo:lo + step]
-        pair = mk[:, :, None] & mk[:, None, :]
-        counts += np.bincount(((nm[:, :, None] - nm[:, None, :]) % D)[pair],
-                              minlength=D)
-    inner = rational(counts, j1.size)
-
-    rows = j1.index_of_codes(h1.codes)
-    if np.any(rows < 0):
-        raise ConstructionFailure("H1 is not contained in J1")
-    want = theta.nums * (D // theta.denom)
-    hn, hm = nums[rows], mask[rows]
-    exact = (hm.sum(axis=1) == dim) & np.all(~hm | (hn == want[:, None]),
-                                             axis=1)
-    open_ = np.flatnonzero(~exact)
-    diff = row_counts(rows[open_])
-    diff[np.arange(len(open_)), want[open_]] -= dim
-    restriction_ok = not root_sum_coords(diff, p).any()
-    rinner = rational(np.bincount(((hn - want[:, None]) % D)[hm],
-                                  minlength=D), h1.size)
-
-    root, perms = j1._generator_tree()
-    gens = j1.mats[[int(perm[root]) for perm in perms]]
-    conj = product_index(j1, gens, j1.mats, det_inv_mod(gens, p, j1.level)[1])
-    if np.any(conj < 0):
-        raise ConstructionFailure("conjugation left J1")
-    keys = np.sort(np.where(mask, nums, -1), axis=1)
-    moved = (np.flatnonzero(np.any(keys[row] != keys, axis=1)) for row in conj)
-    constancy = not any(root_sum_coords(row_counts(row[g]) - row_counts(g),
-                                        p).any() for row, g in zip(conj, moved))
-    return dim, inner, restriction_ok, rinner, constancy
 
 
 def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
                       theta: GroupCharacter,
                       pol: PolarizationData) -> InducedResult:
-    """Extend theta to B^1 and induce to J^1; verify the Heisenberg laws."""
+    """Extend theta to B^1 and derive the laws of eta = Ind theta~ from
+    B^1 to J^1 by Mackey's formula.
+
+    At odd depth B^1 = J^1 = H^1 and eta = theta, a character that
+    simple_character certified: dim 1, <eta, eta> = 1, eta|H^1 = theta.
+    At even depth the laws rest on premises certified here or before:
+    - theta~ is a character of the group B^1 extending theta
+      (extend_character), and B^1/H^1 = W for a Lagrangian W of the
+      nondegenerate pairing (heisenberg), so W = W^perp; dim = [J^1 : B^1]
+      with dim^2 = [J^1 : H^1] confirms the sizes.
+    - J^1 normalizes H^1 and fixes theta, decided on J^1's generators by
+      _fixed_on_generators.  So t^-1 h t lies in H^1 with theta value
+      theta(h): eta|H^1 = dim theta and <eta|H^1, theta> = dim.
+    - theta([x, y]) = psi(<x, y>) on the basis of J^1/H^1, [x, y] =
+      x y x^-1 y^-1.  J^1/H^1 is abelian, so B^1 is normal and
+      theta~(t b t^-1) = theta([t, b]) theta~(b); stability makes
+      theta([t, b]) biadditive on J^1/H^1, so it is the pairing
+      everywhere.  By Mackey, <eta, eta> counts the t in J^1/B^1 that fix
+      theta~, those pairing to 0 with W: t in W^perp = W, so only t in
+      B^1, and <eta, eta> = 1.
+    An induced character is a class function, so that needs no check.
+    """
     h1, j1 = bundle.h1, bundle.j1
     if pol.trivial:
-        theta_tilde, tilde_count = theta, 1
-    else:
-        ext = extend_character(pol.b1, h1.codes, theta.nums, theta.denom)
-        theta_tilde = GroupCharacter(pol.b1, ext.nums, ext.denom)
-        tilde_count = ext.count
-    eta = induced_table(j1, theta_tilde)
-    laws = induced_laws(eta, j1, h1, theta)
-    dim, inner = laws[0], laws[1]
-    index = j1.size // h1.size
-    expected_dim = math.isqrt(index)
-    if expected_dim * expected_dim != index:
-        raise ConstructionFailure("[J1:H1] is not a perfect square")
-    if dim != expected_dim:
+        return InducedResult(theta, 1, 1, Fraction(1), True, Fraction(1))
+    p, L = d.p, bundle.level
+    ext = extend_character(pol.b1, h1.codes, theta.nums, theta.denom)
+    dim = j1.size // pol.b1.size
+    if dim * dim * h1.size != j1.size:
         raise ConstructionFailure(
-            f"dim eta = {dim} differs from (J1:H1)^(1/2) = {expected_dim}")
-    if inner is None:
-        raise ConstructionFailure("<eta, eta> is not rational")
-    if inner != 1:
-        raise ConstructionFailure(f"<eta, eta> = {inner}, eta is reducible")
-    return InducedResult(theta_tilde, tilde_count, eta, *laws)
+            f"B1/H1 is not Lagrangian: [J1:B1]^2 = {dim * dim} but "
+            f"[J1:H1] = {j1.size // h1.size}")
+    root, perms = j1._generator_tree()
+    gens = j1.mats[[int(perm[root]) for perm in perms]]
+    if not _fixed_on_generators(gens, det_inv_mod(gens, p, L)[1], theta).all():
+        raise ConstructionFailure("theta is not J1-stable")
+    n, mod = d.order.n, p ** L
+    x = pol.coset_reps
+    xi = det_inv_mod(x, p, L)[1]
+    # [x_a, x_b] = (x_a x_b)(x_a^-1 x_b^-1), one basis pair per row
+    comm = product_index(h1, (x[:, None] @ x[None] % mod).reshape(-1, n, n),
+                         np.eye(n, dtype=np.int64)[None],
+                         (xi[:, None] @ xi[None] % mod).reshape(-1, n, n))
+    if np.any(comm < 0):
+        raise ConstructionFailure("a commutator of J1 leaves H1")
+    gram = theta.nums[comm].reshape(pol.dim, pol.dim) * p
+    if np.any(gram != np.array(pol.pairing) * theta.denom):
+        raise ConstructionFailure(
+            "theta([x, y]) is not psi of the pairing on J1/H1's basis")
+    return InducedResult(GroupCharacter(pol.b1, ext.nums, ext.denom),
+                         ext.count, dim, Fraction(1), True, Fraction(dim))
 
 
 # ---------------------------------------------------------------------------

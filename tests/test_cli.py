@@ -479,38 +479,45 @@ class TestOmegaCheck:
 
 
 class TestGeneratorCertificate:
-    @pytest.mark.parametrize("name", ["datum_n2e2j1p3", "datum_n2e2j3p3"])
-    def test_falsified_character_names_a_failing_row(self, name, tmp_path,
-                                                     monkeypatch, capsys):
-        # at odd depth B1 = H1 and the Heisenberg laws hold for any table,
-        # so a theta wrong at one element, returned with its own
-        # certificate, reaches the character check; its witness (i, s)
-        # must name a g_i whose convolution row disagrees
+    @pytest.mark.parametrize("name, group", [("datum_n2e2j1p3", "H1"),
+                                             ("datum_n2e2j3p3", "H1"),
+                                             ("datum_n2e1j2p3", "B1")],
+                             ids=["datum_n2e2j1p3", "datum_n2e2j3p3",
+                                  "datum_n2e1j2p3"])
+    def test_falsified_character_names_a_failing_row(
+            self, name, group, tmp_path, monkeypatch, capsys):
+        # a table wrong at one element, given to extend_character (the
+        # trace formula on U_A extended to H1, or theta extended to B1),
+        # exits 3; the witness (i, s) must name a generator s and a g_i
+        # whose convolution row disagrees in the extended table
         from minvec import groups
-        simple, flipped = groups.simple_character, []
+        extend, verify = groups.extend_character, groups.verify_character
+        tables = []
 
-        def flip_one(d, bundle):
-            res = simple(d, bundle)
-            nums, denom = res.theta.nums, res.theta.denom
-            k = (res.theta.domain.identity_index() + 1) % len(nums)
-            nums[k] = (nums[k] + 1) % denom
-            res.cert = groups.verify_character(res.theta.domain, nums, denom)
-            flipped.append(res.theta)
-            return res
+        def flip_one(target, sub_codes, sub_nums, denom, denom_hint=None):
+            if target.name == group:
+                sub_nums = np.array(sub_nums)
+                sub_nums[len(sub_nums) // 2] += 1
+            return extend(target, sub_codes, sub_nums, denom, denom_hint)
 
-        monkeypatch.setattr(groups, "simple_character", flip_one)
+        def recording(sub, nums, denom, **kwargs):
+            tables.append((sub, nums, denom))
+            return verify(sub, nums, denom, **kwargs)
+
+        monkeypatch.setattr(groups, "extend_character", flip_one)
+        monkeypatch.setattr(groups, "verify_character", recording)
         code = cli.main(["verify", str(DATA_DIR / f"{name}.json"),
-                         "--checks", "character",
                          "--out", str(tmp_path / "report.txt")])
-        assert code == cli.EXIT_FALSIFIED
+        assert code == cli.EXIT_CONSTRUCTION
         err = capsys.readouterr().err
-        i, s = map(int, re.search(r"not multiplicative at \((\d+), (\d+)\)",
-                                  err).groups())
-        theta, = flipped
-        h1 = theta.domain
-        assert s in {int(perm[h1.identity_index()])
-                     for perm in h1._generator_tree()[1]}
-        assert row_disagrees(h1, theta.nums, theta.denom, i)
+        assert f"no multiplicative extension found on {group}" in err
+        i, s = map(int, re.search(r"at generator pair \(i, s\) = "
+                                  r"\((\d+), (\d+)\)", err).groups())
+        sub, nums, denom = tables[-1]
+        assert sub.name == group
+        assert s in {int(perm[sub.identity_index()])
+                     for perm in sub._generator_tree()[1]}
+        assert row_disagrees(sub, nums, denom, i)
 
     def test_broken_b1_is_a_construction_failure(self, tmp_path, monkeypatch,
                                                  capsys):
@@ -536,26 +543,6 @@ class TestGeneratorCertificate:
         i, k = map(int, re.search(r"witness indices (\d+), (\d+)", err).groups())
         b1, = broken
         assert not b1.contains_residues(b1.mats[i] @ b1.mats[k])
-
-
-class TestHeisenbergVerdict:
-    def test_class_constancy_failure_is_falsified(self, tmp_path,
-                                                  monkeypatch, capsys):
-        # a class-constancy verdict of False fails the heisenberg check
-        from minvec import groups
-        laws = groups.induced_laws
-
-        def not_constant(*args):
-            return (*laws(*args)[:4], False)
-
-        monkeypatch.setattr(groups, "induced_laws", not_constant)
-        report = tmp_path / "report.txt"
-        code = cli.main(["verify", str(DATA_DIR / "datum_n2e1j2p3.json"),
-                         "--out", str(report)])
-        assert code == cli.EXIT_FALSIFIED
-        block = extract_block(report.read_text())
-        assert block["checks"]["heisenberg"]["verdict"] == "FAIL"
-        assert "Heisenberg law failed on block 0" in capsys.readouterr().err
 
 
 # beta = p^-1 [[0, 1, 0], [0, 0, 1], [3, 0, 0]] at p = 3: n = 3, e = 3, j = 2

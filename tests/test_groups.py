@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -387,10 +388,12 @@ class TestHeisenberg:
 
     def test_nonabelian_quotient_is_a_construction_failure(self, block_c):
         # U_A(3) is trivial mod p^3, so J1/U_A(3) is J1, which is not
-        # abelian: its coset coordinates cannot be additive
+        # abelian.  Extending the trivial character of U_A(3) to J1 once
+        # returned orders [9, 9, 9, 2, 2, 3, 4], overwriting earlier cosets;
+        # it must stop at the first coset that meets the assigned elements
         bundle = dataclasses.replace(block_c.bundle,
                                      h1=block_c.bundle.ua[3])
-        with pytest.raises(ConstructionFailure, match="elementary abelian"):
+        with pytest.raises(ConstructionFailure, match="overlap"):
             groups.heisenberg(block_c.datum, bundle)
 
     def test_raw_pairing_reported(self, block_c):
@@ -419,7 +422,9 @@ class TestInducedCharacter:
         assert ind.restriction_inner == ind.dim
 
     def test_class_constancy(self, block_c):
-        assert block_c.induced.class_constancy
+        # an induced character is a class function; the oracle conjugates
+        # every element of J1 by every element
+        assert oracle_laws(block_c)[4]
 
 
 # the class-constancy oracle conjugates each of its rows by all of J1; past
@@ -429,135 +434,99 @@ ORACLE_ROWS_MAX = 729
 
 def laws_tuple(ind):
     return (ind.dim, ind.inner_product, ind.restriction_is_multiple,
-            ind.restriction_inner, ind.class_constancy)
+            ind.restriction_inner)
 
 
-def oracle_laws(blk, theta_tilde, rows=()):
-    """induced_laws_oracle on a block, every row of a small J1, else the
-    given rows plus 32 seeded ones."""
+def oracle_laws(blk):
+    """induced_laws_oracle on a block, every row of a small J1, else 32
+    seeded ones."""
     b = blk.bundle
+    rows = None
     if b.j1.size > ORACLE_ROWS_MAX:
-        sample = np.random.default_rng(0).integers(0, b.j1.size, size=32)
-        rows = np.unique(np.r_[sample, np.asarray(rows, dtype=np.int64)])
-    else:
-        rows = None
-    return induced_laws_oracle(b.j1, b.h1, blk.simple.theta, theta_tilde,
-                               rows)
+        rows = np.unique(np.random.default_rng(0).integers(0, b.j1.size,
+                                                           size=32))
+    return induced_laws_oracle(b.j1, b.h1, blk.simple.theta,
+                               blk.induced.theta_tilde, rows)
 
 
 def all_blocks(block_a, block_b, block_c, parabolic_kr):
     return [block_a, block_b, block_c] + list(parabolic_kr.blocks)
 
 
-def count_fallback_rows(monkeypatch):
-    """Rows of eta that induced_laws re-decides on the power basis: the
-    batched calls of root_sum_coords, one row per open element."""
-    rows = []
-    coords = groups.root_sum_coords
-
-    def counted(counts, p):
-        if counts.ndim == 2:
-            rows.append(len(counts))
-        return coords(counts, p)
-
-    monkeypatch.setattr(groups, "root_sum_coords", counted)
-    return rows
+@pytest.fixture(scope="module")
+def block_p2():
+    """beta = 2^-2 [[0, 1], [1, 1]]: even depth at p = 2, |J1| = 256."""
+    return prepare_block(build_datum(2, 2, 1, [[0, 1], [1, 1]], -2))
 
 
 class TestInducedLaws:
-    """The laws of eta decided on integer numerators, against the Fraction
-    exponent lists and per-element CyclotomicSums of induced_laws_oracle."""
+    """The laws that extend_and_induce derives by Mackey's formula, against
+    the Fraction exponent lists and per-element CyclotomicSums of
+    induced_laws_oracle, and the premises they rest on."""
 
-    def test_laws_match_oracle(self, block_a, block_b, block_c, parabolic_kr):
-        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
-            assert laws_tuple(blk.induced) == \
-                oracle_laws(blk, blk.induced.theta_tilde)
-            assert blk.induced.class_constancy
+    def test_laws_match_oracle(self, block_a, block_b, block_c, block_p2,
+                               parabolic_kr):
+        assert block_p2.bundle.j1.size == 256 and not block_p2.pol.trivial
+        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr) + [
+                block_p2]:
+            want = oracle_laws(blk)
+            assert laws_tuple(blk.induced) == want[:4]
+            assert want[4]
 
-    @pytest.mark.parametrize("where", ["H1", "B1 - H1"])
-    def test_flipped_tilde_entry_matches_oracle(self, where, block_a, block_b,
-                                               block_c, parabolic_kr):
-        for blk in all_blocks(block_a, block_b, block_c, parabolic_kr):
-            b, tilde = blk.bundle, blk.induced.theta_tilde
-            in_h1 = contains_codes(b.h1.codes, tilde.domain.codes)
-            candidates = np.flatnonzero(in_h1 if where == "H1" else ~in_h1)
-            if not len(candidates):
-                continue        # odd depth: B1 = H1
-            k = int(candidates[len(candidates) // 2])
-            nums = tilde.nums.copy()
-            nums[k] = (nums[k] + 1) % tilde.denom
-            flipped = GroupCharacter(tilde.domain, nums, tilde.denom)
-            eta = groups.induced_table(b.j1, flipped)
-            # eta moves only on these rows, and eta was a class function:
-            # conjugating them by all of J1 decides class constancy exactly
-            moved = np.flatnonzero(np.any(eta.nums != blk.induced.eta.nums,
-                                          axis=1))
-            assert len(moved)
-            got = groups.induced_laws(eta, b.j1, b.h1, blk.simple.theta)
-            assert got == oracle_laws(blk, flipped, moved)
-            assert got != laws_tuple(blk.induced)
-            assert got[2] is (where != "H1")
+    def induce(self, blk, pol=None):
+        return groups.extend_and_induce(blk.datum, blk.bundle,
+                                        blk.simple.theta, pol or blk.pol)
 
-    def test_value_equal_row_passes_through_fallback(self, block_c,
-                                                     monkeypatch):
-        # dim theta(h) plus e(t) + e(t + 1/3) + e(t + 2/3) = 0 at one h
-        b, ind = block_c.bundle, block_c.induced
-        eta = ind.eta
-        assert eta.denom % 3 == 0
-        rows = b.j1.index_of_codes(b.h1.codes)
-        g = int(rows[rows != b.j1.identity_index()][5])
-        extra = np.zeros((b.j1.size, 3), dtype=np.int64)
-        extra[g] = [1, 1 + eta.denom // 3, 1 + 2 * eta.denom // 3]
-        mask = np.zeros(extra.shape, dtype=bool)
-        mask[g] = True
-        table = groups.EtaTable(np.hstack([eta.nums, extra]),
-                                np.hstack([eta.mask, mask]), eta.denom)
-        rows = count_fallback_rows(monkeypatch)
-        got = groups.induced_laws(table, b.j1, b.h1, block_c.simple.theta)
-        assert got == laws_tuple(ind)
-        assert sum(rows) >= 1           # g re-decided on the power basis
-        # two of the three extra terms no longer cancel
-        mask[g, 2] = False
-        table.mask = np.hstack([eta.mask, mask])
-        got = groups.induced_laws(table, b.j1, b.h1, block_c.simple.theta)
-        assert not got[2]
+    def test_changed_pairing_fails_the_gram_check(self, block_c, block_p2):
+        for blk in (block_c, block_p2):
+            pol, p = blk.pol, blk.datum.p
+            pairing = [row[:] for row in pol.pairing]
+            pairing[0][1] = (pairing[0][1] + 1) % p
+            with pytest.raises(ConstructionFailure, match="pairing"):
+                self.induce(blk, dataclasses.replace(pol, pairing=pairing))
 
-    def test_constancy_uses_every_generator(self, block_c):
-        # one extra term along an orbit of conjugation by the first tree
-        # generator only: eta stays invariant under it, but not under J1
-        b, eta = block_c.bundle, block_c.induced.eta
-        j1, mod = b.j1, b.j1.modulus
-        root, perms = j1._generator_tree()
-        s = j1.mats[perms[0][root]]
-        s_inv = det_inv_mod(s[None], j1.p, j1.level)[1][0]
-        x_inv = det_inv_mod(j1.mats, j1.p, j1.level)[1]
-        for g0 in range(j1.size):
-            orbit, g = [g0], g0
-            while (g := int(j1.index_of_codes(pack(
-                    (s @ j1.mats[g] @ s_inv % mod)[None], j1.p,
-                    j1.level))[0])) != g0:
-                orbit.append(g)
-            cls = j1.index_of_codes(pack(
-                (j1.mats @ j1.mats[g0] % mod) @ x_inv % mod, j1.p, j1.level))
-            if len(set(cls.tolist())) > len(orbit):
-                break
-        extra = np.zeros((j1.size, 1), dtype=np.int64)
-        extra[orbit] = 1
-        table = groups.EtaTable(np.hstack([eta.nums, extra]),
-                                np.hstack([eta.mask, extra > 0]), eta.denom)
-        got = groups.induced_laws(table, j1, b.h1, block_c.simple.theta)
-        assert got[4] is False
+    def test_b1_equal_to_h1_is_not_lagrangian(self, block_c, block_p2):
+        for blk in (block_c, block_p2):
+            pol = dataclasses.replace(blk.pol, b1=blk.bundle.h1)
+            with pytest.raises(ConstructionFailure, match="not Lagrangian"):
+                self.induce(blk, pol)
+
+    def test_unstable_theta_is_a_construction_failure(self, block_c,
+                                                      monkeypatch):
+        fixed = groups._fixed_on_generators
+
+        def one_row_false(G, Gi, theta):
+            rows = fixed(G, Gi, theta)
+            assert rows.all()
+            rows[len(rows) // 2] = False
+            return rows
+
+        monkeypatch.setattr(groups, "_fixed_on_generators", one_row_false)
+        with pytest.raises(ConstructionFailure, match="J1-stable"):
+            self.induce(block_c)
+
+
+class TestInducedMemory:
+    # tracemalloc sees numpy's buffers; see TestTorusMemory for why not
+    # ru_maxrss
 
     @pytest.mark.parametrize("name", ["block_b", "block_c"])
-    def test_no_row_reaches_the_fallback(self, name, request, monkeypatch):
-        # the sorted multisets decide every row: one bincount each for dim,
-        # <eta, eta> and <eta|H1, theta>, and no row re-decided one by one
+    def test_peak_within_twice_j1(self, name, request):
+        # a cold B1, as in a CLI run; J1's and H1's generator trees are
+        # built by heisenberg and simple_character before this stage
         blk = request.getfixturevalue(name)
-        rows = count_fallback_rows(monkeypatch)
-        ind = groups.extend_and_induce(blk.datum, blk.bundle,
-                                       blk.simple.theta, blk.pol)
+        b1, j1 = blk.pol.b1, blk.bundle.j1
+        pol = dataclasses.replace(blk.pol, b1=FiniteSubgroup(
+            b1.name, b1.p, b1.level, b1.n, b1.codes))
+        tracemalloc.start()
+        try:
+            ind = groups.extend_and_induce(blk.datum, blk.bundle,
+                                           blk.simple.theta, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert laws_tuple(ind) == laws_tuple(blk.induced)
-        assert rows and sum(rows) == 0
+        assert peak <= 2 * (j1.codes.nbytes + j1.mats.nbytes)
 
 
 class TestArrayKernels:

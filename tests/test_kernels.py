@@ -408,7 +408,6 @@ class TestDraws:
 # through product_index.
 CHUNKED_WITHOUT_LOOKUP = {
     "heisenberg": "the pairing forms at x h for h in H1, traces only",
-    "induced_laws": "a bincount of the numerator differences of eta's rows",
 }
 
 
