@@ -149,9 +149,10 @@ class LatticeQuery:
         return np.frombuffer(codes.tobytes(), dtype=">i8").reshape(
             -1, self.n, self.n).astype(np.int64)
 
-    def in_torus(self, mats) -> np.ndarray:
-        """Whether each integer matrix of a stack reduces into the torus."""
-        torus = self.torus_set()
+    def in_torus(self, mats, budget: int) -> np.ndarray:
+        """Whether each integer matrix of a stack reduces into the torus,
+        whose closure is held to `budget` elements."""
+        torus = self.torus_set(budget)
         mats = np.asarray(mats, dtype=np.int64).reshape(-1, self.n, self.n)
         return contains_codes(torus, self._codes(mats % self.p ** self.cf))
 
@@ -205,11 +206,12 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000) -> CountReport:
     all R x R determinants (R = (2B+1)^n) and the pruning becomes masks on
     it (n = 1 keeps a one-row leaf).  Torus membership is then tested in
     one batched lookup on the det = m candidates only, so a search that
-    exceeds the budget never builds the torus.  candidates_scanned counts
-    every row tried at every level plus every leaf that survives pruning,
-    from cumulative sums; the budget is raised at the same row as by a
-    row-by-row search.  The output is sorted, so it does not depend on the
-    order in which rows are fixed.
+    exceeds the budget never builds the torus, and the closure is held to
+    the same budget.  candidates_scanned counts every row tried at every
+    level plus every leaf that survives pruning, from cumulative sums; the
+    budget is raised at the same row as by a row-by-row search.  The
+    output is sorted, so it does not depend on the order in which rows are
+    fixed.
     """
     t0 = time.perf_counter()
     n, m, B = q.n, q.m, q.entry_bound
@@ -294,7 +296,7 @@ def enumerate_S(q: LatticeQuery, budget: int = 5_000_000) -> CountReport:
     rec(0, 1)
     candidates = np.concatenate(parts)
     matches = sorted(tuple(map(tuple, mat)) for mat in
-                     candidates[q.in_torus(candidates)].tolist())
+                     candidates[q.in_torus(candidates, budget)].tolist())
     abelian, witness = _pairwise_commuting(matches)
     classes = _unit_classes(matches, m, n)
     fiber = max((len(c) for c in classes), default=0)

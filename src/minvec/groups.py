@@ -317,7 +317,9 @@ def build_subgroups(d: InductionDatum,
 
 class GroupCharacter:
     """A character of an enumerated subgroup, stored as exponent numerators
-    over a common p-power denominator."""
+    over a common p-power denominator.  src/ builds one only from a table
+    that extend_character certified multiplicative (simple_character,
+    extend_and_induce), so no later use decides a character law again."""
 
     def __init__(self, domain: FiniteSubgroup, nums, denom: int):
         self.domain = domain
@@ -489,16 +491,13 @@ class SimpleCharacterResult:
 
 def simple_character(d: InductionDatum, bundle: SubgroupBundle) -> SimpleCharacterResult:
     """The simple character theta on H^1: psi(Tr(beta(x-1))) on the
-    congruence part, extended multiplicatively to all of H^1."""
+    congruence part U_A(floor(j/2)+1), extended multiplicatively to all of
+    H^1.  The formula is theta's restriction, so H^1's certificate decides
+    it too: a formula that is no character fails in extend_character."""
     p, j = d.p, d.j
     base = bundle.ua[j // 2 + 1]
     denom0 = p ** (d.s0 + 1)
     base_nums = formula_exponent_nums(d, base.mats, denom0)
-    cert = verify_character(base, base_nums, denom0)
-    if not cert.multiplicative:
-        raise ConstructionFailure(
-            f"trace formula is not multiplicative on {base.name}: "
-            f"{cert.witness}")
     ext = extend_character(bundle.h1, base.codes, base_nums, denom0,
                            denom_hint=denom0)
     theta = GroupCharacter(bundle.h1, ext.nums, ext.denom)
@@ -765,14 +764,13 @@ def _fixed_on_generators(G, Gi, theta: GroupCharacter) -> np.ndarray:
     """Rows of a stack of units G with inverses Gi mod p^L that provably
     intertwine theta on all of H^1, decided on H^1's generators S.
 
-    When theta is a character and g S g^-1 lies in H^1, conjugation by g
-    maps H^1 = <S> into, hence onto, itself; theta o Ad(g) and theta are
-    then two characters of H^1, equal once they agree on S.  A row whose
-    Gi is not the inverse of G is never certified.
+    theta is a character, certified when it was built (GroupCharacter).
+    When g S g^-1 lies in H^1, conjugation by g maps H^1 = <S> into, hence
+    onto, itself; theta o Ad(g) and theta are then two characters of H^1,
+    equal once they agree on S.  A row whose Gi is not the inverse of G is
+    never certified.
     """
     h1 = theta.domain
-    if _relation_witness(h1, theta.nums, theta.denom) is not None:
-        return np.zeros(len(G), dtype=bool)
     root, perms = h1._generator_tree()
     gens = np.array([perm[root] for perm in perms], dtype=np.intp)
     inverse = np.all(G @ Gi % h1.modulus == np.eye(h1.n, dtype=np.int64),
@@ -862,13 +860,13 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     """Exhaustively compare {g in K : g intertwines theta} with J cap K
     inside GL_n(Z/p^L), conjugating one unit per coset g H^1.
 
-    For a character theta of H^1 the verdict is constant on g H^1: for h in
-    H^1, (g h) x (g h)^-1 = g (h x h^-1) g^-1, and as x runs over H^1 so does
-    h x h^-1, with theta(h x h^-1) = theta(x).  So theta is certified a
-    character first (a failure is the report's witness), and each coset is
-    decided at its first unit in code order.  The counts and the witness,
-    the first unit in code order where intertwining and membership in
-    J cap K disagree, are those of the sweep over every unit.
+    theta is a character of H^1, certified when it was built
+    (GroupCharacter), so the verdict is constant on g H^1: for h in H^1,
+    (g h) x (g h)^-1 = g (h x h^-1) g^-1, and as x runs over H^1 so does
+    h x h^-1, with theta(h x h^-1) = theta(x).  So each coset is decided at
+    its first unit in code order.  The counts and the witness, the first
+    unit in code order where intertwining and membership in J cap K
+    disagree, are those of the sweep over every unit.
     """
     p, n = d.p, d.order.n
     L = bundle.level
@@ -883,10 +881,6 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
         unpack(np.arange(mod ** (n * n)), p, L, n), p, L)
     units = FiniteSubgroup("GL_n(Z/p^L)", p, L, n, np.flatnonzero(unit))
     inv_all = inv_all[unit]
-    cert = verify_character(h1, theta.nums, theta.denom)
-    if not cert.multiplicative:
-        return DichotomyReport(units.size, 0, jk.size, False,
-                               h1.mats[cert.witness[0]])
     reps, coset = _coset_decomposition(units, h1.mats)
     inter = (_first_not_intertwined(units.mats[reps], inv_all[reps], h1.mats,
                                     theta) < 0)[coset]

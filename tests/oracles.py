@@ -107,7 +107,8 @@ def enumerate_S_oracle(q, budget=5_000_000, row_order=None, pruned=True):
             rec(k + 1, sq_prod * (sq or 1))
 
     rec(0, 1)
-    matches = sorted(mat for mat, ok in zip(candidates, q.in_torus(candidates))
+    matches = sorted(mat for mat, ok in zip(candidates,
+                                            q.in_torus(candidates, budget))
                      if ok)
     return matches, scanned
 

@@ -150,7 +150,7 @@ def test_criterion_6_test_function_identities(shipped):
             conv = convolve_check(tf)
             assert conv.mode == "full"
             assert conv.support_ok and conv.closure_certified
-            assert conv.offsupport_ok and conv.scalar_action_ok
+            assert conv.offsupport_ok
             conc = concentration_check(tf)
             assert conc.all_found
         tf = make_omega(krs["par"])

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -300,8 +299,9 @@ class TestGolden:
 
     @pytest.mark.parametrize("name", ["n2e2j1p3", "n2e1j2p3", "parabolic_n4p3"])
     def test_verify_block(self, name):
-        # pins the sampled counts (off-support zeros, spot nonmembers,
-        # off-support convolution points) as well as every verdict
+        # pins the sampled counts (the parabolic convolution's points) and
+        # the certified ones (0 off-support points on an enumerated
+        # support) as well as every verdict
         code, out = run_cli("--seed", "0", "verify",
                             str(DATA_DIR / f"datum_{name}.json"))
         assert code == 0
@@ -447,22 +447,13 @@ class TestParabolicCli:
 
 
 class TestOmegaCheck:
-    def test_full_support_terminates(self, kr_a, monkeypatch):
-        # a support that is all of K leaves no off-support point to find
-        monkeypatch.setattr(kr_a.kpi, "member_mask",
-                            lambda mats: np.ones(len(mats), dtype=bool))
-        args = argparse.Namespace(seed=0, budget=5_000_000)
-        verdict, section, _ = cli._check_omega([], kr_a, args)
-        assert verdict == "PASS"
-        assert section["off_support_zeros_sampled"] == 0
-
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("kr_name", ["kr_a", "kr_c", "parabolic_kr"])
     def test_member_mask_is_omega_support(self, kr_name, seed, request):
-        # _check_omega decides its draws by one stacked member_mask; the
-        # per-draw omega exponent must agree on every unit drawn.  K_pi
-        # membership puts every diagonal block in its B1, so theta is
-        # defined at every member
+        # sample_units_outside decides its draws by one stacked
+        # member_mask; the per-draw omega exponent must agree on every unit
+        # drawn.  K_pi membership puts every diagonal block in its B1, so
+        # theta is defined at every member
         kr = request.getfixturevalue(kr_name)
         tf, kpi = testfunc.make_omega(kr), kr.kpi
         seen = []
@@ -578,6 +569,18 @@ class TestHonestExits:
         assert code == cli.EXIT_BUDGET
         assert "enumeration budget exceeded" in capsys.readouterr().err
         assert calls == []
+
+    def test_count_budget_reaches_the_torus_closure(self, capsys):
+        # the search scans far fewer than 100,000 candidates; the closure of
+        # 531,441 elements is what exceeds that budget
+        query = str(DATA_DIR / "query_m4_deep.json")
+        assert cli.main(["count", query, "--budget", "100000"]) \
+            == cli.EXIT_BUDGET
+        assert "torus closure exceeded budget" in capsys.readouterr().err
+        code, out = run_cli("count", query, "--budget", "600000")
+        assert code == 0
+        want = json.loads((GOLDEN_DIR / "count_m4_deep.block.json").read_text())
+        assert extract_block(out) == want
 
     def test_memory_error_exits_4_and_names_the_stage(self, tmp_path,
                                                       monkeypatch, capsys):

@@ -139,9 +139,9 @@ class TestTorus:
         elems = torus_elements(q)
         assert elems == sorted(want) and len(elems) == size
         mats = np.array(sorted(want)).reshape(-1, q.n, q.n)
-        assert q.in_torus(mats).all()
-        assert q.in_torus(mats + mod).all()
-        assert not q.in_torus(mats * 0).any()
+        assert q.in_torus(mats, size).all()
+        assert q.in_torus(mats + mod, size).all()
+        assert not q.in_torus(mats * 0, size).any()
 
     def test_past_packing_enumeration(self):
         q = PAST_PACKING

@@ -693,15 +693,6 @@ class TestCosetSweep:
         # the first unit of the removed coset in code order
         assert pack(rep.witness[None], 3, 2)[0] == coset[0]
 
-    def test_flipped_theta_fails_the_certificate(self, block_a):
-        theta = flipped_theta(block_a.simple.theta)
-        rep = intertwining_dichotomy(block_a.datum, block_a.bundle, theta)
-        assert not rep.agree
-        cert = verify_character(theta.domain, theta.nums, theta.denom)
-        assert not cert.multiplicative
-        assert np.array_equal(rep.witness,
-                              theta.domain.mats[cert.witness[0]])
-
 
 class TestSpotBatch:
     @pytest.mark.parametrize("case", ["plain", "missing coset", "flipped"])

@@ -293,15 +293,6 @@ class TestIntertwiningShortcut:
         assert (normal & ~fixed & (want >= 0)).any()
         assert fixed.tolist() == (want < 0).tolist()
 
-    def test_perturbed_table_takes_no_shortcut(self, block_b, monkeypatch):
-        G, Gi, xs, theta = spot_call(block_b, monkeypatch)
-        nums = theta.nums.copy()
-        k = (theta.domain.identity_index() + 1) % len(nums)
-        nums[k] = (nums[k] + 1) % theta.denom
-        perturbed = GroupCharacter(theta.domain, nums, theta.denom)
-        assert not groups._fixed_on_generators(G, Gi, perturbed).any()
-        self.assert_matches_scan(G, Gi, xs, perturbed)
-
     def test_a_wrong_inverse_is_not_certified(self, block_b):
         # x -> x c with c in ker theta agrees with theta on all of H1, but it
         # is no conjugation, so the generator proof must not take it
@@ -421,6 +412,24 @@ def test_one_product_scan():
                     getattr(call.func, "attr", None)):
                 callers.add(node.name)
     assert callers == {"product_index"} | set(CHUNKED_WITHOUT_LOOKUP)
+
+
+def test_each_character_law_decided_once():
+    # extend_character writes the only character certificate, and every
+    # GroupCharacter is built from a table it certified
+    callers = {"verify_character": set(), "GroupCharacter": set()}
+    for path in sorted(Path(minvec.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "id", None) \
+                        or getattr(call.func, "attr", None)
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{node.name}")
+    assert callers == {
+        "verify_character": {"groups.extend_character"},
+        "GroupCharacter": {"groups.simple_character",
+                           "groups.extend_and_induce"}}
 
 
 def test_no_float_decisions():

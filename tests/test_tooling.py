@@ -182,9 +182,6 @@ def test_src_holds_only_what_the_cli_runs(tmp_path):
 # why it stays.
 UNPASSED_OK = {
     "cli.main.argv": "the console entry point calls main() bare",
-    "counting.LatticeQuery.torus_set.budget":
-        "count's --budget does not reach the closure; wiring it in would "
-        "change which queries exit 4",
     "groups.intertwining_spot.members":
         "TestSpotBatch draws 200 non-members: 40 miss a removed coset at "
         "about one seed in sixteen",
