@@ -158,8 +158,6 @@ def _check_heisenberg(blocks, kr, args):
         else:
             entry["pairing"] = pol.pairing
             entry["isotropic"] = pol.isotropic
-            entry["raw_pairing_well_defined"] = pol.raw_pairing_well_defined
-            entry["raw_pairing_alternating"] = pol.raw_pairing_alternating
         out.append(entry)
     return "PASS", out, None
 

@@ -14,8 +14,9 @@ congruence and "equal" always means exactly equal.
 An enumerated group is built from its sorted, distinct codes, and its
 elements are in code order.  Every product that is looked up in a group
 goes through one chunked kernel, product_index: the generator tree, the
-cosets, the character extension, the commutators of J^1/H^1's basis and
-the intertwining scan are all calls of it.
+cosets, the character extension, the commutators of J^1/H^1's basis, on
+which heisenberg reads the pairing theta([x, y]) once, and the
+intertwining scan are all calls of it.
 
 The Heisenberg representation eta = Ind theta~ is never tabulated: its
 laws follow by Mackey's formula from premises that heisenberg and
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
-from .orders import HereditaryOrder, InductionDatum, fp_reduce
+from .orders import HereditaryOrder, InductionDatum
 from . import residues
 from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
                        det_inv_mod, pack, sample_units_outside, sorted_index,
@@ -344,18 +345,13 @@ class GroupCharacter:
         return self.nums[idx]
 
 
-def _beta_trace(d: InductionDatum, xs: np.ndarray) -> np.ndarray:
-    """Tr(beta' x) mod p^(s0+1), beta' = p^s0 beta, for each matrix x of a
-    stack: the argument of psi in theta's trace formula and in the
-    Heisenberg pairing."""
-    bt = np.array(d.beta_integral, dtype=np.int64)
-    return np.einsum("ij,mji->m", bt, xs) % d.p ** (d.s0 + 1)
-
-
 def formula_exponent_nums(d: InductionDatum, mats: np.ndarray, denom: int):
-    """Exponents of psi(Tr(beta (x - 1))) for integral residue matrices."""
-    tr = _beta_trace(d, mats - np.eye(d.order.n, dtype=np.int64))
-    return tr * (denom // d.p ** (d.s0 + 1)) % denom
+    """Exponents of psi(Tr(beta (x - 1))) for integral residue matrices:
+    Tr(beta' (x - 1)) mod p^(s0+1), beta' = p^s0 beta, over denom."""
+    bt = np.array(d.beta_integral, dtype=np.int64)
+    tr = np.einsum("ij,mji->m", bt, mats - np.eye(d.order.n, dtype=np.int64))
+    pmod = d.p ** (d.s0 + 1)
+    return tr % pmod * (denom // pmod) % denom
 
 
 def _relation_witness(sub: FiniteSubgroup, table, m: int):
@@ -523,8 +519,6 @@ class PolarizationData:
     pairing: list | None
     isotropic: list | None
     b1: FiniteSubgroup
-    raw_pairing_well_defined: bool | None
-    raw_pairing_alternating: bool | None
 
 
 def _coset_decomposition(group: FiniteSubgroup, small_mats):
@@ -548,32 +542,40 @@ def _coset_decomposition(group: FiniteSubgroup, small_mats):
     return reps, np.searchsorted(reps, first)
 
 
-def heisenberg(d: InductionDatum, bundle: SubgroupBundle) -> PolarizationData:
-    """Polarize J^1/H^1 for the commutator pairing Tr(beta' [x - 1, y - 1]).
+def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
+               theta: GroupCharacter) -> PolarizationData:
+    """Polarize J^1/H^1 for the commutator pairing (x, y) -> theta([x, y]),
+    [x, y] = x y x^-1 y^-1, read once on the basis.
 
     For odd depth J^1 = H^1 and the uniform convention B^1 = H^1 applies;
     the returned data is flagged trivial.  Otherwise the trivial character
     of H^1 is extended to J^1.  Its coset coordinates, certified additive,
     are a homomorphism J^1 -> prod Z/m_i whose kernel, the elements with
     all coordinates 0, is H^1; when every m_i is p, J^1/H^1 is F_p^dim with
-    the coset generators as basis.  B^1 is the preimage of a Lagrangian W,
-    which the nondegenerate pairing makes its own orthogonal: the elements
-    whose coordinates pair to 0 with W.  B^1 is certified a group later, by
-    the generator tree that verify_character builds in extend_and_induce,
-    which derives the laws of eta from these coordinates, the pairing and
-    W = W^perp.
+    the coset generators as basis.
+
+    J^1 normalizes H^1 and fixes theta, decided on J^1's generators by
+    _fixed_on_generators.  Stability is the premise that makes theta([x, y])
+    a form on J^1/H^1: theta([h, y]) = theta(h) - theta(y h y^-1) = 0 for h
+    in H^1, and [x x', y] = x [x', y] x^-1 [x, y] makes it biadditive; with
+    x' = h that is coset invariance, [x h, y] = x [h, y] x^-1 [x, y].  It is
+    alternating, theta([x, x]) = theta(1), and [y, x] = [x, y]^-1.  So the
+    pairing is <x_a, x_b> = p t, theta([x_a, x_b]) = e^{2 pi i t}, on the
+    basis, once every such t lies in (1/p) Z.
+
+    B^1 is the preimage of a Lagrangian W, which the nondegenerate pairing
+    makes its own orthogonal: the elements whose coordinates pair to 0
+    with W.  B^1 is certified a group later, by the generator tree that
+    verify_character builds in extend_and_induce.
     """
-    p, j, o = d.p, d.j, d.order
+    p, n, L = d.p, d.order.n, bundle.level
     h1, j1 = bundle.h1, bundle.j1
-    if j % 2 == 1:
+    if d.j % 2 == 1:
         return PolarizationData(
             trivial=True, reason="J1 == H1 at odd depth; take B1 = H1",
-            dim=0, coset_reps=None, pairing=None, isotropic=None,
-            b1=h1, raw_pairing_well_defined=None, raw_pairing_alternating=None)
+            dim=0, coset_reps=None, pairing=None, isotropic=None, b1=h1)
     if j1.size == h1.size:
         raise ConstructionFailure("even depth but J1 == H1; datum is ill-formed")
-    L = bundle.level
-    mod = p ** L
     ext = extend_character(j1, h1.codes, np.zeros(h1.size, np.int64), 1)
     # every element outside H1 was given a nonzero coordinate, so the
     # zero set lies in H1 and is H1 when the sizes agree
@@ -583,106 +585,69 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle) -> PolarizationData:
         raise ConstructionFailure(
             "J1/H1 is not an elementary abelian p-group")
     dim = len(ext.orders)
+    root, perms = j1._generator_tree()
+    gens = j1.mats[[int(perm[root]) for perm in perms]]
+    if not _fixed_on_generators(gens, det_inv_mod(gens, p, L)[1], theta).all():
+        raise ConstructionFailure("theta is not J1-stable")
 
-    scale = p ** d.s0
-    eye = np.eye(o.n, dtype=np.int64)
-
-    def forms(xs, y):
-        # per x of a stack: the commutator form Tr(beta' [x - 1, y - 1])
-        # scaled into F_p, and the raw form Tr(beta' (x - 1)(y - 1))
-        u, v = xs - eye, y - eye
-        raw = _beta_trace(d, u @ v)
-        tr = (raw - _beta_trace(d, v @ u)) % (p * scale)
-        if np.any(tr % scale):
-            raise ConstructionFailure("pairing value is not F_p-valued")
-        return tr // scale, raw
-
-    basis_mats = j1.mats[ext.gens]
-    at_basis = [[forms(x[None], y) for y in basis_mats] for x in basis_mats]
-    pairing = [[int(comm[0]) for comm, _ in row] for row in at_basis]
-
-    # alternating + nondegenerate
-    for a in range(dim):
-        if pairing[a][a] != 0:
-            raise ConstructionFailure("pairing is not alternating")
-        for b in range(dim):
-            if (pairing[a][b] + pairing[b][a]) % p != 0:
-                raise ConstructionFailure("pairing is not antisymmetric")
-    if not det_inv_mod(np.array([pairing]), p, 1)[2][0]:
-        raise ConstructionFailure(
-            "degenerate pairing: datum is non-minimal or ill-formed")
-
-    # both forms at x h for every h in H1: the commutator form must not
-    # move, and the raw form is reported for comparison
-    raw_well = True
-    step = chunk_rows(4 * o.n * o.n * 8)
-    for lo in range(0, h1.size, step):
-        for x, row in zip(basis_mats, at_basis):
-            xh = x @ h1.mats[lo:lo + step] % mod
-            for y, (comm, raw) in zip(basis_mats, row):
-                comm_h, raw_h = forms(xh, y)
-                if np.any(comm_h != comm):
-                    raise ConstructionFailure(
-                        "commutator pairing not coset-invariant")
-                raw_well &= bool(np.all(raw_h == raw))
-    raw_alt = all(at_basis[a][a][1][0] == 0 for a in range(dim))
+    x = j1.mats[ext.gens]
+    xi = det_inv_mod(x, p, L)[1]
+    # [x_a, x_b] = (x_a x_b)(x_a^-1 x_b^-1), one basis pair per row
+    comm = product_index(
+        h1, (x[:, None] @ x[None] % h1.modulus).reshape(-1, n, n),
+        np.eye(n, dtype=np.int64)[None],
+        (xi[:, None] @ xi[None] % h1.modulus).reshape(-1, n, n))
+    if np.any(comm < 0):
+        raise ConstructionFailure("a commutator of J1 leaves H1")
+    values = theta.nums[comm].reshape(dim, dim) * p
+    if np.any(values % theta.denom):
+        raise ConstructionFailure("pairing value is not F_p-valued")
+    pairing = (values // theta.denom).tolist()
 
     iso_vecs = _symplectic_isotropic_basis(pairing, p)
 
     # W = W^perp: the coordinates that pair to 0 with every w in W
     mask = np.all(ext.coords @ np.array(pairing) @ np.array(iso_vecs).T % p
                   == 0, axis=1)
-    b1 = FiniteSubgroup("B1", p, L, o.n, j1.codes[mask])
+    b1 = FiniteSubgroup("B1", p, L, n, j1.codes[mask])
     return PolarizationData(
-        trivial=False, reason="", dim=dim, coset_reps=basis_mats,
-        pairing=pairing, isotropic=iso_vecs, b1=b1,
-        raw_pairing_well_defined=raw_well, raw_pairing_alternating=raw_alt)
+        trivial=False, reason="", dim=dim, coset_reps=x, pairing=pairing,
+        isotropic=iso_vecs, b1=b1)
 
 
 def _symplectic_isotropic_basis(pairing, p):
-    """Basis of a maximal isotropic subspace via symplectic reduction."""
+    """Basis of a maximal isotropic subspace via symplectic reduction.
+
+    Each step takes a hyperbolic pair (e, f) and moves the vectors left
+    into its orthogonal; w -> w - <w, f> e + <w, e> f keeps them
+    independent.  An alternating form of rank 2r < dim leaves vectors
+    that pair to 0 with everything left, and the reduction raises there.
+    """
     dim = len(pairing)
-    vecs = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
 
     def form(u, v):
-        s = 0
-        for a in range(dim):
-            for b in range(dim):
-                s += u[a] * pairing[a][b] * v[b]
-        return s % p
+        return sum(u[a] * pairing[a][b] * v[b] for a in range(dim)
+                   for b in range(dim)) % p
 
     isotropic = []
-    remaining = vecs
-    while remaining and 2 * len(isotropic) < dim:
+    remaining = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    while 2 * len(isotropic) < dim:
         e = remaining[0]
-        partner = None
-        for cand in remaining[1:]:
-            if form(e, cand) % p != 0:
-                partner = cand
-                break
+        partner = next((w for w in remaining[1:] if form(e, w)), None)
         if partner is None:
-            # e pairs to zero with everything left: contradicts nondegeneracy
-            raise ConstructionFailure("unexpected radical in symplectic reduction")
+            raise ConstructionFailure(
+                "degenerate pairing: datum is non-minimal or ill-formed")
         c = pow(form(e, partner), -1, p)
         f = [(v * c) % p for v in partner]   # <e, f> = 1
         isotropic.append(e)
-        new_remaining = []
-        for w in remaining:
-            if w is e or w is partner:
-                continue
-            wf = form(w, f)
-            we = form(w, e)
-            # w - <w,f> e + <w,e> f pairs to zero with both e and f
-            adj = [(wi - wf * ei + we * fi) % p
-                   for wi, ei, fi in zip(w, e, f)]
-            new_remaining.append(adj)
-        # keep the vectors independent of the ones kept before them
-        remaining, echelon = [], []
-        for w in new_remaining:
-            residual, _ = fp_reduce(w, echelon, p)
-            if any(residual):
-                echelon.append(residual)
-                remaining.append(w)
+        rest = []
+        for w in remaining[1:]:
+            if w is not partner:
+                wf, we = form(w, f), form(w, e)
+                # w - <w,f> e + <w,e> f pairs to zero with both e and f
+                rest.append([(wi - wf * ei + we * fi) % p
+                             for wi, ei, fi in zip(w, e, f)])
+        remaining = rest
     return isotropic
 
 
@@ -700,8 +665,7 @@ class InducedResult:
     restriction_inner: Fraction
 
 
-def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
-                      theta: GroupCharacter,
+def extend_and_induce(bundle: SubgroupBundle, theta: GroupCharacter,
                       pol: PolarizationData) -> InducedResult:
     """Extend theta to B^1 and derive the laws of eta = Ind theta~ from
     B^1 to J^1 by Mackey's formula.
@@ -713,45 +677,25 @@ def extend_and_induce(d: InductionDatum, bundle: SubgroupBundle,
       (extend_character), and B^1/H^1 = W for a Lagrangian W of the
       nondegenerate pairing (heisenberg), so W = W^perp; dim = [J^1 : B^1]
       with dim^2 = [J^1 : H^1] confirms the sizes.
-    - J^1 normalizes H^1 and fixes theta, decided on J^1's generators by
-      _fixed_on_generators.  So t^-1 h t lies in H^1 with theta value
-      theta(h): eta|H^1 = dim theta and <eta|H^1, theta> = dim.
-    - theta([x, y]) = psi(<x, y>) on the basis of J^1/H^1, [x, y] =
-      x y x^-1 y^-1.  J^1/H^1 is abelian, so B^1 is normal and
-      theta~(t b t^-1) = theta([t, b]) theta~(b); stability makes
-      theta([t, b]) biadditive on J^1/H^1, so it is the pairing
-      everywhere.  By Mackey, <eta, eta> counts the t in J^1/B^1 that fix
-      theta~, those pairing to 0 with W: t in W^perp = W, so only t in
-      B^1, and <eta, eta> = 1.
+    - J^1 normalizes H^1 and fixes theta (heisenberg).  So t^-1 h t lies
+      in H^1 with theta value theta(h): eta|H^1 = dim theta and
+      <eta|H^1, theta> = dim.
+    - The pairing is theta([x, y]), [x, y] = x y x^-1 y^-1, biadditive on
+      J^1/H^1 by stability (heisenberg).  J^1/H^1 is abelian, so B^1 is
+      normal and theta~(t b t^-1) = theta([t, b]) theta~(b).  By Mackey,
+      <eta, eta> counts the t in J^1/B^1 that fix theta~, those pairing to
+      0 with W: t in W^perp = W, so only t in B^1, and <eta, eta> = 1.
     An induced character is a class function, so that needs no check.
     """
     h1, j1 = bundle.h1, bundle.j1
     if pol.trivial:
         return InducedResult(theta, 1, 1, Fraction(1), True, Fraction(1))
-    p, L = d.p, bundle.level
     ext = extend_character(pol.b1, h1.codes, theta.nums, theta.denom)
     dim = j1.size // pol.b1.size
     if dim * dim * h1.size != j1.size:
         raise ConstructionFailure(
             f"B1/H1 is not Lagrangian: [J1:B1]^2 = {dim * dim} but "
             f"[J1:H1] = {j1.size // h1.size}")
-    root, perms = j1._generator_tree()
-    gens = j1.mats[[int(perm[root]) for perm in perms]]
-    if not _fixed_on_generators(gens, det_inv_mod(gens, p, L)[1], theta).all():
-        raise ConstructionFailure("theta is not J1-stable")
-    n, mod = d.order.n, p ** L
-    x = pol.coset_reps
-    xi = det_inv_mod(x, p, L)[1]
-    # [x_a, x_b] = (x_a x_b)(x_a^-1 x_b^-1), one basis pair per row
-    comm = product_index(h1, (x[:, None] @ x[None] % mod).reshape(-1, n, n),
-                         np.eye(n, dtype=np.int64)[None],
-                         (xi[:, None] @ xi[None] % mod).reshape(-1, n, n))
-    if np.any(comm < 0):
-        raise ConstructionFailure("a commutator of J1 leaves H1")
-    gram = theta.nums[comm].reshape(pol.dim, pol.dim) * p
-    if np.any(gram != np.array(pol.pairing) * theta.denom):
-        raise ConstructionFailure(
-            "theta([x, y]) is not psi of the pairing on J1/H1's basis")
     return InducedResult(GroupCharacter(pol.b1, ext.nums, ext.denom),
                          ext.count, dim, Fraction(1), True, Fraction(dim))
 
@@ -916,8 +860,8 @@ class PreparedBlock:
 def prepare_block(d: InductionDatum, budget: int = 2_000_000) -> PreparedBlock:
     bundle = build_subgroups(d, budget=budget)
     simple = simple_character(d, bundle)
-    pol = heisenberg(d, bundle)
-    induced = extend_and_induce(d, bundle, simple.theta, pol)
+    pol = heisenberg(d, bundle, simple.theta)
+    induced = extend_and_induce(bundle, simple.theta, pol)
     return PreparedBlock(d, bundle, simple, pol, induced)
 
 

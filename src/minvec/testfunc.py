@@ -73,7 +73,6 @@ def volume(kpi_result: KpiResult) -> VolumeReport:
 
 @dataclass
 class ConvolutionReport:
-    d_pi: Fraction
     mode: str
     support_points_checked: int
     support_ok: bool
@@ -111,16 +110,14 @@ def _convolve_full(tf):
     g^-1 K_pi meets K_pi exactly when g lies in K_pi, so nothing is
     evaluated again and no point off the support is drawn."""
     kpi = tf.kpi_result.kpi
-    d_pi = Fraction(kpi.size, gl_order(kpi.n, kpi.p, kpi.level))
-    return ConvolutionReport(d_pi, "full", kpi.size, True, True, 0, True, None)
+    return ConvolutionReport("full", kpi.size, True, True, 0, True, None)
 
 
 def _convolve_sampled(tf, samples, seed):
     kpi_result = tf.kpi_result
     kpi, theta, sampler = kpi_result.kpi, kpi_result.theta, kpi_result.sampler
-    p, L, n = kpi.p, kpi_result.level, kpi_result.n
+    p, L = kpi.p, kpi_result.level
     mod = p ** L
-    d_pi = Fraction(kpi.size, gl_order(n, p, L))
     rng = Draws(seed)
     t = theta.nums_of_residues
     witness = None
@@ -153,7 +150,7 @@ def _convolve_sampled(tf, samples, seed):
     if not off_ok:
         witness = gs[off_checked]
     # build_Kpi raised unless its sampled closure check held
-    return ConvolutionReport(d_pi, "sampled", checked, ok, True,
+    return ConvolutionReport("sampled", checked, ok, True,
                              off_checked, off_ok, witness)
 
 

@@ -987,10 +987,9 @@ def induced_laws_oracle(j1, h1, theta, theta_tilde, rows=None):
 
 
 def pairing_forms_oracle(d, bundle, pol):
-    """(commutator form coset-invariant, raw form coset-invariant) on the
-    basis representatives x, y by a per-element loop over every h in H1:
-    Tr(beta' [xh - 1, y - 1]) / p^(lvl-1) and Tr(beta' (xh - 1)(y - 1))
-    against their values at x."""
+    """Whether the commutator form is coset-invariant on the basis
+    representatives x, y, by a per-element loop over every h in H1:
+    Tr(beta' [xh - 1, y - 1]) / p^(lvl-1) against its value at x."""
     import numpy as np
     p, n = d.p, d.order.n
     bt = np.array(d.beta_integral, dtype=np.int64)
@@ -1003,14 +1002,24 @@ def pairing_forms_oracle(d, bundle, pol):
     def comm(x, y):
         return (raw(x, y) - raw(y, x)) % pmod // (pmod // p)
 
-    comm_ok = raw_ok = True
-    for x in pol.coset_reps:
-        for y in pol.coset_reps:
-            for h in bundle.h1.mats:
-                xh = x @ h % bundle.h1.modulus
-                comm_ok &= comm(xh, y) == comm(x, y)
-                raw_ok &= raw(xh, y) == raw(x, y)
-    return comm_ok, raw_ok
+    return all(comm(x @ h % bundle.h1.modulus, y) == comm(x, y)
+               for x in pol.coset_reps for y in pol.coset_reps
+               for h in bundle.h1.mats)
+
+
+def trace_pairing_oracle(d, basis_mats):
+    """The trace form Tr(beta' [x - 1, y - 1]) / p^s0 mod p, beta' =
+    p^s0 beta, on each pair of a basis of J1/H1."""
+    import numpy as np
+    p, n = d.p, d.order.n
+    bt = np.array(d.beta_integral, dtype=np.int64)
+    pmod, eye = p ** (d.s0 + 1), np.eye(n, dtype=np.int64)
+
+    def tr(u, v):
+        return int(np.trace(bt @ u @ v)) % pmod
+
+    return [[(tr(x - eye, y - eye) - tr(y - eye, x - eye)) % pmod
+             // (pmod // p) for y in basis_mats] for x in basis_mats]
 
 
 def polarization_oracle(d, bundle):
@@ -1062,11 +1071,7 @@ def polarization_oracle(d, bundle):
         raise ConstructionFailure("failed to find an F_p basis of J1/H1")
 
     basis_mats = j1.mats[rep_idx[basis]]
-    scale, eye = p ** d.s0, np.eye(n, dtype=np.int64)
-    pairing = [[int((groups._beta_trace(d, ((x - eye) @ (y - eye))[None])[0]
-                     - groups._beta_trace(d, ((y - eye) @ (x - eye))[None])[0])
-                    % (p * scale) // scale) for y in basis_mats]
-               for x in basis_mats]
+    pairing = trace_pairing_oracle(d, basis_mats)
     iso_vecs = groups._symplectic_isotropic_basis(pairing, p)
 
     combos = box_enumerate([0] * len(iso_vecs), [1] * len(iso_vecs),

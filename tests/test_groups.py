@@ -28,7 +28,7 @@ from oracles import (character_certificate_oracle,
                      prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
                      row_disagrees, spot_oracle, subgroup_dump_lines,
-                     sumset_draws_oracle)
+                     sumset_draws_oracle, trace_pairing_oracle)
 
 
 def assert_closed(sub):
@@ -379,7 +379,8 @@ class TestHeisenberg:
         # p^-2 entries over the maximal order: depth 2, unramified
         d = build_datum(p, 2, 1, entries, -2)
         bundle = build_subgroups(d)
-        pol = groups.heisenberg(d, bundle)
+        theta = groups.simple_character(d, bundle).theta
+        pol = groups.heisenberg(d, bundle, theta)
         reps, pairing, isotropic, b1_codes = polarization_oracle(d, bundle)
         assert np.array_equal(pol.coset_reps, reps)
         assert pol.pairing == pairing
@@ -394,11 +395,38 @@ class TestHeisenberg:
         bundle = dataclasses.replace(block_c.bundle,
                                      h1=block_c.bundle.ua[3])
         with pytest.raises(ConstructionFailure, match="overlap"):
-            groups.heisenberg(block_c.datum, bundle)
+            groups.heisenberg(block_c.datum, bundle, block_c.simple.theta)
 
-    def test_raw_pairing_reported(self, block_c):
-        assert block_c.pol.raw_pairing_well_defined is False
-        assert block_c.pol.raw_pairing_alternating is False
+    @pytest.mark.parametrize("probe", ["block_c", "block_p2", "block_p5"])
+    def test_pairing_is_the_trace_form(self, probe, request):
+        # theta([x, y]) p / D against Tr(beta' [x - 1, y - 1]) / p^s0 mod p
+        blk = request.getfixturevalue(probe)
+        pol = blk.pol
+        assert not pol.trivial
+        assert pol.pairing == trace_pairing_oracle(blk.datum, pol.coset_reps)
+
+    def test_zero_character_is_degenerate(self, block_c):
+        # the zero character of H1 is J1-stable, so only nondegeneracy
+        # can reject it: every commutator pairs to 0
+        h1 = block_c.bundle.h1
+        zero = GroupCharacter(h1, np.zeros(h1.size, np.int64), 1)
+        with pytest.raises(ConstructionFailure, match="degenerate pairing"):
+            groups.heisenberg(block_c.datum, block_c.bundle, zero)
+
+    def test_unstable_theta_is_a_construction_failure(self, block_c,
+                                                      monkeypatch):
+        fixed = groups._fixed_on_generators
+
+        def one_row_false(G, Gi, theta):
+            rows = fixed(G, Gi, theta)
+            assert rows.all()
+            rows[len(rows) // 2] = False
+            return rows
+
+        monkeypatch.setattr(groups, "_fixed_on_generators", one_row_false)
+        with pytest.raises(ConstructionFailure, match="J1-stable"):
+            groups.heisenberg(block_c.datum, block_c.bundle,
+                              block_c.simple.theta)
 
     def test_b1_is_group(self, block_c):
         assert_closed(block_c.pol.b1)
@@ -459,6 +487,12 @@ def block_p2():
     return prepare_block(build_datum(2, 2, 1, [[0, 1], [1, 1]], -2))
 
 
+@pytest.fixture(scope="module")
+def block_p5():
+    """beta = 5^-2 [[0, 1], [3, 4]]: the p = 5 n2e1j2 probe, even depth."""
+    return prepare_block(build_datum(5, 2, 1, [[0, 1], [3, 4]], -2))
+
+
 class TestInducedLaws:
     """The laws that extend_and_induce derives by Mackey's formula, against
     the Fraction exponent lists and per-element CyclotomicSums of
@@ -474,36 +508,14 @@ class TestInducedLaws:
             assert want[4]
 
     def induce(self, blk, pol=None):
-        return groups.extend_and_induce(blk.datum, blk.bundle,
-                                        blk.simple.theta, pol or blk.pol)
-
-    def test_changed_pairing_fails_the_gram_check(self, block_c, block_p2):
-        for blk in (block_c, block_p2):
-            pol, p = blk.pol, blk.datum.p
-            pairing = [row[:] for row in pol.pairing]
-            pairing[0][1] = (pairing[0][1] + 1) % p
-            with pytest.raises(ConstructionFailure, match="pairing"):
-                self.induce(blk, dataclasses.replace(pol, pairing=pairing))
+        return groups.extend_and_induce(blk.bundle, blk.simple.theta,
+                                        pol or blk.pol)
 
     def test_b1_equal_to_h1_is_not_lagrangian(self, block_c, block_p2):
         for blk in (block_c, block_p2):
             pol = dataclasses.replace(blk.pol, b1=blk.bundle.h1)
             with pytest.raises(ConstructionFailure, match="not Lagrangian"):
                 self.induce(blk, pol)
-
-    def test_unstable_theta_is_a_construction_failure(self, block_c,
-                                                      monkeypatch):
-        fixed = groups._fixed_on_generators
-
-        def one_row_false(G, Gi, theta):
-            rows = fixed(G, Gi, theta)
-            assert rows.all()
-            rows[len(rows) // 2] = False
-            return rows
-
-        monkeypatch.setattr(groups, "_fixed_on_generators", one_row_false)
-        with pytest.raises(ConstructionFailure, match="J1-stable"):
-            self.induce(block_c)
 
 
 class TestInducedMemory:
@@ -520,8 +532,8 @@ class TestInducedMemory:
             b1.name, b1.p, b1.level, b1.n, b1.codes))
         tracemalloc.start()
         try:
-            ind = groups.extend_and_induce(blk.datum, blk.bundle,
-                                           blk.simple.theta, pol)
+            ind = groups.extend_and_induce(blk.bundle, blk.simple.theta,
+                                           pol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,10 +591,8 @@ class TestArrayKernels:
         assert np.array_equal(ext.nums, want[0]) and ext.denom == want[1]
 
     def test_pairing_forms_over_every_h(self, block_c):
-        comm_ok, raw_ok = pairing_forms_oracle(block_c.datum, block_c.bundle,
-                                               block_c.pol)
-        assert comm_ok
-        assert raw_ok is block_c.pol.raw_pairing_well_defined is False
+        assert pairing_forms_oracle(block_c.datum, block_c.bundle,
+                                    block_c.pol)
 
 
 class TestIntertwining:

@@ -394,15 +394,9 @@ class TestDraws:
             Draws(0).integers(3, 3, size=2)
 
 
-# Loops of groups.py that size chunks with chunk_rows but look nothing
-# up, each with what it computes; every product that is looked up goes
-# through product_index.
-CHUNKED_WITHOUT_LOOKUP = {
-    "heisenberg": "the pairing forms at x h for h in H1, traces only",
-}
-
-
 def test_one_product_scan():
+    # every product that is looked up goes through product_index, the
+    # only loop of groups.py that sizes chunks with chunk_rows
     tree = ast.parse(Path(groups.__file__).read_text())
     callers = set()
     for node in tree.body:
@@ -411,13 +405,15 @@ def test_one_product_scan():
                     getattr(call.func, "id", None),
                     getattr(call.func, "attr", None)):
                 callers.add(node.name)
-    assert callers == {"product_index"} | set(CHUNKED_WITHOUT_LOOKUP)
+    assert callers == {"product_index"}
 
 
 def test_each_character_law_decided_once():
     # extend_character writes the only character certificate, and every
-    # GroupCharacter is built from a table it certified
-    callers = {"verify_character": set(), "GroupCharacter": set()}
+    # GroupCharacter is built from a table it certified; heisenberg alone
+    # decides theta's J1-stability, and the intertwining scan its own rows
+    callers = {"verify_character": set(), "GroupCharacter": set(),
+               "_fixed_on_generators": set()}
     for path in sorted(Path(minvec.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             for call in ast.walk(node):
@@ -429,7 +425,9 @@ def test_each_character_law_decided_once():
     assert callers == {
         "verify_character": {"groups.extend_character"},
         "GroupCharacter": {"groups.simple_character",
-                           "groups.extend_and_induce"}}
+                           "groups.extend_and_induce"},
+        "_fixed_on_generators": {"groups.heisenberg",
+                                 "groups._first_not_intertwined"}}
 
 
 def test_no_float_decisions():

@@ -61,7 +61,7 @@ class TestConvolution:
             assert rep.support_ok
             assert rep.closure_certified
             assert rep.offsupport_ok
-            assert rep.d_pi == volume(kr).d_pi
+            assert rep.support_points_checked == kr.kpi.size
 
     def test_sampled_parabolic(self, parabolic_kr):
         tf = make_omega(parabolic_kr)
