@@ -305,8 +305,9 @@ def build_subgroups(d: InductionDatum,
     half_high = (j + 1) // 2     # J^1 congruence part
     h1 = FiniteSubgroup("H1", p, L, o.n,
                         unit_sumset(o, j // 2 + 1, ul1.mats, p, L, budget))
-    j1 = FiniteSubgroup("J1", p, L, o.n,
-                        unit_sumset(o, half_high, ul1.mats, p, L, budget))
+    # at odd depth ceil(j/2) = floor(j/2) + 1: J^1 is H^1, listed once
+    j1 = h1 if j % 2 else FiniteSubgroup(
+        "J1", p, L, o.n, unit_sumset(o, half_high, ul1.mats, p, L, budget))
     jcapk = FiniteSubgroup("JcapK", p, L, o.n, sumset=sumset_classes(
         o, half_high, ol_units.mats, p, L))
     return SubgroupBundle(d, L, ua, ul1, ol_units, h1, j1, jcapk)
@@ -899,6 +900,7 @@ class KpiResult:
     blocks: list
     c: object                     # Fraction (single) or int (parabolic)
     cfrak: int
+    threshold: int                # K_pi lies in U_L(1) mod p^threshold
     level: int
     sampler: object | None
 
@@ -910,6 +912,15 @@ class KpiResult:
 def depth_bound_cfrak(data) -> int:
     """min over blocks of floor((1/e) floor((d+1)/2))."""
     return min(((d.j + 1) // 2) // d.order.e for d in data)
+
+
+def block_threshold(b) -> int:
+    """The largest t <= level with B^ceil(j/2) inside p^t M_n(O): every
+    element of the block's B^1, a subset of J^1 = U_L(1) + B^ceil(j/2), is
+    then l + p^t y mod p^level with l in U_L(1)."""
+    o, k = b.datum.order, (b.datum.j + 1) // 2
+    return min(b.bundle.level, *(o.entry_threshold(k, r, c)
+                                 for r in range(o.n) for c in range(o.n)))
 
 
 def build_Kpi(blocks, inequivalent_assertion: bool = False,
@@ -924,8 +935,11 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
     below the diagonal, and on 200 seeded pairs verify that it is closed
     under products and inverses, that Theta is multiplicative and that
     products respect the mod p^(c+1) block congruence; ConstructionFailure
-    is raised otherwise.  That the support sits inside U_L(1) mod p^cfrak
-    is decided by testfunc.concentration_check.
+    is raised otherwise.
+
+    threshold is the t with K_pi inside U_L(1) mod p^t, read off the
+    orders: the least block_threshold, and for several blocks also the
+    off-diagonal p-powers.  testfunc.concentration_check holds it to cfrak.
     """
     if not blocks:
         raise DatumInvalid("at least one block is required")
@@ -936,7 +950,8 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
         return KpiResult(
             kpi=blk.b1, theta=blk.theta_tilde, blocks=list(blocks),
             c=d.normalised_depth, cfrak=depth_bound_cfrak([d]),
-            level=blk.bundle.level, sampler=None)
+            threshold=block_threshold(blk), level=blk.bundle.level,
+            sampler=None)
 
     data = [b.datum for b in blocks]
     if any(b.datum.p != p for b in blocks):
@@ -1027,5 +1042,6 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
         raise ConstructionFailure(
             f"K_pi verification failed: closure={closure_ok} "
             f"theta={theta_ok} congruence={congruence_ok}")
+    threshold = min(upper, lower, *map(block_threshold, blocks))
     return KpiResult(kpi, theta, list(blocks), c_val,
-                     depth_bound_cfrak(data), level, sampler)
+                     depth_bound_cfrak(data), threshold, level, sampler)

@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstructionFailure
-from .groups import FiniteSubgroup, KpiResult, gl_order
+from .groups import KpiResult, gl_order
 from .padic import vp
-from .residues import Draws, det_inv_mod, pack, sorted_index
+from .residues import Draws, det_inv_mod
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -83,7 +83,6 @@ class ConvolutionReport:
 
 
 CONVOLVE_SAMPLES = 2000
-CONCENTRATION_SAMPLES = 500
 
 
 def convolve_check(tf: TestFunction, seed: int = 0) -> ConvolutionReport:
@@ -157,68 +156,26 @@ def _convolve_sampled(tf, samples, seed):
 @dataclass
 class ConcentrationReport:
     cfrak: int
-    trivial: bool
-    points_checked: int
-    all_found: bool
-    worst_candidates_scanned: int
-    witness: object
+    threshold: int
+    mode: str
 
 
-def concentration_check(tf: TestFunction, seed: int = 0) -> ConcentrationReport:
-    """For every x in the support find l in U_L(1) with x l^{-1} = 1 mod p^cf.
+def concentration_check(tf: TestFunction) -> ConcentrationReport:
+    """Every x in the support has l in U_L(1) with x l^{-1} = 1 mod p^cfrak.
 
-    Exhaustive over enumerated supports; CONCENTRATION_SAMPLES seeded
-    points otherwise.  cf = 0 makes the congruence vacuous (modulus 1),
-    which is reported as trivial but still witnessed by l = 1.
+    build_Kpi recorded the threshold t from the orders alone: x - l lies in
+    B^ceil(j/2) blockwise, and off the diagonal in the p-powers of K_pi, for
+    the l of x's class, and that is inside p^t M_n(O).  B^k is a two-sided
+    ideal, so x l^{-1} = 1 + (x - l) l^{-1} = 1 mod p^t, and cfrak <= t
+    proves the law for every x without listing the support.
     """
     kpi_result = tf.kpi_result
-    kpi = kpi_result.kpi
-    cf = kpi_result.cfrak
-    if cf == 0:
-        count = kpi.size if kpi.mats is not None else CONCENTRATION_SAMPLES
-        return ConcentrationReport(0, True, count, True, 0, None)
-    if kpi.mats is None:
-        xs = kpi_result.sampler(Draws(seed), CONCENTRATION_SAMPLES)
-        found = _torus_approximation(xs, kpi_result.blocks, cf)
-        bad = None if found.all() else xs[np.argmin(found)]
-        return ConcentrationReport(cf, False, len(xs), bad is None, -1, bad)
-    # enumerated: single supercuspidal block; worst is the largest number
-    # of U_L(1) candidates scanned, in order, before a support element's match
-    hits = first_torus_match(kpi.mats, kpi_result.blocks[0].bundle.ul1, cf)
-    if np.any(hits < 0):
+    cf, t = kpi_result.cfrak, kpi_result.threshold
+    if t < cf:
         raise ConstructionFailure(
-            "support element admits no torus approximation; "
-            f"witness {kpi.mats[np.argmax(hits < 0)].tolist()}")
-    return ConcentrationReport(cf, False, kpi.size, True, int(hits.max()) + 1,
-                               None)
-
-
-def first_torus_match(mats, ul1: FiniteSubgroup, cf: int) -> np.ndarray:
-    """For each x in mats, the index of the first l in U_L(1) with
-    x l^{-1} = 1 mod p^cf, that is x = l mod p^cf; -1 where there is none."""
-    p = ul1.p
-    codes, first = np.unique(pack(ul1.mats % p ** cf, p, cf),
-                             return_index=True)
-    idx = sorted_index(codes, pack(mats % p ** cf, p, cf))
-    return np.where(idx >= 0, first[idx], -1)
-
-
-def _torus_approximation(mats, blocks, cf) -> np.ndarray:
-    """Per matrix of a stack, whether some l in U_L(1), one per diagonal
-    block, has mat l^{-1} = 1 mod p^cf."""
-    found = np.ones(len(mats), dtype=bool)
-    if cf == 0:
-        return found
-    torus = np.zeros_like(mats)
-    off = 0
-    for b in blocks:
-        sl = slice(off, off + b.datum.order.n)
-        off = sl.stop
-        hit = first_torus_match(mats[:, sl, sl], b.bundle.ul1, cf)
-        found &= hit >= 0
-        torus[:, sl, sl] = b.bundle.ul1.mats[hit]
-    return found & np.all((mats - torus) % blocks[0].datum.p ** cf == 0,
-                          axis=(1, 2))
+            f"the support is certified inside U_L(1) only mod p^{t}, "
+            f"not mod p^cfrak = p^{cf}")
+    return ConcentrationReport(cf, t, "certified")
 
 
 @dataclass

@@ -464,6 +464,30 @@ def kpi_member_oracle(kr, mat):
     return True
 
 
+def concentration_oracle(kr, cf, mats=None):
+    """For each x of mats, every element of an enumerated K_pi by default,
+    whether x = l mod p^cf for some l in U_L(1), one l per diagonal block:
+    each diagonal block of x is looked up among its block's U_L(1) classes
+    mod p^cf and every entry off the diagonal blocks must vanish mod p^cf."""
+    mod = kr.kpi.p ** cf
+    rows = (kr.kpi.mats if mats is None else mats).tolist()
+    spans = []
+    off = 0
+    for blk in kr.blocks:
+        ni = blk.datum.order.n
+        classes = {tuple(v % mod for row in l for v in row)
+                   for l in blk.bundle.ul1.mats.tolist()}
+        spans.append((range(off, off + ni), classes))
+        off += ni
+    diagonal = {(r, c) for span, _ in spans for r in span for c in span}
+    off_diagonal = [(r, c) for r in range(off) for c in range(off)
+                    if (r, c) not in diagonal]
+    return [all(tuple(x[r][c] % mod for r in span for c in span) in classes
+                for span, classes in spans)
+            and all(x[r][c] % mod == 0 for r, c in off_diagonal)
+            for x in rows]
+
+
 def kpi_exponent_oracle(kr, mat):
     """Theta on a parabolic K_pi as a Fraction in [0, 1): the sum over the
     diagonal blocks of theta~ looked up one code at a time."""

@@ -152,13 +152,15 @@ def test_criterion_6_test_function_identities(shipped):
             assert conv.support_ok and conv.closure_certified
             assert conv.offsupport_ok
             conc = concentration_check(tf)
-            assert conc.all_found
+            assert conc.mode == "certified"
+            assert conc.threshold >= conc.cfrak
         tf = make_omega(krs["par"])
         conv = convolve_check(tf)
         assert conv.mode == "sampled"
         assert conv.support_ok and conv.offsupport_ok
         conc = concentration_check(tf)
-        assert conc.all_found
+        assert conc.mode == "certified"
+        assert conc.threshold >= conc.cfrak
 
 
 def test_criterion_7_volume_and_conductor(shipped):

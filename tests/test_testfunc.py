@@ -6,16 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minvec.errors import ConstructionFailure
 from minvec.groups import (BlockCharacter, FiniteSubgroup, GroupCharacter,
-                           gl_order, verify_character)
+                           build_Kpi, gl_order, prepare_block,
+                           verify_character)
 from minvec.residues import Draws, det_inv_mod, sample_units_outside
-from minvec.testfunc import (_torus_approximation, compare_with_p_power,
-                             concentration_check, convolve_check,
-                             depth_report, make_omega, volume)
+from minvec.testfunc import (compare_with_p_power, concentration_check,
+                             convolve_check, depth_report, make_omega, volume)
 
-from oracles import (convolution_rows_oracle, kpi_exponent_oracle,
-                     mat_inv_mod, offsupport_lands_oracle, omega_exponent,
-                     omega_star_exponent)
+from conftest import build_datum
+from oracles import (concentration_oracle, convolution_rows_oracle,
+                     kpi_exponent_oracle, mat_inv_mod, offsupport_lands_oracle,
+                     omega_exponent, omega_star_exponent)
 
 
 class TestVolume:
@@ -182,22 +184,21 @@ class TestStackedParabolic:
 
     def test_sampled_concentration_matches_blockwise_search(self,
                                                             parabolic_kr):
-        # with cfrak = 1 the parabolic support is searched on samples
+        # the certificate proves the datum's cfrak = 0 and refuses 1: in
+        # period 2, B^1 holds the unit entry E_12
+        rep = concentration_check(make_omega(parabolic_kr))
+        assert (rep.cfrak, rep.threshold) == (0, 0)
         kr = dataclasses.replace(parabolic_kr, cfrak=1)
-        rep = concentration_check(make_omega(kr), seed=4)
+        with pytest.raises(ConstructionFailure, match=r"only mod p\^0,"):
+            concentration_check(make_omega(kr))
+        # the blockwise search on samples finds each on the torus mod p
+        # all the same: the certificate proves cfrak, not the sharpest
+        # modulus.  A unit off-diagonal entry puts a sample off it.
         xs = kr.sampler(Draws(4), 500)
-        want = [torus_oracle(kr, x, 1) for x in xs]
-        assert rep.points_checked == 500
-        assert rep.all_found == all(want)
-        if not rep.all_found:
-            assert np.array_equal(rep.witness, xs[want.index(False)])
-        # the stacked search against the scan, with every other sample
-        # pushed off the torus by a unit off-diagonal entry
+        assert all(concentration_oracle(kr, 1, xs))
         bad = xs.copy()
         bad[::2, 0, 3] = 1
-        found = _torus_approximation(bad, kr.blocks, 1)
-        assert found.tolist() == [torus_oracle(kr, x, 1) for x in bad]
-        assert not found[::2].any()
+        assert not any(concentration_oracle(kr, 1, bad)[::2])
 
 
 def termwise_law(kr, g, x):
@@ -208,47 +209,71 @@ def termwise_law(kr, g, x):
     return (t(kr, x) - t(kr, gx) - t(kr, g)).denominator == 1
 
 
-def torus_oracle(kr, x, cf):
-    """Whether x = l mod p^cf for some l in U_L(1), one per diagonal block,
-    by scanning every l."""
-    mod = 3 ** cf
-    torus = np.zeros_like(x)
-    off = 0
-    for blk in kr.blocks:
-        sl = slice(off, off + blk.datum.order.n)
-        off = sl.stop
-        hits = [l for l in blk.bundle.ul1.mats
-                if not np.any((x[sl, sl] - l) % mod)]
-        if not hits:
-            return False
-        torus[sl, sl] = hits[0]
-    return not np.any((x - torus) % mod)
+@pytest.fixture(scope="module")
+def kr_e1j3():
+    """Unramified quadratic at depth 3, beta = p^-3 [[0,1],[1,1]] at p = 3:
+    K_pi has 59,049 elements and cfrak 2."""
+    return build_Kpi([prepare_block(build_datum(3, 2, 1, [[0, 1], [1, 1]],
+                                                -3))])
 
 
 class TestConcentration:
     def test_trivial_at_depth_one(self, kr_a):
         rep = concentration_check(make_omega(kr_a))
-        assert rep.cfrak == 0 and rep.trivial and rep.all_found
+        assert (rep.cfrak, rep.threshold, rep.mode) == (0, 0, "certified")
 
     def test_exhaustive_depth_three(self, kr_b):
         rep = concentration_check(make_omega(kr_b))
-        assert rep.cfrak == 1 and not rep.trivial
-        assert rep.all_found
-        assert rep.points_checked == kr_b.kpi.size
+        assert (rep.cfrak, rep.threshold, rep.mode) == (1, 1, "certified")
+        assert all(concentration_oracle(kr_b, 1))
 
     def test_exhaustive_unramified(self, kr_c):
         rep = concentration_check(make_omega(kr_c))
-        assert rep.cfrak == 1 and rep.all_found
+        assert (rep.cfrak, rep.threshold) == (1, 1)
+        assert all(concentration_oracle(kr_c, 1))
 
     def test_parabolic_trivial(self, parabolic_kr):
         rep = concentration_check(make_omega(parabolic_kr))
-        assert rep.cfrak == 0 and rep.trivial and rep.all_found
+        assert (rep.cfrak, rep.threshold, rep.mode) == (0, 0, "certified")
+
+    @pytest.mark.parametrize("name", ["kr_a", "block 0", "block 1",
+                                      "kr_e1j3"])
+    def test_certificate_matches_oracle(self, name, request, parabolic_kr):
+        # every element the certificate speaks for is found by the scan, as
+        # on data b and c above; each parabolic block is its own K_pi here
+        if name.startswith("block"):
+            kr = build_Kpi([parabolic_kr.blocks[int(name[-1])]])
+        else:
+            kr = request.getfixturevalue(name)
+        rep = concentration_check(make_omega(kr))
+        assert rep.threshold >= rep.cfrak == kr.cfrak
+        found = concentration_oracle(kr, kr.cfrak)
+        assert len(found) == kr.kpi.size and all(found)
+
+    @pytest.mark.parametrize("name", ["kr_b", "kr_c", "kr_e1j3"])
+    def test_one_past_cfrak_is_refused(self, name, request):
+        # one step past cfrak the certificate raises, and the scan finds
+        # elements with no approximation
+        kr = request.getfixturevalue(name)
+        kr = dataclasses.replace(kr, cfrak=kr.cfrak + 1)
+        with pytest.raises(ConstructionFailure, match="cfrak"):
+            concentration_check(make_omega(kr))
+        assert not all(concentration_oracle(kr, kr.cfrak))
+
+    def test_reads_no_element(self, kr_b):
+        # a support that cannot be listed gives the same report
+        kpi = kr_b.kpi
+        blind = FiniteSubgroup(kpi.name, kpi.p, kpi.level, kpi.n,
+                               membership=kpi.member_mask, size=kpi.size)
+        kr = dataclasses.replace(kr_b, kpi=blind)
+        assert concentration_check(make_omega(kr)) == \
+            concentration_check(make_omega(kr_b))
 
     def test_members_of_torus_work(self, kr_b):
-        # x in U_L(1): l = x is itself the witness, so the scan must succeed
-        # quickly on those elements; cross-check one by hand
+        # x in U_L(1): l = x is itself the witness; cross-check one by hand
         blk = kr_b.blocks[0]
         ul1 = blk.bundle.ul1
+        assert all(concentration_oracle(kr_b, kr_b.cfrak, ul1.mats))
         x = ul1.mats[5]
         cmod = 3 ** kr_b.cfrak
         li = np.array(mat_inv_mod([list(r) for r in x], 3, blk.bundle.level))

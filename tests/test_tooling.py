@@ -123,9 +123,6 @@ UNREACHED_OK = {
                             "query has (p^c)^(n^2) >= 2^62",
     "datafiles.extract_block": "the reader of the block that render_report "
                                "writes, kept beside its writer",
-    "testfunc._torus_approximation": "the sampled concentration search; the "
-                                     "shipped parabolic datum has cfrak 0, "
-                                     "so concentration_check returns first",
 }
 
 REACHED = """
