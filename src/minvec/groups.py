@@ -16,7 +16,7 @@ elements are in code order.  Every product that is looked up in a group
 goes through one chunked kernel, product_index: the generator tree, the
 cosets, the character extension, the commutators of J^1/H^1's basis, on
 which heisenberg reads the pairing theta([x, y]) once, and the
-intertwining scan are all calls of it.
+intertwining scan are all calls of it.  J^1 itself is never listed.
 
 The Heisenberg representation eta = Ind theta~ is never tabulated: its
 laws follow by Mackey's formula from premises that heisenberg and
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
-from .orders import HereditaryOrder, InductionDatum
+from .orders import HereditaryOrder, InductionDatum, fp_reduce
 from . import residues
 from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
                        det_inv_mod, pack, sample_units_outside, sorted_index,
@@ -268,10 +268,10 @@ class SubgroupBundle:
     """Explicit subgroup family of one supercuspidal datum at one level.
 
     The noncompact group J = L^* U_A(floor((j+1)/2)) is never materialized:
-    its compact part J cap K is a sumset, decided by a class lookup and
-    never listed, and the powers of a prime element of L grade the cosets
-    J / (J cap K).  ua holds only U_A(floor(j/2)+1), the base of the
-    simple character, and U_A(j+1), on which it must be trivial.
+    its compact part J cap K, and J^1 at even depth, are sumsets, decided by
+    a class lookup and never listed; the powers of a prime element of L
+    grade the cosets J / (J cap K).  ua holds only U_A(floor(j/2)+1), the
+    base of the simple character, and U_A(j+1), on which it must be trivial.
     """
 
     datum: InductionDatum
@@ -286,10 +286,10 @@ class SubgroupBundle:
 
 def build_subgroups(d: InductionDatum,
                     budget: int = 2_000_000) -> SubgroupBundle:
-    """Element lists for U_A(floor(j/2)+1), U_A(j+1), U_L(1), H^1 and J^1,
-    and the sumset J cap K, mod p^level.  O_L, a p^(nL) box, is built and
-    checked first, so a datum whose power basis is not free fails before
-    any U_A(i) is listed."""
+    """Element lists for U_A(floor(j/2)+1), U_A(j+1), U_L(1) and H^1, and
+    the sumsets J cap K and, at even depth, J^1, mod p^level.  O_L, a
+    p^(nL) box, is built and checked first, so a datum whose power basis is
+    not free fails before any U_A(i) is listed."""
     from .orders import is_minimal
     if not is_minimal(d):
         raise DatumInvalid("subgroup construction requires a minimal datum")
@@ -307,7 +307,7 @@ def build_subgroups(d: InductionDatum,
                         unit_sumset(o, j // 2 + 1, ul1.mats, p, L, budget))
     # at odd depth ceil(j/2) = floor(j/2) + 1: J^1 is H^1, listed once
     j1 = h1 if j % 2 else FiniteSubgroup(
-        "J1", p, L, o.n, unit_sumset(o, half_high, ul1.mats, p, L, budget))
+        "J1", p, L, o.n, sumset=sumset_classes(o, half_high, ul1.mats, p, L))
     jcapk = FiniteSubgroup("JcapK", p, L, o.n, sumset=sumset_classes(
         o, half_high, ol_units.mats, p, L))
     return SubgroupBundle(d, L, ua, ul1, ol_units, h1, j1, jcapk)
@@ -396,7 +396,6 @@ class ExtensionData:
     nums: np.ndarray
     denom: int
     coords: np.ndarray          # per element, exponents of the coset generators
-    gens: list                  # group index of each coset generator
     orders: list                # relative orders of the generators
     count: int                  # number of extensions (certified)
     cert: CharacterCertificate
@@ -473,7 +472,7 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
             f"{cert.witness}")
     # unless coordinates add, count only the verified base extension
     count = math.prod(orders) if cert.coords_additive else 1
-    return ExtensionData(nums, final, coords, gens, orders, count, cert)
+    return ExtensionData(nums, final, coords, orders, count, cert)
 
 
 @dataclass
@@ -544,73 +543,74 @@ def _coset_decomposition(group: FiniteSubgroup, small_mats):
 
 
 def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
-               theta: GroupCharacter) -> PolarizationData:
+               theta: GroupCharacter, budget: int) -> PolarizationData:
     """Polarize J^1/H^1 for the commutator pairing (x, y) -> theta([x, y]),
-    [x, y] = x y x^-1 y^-1, read once on the basis.
+    [x, y] = x y x^-1 y^-1, read once on a basis x_a of the quotient.
 
     For odd depth J^1 = H^1 and the uniform convention B^1 = H^1 applies;
-    the returned data is flagged trivial.  Otherwise the trivial character
-    of H^1 is extended to J^1.  Its coset coordinates, certified additive,
-    are a homomorphism J^1 -> prod Z/m_i whose kernel, the elements with
-    all coordinates 0, is H^1; when every m_i is p, J^1/H^1 is F_p^dim with
-    the coset generators as basis.
+    the returned data is flagged trivial.  At depth j = 2m J^1 is never
+    listed: J^1/H^1 is B^m/B^(m+1), a digit y_rc / p^t mod p per graded
+    position (r, c, t) of grade m, modulo the digits of U_L(1) cap U_A(m).
+    In graded order, each position whose unit vector extends their span
+    gives an x_a = I + p^t E_rc.  By integer threshold facts J^1/H^1 is
+    elementary abelian: x^p lies in U_A(m+1) and [U_A(m), U_A(m)] in
+    U_A(2m), inside H^1, and U_L(1) normalizes U_A(m).  So H^1 and the x_a
+    generate J^1 exactly when p^dim |H^1| = |J^1|, dim > 0: sumset sizes.
 
-    J^1 normalizes H^1 and fixes theta, decided on J^1's generators by
-    _fixed_on_generators.  Stability is the premise that makes theta([x, y])
+    The x_a normalize H^1 and fix theta, decided by _fixed_on_generators,
+    and so does J^1.  Stability is the premise that makes theta([x, y])
     a form on J^1/H^1: theta([h, y]) = theta(h) - theta(y h y^-1) = 0 for h
     in H^1, and [x x', y] = x [x', y] x^-1 [x, y] makes it biadditive; with
     x' = h that is coset invariance, [x h, y] = x [h, y] x^-1 [x, y].  It is
-    alternating, theta([x, x]) = theta(1), and [y, x] = [x, y]^-1.  So the
-    pairing is <x_a, x_b> = p t, theta([x_a, x_b]) = e^{2 pi i t}, on the
-    basis, once every such t lies in (1/p) Z.
+    alternating, theta([x, x]) = theta(1), and [y, x] = [x, y]^-1, and
+    F_p-valued: p theta([x, y]) = theta([x^p, y]) = 0.  So the pairing is
+    <x_a, x_b> = p t, theta([x_a, x_b]) = e^{2 pi i t}.
 
-    B^1 is the preimage of a Lagrangian W, which the nondegenerate pairing
-    makes its own orthogonal: the elements whose coordinates pair to 0
-    with W.  B^1 is certified a group later, by the generator tree that
-    verify_character builds in extend_and_induce.
+    B^1 is the preimage H^1 lift(W) = U_L(1) lift(W) U_A(m+1) of a
+    Lagrangian W, lift(w) = I + sum w_a (x_a - I): a sumset within the
+    budget, certified a group by extend_and_induce's generator tree.
     """
     p, n, L = d.p, d.order.n, bundle.level
-    h1, j1 = bundle.h1, bundle.j1
+    h1, j1, ul1 = bundle.h1, bundle.j1, bundle.ul1
     if d.j % 2 == 1:
         return PolarizationData(
             trivial=True, reason="J1 == H1 at odd depth; take B1 = H1",
             dim=0, coset_reps=None, pairing=None, isotropic=None, b1=h1)
-    if j1.size == h1.size:
-        raise ConstructionFailure("even depth but J1 == H1; datum is ill-formed")
-    ext = extend_character(j1, h1.codes, np.zeros(h1.size, np.int64), 1)
-    # every element outside H1 was given a nonzero coordinate, so the
-    # zero set lies in H1 and is H1 when the sizes agree
-    kernel = np.count_nonzero(~ext.coords.any(axis=1))
-    if not ext.cert.coords_additive or set(ext.orders) != {p} \
-            or kernel != h1.size:
-        raise ConstructionFailure(
-            "J1/H1 is not an elementary abelian p-group")
-    dim = len(ext.orders)
-    root, perms = j1._generator_tree()
-    gens = j1.mats[[int(perm[root]) for perm in perms]]
-    if not _fixed_on_generators(gens, det_inv_mod(gens, p, L)[1], theta).all():
+    m, ident = d.j // 2, np.eye(n, dtype=np.int64)
+    rs, cs, ts = (np.array(v) for v in zip(*d.order.graded_positions(m)))
+    ua_m = FiniteSubgroup(f"U_A({m})", p, L, n, sumset=sumset_classes(
+        d.order, m, ident[None], p, L))
+    inter = (ul1.mats[ua_m.member_mask(ul1.mats)] - ident) % p ** L
+    span, extends = [], []
+    for vec in (np.unique(inter[:, rs, cs] // p ** ts % p, axis=0).tolist()
+                + np.eye(len(rs), dtype=np.int64).tolist()):
+        residual = fp_reduce(vec, span, p)[0]
+        extends.append(any(residual))
+        if extends[-1]:
+            span.append(residual)
+    x = np.repeat(ident[None], len(rs), axis=0)
+    x[np.arange(len(rs)), rs, cs] += p ** ts
+    x = x[np.array(extends[-len(rs):])]
+    dim = len(x)
+    if dim == 0 or p ** dim * h1.size != j1.size:
+        raise ConstructionFailure(f"p^{dim} |H1| != |J1| = {j1.size}: the "
+                                  "graded basis does not generate J1/H1")
+    xi = det_inv_mod(x, p, L)[1]
+    if not _fixed_on_generators(x, xi, theta).all():
         raise ConstructionFailure("theta is not J1-stable")
 
-    x = j1.mats[ext.gens]
-    xi = det_inv_mod(x, p, L)[1]
     # [x_a, x_b] = (x_a x_b)(x_a^-1 x_b^-1), one basis pair per row
     comm = product_index(
-        h1, (x[:, None] @ x[None] % h1.modulus).reshape(-1, n, n),
-        np.eye(n, dtype=np.int64)[None],
+        h1, (x[:, None] @ x[None] % h1.modulus).reshape(-1, n, n), ident[None],
         (xi[:, None] @ xi[None] % h1.modulus).reshape(-1, n, n))
-    if np.any(comm < 0):
-        raise ConstructionFailure("a commutator of J1 leaves H1")
-    values = theta.nums[comm].reshape(dim, dim) * p
-    if np.any(values % theta.denom):
-        raise ConstructionFailure("pairing value is not F_p-valued")
-    pairing = (values // theta.denom).tolist()
+    pairing = (theta.nums[comm].reshape(dim, dim) * p // theta.denom).tolist()
 
     iso_vecs = _symplectic_isotropic_basis(pairing, p)
-
-    # W = W^perp: the coordinates that pair to 0 with every w in W
-    mask = np.all(ext.coords @ np.array(pairing) @ np.array(iso_vecs).T % p
-                  == 0, axis=1)
-    b1 = FiniteSubgroup("B1", p, L, n, j1.codes[mask])
+    w = np.array(list(itertools.product(range(p), repeat=len(iso_vecs))))
+    lifts = ident + np.einsum("wa,aij->wij", w @ iso_vecs % p, x - ident)
+    units = (ul1.mats[:, None] @ lifts[None]).reshape(-1, n, n)
+    b1 = FiniteSubgroup("B1", p, L, n,
+                        unit_sumset(d.order, m + 1, units, p, L, budget))
     return PolarizationData(
         trivial=False, reason="", dim=dim, coset_reps=x, pairing=pairing,
         isotropic=iso_vecs, b1=b1)
@@ -861,7 +861,7 @@ class PreparedBlock:
 def prepare_block(d: InductionDatum, budget: int = 2_000_000) -> PreparedBlock:
     bundle = build_subgroups(d, budget=budget)
     simple = simple_character(d, bundle)
-    pol = heisenberg(d, bundle, simple.theta)
+    pol = heisenberg(d, bundle, simple.theta, budget)
     induced = extend_and_induce(bundle, simple.theta, pol)
     return PreparedBlock(d, bundle, simple, pol, induced)
 

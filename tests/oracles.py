@@ -339,14 +339,26 @@ def sample_units_outside_oracle(inside, p, L, n, rng, tries):
             yield g
 
 
+def _listed_at_half_depth(bundle, units, name):
+    """units U_A(ceil(j/2)) mod p^L, enumerated by unit_sumset."""
+    from minvec.groups import FiniteSubgroup, unit_sumset
+    d = bundle.datum
+    codes = unit_sumset(d.order, (d.j + 1) // 2, units.mats, d.p,
+                        bundle.level, budget=10 ** 7)
+    return FiniteSubgroup(name, d.p, bundle.level, d.order.n, codes)
+
+
 def jcapk_oracle(bundle):
     """J cap K = O_L^* U_A(ceil(j/2)) mod p^L, enumerated element by element
     by unit_sumset: the reference for the membership-only bundle.jcapk."""
-    from minvec.groups import FiniteSubgroup, unit_sumset
-    d = bundle.datum
-    codes = unit_sumset(d.order, (d.j + 1) // 2, bundle.ol_units.mats, d.p,
-                        bundle.level, budget=10 ** 7)
-    return FiniteSubgroup("JcapK-oracle", d.p, bundle.level, d.order.n, codes)
+    return _listed_at_half_depth(bundle, bundle.ol_units, "JcapK-oracle")
+
+
+def j1_oracle(bundle):
+    """J1 = U_L(1) U_A(ceil(j/2)) mod p^L, enumerated element by element by
+    unit_sumset: the reference for bundle.j1, which is never listed at even
+    depth."""
+    return _listed_at_half_depth(bundle, bundle.ul1, "J1-oracle")
 
 
 def dichotomy_oracle(d, bundle, theta, jcapk=None):
@@ -1046,19 +1058,21 @@ def trace_pairing_oracle(d, basis_mats):
              // (pmod // p) for y in basis_mats] for x in basis_mats]
 
 
-def polarization_oracle(d, bundle):
-    """(coset_reps, pairing, isotropic, b1_codes) of heisenberg at even
-    depth by a coset table of J1/H1: the cosets, a normality scan of H1, the
-    k x k coset multiplication table, a greedy F_p basis grown as a span
-    set, and B1 as the union of the cosets that a walk through the table
-    reaches from each combination of the isotropic vectors."""
+def polarization_oracle(d, bundle, basis_mats):
+    """(pairing, isotropic, b1_codes) of heisenberg at even depth on a given
+    basis of J1/H1, by a coset table of the listed J1 (j1_oracle): the
+    cosets, a normality scan of H1, the k x k coset multiplication table,
+    the check that the basis cosets have order p and span the table, the
+    trace form on the first element of each basis coset, and B1 as the
+    union of the cosets that a walk through the table reaches from each
+    combination of the isotropic vectors."""
     import numpy as np
     from minvec import groups
     from minvec.errors import ConstructionFailure
-    from minvec.residues import box_enumerate, det_inv_mod
+    from minvec.residues import box_enumerate, det_inv_mod, pack, sorted_index
     p, L, n = d.p, bundle.level, d.order.n
-    h1, j1 = bundle.h1, bundle.j1
-    rep_idx, coset_id = groups._coset_decomposition(j1, h1.mats)
+    h1, j1 = bundle.h1, j1_oracle(bundle)
+    rep_idx, coset_id = coset_decomposition_oracle(j1, h1.codes)
     k = len(rep_idx)
     dim = vp(k, p)
     if p ** dim != k:
@@ -1075,27 +1089,23 @@ def polarization_oracle(d, bundle):
         raise ConstructionFailure("J1/H1 is not abelian")
 
     id_coset = int(coset_id[j1.identity_index()])
-    basis = []
+    at = sorted_index(j1.codes, pack(np.asarray(basis_mats) % j1.modulus,
+                                     p, L))
+    if np.any(at < 0):
+        raise ConstructionFailure("a basis element lies outside J1")
+    basis = [int(c) for c in coset_id[at]]
     span = {id_coset}
-    for cid in range(k):
-        if cid in span:
-            continue
-        basis.append(cid)
+    for cid in basis:
         powers = [id_coset]
-        cur = id_coset
         for _ in range(p - 1):
-            cur = int(table[cur, cid])
-            powers.append(cur)
-        if int(table[cur, cid]) != id_coset:
+            powers.append(int(table[powers[-1], cid]))
+        if int(table[powers[-1], cid]) != id_coset:
             raise ConstructionFailure("J1/H1 is not elementary abelian")
         span = {int(table[s, pw]) for s in span for pw in powers}
-        if len(span) == k:
-            break
-    if len(basis) != dim:
-        raise ConstructionFailure("failed to find an F_p basis of J1/H1")
+    if len(basis) != dim or len(span) != k:
+        raise ConstructionFailure("the basis is not an F_p basis of J1/H1")
 
-    basis_mats = j1.mats[rep_idx[basis]]
-    pairing = trace_pairing_oracle(d, basis_mats)
+    pairing = trace_pairing_oracle(d, reps[basis])
     iso_vecs = groups._symplectic_isotropic_basis(pairing, p)
 
     combos = box_enumerate([0] * len(iso_vecs), [1] * len(iso_vecs),
@@ -1111,4 +1121,4 @@ def polarization_oracle(d, bundle):
                 cid = int(table[cid, coord])
         member_cosets.add(cid)
     mask = np.isin(coset_id, sorted(member_cosets))
-    return basis_mats, pairing, iso_vecs, j1.codes[mask]
+    return pairing, iso_vecs, j1.codes[mask]

@@ -21,8 +21,9 @@ from oracles import (character_certificate_oracle, concentration_oracle,
                      coset_decomposition_oracle, contains_value,
                      dichotomy_oracle, extend_character_oracle, frac_matrix,
                      frac_mul, frac_pow, induced_laws_oracle,
-                     intertwines_oracle, j_contains, j_grade_and_part,
-                     jcapk_oracle, kpi_exponent_oracle, kpi_member_oracle,
+                     intertwines_oracle, j1_oracle, j_contains,
+                     j_grade_and_part, jcapk_oracle, kpi_exponent_oracle,
+                     kpi_member_oracle,
                      pairing_forms_oracle, polarization_oracle,
                      prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
@@ -84,8 +85,8 @@ class TestSubgroups:
     def test_closure(self, block_a, block_c):
         for blk in (block_a, block_c):
             b = blk.bundle
-            for sub in list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, b.j1,
-                                              jcapk_oracle(b)]:
+            for sub in list(b.ua.values()) + [b.ul1, b.ol_units, b.h1,
+                                              j1_oracle(b), jcapk_oracle(b)]:
                 assert_closed(sub)
 
     def test_closure_large_groups(self, block_b):
@@ -133,7 +134,8 @@ class TestSubgroups:
 
 def enumerated_groups(blk):
     b = blk.bundle
-    subs = list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, b.j1, blk.pol.b1]
+    subs = list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, j1_oracle(b),
+                                  blk.pol.b1]
     return list({id(sub): sub for sub in subs}.values())
 
 
@@ -224,7 +226,7 @@ class TestSumsets:
             b, d = blk.bundle, blk.datum
             ident = np.eye(d.order.n, dtype=np.int64)[None]
             for got, units, k in [(b.h1, b.ul1, d.j // 2 + 1),
-                                  (b.j1, b.ul1, (d.j + 1) // 2),
+                                  (j1_oracle(b), b.ul1, (d.j + 1) // 2),
                                   (jcapk_oracle(b), b.ol_units,
                                    (d.j + 1) // 2)]:
                 ua = unpack(unit_sumset(d.order, k, ident, d.p, b.level),
@@ -233,14 +235,19 @@ class TestSumsets:
                 assert np.array_equal(got.codes, want)
 
     def test_budget_is_the_exact_size(self, datum_c):
-        # J1 (6561) is the largest group of datum c that is enumerated;
-        # J cap K (52488) is a sumset, sized without allocation
+        # H1 (729) is the largest group of datum c that build_subgroups
+        # enumerates; J1 (6561) and J cap K (52488) are sumsets, sized
+        # without allocation.  B1 (2187), listed by heisenberg, is held to
+        # the same budget
         with pytest.raises(BudgetExceeded) as err:
-            build_subgroups(datum_c, budget=6560)
-        assert err.value.estimate == 6561
-        b = build_subgroups(datum_c, budget=6561)
-        assert b.j1.size == 6561
+            build_subgroups(datum_c, budget=728)
+        assert err.value.estimate == 729
+        b = build_subgroups(datum_c, budget=729)
+        assert b.j1.size == 6561 and b.j1.mats is None
         assert b.jcapk.size == 52488 and b.jcapk.mats is None
+        with pytest.raises(BudgetExceeded) as err:
+            prepare_block(datum_c, budget=2186)
+        assert err.value.estimate == 2187
 
     def test_membership_only_jcapk_at_p5(self):
         # beta = 5^-2 [[0, 1], [3, 4]]: 24 classes mod B^1 times 5^8, past
@@ -328,6 +335,12 @@ class TestSimpleCharacter:
             assert blk.simple.extension_count == blk.bundle.h1.size // base.size
 
 
+# the even-depth blocks, whose J1 is never listed, and prepare_block's
+# default budget
+EVEN_DEPTH = ["block_c", "block_p2", "block_p5", "block_n3"]
+BUDGET = 2_000_000
+
+
 class TestHeisenberg:
     def test_odd_depth_convention(self, block_a):
         pol = block_a.pol
@@ -370,32 +383,53 @@ class TestHeisenberg:
         partner_values = {form(iso, w) for w in [(1, 0), (0, 1)]}
         assert partner_values != {0}
 
-    @pytest.mark.parametrize("p, entries", [(3, [[0, 1], [1, 1]]),
-                                            (5, [[0, 1], [3, 4]])],
-                             ids=["datum_c", "p5_n2e1j2"])
-    def test_matches_coset_table_oracle(self, p, entries):
-        # p^-2 entries over the maximal order: depth 2, unramified
-        d = build_datum(p, 2, 1, entries, -2)
-        bundle = build_subgroups(d)
-        theta = groups.simple_character(d, bundle).theta
-        pol = groups.heisenberg(d, bundle, theta)
-        reps, pairing, isotropic, b1_codes = polarization_oracle(d, bundle)
-        assert np.array_equal(pol.coset_reps, reps)
+    @pytest.mark.parametrize("probe", EVEN_DEPTH, ids=[
+        "datum_c", "block_p2", "p5_n2e1j2", "p3_n3e3j2"])
+    def test_matches_coset_table_oracle(self, probe, request):
+        # the graded basis is a basis of the listed J1's coset table, the
+        # trace form on each basis coset's first element is the pairing,
+        # and B1 is the union of the cosets of the same W
+        blk = request.getfixturevalue(probe)
+        pol = blk.pol
+        pairing, isotropic, b1_codes = polarization_oracle(
+            blk.datum, blk.bundle, pol.coset_reps)
         assert pol.pairing == pairing
         assert pol.isotropic == isotropic
         assert np.array_equal(pol.b1.codes, b1_codes)
 
     def test_nonabelian_quotient_is_a_construction_failure(self, block_c):
         # U_A(3) is trivial mod p^3, so J1/U_A(3) is J1, which is not
-        # abelian.  Extending the trivial character of U_A(3) to J1 once
-        # returned orders [9, 9, 9, 2, 2, 3, 4], overwriting earlier cosets;
-        # it must stop at the first coset that meets the assigned elements
+        # abelian; the two graded basis vectors cannot generate it, and the
+        # dimension count must say so
         bundle = dataclasses.replace(block_c.bundle,
                                      h1=block_c.bundle.ua[3])
-        with pytest.raises(ConstructionFailure, match="overlap"):
-            groups.heisenberg(block_c.datum, bundle, block_c.simple.theta)
+        with pytest.raises(ConstructionFailure, match="does not generate"):
+            groups.heisenberg(block_c.datum, bundle, block_c.simple.theta,
+                              BUDGET)
 
-    @pytest.mark.parametrize("probe", ["block_c", "block_p2", "block_p5"])
+    @pytest.mark.parametrize("probe", EVEN_DEPTH)
+    def test_dropped_basis_vector_fails_the_dimension_count(self, probe,
+                                                           request,
+                                                           monkeypatch):
+        # the F_p reduction never lets the span fill B^m/B^(m+1): the image
+        # of U_L(1) has rank at most N - 2, so only the last x_a, the one
+        # that would complete the span, leaves the basis
+        blk = request.getfixturevalue(probe)
+        d = blk.datum
+        full = len(d.order.graded_positions(d.j // 2))
+        reduce = groups.fp_reduce
+
+        def drop_last(vec, span, p):
+            residual, coeffs = reduce(vec, span, p)
+            if len(span) == full - 1:
+                residual = [0] * len(vec)
+            return residual, coeffs
+
+        monkeypatch.setattr(groups, "fp_reduce", drop_last)
+        with pytest.raises(ConstructionFailure, match="does not generate"):
+            groups.heisenberg(d, blk.bundle, blk.simple.theta, BUDGET)
+
+    @pytest.mark.parametrize("probe", EVEN_DEPTH)
     def test_pairing_is_the_trace_form(self, probe, request):
         # theta([x, y]) p / D against Tr(beta' [x - 1, y - 1]) / p^s0 mod p
         blk = request.getfixturevalue(probe)
@@ -409,7 +443,7 @@ class TestHeisenberg:
         h1 = block_c.bundle.h1
         zero = GroupCharacter(h1, np.zeros(h1.size, np.int64), 1)
         with pytest.raises(ConstructionFailure, match="degenerate pairing"):
-            groups.heisenberg(block_c.datum, block_c.bundle, zero)
+            groups.heisenberg(block_c.datum, block_c.bundle, zero, BUDGET)
 
     def test_unstable_theta_is_a_construction_failure(self, block_c,
                                                       monkeypatch):
@@ -424,7 +458,7 @@ class TestHeisenberg:
         monkeypatch.setattr(groups, "_fixed_on_generators", one_row_false)
         with pytest.raises(ConstructionFailure, match="J1-stable"):
             groups.heisenberg(block_c.datum, block_c.bundle,
-                              block_c.simple.theta)
+                              block_c.simple.theta, BUDGET)
 
     def test_b1_is_group(self, block_c):
         assert_closed(block_c.pol.b1)
@@ -464,14 +498,14 @@ def laws_tuple(ind):
 
 
 def oracle_laws(blk):
-    """induced_laws_oracle on a block, every row of a small J1, else 32
-    seeded ones."""
+    """induced_laws_oracle on a block's listed J1, every row of a small
+    J1, else 32 seeded ones."""
     b = blk.bundle
     rows = None
     if b.j1.size > ORACLE_ROWS_MAX:
         rows = np.unique(np.random.default_rng(0).integers(0, b.j1.size,
                                                            size=32))
-    return induced_laws_oracle(b.j1, b.h1, blk.simple.theta,
+    return induced_laws_oracle(j1_oracle(b), b.h1, blk.simple.theta,
                                blk.induced.theta_tilde, rows)
 
 
@@ -489,6 +523,14 @@ def block_p2():
 def block_p5():
     """beta = 5^-2 [[0, 1], [3, 4]]: the p = 5 n2e1j2 probe, even depth."""
     return prepare_block(build_datum(5, 2, 1, [[0, 1], [3, 4]], -2))
+
+
+@pytest.fixture(scope="module")
+def block_n3():
+    """beta = 3^-1 Pi, Pi the companion of x^3 - 3 in the period-3 order of
+    M_3: the p = 3 n3e3j2 probe, even depth, |J1| = 531,441."""
+    return prepare_block(build_datum(3, 3, 3, [[0, 1, 0], [0, 0, 1],
+                                               [3, 0, 0]], -1))
 
 
 class TestInducedLaws:
@@ -522,8 +564,10 @@ class TestInducedMemory:
 
     @pytest.mark.parametrize("name", ["block_b", "block_c"])
     def test_peak_within_twice_j1(self, name, request):
-        # a cold B1, as in a CLI run; J1's and H1's generator trees are
-        # built by heisenberg and simple_character before this stage
+        # a cold B1, as in a CLI run; H1's generator tree is built by
+        # simple_character before this stage.  The bound is twice a listed
+        # J1, [J1:B1] copies of B1's codes and matrices, though J1 itself
+        # is never listed at even depth
         blk = request.getfixturevalue(name)
         b1, j1 = blk.pol.b1, blk.bundle.j1
         pol = dataclasses.replace(blk.pol, b1=FiniteSubgroup(
@@ -536,15 +580,17 @@ class TestInducedMemory:
         finally:
             tracemalloc.stop()
         assert laws_tuple(ind) == laws_tuple(blk.induced)
-        assert peak <= 2 * (j1.codes.nbytes + j1.mats.nbytes)
+        index = j1.size // b1.size
+        assert peak <= 2 * index * (b1.codes.nbytes + b1.mats.nbytes)
 
 
 class TestArrayKernels:
     def test_coset_decomposition_matches_loop(self, block_c):
         b = block_c.bundle
+        j1 = j1_oracle(b)
         for small in (b.h1, block_c.pol.b1):
-            got = groups._coset_decomposition(b.j1, small.mats)
-            want = coset_decomposition_oracle(b.j1, small.codes)
+            got = groups._coset_decomposition(j1, small.mats)
+            want = coset_decomposition_oracle(j1, small.codes)
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_extend_character_matches_fraction_walk(self, block_a, block_b,
@@ -567,6 +613,16 @@ class TestArrayKernels:
                 assert ext.denom == want[1]
                 assert np.array_equal(ext.coords, want[2])
                 assert ext.orders == want[3]
+
+    def test_overlapping_cosets_are_a_construction_failure(self, block_c):
+        # U_A(3) is trivial mod p^3, and the listed J1 is not abelian.
+        # Extending the trivial character of U_A(3) to J1 once returned
+        # orders [9, 9, 9, 2, 2, 3, 4], overwriting earlier cosets; it must
+        # stop at the first coset that meets the assigned elements
+        b = block_c.bundle
+        with pytest.raises(ConstructionFailure, match="overlap"):
+            extend_character(j1_oracle(b), b.ua[3].codes,
+                             np.zeros(b.ua[3].size, np.int64), 1)
 
     def test_extend_character_grows_the_denominator(self):
         # <g> of order 9 mod 9 over <g^3> with theta(g^3) = 1/3: the

@@ -20,7 +20,7 @@ from minvec.padic import mat_mul_int
 from minvec.residues import Draws, det_inv_mod, pack, sample_units_outside
 
 from oracles import (first_not_intertwined_oracle, intertwines_oracle,
-                     leibniz_det, mat_inv_mod, product_index_oracle,
+                     j1_oracle, leibniz_det, mat_inv_mod, product_index_oracle,
                      product_table_oracle, sample_units_outside_oracle)
 
 
@@ -116,7 +116,7 @@ class TestProductIndex:
     @pytest.mark.parametrize("name", BLOCKS)
     def test_matches_einsum_oracle(self, name, request, monkeypatch):
         b = get_block(request, name).bundle
-        h1, j1 = b.h1, b.j1
+        h1, j1 = b.h1, j1_oracle(b)
         p, L, n = h1.p, h1.level, h1.n
         rng = Draws(3)
         mats = rng.integers(0, p ** L, size=(40, n, n))
@@ -146,7 +146,7 @@ class TestProductIndex:
                                                   monkeypatch):
         blk = get_block(request, name)
         monkeypatch.setattr(residues, "CHUNK_BYTES", 1 << 12)
-        for group in (blk.bundle.h1, blk.bundle.j1, blk.pol.b1):
+        for group in (blk.bundle.h1, j1_oracle(blk.bundle), blk.pol.b1):
             # a fresh copy, since the tree is memoized
             sub = FiniteSubgroup(group.name, group.p, group.level, group.n,
                                  group.codes)
@@ -410,10 +410,11 @@ def test_one_product_scan():
 
 def test_each_character_law_decided_once():
     # extend_character writes the only character certificate, and every
-    # GroupCharacter is built from a table it certified; heisenberg alone
+    # GroupCharacter is built from a table it certified; it extends theta
+    # to H1 and theta~ to B1, never a character to J1.  heisenberg alone
     # decides theta's J1-stability, and the intertwining scan its own rows
     callers = {"verify_character": set(), "GroupCharacter": set(),
-               "_fixed_on_generators": set()}
+               "_fixed_on_generators": set(), "extend_character": set()}
     for path in sorted(Path(minvec.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             for call in ast.walk(node):
@@ -427,7 +428,9 @@ def test_each_character_law_decided_once():
         "GroupCharacter": {"groups.simple_character",
                            "groups.extend_and_induce"},
         "_fixed_on_generators": {"groups.heisenberg",
-                                 "groups._first_not_intertwined"}}
+                                 "groups._first_not_intertwined"},
+        "extend_character": {"groups.simple_character",
+                             "groups.extend_and_induce"}}
 
 
 def test_no_float_decisions():
