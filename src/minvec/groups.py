@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -116,9 +115,6 @@ class FiniteSubgroup:
         digits = np.stack(np.unravel_index(box, counts), axis=1)
         return (unpack(self.classes[cls], self.p, self.level, self.n)
                 + self.steps * digits.reshape(-1, self.n, self.n))
-
-    def contains_residues(self, mat) -> bool:
-        return bool(self.member_mask(np.asarray(mat)[None])[0])
 
     def index_of_codes(self, codes):
         return sorted_index(self.codes, codes)
@@ -335,10 +331,6 @@ class GroupCharacter:
         mats = np.asarray(mats, dtype=np.int64) % dom.modulus
         return self.restricted_nums(pack(mats, dom.p, dom.level))
 
-    def exponent_of_residues(self, mat) -> Fraction:
-        return Fraction(int(self.nums_of_residues(np.asarray(mat)[None])[0]),
-                        self.denom)
-
     def restricted_nums(self, codes):
         idx = self.domain.index_of_codes(codes)
         if np.any(idx < 0):
@@ -398,7 +390,6 @@ class ExtensionData:
     coords: np.ndarray          # per element, exponents of the coset generators
     orders: list                # relative orders of the generators
     count: int                  # number of extensions (certified)
-    cert: CharacterCertificate
 
 
 def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
@@ -472,15 +463,13 @@ def extend_character(group: FiniteSubgroup, sub_codes, sub_nums, denom: int,
             f"{cert.witness}")
     # unless coordinates add, count only the verified base extension
     count = math.prod(orders) if cert.coords_additive else 1
-    return ExtensionData(nums, final, coords, orders, count, cert)
+    return ExtensionData(nums, final, coords, orders, count)
 
 
 @dataclass
 class SimpleCharacterResult:
     theta: GroupCharacter
-    cert: CharacterCertificate    # theta's, from its extension to H^1
     extension_count: int
-    base: FiniteSubgroup
     denom: int
     trivial_level: int
 
@@ -502,8 +491,7 @@ def simple_character(d: InductionDatum, bundle: SubgroupBundle) -> SimpleCharact
     tnums = theta.restricted_nums(top.codes)
     if np.any(tnums % ext.denom != 0):
         raise ConstructionFailure("theta is not trivial on U_A(j+1)")
-    return SimpleCharacterResult(theta, ext.cert, ext.count, base, ext.denom,
-                                 j + 1)
+    return SimpleCharacterResult(theta, ext.count, ext.denom, j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +649,6 @@ class InducedResult:
     theta_tilde: GroupCharacter
     tilde_count: int
     dim: int
-    inner_product: Fraction
-    restriction_is_multiple: bool
-    restriction_inner: Fraction
 
 
 def extend_and_induce(bundle: SubgroupBundle, theta: GroupCharacter,
@@ -687,10 +672,12 @@ def extend_and_induce(bundle: SubgroupBundle, theta: GroupCharacter,
       <eta, eta> counts the t in J^1/B^1 that fix theta~, those pairing to
       0 with W: t in W^perp = W, so only t in B^1, and <eta, eta> = 1.
     An induced character is a class function, so that needs no check.
+    The result holds theta~, its extension count and dim: each law is
+    proved once a premise has not raised, so no field records it.
     """
     h1, j1 = bundle.h1, bundle.j1
     if pol.trivial:
-        return InducedResult(theta, 1, 1, Fraction(1), True, Fraction(1))
+        return InducedResult(theta, 1, 1)
     ext = extend_character(pol.b1, h1.codes, theta.nums, theta.denom)
     dim = j1.size // pol.b1.size
     if dim * dim * h1.size != j1.size:
@@ -698,7 +685,7 @@ def extend_and_induce(bundle: SubgroupBundle, theta: GroupCharacter,
             f"B1/H1 is not Lagrangian: [J1:B1]^2 = {dim * dim} but "
             f"[J1:H1] = {j1.size // h1.size}")
     return InducedResult(GroupCharacter(pol.b1, ext.nums, ext.denom),
-                         ext.count, dim, Fraction(1), True, Fraction(dim))
+                         ext.count, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -887,10 +874,6 @@ class BlockCharacter:
             total += (theta.nums_of_residues(mats[:, sl, sl])
                       * (self.denom // theta.denom))
         return total % self.denom
-
-    def exponent_of_residues(self, mat) -> Fraction:
-        return Fraction(int(self.nums_of_residues(np.asarray(mat)[None])[0]),
-                        self.denom)
 
 
 @dataclass

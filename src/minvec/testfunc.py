@@ -45,8 +45,6 @@ def make_omega(kpi_result: KpiResult) -> TestFunction:
 @dataclass
 class VolumeReport:
     d_pi: Fraction
-    support_count: int
-    k_count: int
     target_exponent: Fraction      # c (n^2 - n) / 2
     valuation_of_inverse: int      # v_p(1/d_pi)
     bounded: bool                  # |log_p(1/d_pi) - target| <= n^2
@@ -58,8 +56,7 @@ def volume(kpi_result: KpiResult) -> VolumeReport:
     kpi = kpi_result.kpi
     n = kpi_result.n
     p = kpi.p
-    k_count = gl_order(n, p, kpi.level)
-    d_pi = Fraction(kpi.size, k_count)
+    d_pi = Fraction(kpi.size, gl_order(n, p, kpi.level))
     c = Fraction(kpi_result.c)
     target = c * (n * n - n) / 2
     inv = 1 / d_pi
@@ -68,7 +65,7 @@ def volume(kpi_result: KpiResult) -> VolumeReport:
     hi = compare_with_p_power(inv, p, target + margin)
     bounded = lo >= 0 and hi <= 0
     val = vp(inv.numerator, p) - vp(inv.denominator, p)
-    return VolumeReport(d_pi, kpi.size, k_count, target, val, bounded)
+    return VolumeReport(d_pi, target, val, bounded)
 
 
 @dataclass
@@ -76,7 +73,6 @@ class ConvolutionReport:
     mode: str
     support_points_checked: int
     support_ok: bool
-    closure_certified: bool
     offsupport_points_checked: int
     offsupport_ok: bool
     witness: object
@@ -92,8 +88,11 @@ def convolve_check(tf: TestFunction, seed: int = 0) -> ConvolutionReport:
     extend_character wrote for Theta on B^1 (H^1 at odd depth): it proves
     the support is a group, which settles all points outside it at once,
     and that Theta is multiplicative, which is the termwise law for every
-    pair.  Membership-only supports are checked on CONVOLVE_SAMPLES seeded
-    pairs on the support and as many off it, term by term.
+    pair; the report's flags are then True and its off-support count 0.
+    Membership-only supports are checked on CONVOLVE_SAMPLES seeded pairs
+    on the support and as many off it, term by term: support_ok fails at
+    the first pair whose g^-1 x leaves the support or breaks the law, and
+    offsupport_ok at the first g off it that carries a point into it.
     """
     kpi = tf.kpi_result.kpi
     if kpi.mats is not None:
@@ -109,7 +108,7 @@ def _convolve_full(tf):
     g^-1 K_pi meets K_pi exactly when g lies in K_pi, so nothing is
     evaluated again and no point off the support is drawn."""
     kpi = tf.kpi_result.kpi
-    return ConvolutionReport("full", kpi.size, True, True, 0, True, None)
+    return ConvolutionReport("full", kpi.size, True, 0, True, None)
 
 
 def _convolve_sampled(tf, samples, seed):
@@ -148,9 +147,8 @@ def _convolve_sampled(tf, samples, seed):
     off_checked = len(gs) if off_ok else int(np.argmax(lands))
     if not off_ok:
         witness = gs[off_checked]
-    # build_Kpi raised unless its sampled closure check held
-    return ConvolutionReport("sampled", checked, ok, True,
-                             off_checked, off_ok, witness)
+    return ConvolutionReport("sampled", checked, ok, off_checked, off_ok,
+                             witness)
 
 
 @dataclass
@@ -184,17 +182,16 @@ class DepthReport:
     c: object                      # Fraction or int
     cfrak: int
     conductor_exponent: Fraction   # n * c
-    d_pi: Fraction
-    cfrak_band_ok: bool            # |cfrak - c/2| <= 1
-    volume_bounded: bool
 
 
 def depth_report(kpi_result: KpiResult) -> DepthReport:
-    vol = volume(kpi_result)
-    n = kpi_result.n
-    c = Fraction(kpi_result.c)
+    """The depth, c, cfrak and conductor exponent n c of K_pi.
+
+    |cfrak - c/2| <= 1 holds by arithmetic, so nothing decides it.  A
+    block of c_i = j/e has c_i/2 - 1 < floor((j+1)/2e) <= c_i/2 + 1/2;
+    cfrak is their least, and c is c_i for one block, or for several an
+    integer with c - 1 <= c_i <= c, where 2 cfrak - c > -3 is an integer.
+    """
     depth = max(b.datum.j for b in kpi_result.blocks)
-    cf = kpi_result.cfrak
-    band = abs(Fraction(cf) - c / 2) <= 1
-    return DepthReport(depth, kpi_result.c, cf, n * c, vol.d_pi, band,
-                       vol.bounded)
+    return DepthReport(depth, kpi_result.c, kpi_result.cfrak,
+                       kpi_result.n * Fraction(kpi_result.c))

@@ -8,6 +8,20 @@ from fractions import Fraction
 from minvec.padic import _adjugate, _int_det, mat_mul_int, vp
 
 
+def contains(sub, mat):
+    """Whether one residue matrix lies in sub, by a one-row member_mask."""
+    import numpy as np
+    return bool(sub.member_mask(np.asarray(mat)[None])[0])
+
+
+def exponent_at(theta, mat):
+    """theta's exponent at one residue matrix of its domain, a Fraction,
+    by a one-row nums_of_residues."""
+    import numpy as np
+    return Fraction(int(theta.nums_of_residues(np.asarray(mat)[None])[0]),
+                    theta.denom)
+
+
 @functools.lru_cache(maxsize=None)
 def torus_closure_oracle(gens, mod, n):
     """Closure of I and gens under product mod `mod`, as a frozenset of
@@ -301,10 +315,9 @@ def intertwines_oracle(g, theta, d):
         conj = mat_mul_int(mat_mul_int(g, x_res.tolist()), adj)
         res = residues_of([[Fraction(v, det) for v in row] for row in conj],
                           p, L)
-        if res is None or not h1.contains_residues(res):
+        if res is None or not contains(h1, res):
             continue
-        if theta.exponent_of_residues(x_res % d.p ** L) != \
-                theta.exponent_of_residues(res):
+        if exponent_at(theta, x_res % d.p ** L) != exponent_at(theta, res):
             return False, x_res
     return True, None
 
@@ -359,6 +372,38 @@ def j1_oracle(bundle):
     unit_sumset: the reference for bundle.j1, which is never listed at even
     depth."""
     return _listed_at_half_depth(bundle, bundle.ul1, "J1-oracle")
+
+
+def first_outside_h1(bundle):
+    """The index in the enumerated J cap K of its first element outside
+    H1."""
+    import numpy as np
+    from minvec.residues import contains_codes
+    codes = jcapk_oracle(bundle).codes
+    return int(np.flatnonzero(~contains_codes(bundle.h1.codes, codes))[0])
+
+
+def without_coset(bundle, k):
+    """A copy of the bundle whose J cap K misses the coset g H1 of the k-th
+    element of the enumerated J cap K; returns (bundle, the enumerated
+    J cap K minus that coset, sorted codes of the coset).  The copy is a
+    sumset like bundle.jcapk: at odd depth H1 contains U_A(ceil(j/2)), so
+    the coset is a union of classes."""
+    import dataclasses
+    import numpy as np
+    from minvec.groups import FiniteSubgroup
+    from minvec.residues import contains_codes, pack, sorted_unique
+    jk, h1 = jcapk_oracle(bundle), bundle.h1
+    coset = np.sort(pack(jk.mats[k] @ h1.mats % jk.modulus, jk.p, jk.level))
+    keep = ~contains_codes(coset, jk.codes)
+    want = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
+                          jk.codes[keep])
+    steps = bundle.jcapk.steps
+    classes = sorted_unique(pack(want.mats % steps, jk.p, jk.level))
+    broken = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
+                            sumset=(classes, steps))
+    assert broken.size == want.size
+    return dataclasses.replace(bundle, jcapk=broken), want, coset
 
 
 def dichotomy_oracle(d, bundle, theta, jcapk=None):
@@ -425,12 +470,12 @@ def spot_oracle(d, bundle, theta, jcapk=None, members=40, nonmembers=40,
                                             theta)[0] < 0
 
     gs = sumset_draws_oracle(jk, bundle.jcapk.steps, rng, members)
-    assert all(jk.contains_residues(g) for g in gs)
+    assert all(contains(jk, g) for g in gs)
     for i, g in enumerate(gs):
         if not intertwines(g):
             return i, 0, False, g
-    outside = sample_units_outside_oracle(jk.contains_residues, p, L, n, rng,
-                                          100 * nonmembers)
+    outside = sample_units_outside_oracle(functools.partial(contains, jk),
+                                          p, L, n, rng, 100 * nonmembers)
     checked = 0
     for g in itertools.islice(outside, nonmembers):
         if intertwines(g):
@@ -517,15 +562,33 @@ def kpi_exponent_oracle(kr, mat):
     return total - (total.numerator // total.denominator)
 
 
+def with_flipped_block(kr, b=0):
+    """A parabolic K_pi result whose block b theta~ is wrong at one element."""
+    import dataclasses
+    from minvec.groups import BlockCharacter, GroupCharacter
+    blk = kr.blocks[b]
+    theta = blk.theta_tilde
+    nums = theta.nums.copy()
+    k = (theta.domain.identity_index() + 1) % theta.domain.size
+    nums[k] = (nums[k] + 1) % theta.denom
+    induced = dataclasses.replace(blk.induced, theta_tilde=GroupCharacter(
+        theta.domain, nums, theta.denom))
+    blocks = list(kr.blocks)
+    blocks[b] = dataclasses.replace(blk, induced=induced)
+    old = kr.theta
+    return dataclasses.replace(kr, blocks=blocks, theta=BlockCharacter(
+        blocks, old.offsets, old.level, old.p))
+
+
 def omega_exponent(tf, residues):
     """Exponent of omega at one residue matrix, or None where omega = 0,
     by a membership test of that matrix alone."""
     import numpy as np
     kpi = tf.kpi_result.kpi
     mat = np.asarray(residues, dtype=np.int64) % kpi.modulus
-    if not kpi.contains_residues(mat):
+    if not contains(kpi, mat):
         return None
-    return tf.kpi_result.theta.exponent_of_residues(mat)
+    return exponent_at(tf.kpi_result.theta, mat)
 
 
 def omega_star_exponent(tf, residues):
@@ -555,7 +618,7 @@ def pack_one(mat, p, L):
 def contains_value(sub, m):
     """Whether the rational matrix m is p-integral with residues in sub."""
     res = residues_of(m, sub.p, sub.level)
-    return res is not None and sub.contains_residues(res)
+    return res is not None and contains(sub, res)
 
 
 def prime_element_of_L(d):

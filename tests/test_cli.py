@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import os
@@ -5,17 +7,21 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR
-from oracles import (character_dump_lines, omega_exponent, row_disagrees,
-                     serialize_spec, subgroup_dump_lines)
+from oracles import (character_dump_lines, contains, first_outside_h1,
+                     omega_exponent, row_disagrees, serialize_spec,
+                     subgroup_dump_lines, with_flipped_block, without_coset)
 
 from minvec import cli, testfunc
-from minvec.residues import Draws, sample_units_outside
+from minvec.groups import FiniteSubgroup
+from minvec.residues import (Draws, contains_codes, det_inv_mod, pack,
+                             sample_units_outside)
 from minvec.datafiles import (canonical_dumps, extract_block, load_datum,
                               parse_datum_text, parse_query_text)
 from minvec.errors import DatumInvalid
@@ -309,6 +315,36 @@ class TestGolden:
         assert extract_block(out) == want
 
 
+# keys that could read only one value, or that copied another section's
+RETIRED_KEYS = {"multiplicative", "inner_product", "restriction_is_multiple",
+                "restriction_inner", "omega_at_identity", "closure_certified",
+                "cfrak_band_ok"}
+RETIRED_DEPTH_KEYS = {"d_pi", "volume_bounded"}
+
+
+class TestSectionModes:
+    def test_every_section_says_its_mode(self):
+        # on the verify goldens and on every verify block of a live
+        # report-all, each section and each per-block entry carries mode
+        blocks = [json.loads((GOLDEN_DIR / f"verify_{name}.block.json")
+                             .read_text())
+                  for name in ("n2e2j1p3", "n2e1j2p3", "parabolic_n4p3")]
+        code, out = run_cli("report-all", str(DATA_DIR))
+        assert code == 0
+        live = [extract_block(piece) for piece in
+                out.split("minvec report: ")[1:] if piece.startswith("verify")]
+        assert live
+        for block in blocks + live:
+            assert set(block["checks"]) == set(cli.ALL_CHECKS)
+            for name, section in block["checks"].items():
+                detail = section["detail"]
+                for entry in detail if isinstance(detail, list) else [detail]:
+                    assert "mode" in entry, (block["input"], name)
+                    assert not RETIRED_KEYS & set(entry), name
+            assert not (RETIRED_KEYS | RETIRED_DEPTH_KEYS) \
+                & set(block["depth_report"])
+
+
 class TestConsoleEntry:
     def test_installed_script(self):
         proc = subprocess.run([sys.executable, "-m", "minvec.cli",
@@ -469,6 +505,103 @@ class TestOmegaCheck:
         assert sum(seen) > 0
 
 
+def witness_of(msg):
+    """The matrix that a FAIL message names."""
+    return np.array(json.loads(re.search(r"(\[\[.*\]\])", msg).group(1)))
+
+
+class TestFailingSections:
+    """Each boolean of a verify block reads false on a named input, through
+    the CLI's section builders."""
+
+    args = argparse.Namespace(seed=0, budget=5_000_000)
+
+    def test_support_ok(self, parabolic_kr):
+        # block 0's theta~ wrong at one element breaks the termwise law at
+        # the first drawn pair that meets it
+        kr = with_flipped_block(parabolic_kr)
+        verdict, section, msg = cli._check_convolution(kr.blocks, kr,
+                                                       self.args)
+        assert (verdict, section["support_ok"], section["offsupport_ok"]) \
+            == ("FAIL", False, True)
+        gs = kr.sampler(Draws(0), testfunc.CONVOLVE_SAMPLES)
+        assert np.array_equal(witness_of(msg), gs[section["support_points"]])
+
+    def test_offsupport_ok(self, parabolic_kr):
+        # K_pi widened by the coset h^-1 K_pi, h = I + E_20, is no group:
+        # an off-support g carries x = g h^-1 of K_pi to h^-1 inside it
+        kpi = parabolic_kr.kpi
+        h = np.eye(4, dtype=np.int64)
+        h[2, 0] = 1
+        hinv = det_inv_mod(h[None], kpi.p, kpi.level)[1][0]
+
+        def member_mask(mats):
+            return kpi.member_mask(mats) | \
+                kpi.member_mask(h @ mats % kpi.modulus)
+
+        widened = FiniteSubgroup("K_pi+coset", kpi.p, kpi.level, kpi.n,
+                                 membership=member_mask, size=kpi.size)
+        kr = dataclasses.replace(parabolic_kr, kpi=widened)
+        verdict, section, msg = cli._check_convolution(kr.blocks, kr,
+                                                       self.args)
+        assert (verdict, section["support_ok"], section["offsupport_ok"]) \
+            == ("FAIL", True, False)
+        g = witness_of(msg)
+        x = g @ hinv % kpi.modulus
+        assert not contains(widened, g) and contains(kpi, x)
+        ginv = det_inv_mod(g[None], kpi.p, kpi.level)[1][0]
+        assert contains(widened, ginv @ x % kpi.modulus)
+
+    def test_volume_bounded(self, parabolic_kr):
+        # a membership-only K_pi whose size is p^(2n^2+1) too large moves
+        # v_p(1/d_pi) out of the band of n^2 around c(n^2 - n)/2
+        kpi, n = parabolic_kr.kpi, parabolic_kr.n
+        big = FiniteSubgroup(kpi.name, kpi.p, kpi.level, n,
+                             membership=kpi.member_mask,
+                             size=kpi.size * kpi.p ** (2 * n * n + 1))
+        kr = dataclasses.replace(parabolic_kr, kpi=big)
+        verdict, section, msg = cli._check_convolution(kr.blocks, kr,
+                                                       self.args)
+        assert (verdict, section["volume_bounded"]) == ("FAIL", False)
+        assert section["support_ok"] and section["offsupport_ok"]
+        v = section["v_p_inverse_volume"]
+        assert f"v_p(1/d_pi) = {v} is not within n^2" in msg
+        assert abs(v - Fraction(section["target_exponent"])) > n * n
+
+    def test_dichotomy(self, block_a):
+        # J cap K without one H1 coset: the coset intertwines theta, and
+        # the sweep's witness is a unit of it that the broken J cap K
+        # leaves out.  (The spot path's 40 draws miss this coset at seed 0:
+        # ROADMAP item 2.)
+        bundle, _, coset = without_coset(block_a.bundle,
+                                         first_outside_h1(block_a.bundle))
+        blk = dataclasses.replace(block_a, bundle=bundle)
+        verdict, out, msg = cli._check_intertwine([blk], None, self.args)
+        assert (verdict, out[0]["mode"], out[0]["dichotomy"]) == \
+            ("FAIL", "sweep", False)
+        g = witness_of(msg)
+        assert contains_codes(coset, pack(g[None], 3, bundle.level)).all()
+
+
+class TestVolumeOnce:
+    @pytest.mark.parametrize("checks, calls", [(None, 1), ("character", 0)])
+    def test_once_per_verify(self, tmp_path, monkeypatch, checks, calls):
+        # depth_report reads no volume; the convolution section's is the
+        # only one
+        seen = []
+        volume = testfunc.volume
+
+        def counting(kr):
+            seen.append(kr)
+            return volume(kr)
+
+        monkeypatch.setattr(testfunc, "volume", counting)
+        argv = ["--out", str(tmp_path / "r.txt"), "verify",
+                str(DATA_DIR / "datum_n2e2j1p3.json")]
+        assert cli.main(argv + (["--checks", checks] if checks else [])) == 0
+        assert len(seen) == calls
+
+
 class TestGeneratorCertificate:
     @pytest.mark.parametrize("name, group", [("datum_n2e2j1p3", "H1"),
                                              ("datum_n2e2j3p3", "H1"),
@@ -533,7 +666,7 @@ class TestGeneratorCertificate:
         # the reported pair really multiplies out of B1
         i, k = map(int, re.search(r"witness indices (\d+), (\d+)", err).groups())
         b1, = broken
-        assert not b1.contains_residues(b1.mats[i] @ b1.mats[k])
+        assert not contains(b1, b1.mats[i] @ b1.mats[k])
 
 
 # beta = p^-1 [[0, 1, 0], [0, 0, 1], [3, 0, 0]] at p = 3: n = 3, e = 3, j = 2

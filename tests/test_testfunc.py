@@ -2,22 +2,24 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from minvec.errors import ConstructionFailure
-from minvec.groups import (BlockCharacter, FiniteSubgroup, GroupCharacter,
-                           build_Kpi, gl_order, prepare_block,
+from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
+                           depth_bound_cfrak, gl_order, prepare_block,
                            verify_character)
 from minvec.residues import Draws, det_inv_mod, sample_units_outside
 from minvec.testfunc import (compare_with_p_power, concentration_check,
                              convolve_check, depth_report, make_omega, volume)
 
 from conftest import build_datum
-from oracles import (concentration_oracle, convolution_rows_oracle,
-                     kpi_exponent_oracle, mat_inv_mod, offsupport_lands_oracle,
-                     omega_exponent, omega_star_exponent)
+from oracles import (concentration_oracle, contains, convolution_rows_oracle,
+                     exponent_at, kpi_exponent_oracle, mat_inv_mod,
+                     offsupport_lands_oracle, omega_exponent,
+                     omega_star_exponent, with_flipped_block)
 
 
 class TestVolume:
@@ -31,7 +33,7 @@ class TestVolume:
         # independent count of B^1 mod p^2 by scanning all of GL_2(Z/9)
         from minvec.residues import box_enumerate
         mats = box_enumerate([0] * 4, [1] * 4, [9] * 4, 9).reshape(-1, 2, 2)
-        members = sum(1 for m in mats if kr_a.kpi.contains_residues(m))
+        members = sum(1 for m in mats if contains(kr_a.kpi, m))
         assert members == kr_a.kpi.size == 243
 
     def test_degenerate_full_support(self):
@@ -43,8 +45,8 @@ class TestVolume:
 
     def test_parabolic_count_formula(self, parabolic_kr):
         vol = volume(parabolic_kr)
-        assert vol.support_count == 3 ** 34
-        assert vol.k_count == gl_order(4, 3, 3)
+        assert parabolic_kr.kpi.size == 3 ** 34
+        assert vol.d_pi == Fraction(3 ** 34, gl_order(4, 3, 3))
         assert vol.valuation_of_inverse == 4
 
     def test_power_comparison(self):
@@ -61,7 +63,6 @@ class TestConvolution:
             assert rep.mode == "full"
             assert rep.offsupport_points_checked == 0
             assert rep.support_ok
-            assert rep.closure_certified
             assert rep.offsupport_ok
             assert rep.support_points_checked == kr.kpi.size
 
@@ -91,7 +92,7 @@ class TestConvolution:
             b = kpi.mats[int(rng.integers(0, kpi.size))]
             x = kpi.mats[int(rng.integers(0, kpi.size))]
             lhs = omega_exponent(tf, b @ x % mod)
-            rhs = theta.exponent_of_residues(b) + theta.exponent_of_residues(x)
+            rhs = exponent_at(theta, b) + exponent_at(theta, x)
             assert lhs == rhs - math.floor(rhs)
 
     def test_star_matches_character(self, kr_a):
@@ -141,22 +142,6 @@ class TestSingleScanConvolution:
             want = offsupport_lands_oracle(kpi, gs)
             assert want == [False] * 16 + [True] * 8
             assert kpi.member_mask(det_inv_mod(gs, p, L)[1]).tolist() == want
-
-
-def with_flipped_block(kr, b=0):
-    """A parabolic K_pi result whose block b theta~ is wrong at one element."""
-    blk = kr.blocks[b]
-    theta = blk.theta_tilde
-    nums = theta.nums.copy()
-    k = (theta.domain.identity_index() + 1) % theta.domain.size
-    nums[k] = (nums[k] + 1) % theta.denom
-    induced = dataclasses.replace(blk.induced, theta_tilde=GroupCharacter(
-        theta.domain, nums, theta.denom))
-    blocks = list(kr.blocks)
-    blocks[b] = dataclasses.replace(blk, induced=induced)
-    old = kr.theta
-    return dataclasses.replace(kr, blocks=blocks, theta=BlockCharacter(
-        blocks, old.offsets, old.level, old.p))
 
 
 class TestStackedParabolic:
@@ -280,6 +265,11 @@ class TestConcentration:
         assert np.array_equal((x @ li) % cmod, np.eye(2, dtype=np.int64) % cmod)
 
 
+def depth_only(j, e):
+    """A stand-in datum carrying only what depth_bound_cfrak reads."""
+    return SimpleNamespace(j=j, order=SimpleNamespace(e=e))
+
+
 class TestDepthReport:
     def test_supercuspidal_values(self, kr_a, kr_b, kr_c):
         ra = depth_report(kr_a)
@@ -299,8 +289,26 @@ class TestDepthReport:
         assert r.cfrak == 0
 
     def test_cfrak_bands(self, kr_a, kr_b, kr_c, parabolic_kr):
+        # |cfrak - c/2| <= 1 by arithmetic (depth_report's docstring): on
+        # the shipped data, on every single block of depth j < 200 and
+        # period e <= 8, and on every pair of blocks, j < 40 and e <= 4,
+        # that build_Kpi's band admits
         for kr in (kr_a, kr_b, kr_c, parabolic_kr):
-            assert depth_report(kr).cfrak_band_ok
+            rep = depth_report(kr)
+            assert abs(rep.cfrak - Fraction(rep.c) / 2) <= 1
+        singles = [(j, e) for e in range(1, 9) for j in range(1, 200)
+                   if math.gcd(j, e) == 1]
+        for j, e in singles:
+            cf = depth_bound_cfrak([depth_only(j, e)])
+            assert abs(cf - Fraction(j, e) / 2) <= 1, (j, e)
+        small = [(j, e) for j, e in singles if j < 40 and e <= 4]
+        for (j1, e1), (j2, e2) in itertools.combinations(small, 2):
+            cs = [Fraction(j1, e1), Fraction(j2, e2)]
+            c = math.ceil(max(cs))
+            if all(abs(ci - c) <= 1 for ci in cs):
+                cf = depth_bound_cfrak([depth_only(j1, e1),
+                                        depth_only(j2, e2)])
+                assert abs(cf - Fraction(c, 2)) <= 1, (j1, e1, j2, e2)
 
     def test_cfrak_closed_form(self, kr_a):
         # floor((1/e) floor((d+1)/2)) = floor((1/2) * 1) = 0

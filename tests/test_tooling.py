@@ -251,3 +251,70 @@ def test_src_passes_every_defaulted_parameter():
     assert not knobs, f"defaulted but never passed in src: {', '.join(knobs)}"
     stale = sorted(set(UNPASSED_OK) - unpassed)
     assert not stale, f"allowlisted but passed or gone: {', '.join(stale)}"
+
+
+# Fields of src/minvec's dataclasses that neither src/ nor perfbench/ reads,
+# each with the test that reads it and why it stays.
+FIELDS_UNREAD_OK = {
+    "groups.ExtensionData.coords":
+        "the certified coset coordinates; TestArrayKernels::"
+        "test_extend_character_matches_fraction_walk compares them with the "
+        "oracle's, and TestProductTable flips one",
+    "groups.ExtensionData.orders":
+        "the coordinates' relative orders, read beside coords by the same "
+        "two tests",
+    "groups.PolarizationData.coset_reps":
+        "the basis x_a of J1/H1; TestHeisenberg::"
+        "test_matches_coset_table_oracle and test_pairing_is_the_trace_form "
+        "read the pairing off it",
+    "orders.FieldCertificate.slope_denominator":
+        "TestExactDatumSide compares the certificate with datum_oracle",
+    "orders.FieldCertificate.residue_minpoly": "the same comparison",
+    "orders.ApproximationReport.lower_strict":
+        "TestFiltrationLaws::test_strictness_example pins that the radical "
+        "approximation is strict below",
+    "orders.ApproximationReport.upper_strict": "the same example, above",
+    "orders.InductionDatum.beta_rows":
+        "beta as given, p^beta_scale beta_rows; test_formula_value and "
+        "acceptance criterion 2 rebuild beta exactly from it",
+}
+
+
+def dataclass_fields(src):
+    """module.Class.field of every annotated field of a @dataclass in src."""
+    fields = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [getattr(dec, "func", dec)
+                          for dec in node.decorator_list]
+            if any(getattr(dec, "id", getattr(dec, "attr", None))
+                   == "dataclass" for dec in decorators):
+                fields.update(f"{path.stem}.{node.name}.{item.target.id}"
+                              for item in node.body
+                              if isinstance(item, ast.AnnAssign))
+    return fields
+
+
+def attributes_read(*dirs):
+    """Every name read as .name in the Python files under dirs."""
+    names = set()
+    for top in dirs:
+        for path in sorted(top.rglob("*.py")):
+            names.update(node.attr
+                         for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load))
+    return names
+
+
+def test_every_result_field_is_read():
+    # a field that only tests read reports nothing a run decides
+    fields = dataclass_fields(REPO / "src" / "minvec")
+    read = attributes_read(REPO / "src", REPO / "perfbench")
+    unread = {f for f in fields if f.rsplit(".", 1)[1] not in read}
+    extra = sorted(unread - set(FIELDS_UNREAD_OK))
+    assert not extra, f"never read in src or perfbench: {', '.join(extra)}"
+    stale = sorted(set(FIELDS_UNREAD_OK) - unread)
+    assert not stale, f"allowlisted but read or gone: {', '.join(stale)}"
