@@ -178,12 +178,15 @@ def _check_intertwine(blocks, kr, args):
             if not rep.agree:
                 return "FAIL", out, \
                     f"intertwining dichotomy failed: {rep.witness.tolist()}"
-        except BudgetExceeded:
+        except BudgetExceeded as err:
+            # the units the sweep would list, against the budget
             rep = groups.intertwining_spot(
                 blk.datum, blk.bundle, blk.simple.theta, seed=args.seed)
             out.append({
                 "block": i,
                 "mode": "spot",
+                "gate": err.estimate,
+                "budget": args.budget,
                 "members_checked": rep.members_checked,
                 "nonmembers_checked": rep.nonmembers_checked,
                 "dichotomy": rep.agree,

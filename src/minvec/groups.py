@@ -570,7 +570,10 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
         d.order, m, ident[None], p, L))
     inter = (ul1.mats[ua_m.member_mask(ul1.mats)] - ident) % p ** L
     span, extends = [], []
-    for vec in (np.unique(inter[:, rs, cs] // p ** ts % p, axis=0).tolist()
+    # the distinct digit rows, as base-p numbers
+    place = p ** np.arange(len(rs) - 1, -1, -1)
+    digits = sorted_unique(inter[:, rs, cs] // p ** ts % p @ place)
+    for vec in ((digits[:, None] // place % p).tolist()
                 + np.eye(len(rs), dtype=np.int64).tolist()):
         residual = fp_reduce(vec, span, p)[0]
         extends.append(any(residual))
@@ -795,31 +798,42 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     theta is a character of H^1, certified when it was built
     (GroupCharacter), so the verdict is constant on g H^1: for h in H^1,
     (g h) x (g h)^-1 = g (h x h^-1) g^-1, and as x runs over H^1 so does
-    h x h^-1, with theta(h x h^-1) = theta(x).  So each coset is decided at
-    its first unit in code order.  The counts and the witness, the first
-    unit in code order where intertwining and membership in J cap K
-    disagree, are those of the sweep over every unit.
+    h x h^-1, with theta(h x h^-1) = theta(x).  With k = floor(j/2) + 1 and
+    s the least level with 1 + p^s M_n(O) inside U_A(k), which lies in H^1
+    and in J cap K, both verdicts depend only on g mod p^s: the cosets
+    g H^1 are the preimages of the cosets of H^1's image in GL_n(Z/p^s).
+    So the sweep lists GL_n(Z/p^s), the lifts g + p y of GL_n(F_p), held
+    to the budget, decides the first unit of each coset in code order at
+    level L, and weighs each count by the p^(n^2 (L - s)) lifts of a unit.
+    The counts and the witness, the first unit in code order where
+    intertwining and membership in J cap K disagree (its entries are below
+    p^s, so it is first mod p^L too), are those of the sweep over every
+    unit mod p^L.
     """
-    p, n = d.p, d.order.n
-    L = bundle.level
-    mod = p ** L
+    p, n, L = d.p, d.order.n, bundle.level
     h1, jk = bundle.h1, bundle.jcapk
-    work = p ** (n * n * L) * h1.size
-    if work > budget:
-        raise BudgetExceeded("K sweep too expensive at this level",
-                             estimate=work)
-    # the code of a residue matrix is its place in odometer order
-    _, inv_all, unit = det_inv_mod(
-        unpack(np.arange(mod ** (n * n)), p, L, n), p, L)
-    units = FiniteSubgroup("GL_n(Z/p^L)", p, L, n, np.flatnonzero(unit))
-    inv_all = inv_all[unit]
-    reps, coset = _coset_decomposition(units, h1.mats)
-    inter = (_first_not_intertwined(units.mats[reps], inv_all[reps], h1.mats,
+    s = max(d.order.entry_threshold(d.j // 2 + 1, r, c)
+            for r in range(n) for c in range(n))
+    gate = gl_order(n, p, s)
+    if gate > budget:
+        raise BudgetExceeded(f"{gate} units of GL_{n}(Z/p^{s}) to sweep",
+                             estimate=gate)
+    box = unpack(np.arange(p ** (n * n)), p, 1, n)
+    lifts = box_enumerate([0] * (n * n), [p] * (n * n),
+                          [p ** (s - 1)] * (n * n), p ** s)
+    units = FiniteSubgroup(f"GL_n(Z/p^{s})", p, s, n, np.sort(
+        (pack(box[det_inv_mod(box, p, 1)[2]], p, s)[:, None]
+         + pack(lifts.reshape(-1, n, n), p, s)).ravel()))
+    reps, coset = _coset_decomposition(units, unpack(
+        sorted_unique(pack(h1.mats % p ** s, p, s)), p, s, n))
+    G = units.mats[reps]
+    inter = (_first_not_intertwined(G, det_inv_mod(G, p, L)[1], h1.mats,
                                     theta) < 0)[coset]
     disagree = inter != jk.member_mask(units.mats)
     witness = units.mats[np.argmax(disagree)] if disagree.any() else None
-    return DichotomyReport(units.size, int(inter.sum()), jk.size,
-                           witness is None, witness)
+    lifted = p ** (n * n * (L - s))
+    return DichotomyReport(units.size * lifted, int(inter.sum()) * lifted,
+                           jk.size, witness is None, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -78,31 +78,17 @@ class ApproximationReport:
     """Outcome of the two-sided comparison of B^i against powers of p*M_n."""
 
     holds: bool
-    lower_strict: bool
-    upper_strict: bool
 
 
 def approximation_report(o: HereditaryOrder, i: int) -> ApproximationReport:
-    """Verify p^M M_n < B^i < p^(floor(i/e)) M_n on elementary spanning sets."""
+    """Verify p^M M_n < B^i < p^(floor(i/e)) M_n on elementary spanning sets:
+    p^lower E_rc of B_0^lower must lie in B^i, and p^t E_rc of B^i, t the
+    entry threshold, in B_0^upper."""
     lower = _ceil_div(i - 1, o.e) + 1
     upper = i // o.e
-    holds = True
-    lower_strict = False
-    upper_strict = False
-    for r in range(o.n):
-        for c in range(o.n):
-            t = o.entry_threshold(i, r, c)
-            # spanning element p^lower E_rc of B_0^lower must lie in B^i
-            if lower < t:
-                holds = False
-            # spanning element p^t E_rc of B^i must lie in B_0^upper
-            if t < upper:
-                holds = False
-            if t < lower:
-                lower_strict = True   # p^t E_rc lies in B^i but not in B_0^lower
-            if t > upper:
-                upper_strict = True   # B_0^upper has p^upper E_rc outside B^i
-    return ApproximationReport(holds, lower_strict, upper_strict)
+    return ApproximationReport(all(
+        upper <= o.entry_threshold(i, r, c) <= lower
+        for r in range(o.n) for c in range(o.n)))
 
 
 # -- integer matrix helpers for the exact searches ---------------------------

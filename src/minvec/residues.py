@@ -85,43 +85,54 @@ def box_enumerate(offsets, steps, counts, modulus) -> np.ndarray:
 def det_inv_mod(mats, p: int, L: int):
     """(det, inverses, unit) of an (M, n, n) stack of residue matrices mod p^L.
 
-    Gauss-Jordan in int64.  Each column pivots on a row entry of least
-    p-adic valuation, so every elimination step is an integer row operation
-    and det is exact mod p^L for every matrix.  Where det is a unit every
-    pivot is a unit and the right half ends as the inverse; rows of `inv`
-    where `unit` is False are meaningless.
+    Gauss-Jordan in int64, one chunk of chunk_rows matrices at a time into
+    preallocated outputs, so that one chunk's temporaries (its reduced
+    input, augmented rows and one product of them) stay in CHUNK_BYTES.
+    Each column pivots on a row entry of least p-adic valuation, so every
+    elimination step is an integer row operation and det is exact mod p^L
+    for every matrix.  Where det is a unit every pivot is a unit and the
+    right half ends as the inverse; rows of `inv` where `unit` is False are
+    meaningless.
     """
     mod = p ** L
     if mod * mod >= 1 << 63:
         raise OverflowError("residue products do not fit in int64")
-    a = np.asarray(mats, dtype=np.int64) % mod
-    M, n, _ = a.shape
-    aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64),
-                                             a.shape)], axis=2)
-    det = np.ones(M, dtype=np.int64)
-    rows = np.arange(M)
-    for c in range(n):
-        # gcd(x, p^L) = p^v, with v the valuation of x capped at L
-        pw = np.gcd(aug[:, c:, c], mod)
-        piv = c + np.argmin(pw, axis=1)
-        pw = pw[rows, piv - c]
-        top = aug[rows, piv]
-        det = np.where(piv == c, det, -det) * top[:, c] % mod
-        # unit^-1 = unit^(phi(p^L) - 1), by square and multiply
-        unit = top[:, c] // pw
-        uinv = np.ones(M, dtype=np.int64)
-        e = p ** (L - 1) * (p - 1) - 1
-        while e:
-            if e & 1:
-                uinv = uinv * unit % mod
-            unit = unit * unit % mod
-            e >>= 1
-        aug[rows, piv] = aug[:, c]
-        aug[:, c] = top * uinv[:, None] % mod
-        f = aug[:, :, c] // pw[:, None]
-        f[:, c] = 0
-        aug = (aug - f[:, :, None] * aug[:, c, None]) % mod
-    return det, aug[:, :, n:], det % p != 0
+    mats = np.asarray(mats)
+    M, n, _ = mats.shape
+    det = np.empty(M, dtype=np.int64)
+    inv = np.empty((M, n, n), dtype=np.int64)
+    step = chunk_rows(8 * (5 * n * n + 8 * n + 8))
+    for lo in range(0, M, step):
+        a = np.asarray(mats[lo:lo + step], dtype=np.int64) % mod
+        aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64),
+                                                 a.shape)], axis=2)
+        d = np.ones(len(a), dtype=np.int64)
+        rows = np.arange(len(a))
+        for c in range(n):
+            # gcd(x, p^L) = p^v, with v the valuation of x capped at L
+            pw = np.gcd(aug[:, c:, c], mod)
+            piv = c + np.argmin(pw, axis=1)
+            pw = pw[rows, piv - c]
+            top = aug[rows, piv]
+            d = np.where(piv == c, d, -d) * top[:, c] % mod
+            # unit^-1 = unit^(phi(p^L) - 1), by square and multiply
+            unit = top[:, c] // pw
+            uinv = np.ones(len(a), dtype=np.int64)
+            e = p ** (L - 1) * (p - 1) - 1
+            while e:
+                if e & 1:
+                    uinv = uinv * unit % mod
+                unit = unit * unit % mod
+                e >>= 1
+            aug[rows, piv] = aug[:, c]
+            aug[:, c] = top * uinv[:, None] % mod
+            f = aug[:, :, c] // pw[:, None]
+            f[:, c] = 0
+            aug -= f[:, :, None] * aug[:, c, None]
+            aug %= mod
+        det[lo:lo + len(a)] = d
+        inv[lo:lo + len(a)] = aug[:, :, n:]
+    return det, inv, det % p != 0
 
 
 class Draws:

@@ -43,6 +43,18 @@ def torus_closure_oracle(gens, mod, n):
     return frozenset(seen)
 
 
+def approximation_strictness_oracle(o, i):
+    """(lower_strict, upper_strict) of p^lower M_n < B^i < p^upper M_n,
+    lower = ceil((i - 1)/e) + 1 and upper = floor(i/e): whether some
+    p^(lower - 1) E_rc lies in B^i, and whether some p^upper E_rc does not,
+    read off the grades of the matrix units."""
+    lower = -((1 - i) // o.e) + 1
+    upper = i // o.e
+    grades = [(r, c) for r in range(o.n) for c in range(o.n)]
+    return (any(o.entry_grade(r, c, lower - 1) >= i for r, c in grades),
+            any(o.entry_grade(r, c, upper) < i for r, c in grades))
+
+
 def leibniz_det(mat):
     """Exact integer determinant by the permutation expansion."""
     n = len(mat)
@@ -406,23 +418,41 @@ def without_coset(bundle, k):
     return dataclasses.replace(bundle, jcapk=broken), want, coset
 
 
-def dichotomy_oracle(d, bundle, theta, jcapk=None):
+def dichotomy_oracle(d, bundle, theta, jcapk=None, per_coset=False):
     """(total, intertwining, jcapk_size, agree, witness) of the dichotomy by
-    scanning all of H1 for every unit of K, with membership in an
-    enumerated J cap K (jcapk_oracle unless given)."""
+    sweeping every unit of K mod p^L, with membership in an enumerated
+    J cap K (jcapk_oracle unless given).  Each unit is decided by scanning
+    all of H1; with per_coset, only the first unit of each left coset
+    g H1 in code order is, found by multiplying g into every element of
+    H1, and the coset takes its verdict (theta is a character of H1, so
+    g h intertwines exactly when g does)."""
     import numpy as np
     from minvec.residues import (box_enumerate, contains_codes, det_inv_mod,
                                  pack)
     p, n, L = d.p, d.order.n, bundle.level
     mod = p ** L
+    h1 = bundle.h1
     jk = jcapk_oracle(bundle) if jcapk is None else jcapk
     allm = box_enumerate([0] * (n * n), [1] * (n * n), [mod] * (n * n),
                          mod).reshape(-1, n, n)
     _, inv_all, unit = det_inv_mod(allm, p, L)
     units, inv_all = allm[unit], inv_all[unit]
-    members = contains_codes(jk.codes, pack(units, p, L))
-    inter = first_not_intertwined_oracle(units, inv_all, bundle.h1.mats,
-                                         theta) < 0
+    codes = pack(units, p, L)          # sorted: the box is in code order
+    members = contains_codes(jk.codes, codes)
+    if per_coset:
+        inter = np.zeros(len(units), dtype=bool)
+        done = np.zeros(len(units), dtype=bool)
+        while not done.all():
+            g = int(np.argmin(done))
+            coset_codes = pack(units[g] @ h1.mats % mod, p, L)
+            coset = np.searchsorted(codes, coset_codes)
+            assert np.array_equal(codes[coset], coset_codes)
+            inter[coset] = first_not_intertwined_oracle(
+                units[g:g + 1], inv_all[g:g + 1], h1.mats, theta)[0] < 0
+            done[coset] = True
+    else:
+        inter = first_not_intertwined_oracle(units, inv_all, h1.mats,
+                                             theta) < 0
     disagree = np.flatnonzero(inter != members)
     witness = units[disagree[0]] if len(disagree) else None
     return len(units), int(inter.sum()), jk.size, witness is None, witness

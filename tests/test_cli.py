@@ -343,6 +343,9 @@ class TestSectionModes:
                     assert not RETIRED_KEYS & set(entry), name
             assert not (RETIRED_KEYS | RETIRED_DEPTH_KEYS) \
                 & set(block["depth_report"])
+        # every shipped datum sweeps at the default budget
+        assert [entry["mode"] for block in live for entry in
+                block["checks"]["intertwine"]["detail"]] == ["sweep"] * 5
 
 
 class TestConsoleEntry:
@@ -673,6 +676,28 @@ class TestGeneratorCertificate:
 N3_DATUM = {"beta": {"entries": [[0, 1, 0], [0, 0, 1], [3, 0, 0]],
                      "scale": -1},
             "e": 3, "j": 2, "kind": "supercuspidal", "n": 3, "p": 3}
+
+
+class TestSpotFallback:
+    def test_budget_between_the_groups_and_the_gate(self):
+        # datum c lists at most B1's 2,187 elements; its sweep would list
+        # the 3,888 units of GL_2(Z/9), so at --budget 3000 the intertwine
+        # section falls back to spot and says why.  Every other section is
+        # the golden's.
+        code, out = run_cli("--seed", "0", "verify",
+                            str(DATA_DIR / "datum_n2e1j2p3.json"),
+                            "--budget", "3000")
+        assert code == 0
+        block = extract_block(out)
+        want = json.loads((GOLDEN_DIR / "verify_n2e1j2p3.block.json")
+                          .read_text())
+        assert block["checks"].pop("intertwine") == {
+            "detail": [{"block": 0, "mode": "spot", "gate": 3888,
+                        "budget": 3000, "members_checked": 40,
+                        "nonmembers_checked": 40, "dichotomy": True}],
+            "verdict": "PASS"}
+        del want["checks"]["intertwine"]
+        assert block == want
 
 
 class TestHonestExits:

@@ -703,16 +703,37 @@ def flipped_theta(theta):
     return GroupCharacter(theta.domain, nums, theta.denom)
 
 
+# (fixture, parabolic block or None, the oracle per coset, the sweep's
+# counts: |K|, intertwining = |J cap K|, and the representatives decided),
+# keyed 0 for datum a, 1 and 2 for the parabolic blocks, then b and c
+SWEEP_CASES = {
+    0: ("block_a", None, False, 3888, 486, 16),
+    1: ("parabolic_kr", 0, False, 3888, 486, 16),
+    2: ("parabolic_kr", 1, False, 3888, 486, 16),
+    "b": ("block_b", None, True, 314928, 13122, 48),
+    "c": ("block_c", None, True, 314928, 52488, 432),
+}
+
+
+def sweep_block(case, request):
+    name, which, *_ = SWEEP_CASES[case]
+    fixture = request.getfixturevalue(name)
+    return fixture if which is None else fixture.blocks[which]
+
+
 class TestCosetSweep:
-    @pytest.mark.parametrize("which", [0, 1, 2])
-    def test_matches_unit_oracle(self, block_a, parabolic_kr, which):
-        blk = ([block_a] + list(parabolic_kr.blocks))[which]
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_matches_unit_oracle(self, case, request):
+        # the sweep on GL_n(Z/p^s) against every unit mod p^L; on b and c
+        # the oracle scans H1 once per coset g H1 of its own, at level L
+        _, _, per_coset, total, inter, _ = SWEEP_CASES[case]
+        blk = sweep_block(case, request)
         args = (blk.datum, blk.bundle, blk.simple.theta)
         assert dichotomy_tuple(intertwining_dichotomy(*args)) == \
-            oracle_tuple(dichotomy_oracle(*args)) == \
-            (3888, 486, 486, True, None)
+            oracle_tuple(dichotomy_oracle(*args, per_coset=per_coset)) == \
+            (total, inter, inter, True, None)
 
-    def test_one_conjugator_per_coset(self, block_a, monkeypatch):
+    def test_one_conjugator_per_coset(self, request, monkeypatch):
         rows = []
         kernel = groups._first_not_intertwined
 
@@ -721,9 +742,13 @@ class TestCosetSweep:
             return kernel(G, *args)
 
         monkeypatch.setattr(groups, "_first_not_intertwined", counting)
-        rep = intertwining_dichotomy(block_a.datum, block_a.bundle,
-                                     block_a.simple.theta)
-        assert rep.total == 3888 and rows == [16]
+        for case in (0, "b", "c"):
+            *_, total, _, reps = SWEEP_CASES[case]
+            blk = sweep_block(case, request)
+            rows.clear()
+            rep = intertwining_dichotomy(blk.datum, blk.bundle,
+                                         blk.simple.theta)
+            assert rep.total == total and rows == [reps], case
 
     def test_missing_coset_gives_the_oracle_witness(self, block_a):
         b = block_a.bundle

@@ -16,7 +16,7 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter,
                            _first_not_intertwined, intertwining_dichotomy,
                            intertwining_spot, product_index, unit_sumset)
 from minvec.orders import HereditaryOrder, min_poly_fp
-from minvec.padic import mat_mul_int
+from minvec.padic import _adjugate, _int_det, mat_mul_int
 from minvec.residues import Draws, det_inv_mod, pack, sample_units_outside
 
 from oracles import (contains, first_not_intertwined_oracle,
@@ -57,6 +57,38 @@ class TestDetInv:
             else:
                 with pytest.raises(ZeroDivisionError):
                     mat_inv_mod(m.tolist(), p, L)
+
+    def test_chunks_match_int_det_and_adjugate(self, monkeypatch):
+        # with 1 KiB chunks a chunk holds at most 128 matrices, so 500
+        # matrices span more than three chunks; every seventh has a row
+        # scaled by p, so it is singular mod p while its determinant mod
+        # p^2 need not vanish
+        monkeypatch.setattr(residues, "CHUNK_BYTES", 1 << 10)
+        p, L, mod = 3, 2, 9
+        mats = Draws(4).integers(0, mod, size=(500, 3, 3))
+        mats[::7, 2] = mats[::7, 2] * p % mod
+        assert len(mats) > 3 * residues.chunk_rows(8)
+        det, inv, unit = det_inv_mod(mats, p, L)
+        assert not unit[::7].any() and unit.any()
+        for m, d, m_inv, u in zip(mats.tolist(), det, inv, unit):
+            want = _int_det(m) % mod
+            assert (d, u) == (want, want % p != 0)
+            if u:
+                adj = np.array(_adjugate(m, 3)) * pow(want, -1, mod) % mod
+                assert np.array_equal(m_inv, adj)
+
+    @pytest.mark.parametrize("count", [2000, 20000])
+    def test_temporaries_within_two_chunks(self, count):
+        # tracemalloc sees numpy's buffers; see TestTorusMemory for why not
+        # ru_maxrss
+        mats = Draws(5).integers(0, 9, size=(count, 4, 4))
+        tracemalloc.start()
+        try:
+            out = det_inv_mod(mats, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(a.nbytes for a in out) + 2 * residues.CHUNK_BYTES
 
 
 def poly_at(coeffs, rows, p):

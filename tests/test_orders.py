@@ -13,7 +13,8 @@ from minvec.orders import (HereditaryOrder, InductionDatum,
 from minvec.padic import mat_mul_int
 
 from conftest import build_datum
-from oracles import datum_oracle, frac_matrix, frac_vp, k0_flat
+from oracles import (approximation_strictness_oracle, datum_oracle,
+                     frac_matrix, frac_vp, k0_flat)
 
 PI = [[0, 1], [3, 0]]   # a prime element of the period-2 order at p = 3
 
@@ -164,8 +165,10 @@ class TestFiltrationLaws:
                     assert approximation_report(o, i).holds
 
     def test_strictness_example(self):
-        rep = approximation_report(HereditaryOrder(2, 2), 1)
-        assert rep.holds and rep.lower_strict and rep.upper_strict
+        # the radical approximation of B^1 is strict below and above
+        o = HereditaryOrder(2, 2)
+        assert approximation_report(o, 1).holds
+        assert approximation_strictness_oracle(o, 1) == (True, True)
 
     def test_wide_interval_n4(self):
         assert approximation_report(HereditaryOrder(4, 2), -3).holds

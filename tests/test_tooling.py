@@ -12,10 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import DATA_DIR, REPO
 from oracles import torus_closure_oracle
 
+from minvec import testfunc
 from minvec.datafiles import load_query
+from minvec.groups import intertwining_dichotomy
 
 
 def load_perfbench(name):
@@ -82,6 +86,27 @@ def test_traced_count_records_every_hook(tmp_path):
     assert traced["counters"]["counting.torus_elements"] == len(torus)
 
 
+@pytest.mark.parametrize("blocks, kr", [
+    (["block_a"], "kr_a"), (["block_b"], "kr_b"), (["block_c"], "kr_c"),
+    ([], "parabolic_kr")])
+def test_traced_counts_are_python_ints(blocks, kr, request):
+    # traced.py adds these up and run.py writes them with json.dumps; a
+    # float would let a NaN or Infinity into its last line, and a numpy
+    # scalar is no JSON number at all
+    kr = request.getfixturevalue(kr)
+    blocks = [request.getfixturevalue(b) for b in blocks] or kr.blocks
+    values = []
+    for blk in blocks:
+        b = blk.bundle
+        rep = intertwining_dichotomy(blk.datum, b, blk.simple.theta)
+        values += [rep.total, rep.intertwining, rep.jcapk_size]
+        values += [g.size for g in (*b.ua.values(), b.ul1, b.ol_units, b.h1,
+                                    b.j1, b.jcapk)]
+    conv = testfunc.convolve_check(testfunc.make_omega(kr))
+    values += [conv.support_points_checked, conv.offsupport_points_checked]
+    assert [type(v) for v in values] == [int] * len(values)
+
+
 def loaded_modules(tmp_path, call):
     """The minvec modules in sys.modules after `call` in a fresh process."""
     script = (f"import json, sys\n{call}\n"
@@ -123,6 +148,17 @@ UNREACHED_OK = {
                             "query has (p^c)^(n^2) >= 2^62",
     "datafiles.extract_block": "the reader of the block that render_report "
                                "writes, kept beside its writer",
+    # the spot fallback runs only above the sweep's gate, and
+    # perfbench/traced.py hooks intertwining_spot, so they go only after a
+    # benchmark change; TestSpotFallback runs them at a small --budget
+    "groups.intertwining_spot": "the intertwining check above the sweep's "
+                                "gate",
+    "groups.FiniteSubgroup.draw": "draws the spot check's members of "
+                                  "J cap K",
+    "residues.sample_units_outside": "draws the spot check's non-members",
+    "errors.BudgetExceeded.__init__": "no shipped datum exceeds the default "
+                                      "budget; the sweep's gate raises it "
+                                      "at a small --budget",
 }
 
 REACHED = """
@@ -270,10 +306,6 @@ FIELDS_UNREAD_OK = {
     "orders.FieldCertificate.slope_denominator":
         "TestExactDatumSide compares the certificate with datum_oracle",
     "orders.FieldCertificate.residue_minpoly": "the same comparison",
-    "orders.ApproximationReport.lower_strict":
-        "TestFiltrationLaws::test_strictness_example pins that the radical "
-        "approximation is strict below",
-    "orders.ApproximationReport.upper_strict": "the same example, above",
     "orders.InductionDatum.beta_rows":
         "beta as given, p^beta_scale beta_rows; test_formula_value and "
         "acceptance criterion 2 rebuild beta exactly from it",
