@@ -25,6 +25,7 @@ extend_and_induce certify.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,8 +36,9 @@ from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, fp_reduce
 from . import residues
 from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
-                       det_inv_mod, pack, sample_units_outside, sorted_index,
-                       sorted_unique, unpack)
+                       det_inv_mod, distinct_codes, pack, pack_mod,
+                       row_blocks, sample_units_outside, sorted_index,
+                       sorted_unique, unit_codes, unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -64,9 +66,9 @@ class FiniteSubgroup:
     """An explicit subgroup of GL_n(Z/p^L).
 
     Either enumerated from its sorted, distinct codes (their matrices are
-    unpacked once, in code order), or a sumset (sorted class codes mod
-    steps, see sumset_classes), or given by a membership predicate with a
-    size formula; the last two are never listed.
+    unpacked once, in code order, when first read), or a sumset (sorted
+    class codes mod steps, see sumset_classes), or given by a membership
+    predicate with a size formula; the last two are never listed.
     """
 
     def __init__(self, name, p, level, n, codes=None, membership=None,
@@ -79,12 +81,10 @@ class FiniteSubgroup:
         self.classes, self.steps = sumset or (None, None)
         if codes is not None:
             self.codes = np.asarray(codes, dtype=np.int64)
-            self.mats = unpack(self.codes, p, level, n)
             self.size = len(self.codes)
             self._tree = None
         else:
             self.codes = None
-            self.mats = None
             if sumset is not None:
                 size = len(self.classes) * math.prod(
                     (self.modulus // self.steps).ravel().tolist())
@@ -96,15 +96,27 @@ class FiniteSubgroup:
     def modulus(self):
         return self.p ** self.level
 
+    @functools.cached_property
+    def mats(self):
+        """The (size, n, n) elements in code order, or None unless
+        enumerated."""
+        return None if self.codes is None else unpack(self.codes, self.p,
+                                                      self.level, self.n)
+
     def member_mask(self, mats) -> np.ndarray:
-        """Membership of each matrix of an (M, n, n) residue stack."""
-        mats = np.asarray(mats, dtype=np.int64) % self.modulus
-        if self.codes is not None:
-            return contains_codes(self.codes, pack(mats, self.p, self.level))
-        if self.classes is not None:
-            return contains_codes(self.classes, pack(mats % self.steps,
-                                                     self.p, self.level))
-        return self.membership(mats)
+        """Membership of each matrix of an (M, n, n) residue stack.
+
+        A predicate gets the stack reduced mod p^L.  An enumerated group or
+        a sumset reduces and packs it one row block at a time (pack_mod),
+        so beside the stack only its codes and one block's reduced copy
+        are held."""
+        if self.membership is not None:
+            return self.membership(np.asarray(mats, dtype=np.int64)
+                                   % self.modulus)
+        codes, moduli = (self.classes, self.steps) if self.codes is None \
+            else (self.codes, self.modulus)
+        return contains_codes(codes, pack_mod(mats, self.p, self.level,
+                                              moduli))
 
     def draw(self, rng: Draws, count: int) -> np.ndarray:
         """count seeded members of a sumset, uniform: a class, then an
@@ -200,8 +212,7 @@ def sumset_classes(o: HereditaryOrder, k: int, units, p: int, L: int):
     n = o.n
     steps = np.array([[p ** min(L, max(0, o.entry_threshold(k, r, c)))
                        for c in range(n)] for r in range(n)], dtype=np.int64)
-    classes = sorted_unique(pack(np.asarray(units, dtype=np.int64) % steps,
-                                 p, L))
+    classes = distinct_codes(units, p, L, steps)
     return classes, steps
 
 
@@ -232,13 +243,10 @@ def enumerate_field_order(d: InductionDatum, L: int):
     """
     p, n, o = d.p, d.order.n, d.order
     mod = p ** L
-    powers = []
-    cur = np.eye(n, dtype=np.int64)
     bt = np.array(d.beta_integral, dtype=np.int64)
-    for _ in range(n):
-        powers.append(cur % mod)
-        cur = cur @ bt
-    powers = np.array(powers)
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ bt % mod)
     coeffs = box_enumerate([0] * n, [1] * n, [mod] * n, mod)
     codes = sorted_unique(pack(np.einsum("mc,cij->mij", coeffs, powers) % mod,
                                p, L))
@@ -251,11 +259,10 @@ def enumerate_field_order(d: InductionDatum, L: int):
     ident = np.eye(n, dtype=np.int64)
     for r in range(n):
         for c in range(n):
-            t1 = max(0, o.entry_threshold(1, r, c))
-            if t1 > 0:
-                unit |= mats[:, r, c] % p ** min(t1, L) != 0
-            diff = (mats[:, r, c] - ident[r, c]) % mod
-            ul1 &= diff % p ** min(t1, L) == 0 if t1 > 0 else np.ones(len(mats), bool)
+            # p^0 = 1 divides everything: a grade-0 position adds nothing
+            q = p ** min(max(0, o.entry_threshold(1, r, c)), L)
+            unit |= mats[:, r, c] % q != 0
+            ul1 &= (mats[:, r, c] - ident[r, c]) % q == 0
     return codes, unit, ul1
 
 
@@ -328,8 +335,8 @@ class GroupCharacter:
         """Exponent numerators over denom for an (M, n, n) residue stack
         inside the domain."""
         dom = self.domain
-        mats = np.asarray(mats, dtype=np.int64) % dom.modulus
-        return self.restricted_nums(pack(mats, dom.p, dom.level))
+        return self.restricted_nums(pack_mod(mats, dom.p, dom.level,
+                                             dom.modulus))
 
     def restricted_nums(self, codes):
         idx = self.domain.index_of_codes(codes)
@@ -515,19 +522,30 @@ def _coset_decomposition(group: FiniteSubgroup, small_mats):
     the group's codes).
 
     A coset is keyed by its first element in code order, which is its
-    representative, and cosets are numbered in that order.  Each round
-    multiplies out as many free candidates as cosets are left, spread over
-    the free elements, and assigns every coset they reach.
+    representative, and cosets are numbered in that order.  Each pass walks
+    the group's codes in row blocks; in a block it unpacks every |S|-th
+    free element, multiplies these candidates by S and assigns every coset
+    they reach.  Only the codes and the keys, which become the coset ids
+    in place, span the group; no element but a candidate is unpacked.
     """
+    p, L, n, m = group.p, group.level, group.n, len(small_mats)
     first = np.full(group.size, -1, dtype=np.intp)
-    while (free := np.flatnonzero(first < 0)).size:
-        idx = product_index(group, group.mats[free[::len(small_mats)]],
-                            small_mats)
-        if np.any(idx < 0):
-            raise ConstructionFailure("coset leaves the overgroup")
-        first[idx] = idx.min(axis=1, keepdims=True)
-    reps = sorted_unique(first)
-    return reps, np.searchsorted(reps, first)
+    # a block's free indices, keys and candidates
+    blocks = row_blocks(group.size, 8 * (2 + n * n))
+    while not np.all(first >= 0):
+        for blk in blocks:
+            free = blk.start + np.flatnonzero(first[blk] < 0)
+            idx = product_index(group, unpack(group.codes[free[::m]], p, L, n),
+                                small_mats)
+            if np.any(idx < 0):
+                raise ConstructionFailure("coset leaves the overgroup")
+            first[idx] = idx.min(axis=1, keepdims=True)
+    # a representative is its own key
+    reps = np.concatenate([blk.start + np.flatnonzero(
+        first[blk] == np.arange(blk.start, blk.stop)) for blk in blocks])
+    for blk in blocks:
+        first[blk] = np.searchsorted(reps, first[blk])
+    return reps, first
 
 
 def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
@@ -708,11 +726,15 @@ def _fixed_on_generators(G, Gi, theta: GroupCharacter) -> np.ndarray:
     h1 = theta.domain
     root, perms = h1._generator_tree()
     gens = np.array([perm[root] for perm in perms], dtype=np.intp)
-    inverse = np.all(G @ Gi % h1.modulus == np.eye(h1.n, dtype=np.int64),
-                     axis=(1, 2))
-    idx = product_index(h1, G, h1.mats[gens], Gi)
-    agree = (idx >= 0) & (theta.nums[idx] == theta.nums[gens])
-    return inverse & agree.all(axis=1)
+    fixed = np.empty(len(G), dtype=bool)
+    # a block's product G Gi and conjugate indices and exponents
+    for blk in row_blocks(len(G), 8 * (2 * h1.n * h1.n + 3 * len(gens))):
+        inverse = np.all(G[blk] @ Gi[blk] % h1.modulus
+                         == np.eye(h1.n, dtype=np.int64), axis=(1, 2))
+        idx = product_index(h1, G[blk], h1.mats[gens], Gi[blk])
+        agree = (idx >= 0) & (theta.nums[idx] == theta.nums[gens])
+        fixed[blk] = inverse & agree.all(axis=1)
+    return fixed
 
 
 def _first_not_intertwined(G, Gi, xs, theta: GroupCharacter):
@@ -722,26 +744,30 @@ def _first_not_intertwined(G, Gi, xs, theta: GroupCharacter):
     intertwines.
 
     The rows that `_fixed_on_generators` certifies are -1 after |S|
-    conjugates.  Every other row scans xs in order, in windows that grow
-    fourfold while the window's index table stays in CHUNK_BYTES, and
-    leaves the scan at its first bad x.
+    conjugates.  The others scan xs in order, in row blocks that each leave
+    the scan at their first bad x, and in windows of 8 x that grow
+    fourfold; the first bad x is most often among the first few.  A
+    window's table, an index, an exponent and masks per (row, x) of 4 * 8
+    bytes, stays in CHUNK_BYTES: at the least width by the row blocks, and
+    above it by the width.
     """
     h1 = theta.domain
     first = np.full(len(G), -1, dtype=np.intp)
-    rows = np.flatnonzero(~_fixed_on_generators(G, Gi, theta))
-    lo, width = 0, 64
-    while len(rows) and lo < len(xs):
-        hi = min(len(xs), lo + width)
-        x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi], h1.p,
-                                                   h1.level))]
-        c_idx = product_index(h1, G[rows], xs[lo:hi], Gi[rows])
-        bad = (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
-        hit = bad.any(axis=1)
-        first[rows[hit]] = lo + bad[hit].argmax(axis=1)
-        rows = rows[~hit]
-        lo = hi
-        width = min(4 * width, max(64, residues.CHUNK_BYTES
-                                   // (8 * max(1, len(rows)))))
+    todo = np.flatnonzero(~_fixed_on_generators(G, Gi, theta))
+    for blk in row_blocks(len(todo), 4 * 8 * 8):
+        rows, lo, width = todo[blk], 0, 8
+        while len(rows) and lo < len(xs):
+            hi = min(len(xs), lo + width)
+            x_nums = theta.nums[h1.index_of_codes(pack(xs[lo:hi], h1.p,
+                                                       h1.level))]
+            c_idx = product_index(h1, G[rows], xs[lo:hi], Gi[rows])
+            bad = (c_idx >= 0) & (theta.nums[c_idx] != x_nums)
+            hit = bad.any(axis=1)
+            first[rows[hit]] = lo + bad[hit].argmax(axis=1)
+            rows = rows[~hit]
+            lo = hi
+            width = min(4 * width, max(8, residues.CHUNK_BYTES
+                                       // (4 * 8 * max(1, len(rows)))))
     return first
 
 
@@ -802,13 +828,19 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     s the least level with 1 + p^s M_n(O) inside U_A(k), which lies in H^1
     and in J cap K, both verdicts depend only on g mod p^s: the cosets
     g H^1 are the preimages of the cosets of H^1's image in GL_n(Z/p^s).
-    So the sweep lists GL_n(Z/p^s), the lifts g + p y of GL_n(F_p), held
-    to the budget, decides the first unit of each coset in code order at
-    level L, and weighs each count by the p^(n^2 (L - s)) lifts of a unit.
+    So the sweep lists GL_n(Z/p^s) (unit_codes), held to the budget,
+    decides the first unit of each coset in code order at level L, and
+    weighs each count by the p^(n^2 (L - s)) lifts of a unit.
     The counts and the witness, the first unit in code order where
     intertwining and membership in J cap K disagree (its entries are below
     p^s, so it is first mod p^L too), are those of the sweep over every
     unit mod p^L.
+
+    GL_n(Z/p^s) is held as its sorted codes and each unit's coset id, and
+    no stack of it is unpacked: the coset decomposition unpacks only the
+    candidates it multiplies, the representatives alone are decided, and
+    the per-unit comparison of the coset's verdict with membership in
+    J cap K walks the units in row blocks that fit CHUNK_BYTES.
     """
     p, n, L = d.p, d.order.n, bundle.level
     h1, jk = bundle.h1, bundle.jcapk
@@ -818,22 +850,25 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
     if gate > budget:
         raise BudgetExceeded(f"{gate} units of GL_{n}(Z/p^{s}) to sweep",
                              estimate=gate)
-    box = unpack(np.arange(p ** (n * n)), p, 1, n)
-    lifts = box_enumerate([0] * (n * n), [p] * (n * n),
-                          [p ** (s - 1)] * (n * n), p ** s)
-    units = FiniteSubgroup(f"GL_n(Z/p^{s})", p, s, n, np.sort(
-        (pack(box[det_inv_mod(box, p, 1)[2]], p, s)[:, None]
-         + pack(lifts.reshape(-1, n, n), p, s)).ravel()))
+    codes = unit_codes(p, s, n)
+    units = FiniteSubgroup(f"GL_n(Z/p^{s})", p, s, n, codes)
     reps, coset = _coset_decomposition(units, unpack(
-        sorted_unique(pack(h1.mats % p ** s, p, s)), p, s, n))
-    G = units.mats[reps]
-    inter = (_first_not_intertwined(G, det_inv_mod(G, p, L)[1], h1.mats,
-                                    theta) < 0)[coset]
-    disagree = inter != jk.member_mask(units.mats)
-    witness = units.mats[np.argmax(disagree)] if disagree.any() else None
+        distinct_codes(h1.mats, p, s, p ** s), p, s, n))
+    G = unpack(codes[reps], p, s, n)
+    decided = _first_not_intertwined(G, det_inv_mod(G, p, L)[1], h1.mats,
+                                     theta) < 0
+    count, witness = 0, None
+    # a block's units, their codes at level L and their verdicts
+    for blk in row_blocks(units.size, 8 * (2 * n * n + 4)):
+        inter = decided[coset[blk]]
+        count += int(np.count_nonzero(inter))
+        block = unpack(codes[blk], p, s, n)
+        disagree = inter != jk.member_mask(block)
+        if witness is None and disagree.any():
+            witness = block[np.argmax(disagree)]
     lifted = p ** (n * n * (L - s))
-    return DichotomyReport(units.size * lifted, int(inter.sum()) * lifted,
-                           jk.size, witness is None, witness)
+    return DichotomyReport(units.size * lifted, count * lifted, jk.size,
+                           witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +985,6 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
             threshold=block_threshold(blk), level=blk.bundle.level,
             sampler=None)
 
-    data = [b.datum for b in blocks]
     if any(b.datum.p != p for b in blocks):
         raise DatumInvalid("blocks live over different primes")
     if any(b.datum.order.n < 2 for b in blocks):
@@ -966,12 +1000,8 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
         raise DatumInvalid(
             "blocks share (e, j); pairwise inequivalence must be asserted")
 
-    n = sum(b.datum.order.n for b in blocks)
-    offsets = []
-    off = 0
-    for b in blocks:
-        offsets.append(off)
-        off += b.datum.order.n
+    *offsets, n = itertools.accumulate([0] + [b.datum.order.n
+                                              for b in blocks])
     slices = [slice(o, o + b.datum.order.n) for o, b in zip(offsets, blocks)]
     upper = (c_val + 1) // 2          # floor
     lower = (c_val + 2) // 2          # ceil
@@ -982,19 +1012,15 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
     level = max(c_val + 2, max(b.bundle.level for b in blocks))
     mod = p ** level
 
-    def lifted_block_size(b):
-        ni = b.datum.order.n
-        return b.b1.size * p ** (ni * ni * (level - b.bundle.level))
-
     size = 1
     for b in blocks:
-        size *= lifted_block_size(b)
+        ni = b.datum.order.n
+        size *= b.b1.size * p ** (ni * ni * (level - b.bundle.level))
     for i, k2, thr in off_blocks:
         size *= p ** ((level - thr) * blocks[i].datum.order.n
                       * blocks[k2].datum.order.n)
 
     def membership(mats) -> np.ndarray:
-        mats = np.asarray(mats, dtype=np.int64) % mod
         ok = np.ones(len(mats), dtype=bool)
         for sl, b in zip(slices, blocks):
             ok &= b.b1.member_mask(mats[:, sl, sl])
@@ -1041,4 +1067,5 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
             f"theta={theta_ok} congruence={congruence_ok}")
     threshold = min(upper, lower, *map(block_threshold, blocks))
     return KpiResult(kpi, theta, list(blocks), c_val,
-                     depth_bound_cfrak(data), threshold, level, sampler)
+                     depth_bound_cfrak([b.datum for b in blocks]), threshold,
+                     level, sampler)

@@ -8,8 +8,9 @@ Element sets are numpy arrays of shape (M, n, n) with int64 residues in
 torus closure keeps its elements this way.  All heavy pairwise checks go
 through these helpers so they stay exact (integer arithmetic only) while
 running at numpy speed.  A stacked kernel sizes its chunks with chunk_rows
-to hold CHUNK_BYTES of temporaries; in groups, every product that is
-looked up goes through the one such kernel there, groups.product_index.
+to hold CHUNK_BYTES of temporaries, or walks a stack in the row_blocks that
+fit them; in groups, every product that is looked up goes through the one
+kernel there that calls chunk_rows, groups.product_index.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ def chunk_rows(row_bytes: int) -> int:
     return max(1, CHUNK_BYTES // max(1, row_bytes))
 
 
+def row_blocks(count: int, row_bytes: int):
+    """Slices that cover range(count) in order, chunk_rows(row_bytes) rows
+    each (the last may be shorter)."""
+    step = chunk_rows(row_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def fits_packing(p: int, L: int, n: int) -> bool:
     return (p ** L) ** (n * n) < 2 ** 62
 
@@ -45,6 +53,29 @@ def pack(mats: np.ndarray, p: int, L: int) -> np.ndarray:
     M, n, _ = mats.shape
     return np.asarray(mats, dtype=np.int64).reshape(M, n * n) \
         @ _weights(p, L, n)
+
+
+def pack_mod(mats: np.ndarray, p: int, L: int, moduli) -> np.ndarray:
+    """pack(mats % moduli, p, L) for an (M, n, n) stack, where moduli, one
+    modulus or an (n, n) array of them, divides p^L: one row block at a
+    time, so the reduced copy stays in CHUNK_BYTES."""
+    mats = np.asarray(mats)
+    M, n, _ = mats.shape
+    out = np.empty(M, dtype=np.int64)
+    for blk in row_blocks(M, 8 * n * n):
+        out[blk] = pack(np.asarray(mats[blk], dtype=np.int64) % moduli, p, L)
+    return out
+
+
+def distinct_codes(mats: np.ndarray, p: int, L: int, moduli) -> np.ndarray:
+    """The sorted distinct codes of mats % moduli (as pack_mod), merged one
+    row block at a time, so that a block's codes and the distinct ones are
+    all that is held."""
+    out = np.zeros(0, dtype=np.int64)
+    for blk in row_blocks(len(mats), 3 * 8):
+        out = sorted_unique(np.concatenate([out, pack_mod(mats[blk], p, L,
+                                                          moduli)]))
+    return out
 
 
 def matrix_keys(mats: np.ndarray) -> np.ndarray:
@@ -82,6 +113,18 @@ def box_enumerate(offsets, steps, counts, modulus) -> np.ndarray:
     return out
 
 
+def unit_codes(p: int, s: int, n: int) -> np.ndarray:
+    """The sorted codes of GL_n(Z/p^s), listed as the lifts g + p y of the
+    units g of GL_n(F_p), so that no p^(n^2 s) box is inverted."""
+    box = unpack(np.arange(p ** (n * n)), p, 1, n)
+    lifts = box_enumerate([0] * (n * n), [p] * (n * n),
+                          [p ** (s - 1)] * (n * n), p ** s)
+    codes = (pack(box[det_inv_mod(box, p, 1)[2]], p, s)[:, None]
+             + pack(lifts.reshape(-1, n, n), p, s)).ravel()
+    codes.sort()
+    return codes
+
+
 def det_inv_mod(mats, p: int, L: int):
     """(det, inverses, unit) of an (M, n, n) stack of residue matrices mod p^L.
 
@@ -101,9 +144,8 @@ def det_inv_mod(mats, p: int, L: int):
     M, n, _ = mats.shape
     det = np.empty(M, dtype=np.int64)
     inv = np.empty((M, n, n), dtype=np.int64)
-    step = chunk_rows(8 * (5 * n * n + 8 * n + 8))
-    for lo in range(0, M, step):
-        a = np.asarray(mats[lo:lo + step], dtype=np.int64) % mod
+    for blk in row_blocks(M, 8 * (5 * n * n + 8 * n + 8)):
+        a = np.asarray(mats[blk], dtype=np.int64) % mod
         aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.int64),
                                                  a.shape)], axis=2)
         d = np.ones(len(a), dtype=np.int64)
@@ -130,8 +172,8 @@ def det_inv_mod(mats, p: int, L: int):
             f[:, c] = 0
             aug -= f[:, :, None] * aug[:, c, None]
             aug %= mod
-        det[lo:lo + len(a)] = d
-        inv[lo:lo + len(a)] = aug[:, :, n:]
+        det[blk] = d
+        inv[blk] = aug[:, :, n:]
     return det, inv, det % p != 0
 
 
@@ -218,28 +260,28 @@ def sorted_unique(codes: np.ndarray) -> np.ndarray:
 
 
 def _hits(codes_sorted: np.ndarray, queries: np.ndarray):
-    """(lo, pos, hit) for each chunk of the queries from lo: pos their
+    """(blk, pos, hit) for each row block of the queries: pos their
     positions in the sorted codes, clipped in place, and hit whether the
-    code there is the query.  One chunk's temporaries stay in CHUNK_BYTES."""
-    step = chunk_rows(2 * 8 + 1 + codes_sorted.itemsize)
-    for lo in range(0, len(queries) if len(codes_sorted) else 0, step):
-        chunk = queries[lo:lo + step]
+    code there is the query.  One block's temporaries stay in CHUNK_BYTES."""
+    for blk in row_blocks(len(queries) if len(codes_sorted) else 0,
+                          2 * 8 + 1 + codes_sorted.itemsize):
+        chunk = queries[blk]
         pos = np.searchsorted(codes_sorted, chunk)
         np.minimum(pos, len(codes_sorted) - 1, out=pos)
-        yield lo, pos, codes_sorted[pos] == chunk
+        yield blk, pos, codes_sorted[pos] == chunk
 
 
 def sorted_index(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Indices of queries in a sorted code array; -1 where absent."""
     out = np.full(len(queries), -1, dtype=np.intp)
-    for lo, pos, hit in _hits(codes_sorted, queries):
-        out[lo:lo + len(pos)][hit] = pos[hit]
+    for blk, pos, hit in _hits(codes_sorted, queries):
+        out[blk][hit] = pos[hit]
     return out
 
 
 def contains_codes(codes_sorted: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Whether each query is in a sorted code array."""
     out = np.zeros(len(queries), dtype=bool)
-    for lo, pos, hit in _hits(codes_sorted, queries):
-        out[lo:lo + len(pos)] = hit
+    for blk, pos, hit in _hits(codes_sorted, queries):
+        out[blk] = hit
     return out

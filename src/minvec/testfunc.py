@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConstructionFailure
 from .groups import KpiResult, gl_order
 from .padic import vp
-from .residues import Draws, det_inv_mod
+from .residues import Draws, det_inv_mod, row_blocks
 
 
 def compare_with_p_power(x: Fraction, p: int, q: Fraction) -> int:
@@ -92,10 +92,12 @@ def convolve_check(tf: TestFunction, seed: int = 0) -> ConvolutionReport:
     Membership-only supports are checked on CONVOLVE_SAMPLES seeded pairs
     on the support and as many off it, term by term: support_ok fails at
     the first pair whose g^-1 x leaves the support or breaks the law, and
-    offsupport_ok at the first g off it that carries a point into it.
+    offsupport_ok at the first g off it that carries a point into it.  The
+    pairs are drawn whole, and their inverses, products, membership and
+    exponents are computed one row block at a time, within CHUNK_BYTES.
     """
     kpi = tf.kpi_result.kpi
-    if kpi.mats is not None:
+    if kpi.codes is not None:
         return _convolve_full(tf)
     return _convolve_sampled(tf, CONVOLVE_SAMPLES, seed)
 
@@ -112,43 +114,69 @@ def _convolve_full(tf):
 
 
 def _convolve_sampled(tf, samples, seed):
-    kpi_result = tf.kpi_result
-    kpi, theta, sampler = kpi_result.kpi, kpi_result.theta, kpi_result.sampler
-    p, L = kpi.p, kpi_result.level
-    mod = p ** L
+    """Each half draws its pairs whole, in the order of one Draws stream,
+    and decides them one row block at a time (_row_bytes).  The draws of
+    the first half are freed before the second half draws."""
+    kr = tf.kpi_result
     rng = Draws(seed)
+    checked, ok, witness = _support_half(kr, rng, samples)
+    off_checked, off_ok, off_witness = _offsupport_half(kr, rng, samples)
+    return ConvolutionReport("sampled", checked, ok, off_checked, off_ok,
+                             witness if off_ok else off_witness)
+
+
+def _row_bytes(kr):
+    """Bytes of every array that a row block makes, summed over its steps:
+    about 32 n x n stacks a row, of which det_inv_mod's column steps make
+    19, the inverse and product 3, membership 4 and the exponents 6.  The
+    sum, not only the largest step, is held to CHUNK_BYTES, so that a block
+    raises the heap by at most that much wherever the arrays land."""
+    return 8 * 32 * kr.n * kr.n
+
+
+def _support_half(kr, rng, samples):
+    """On the support: g^-1 x lies in K_pi and Theta(x) - Theta(g^-1 x) =
+    Theta(g); checked counts the pairs before the first failure."""
+    kpi, theta, mod = kr.kpi, kr.theta, kr.kpi.p ** kr.level
     t = theta.nums_of_residues
-    witness = None
-    # on the support: g^-1 x lies in K_pi and Theta(x) - Theta(g^-1 x) =
-    # Theta(g); checked counts the pairs before the first failure
-    gs, xs = sampler(rng, samples), sampler(rng, samples)
-    gx = det_inv_mod(gs, p, L)[1] @ xs % mod
-    inside = kpi.member_mask(gx)
-    law = np.zeros(samples, dtype=bool)
-    law[inside] = (t(xs[inside]) - t(gx[inside]) - t(gs[inside])) \
-        % theta.denom == 0
-    ok = bool(law.all())
-    checked = samples if ok else int(np.argmin(law))
-    if not ok:
-        witness = gs[checked]
-    # off the support: a unit entry in an off-diagonal block breaks its
-    # p-divisibility, and then g^-1 x must leave K_pi
-    starts = np.cumsum([0] + [b.datum.order.n for b in kpi_result.blocks])
-    nb = len(kpi_result.blocks)
+    gs, xs = kr.sampler(rng, samples), kr.sampler(rng, samples)
+    law = np.empty(samples, dtype=bool)
+    for blk in row_blocks(samples, _row_bytes(kr)):
+        g, x = gs[blk], xs[blk]
+        gx = det_inv_mod(g, kpi.p, kr.level)[1] @ x % mod
+        inside = law[blk] = kpi.member_mask(gx)
+        law[blk][inside] = (t(x[inside]) - t(gx[inside]) - t(g[inside])) \
+            % theta.denom == 0
+    if law.all():
+        return samples, True, None
+    checked = int(np.argmin(law))
+    return checked, False, gs[checked].copy()
+
+
+def _offsupport_half(kr, rng, samples):
+    """Off the support: a unit entry in an off-diagonal block breaks its
+    p-divisibility, and then g^-1 x must leave K_pi."""
+    kpi, mod = kr.kpi, kr.kpi.p ** kr.level
+    starts = np.cumsum([0] + [b.datum.order.n for b in kr.blocks])
+    nb = len(kr.blocks)
     corners = np.array([(starts[i], starts[k]) for i in range(nb)
                         for k in range(nb) if i != k])
-    gs = sampler(rng, samples)
+    gs = kr.sampler(rng, samples)
     pick = corners[rng.integers(0, len(corners), size=samples)]
     gs[np.arange(samples), pick[:, 0], pick[:, 1]] = 1
-    gs = gs[~kpi.member_mask(gs)]
-    xs = sampler(rng, len(gs))
-    lands = kpi.member_mask(det_inv_mod(gs, p, L)[1] @ xs % mod)
-    off_ok = not lands.any()
-    off_checked = len(gs) if off_ok else int(np.argmax(lands))
-    if not off_ok:
-        witness = gs[off_checked]
-    return ConvolutionReport("sampled", checked, ok, off_checked, off_ok,
-                             witness)
+    outside = np.empty(samples, dtype=bool)
+    for blk in row_blocks(samples, _row_bytes(kr)):
+        outside[blk] = ~kpi.member_mask(gs[blk])
+    gs = gs[outside]
+    xs = kr.sampler(rng, len(gs))
+    lands = np.empty(len(gs), dtype=bool)
+    for blk in row_blocks(len(gs), _row_bytes(kr)):
+        lands[blk] = kpi.member_mask(
+            det_inv_mod(gs[blk], kpi.p, kr.level)[1] @ xs[blk] % mod)
+    if not lands.any():
+        return len(gs), True, None
+    off_checked = int(np.argmax(lands))
+    return off_checked, False, gs[off_checked].copy()
 
 
 @dataclass

@@ -303,7 +303,8 @@ class TestGolden:
         want = json.loads((GOLDEN_DIR / "count_m4_deep.block.json").read_text())
         assert extract_block(out) == want
 
-    @pytest.mark.parametrize("name", ["n2e2j1p3", "n2e1j2p3", "parabolic_n4p3"])
+    @pytest.mark.parametrize("name", ["n2e2j1p3", "n2e1j2p3", "parabolic_n4p3",
+                                      "n3e3j2p2"])
     def test_verify_block(self, name):
         # pins the sampled counts (the parabolic convolution's points) and
         # the certified ones (0 off-support points on an enumerated
@@ -328,7 +329,8 @@ class TestSectionModes:
         # report-all, each section and each per-block entry carries mode
         blocks = [json.loads((GOLDEN_DIR / f"verify_{name}.block.json")
                              .read_text())
-                  for name in ("n2e2j1p3", "n2e1j2p3", "parabolic_n4p3")]
+                  for name in ("n2e2j1p3", "n2e1j2p3", "parabolic_n4p3",
+                               "n3e3j2p2")]
         code, out = run_cli("report-all", str(DATA_DIR))
         assert code == 0
         live = [extract_block(piece) for piece in
@@ -345,7 +347,7 @@ class TestSectionModes:
                 & set(block["depth_report"])
         # every shipped datum sweeps at the default budget
         assert [entry["mode"] for block in live for entry in
-                block["checks"]["intertwine"]["detail"]] == ["sweep"] * 5
+                block["checks"]["intertwine"]["detail"]] == ["sweep"] * 6
 
 
 class TestConsoleEntry:

@@ -10,19 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+
 import minvec
-from minvec import groups, residues
+from minvec import groups, residues, testfunc
 from minvec.groups import (FiniteSubgroup, GroupCharacter,
                            _first_not_intertwined, intertwining_dichotomy,
-                           intertwining_spot, product_index, unit_sumset)
+                           intertwining_spot, prepare_block, product_index,
+                           unit_sumset)
 from minvec.orders import HereditaryOrder, min_poly_fp
 from minvec.padic import _adjugate, _int_det, mat_mul_int
 from minvec.residues import Draws, det_inv_mod, pack, sample_units_outside
 
+from conftest import build_datum
 from oracles import (contains, first_not_intertwined_oracle,
-                     intertwines_oracle, j1_oracle, leibniz_det, mat_inv_mod,
-                     product_index_oracle, product_table_oracle,
-                     sample_units_outside_oracle)
+                     first_outside_h1, intertwines_oracle, j1_oracle,
+                     leibniz_det, mat_inv_mod, product_index_oracle,
+                     product_table_oracle, sample_units_outside_oracle,
+                     with_flipped_block, without_coset)
 
 
 @st.composite
@@ -471,3 +476,122 @@ def test_no_float_decisions():
         text = path.read_text()
         for banned in ("np.linalg", "math.log", "float("):
             assert banned not in text, f"{path.name} uses {banned}"
+
+
+# ---------------------------------------------------------------------------
+# the sweep and the sampled convolution in CHUNK_BYTES blocks
+# ---------------------------------------------------------------------------
+
+TINY_CHUNK = 1 << 12
+
+
+@pytest.fixture(scope="module")
+def block_n3():
+    """p = 2, beta = 2^-1 [[0, 1, 0], [0, 0, 1], [2, 0, 0]], e = 3, j = 2
+    (data/datum_n3e3j2p2.json): its sweep lists the 86,016 units of
+    GL_3(Z/4)."""
+    return prepare_block(build_datum(2, 3, 3, [[0, 1, 0], [0, 0, 1],
+                                               [2, 0, 0]], -1))
+
+
+def report_tuple(rep):
+    """A dataclass report as a tuple, its witness as a list."""
+    fields = dataclasses.astuple(rep)
+    return fields[:-1] + (None if rep.witness is None
+                          else rep.witness.tolist(),)
+
+
+def widened_kpi(kr):
+    """K_pi widened by the coset h^-1 K_pi, h = I + E_20, which is no group
+    (TestFailingSections::test_offsupport_ok)."""
+    kpi = kr.kpi
+    h = np.eye(kr.n, dtype=np.int64)
+    h[2, 0] = 1
+
+    def member_mask(mats):
+        return kpi.member_mask(mats) | \
+            kpi.member_mask(h @ mats % kpi.modulus)
+
+    return dataclasses.replace(kr, kpi=FiniteSubgroup(
+        "K_pi+coset", kpi.p, kpi.level, kpi.n, membership=member_mask,
+        size=kpi.size))
+
+
+class TestTinyChunkBudget:
+    """At a 4 KiB CHUNK_BYTES every stage runs in many row blocks and must
+    return exactly its report at the default budget, counts and witness
+    included."""
+
+    def test_intertwining_dichotomy(self, block_a, block_b, block_c,
+                                    parabolic_kr, monkeypatch):
+        cases = [(b.datum, b.bundle, b.simple.theta) for b in
+                 [block_a, block_b, block_c] + list(parabolic_kr.blocks)]
+        broken = without_coset(block_a.bundle,
+                               first_outside_h1(block_a.bundle))[0]
+        cases.append((block_a.datum, broken, block_a.simple.theta))
+        want = [report_tuple(intertwining_dichotomy(*c)) for c in cases]
+        assert [w[3] for w in want] == [True] * 5 + [False]
+        monkeypatch.setattr(residues, "CHUNK_BYTES", TINY_CHUNK)
+        assert [report_tuple(intertwining_dichotomy(*c))
+                for c in cases] == want
+
+    def test_first_not_intertwined(self, block_a, block_b, monkeypatch):
+        # the TestIntertwiningKernel stacks and the spot conjugators
+        theta = block_a.simple.theta
+        rng = Draws(2)
+        mats = rng.integers(0, 9, size=(200, 2, 2))
+        unit = det_inv_mod(mats, 3, 2)[2]
+        cases = [(G, det_inv_mod(G, 3, 2)[1], theta.domain.mats, theta)
+                 for G in (np.array([[[1, 1], [3, 1]], [[1, 0], [0, 1]],
+                                     [[1, 0], [0, 2]]]),
+                           np.concatenate([mats[unit][:30],
+                                           block_a.bundle.jcapk.draw(rng,
+                                                                     30)]))]
+        cases.append(spot_call(block_b, monkeypatch))
+        want = [_first_not_intertwined(*c).tolist() for c in cases]
+        monkeypatch.setattr(residues, "CHUNK_BYTES", TINY_CHUNK)
+        assert [_first_not_intertwined(*c).tolist() for c in cases] == want
+
+    def test_convolve_check(self, parabolic_kr, monkeypatch):
+        krs = [parabolic_kr, with_flipped_block(parabolic_kr),
+               widened_kpi(parabolic_kr)]
+        want = [report_tuple(testfunc.convolve_check(testfunc.make_omega(kr)))
+                for kr in krs]
+        assert [w[2] and w[4] for w in want] == [True, False, False]
+        monkeypatch.setattr(residues, "CHUNK_BYTES", TINY_CHUNK)
+        assert [report_tuple(testfunc.convolve_check(testfunc.make_omega(kr)))
+                for kr in krs] == want
+
+
+class TestStageMemory:
+    # tracemalloc sees numpy's buffers; see TestTorusMemory for why not
+    # ru_maxrss.  Each stage's traced peak exceeds its inputs and output by
+    # at most 3 CHUNK_BYTES
+
+    @staticmethod
+    def traced(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_sweep(self, block_n3):
+        # 86,016 codes and as many coset ids (0.66 MiB each) are the only
+        # arrays that span GL_3(Z/4); a stack of its matrices is 5.9 MiB
+        blk = block_n3
+        rep, peak = self.traced(lambda: intertwining_dichotomy(
+            blk.datum, blk.bundle, blk.simple.theta))
+        assert (rep.total, rep.intertwining, rep.agree) == (86016, 4096, True)
+        assert peak <= 3 * residues.CHUNK_BYTES
+
+    def test_sampled_convolution(self, parabolic_kr):
+        # the four draws of 2,000 4x4 matrices are 0.24 MiB each
+        tf = testfunc.make_omega(parabolic_kr)
+        rep, peak = self.traced(lambda: testfunc._convolve_sampled(
+            tf, testfunc.CONVOLVE_SAMPLES, 0))
+        assert (rep.support_points_checked, rep.offsupport_points_checked) \
+            == (2000, 2000)
+        assert peak <= 3 * residues.CHUNK_BYTES
