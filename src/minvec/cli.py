@@ -114,7 +114,7 @@ def _prepare(spec, budget, seed, data=None):
     if isinstance(spec, datafiles.ParabolicSpec):
         blocks = [groups.prepare_block(d, budget=budget) for d in data]
         kr = groups.build_Kpi(blocks, inequivalent_assertion=spec.inequivalent,
-                              seed=seed)
+                              seed=seed, budget=budget)
         return blocks, kr
     d, = data
     if not is_minimal(d):

@@ -19,8 +19,8 @@ which heisenberg reads the pairing theta([x, y]) once, and the
 intertwining scan are all calls of it.  J^1 itself is never listed.
 
 The Heisenberg representation eta = Ind theta~ is never tabulated: its
-laws follow by Mackey's formula from premises that heisenberg and
-extend_and_induce certify.
+laws, and theta~ on the sumset B^1, follow from premises that heisenberg
+and extend_and_induce certify; theta~ is listed only where it is read.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .errors import BudgetExceeded, ConstructionFailure, DatumInvalid
 from .orders import HereditaryOrder, InductionDatum, fp_reduce
 from . import residues
 from .residues import (Draws, box_enumerate, chunk_rows, contains_codes,
-                       det_inv_mod, distinct_codes, pack, pack_mod,
-                       row_blocks, sample_units_outside, sorted_index,
-                       sorted_unique, unit_codes, unpack)
+                       det_inv_mod, distinct_codes, fits_packing, pack,
+                       pack_mod, row_blocks, sample_units_outside,
+                       sorted_index, sorted_unique, unit_codes, unpack)
 
 
 def gl_order(n: int, p: int, L: int) -> int:
@@ -290,14 +290,17 @@ class SubgroupBundle:
 def build_subgroups(d: InductionDatum,
                     budget: int = 2_000_000) -> SubgroupBundle:
     """Element lists for U_A(floor(j/2)+1), U_A(j+1), U_L(1) and H^1, and
-    the sumsets J cap K and, at even depth, J^1, mod p^level.  O_L, a
-    p^(nL) box, is built and checked first, so a datum whose power basis is
-    not free fails before any U_A(i) is listed."""
+    the sumsets J cap K and, at even depth, J^1, mod p^level.  Residues
+    past int64 packing exit the budget, then O_L's p^(nL) box is checked,
+    so a datum whose power basis is not free fails before any U_A(i)."""
     from .orders import is_minimal
     if not is_minimal(d):
         raise DatumInvalid("subgroup construction requires a minimal datum")
     o, p, j = d.order, d.p, d.j
     L = d.group_level
+    if not fits_packing(p, L, o.n):
+        raise BudgetExceeded(f"build_subgroups: (p^L)^(n^2) = ({p}^{L})^"
+                             f"{o.n ** 2} residues do not pack into int64")
     ol_codes, unit_mask, ul1_mask = enumerate_field_order(d, L)
     ul1 = FiniteSubgroup("U_L(1)", p, L, o.n, ol_codes[ul1_mask])
     ol_units = FiniteSubgroup("O_L^*", p, L, o.n, ol_codes[unit_mask])
@@ -324,7 +327,7 @@ class GroupCharacter:
     """A character of an enumerated subgroup, stored as exponent numerators
     over a common p-power denominator.  src/ builds one only from a table
     that extend_character certified multiplicative (simple_character,
-    extend_and_induce), so no later use decides a character law again."""
+    listed_theta_tilde), so no later use decides a character law again."""
 
     def __init__(self, domain: FiniteSubgroup, nums, denom: int):
         self.domain = domain
@@ -549,7 +552,7 @@ def _coset_decomposition(group: FiniteSubgroup, small_mats):
 
 
 def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
-               theta: GroupCharacter, budget: int) -> PolarizationData:
+               theta: GroupCharacter) -> PolarizationData:
     """Polarize J^1/H^1 for the commutator pairing (x, y) -> theta([x, y]),
     [x, y] = x y x^-1 y^-1, read once on a basis x_a of the quotient.
 
@@ -572,9 +575,9 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     F_p-valued: p theta([x, y]) = theta([x^p, y]) = 0.  So the pairing is
     <x_a, x_b> = p t, theta([x_a, x_b]) = e^{2 pi i t}.
 
-    B^1 is the preimage H^1 lift(W) = U_L(1) lift(W) U_A(m+1) of a
-    Lagrangian W, lift(w) = I + sum w_a (x_a - I): a sumset within the
-    budget, certified a group by extend_and_induce's generator tree.
+    W is isotropic, decided as w_a^T P w_b = 0 on its basis.  B^1 = H^1
+    lift(W), lift(w) = I + sum w_a (x_a - I), is a group as the preimage
+    of W under J^1 -> J^1/H^1: a sumset, never listed here.
     """
     p, n, L = d.p, d.order.n, bundle.level
     h1, j1, ul1 = bundle.h1, bundle.j1, bundle.ul1
@@ -615,11 +618,14 @@ def heisenberg(d: InductionDatum, bundle: SubgroupBundle,
     pairing = (theta.nums[comm].reshape(dim, dim) * p // theta.denom).tolist()
 
     iso_vecs = _symplectic_isotropic_basis(pairing, p)
+    basis = np.array(iso_vecs, dtype=np.int64)
+    if np.any(basis @ np.array(pairing) @ basis.T % p):
+        raise ConstructionFailure("W is not isotropic for the pairing")
     w = np.array(list(itertools.product(range(p), repeat=len(iso_vecs))))
-    lifts = ident + np.einsum("wa,aij->wij", w @ iso_vecs % p, x - ident)
+    lifts = ident + np.einsum("wa,aij->wij", w @ basis % p, x - ident)
     units = (ul1.mats[:, None] @ lifts[None]).reshape(-1, n, n)
-    b1 = FiniteSubgroup("B1", p, L, n,
-                        unit_sumset(d.order, m + 1, units, p, L, budget))
+    b1 = FiniteSubgroup("B1", p, L, n, sumset=sumset_classes(
+        d.order, m + 1, units, p, L))
     return PolarizationData(
         trivial=False, reason="", dim=dim, coset_reps=x, pairing=pairing,
         isotropic=iso_vecs, b1=b1)
@@ -667,23 +673,23 @@ def _symplectic_isotropic_basis(pairing, p):
 
 @dataclass
 class InducedResult:
-    theta_tilde: GroupCharacter
     tilde_count: int
     dim: int
 
 
-def extend_and_induce(bundle: SubgroupBundle, theta: GroupCharacter,
+def extend_and_induce(bundle: SubgroupBundle,
                       pol: PolarizationData) -> InducedResult:
-    """Extend theta to B^1 and derive the laws of eta = Ind theta~ from
-    B^1 to J^1 by Mackey's formula.
+    """Count the extensions theta~ of theta to B^1 and derive the laws of
+    eta = Ind theta~ from B^1 to J^1 by Mackey's formula.
 
     At odd depth B^1 = J^1 = H^1 and eta = theta, a character that
     simple_character certified: dim 1, <eta, eta> = 1, eta|H^1 = theta.
     At even depth the laws rest on premises certified here or before:
-    - theta~ is a character of the group B^1 extending theta
-      (extend_character), and B^1/H^1 = W for a Lagrangian W of the
-      nondegenerate pairing (heisenberg), so W = W^perp; dim = [J^1 : B^1]
-      with dim^2 = [J^1 : H^1] confirms the sizes.
+    - B^1/H^1 = W is isotropic (heisenberg) and Lagrangian by the sumset
+      size |B^1| = |H^1| p^(dim_V/2), so W = W^perp; dim = [J^1 : B^1].
+    - theta~ exists, in [B^1 : H^1] ways: theta is J^1-stable and
+      theta([b, b']) = <w, w'> = 0, so B^1/ker theta is abelian
+      (Bushnell-Kutzko ch. 5).  No check reads its values here.
     - J^1 normalizes H^1 and fixes theta (heisenberg).  So t^-1 h t lies
       in H^1 with theta value theta(h): eta|H^1 = dim theta and
       <eta|H^1, theta> = dim.
@@ -693,20 +699,17 @@ def extend_and_induce(bundle: SubgroupBundle, theta: GroupCharacter,
       <eta, eta> counts the t in J^1/B^1 that fix theta~, those pairing to
       0 with W: t in W^perp = W, so only t in B^1, and <eta, eta> = 1.
     An induced character is a class function, so that needs no check.
-    The result holds theta~, its extension count and dim: each law is
-    proved once a premise has not raised, so no field records it.
+    The result holds theta~'s extension count and dim: each law is proved
+    once a premise has not raised, so no field records it.
     """
-    h1, j1 = bundle.h1, bundle.j1
+    h1, b1 = bundle.h1, pol.b1
     if pol.trivial:
-        return InducedResult(theta, 1, 1)
-    ext = extend_character(pol.b1, h1.codes, theta.nums, theta.denom)
-    dim = j1.size // pol.b1.size
-    if dim * dim * h1.size != j1.size:
+        return InducedResult(1, 1)
+    if b1.size != h1.size * h1.p ** (pol.dim // 2):
         raise ConstructionFailure(
-            f"B1/H1 is not Lagrangian: [J1:B1]^2 = {dim * dim} but "
-            f"[J1:H1] = {j1.size // h1.size}")
-    return InducedResult(GroupCharacter(pol.b1, ext.nums, ext.denom),
-                         ext.count, dim)
+            f"B1/H1 is not Lagrangian: [B1:H1] = {b1.size // h1.size} "
+            f"but [J1:H1] = {h1.p}^{pol.dim}")
+    return InducedResult(b1.size // h1.size, bundle.j1.size // b1.size)
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +880,7 @@ def intertwining_dichotomy(d: InductionDatum, bundle: SubgroupBundle,
 
 @dataclass
 class PreparedBlock:
-    """One supercuspidal factor with its groups, character, and extension."""
+    """One factor: its groups, theta on H^1 and B^1, a sumset at even depth."""
 
     datum: InductionDatum
     bundle: SubgroupBundle
@@ -889,37 +892,44 @@ class PreparedBlock:
     def b1(self) -> FiniteSubgroup:
         return self.pol.b1
 
-    @property
-    def theta_tilde(self) -> GroupCharacter:
-        return self.induced.theta_tilde
-
 
 def prepare_block(d: InductionDatum, budget: int = 2_000_000) -> PreparedBlock:
     bundle = build_subgroups(d, budget=budget)
     simple = simple_character(d, bundle)
-    pol = heisenberg(d, bundle, simple.theta, budget)
-    induced = extend_and_induce(bundle, simple.theta, pol)
+    pol = heisenberg(d, bundle, simple.theta)
+    induced = extend_and_induce(bundle, pol)
     return PreparedBlock(d, bundle, simple, pol, induced)
 
 
-class BlockCharacter:
-    """Theta on K_pi: the product of the block characters at the diagonal,
-    as exponent numerators over one common denominator."""
+def listed_theta_tilde(blk: PreparedBlock, budget: int) -> GroupCharacter:
+    """theta~ as a table where a parabolic Theta reads it: theta at odd
+    depth, else extended to B^1, listed within the budget, and certified."""
+    theta, b1, d = blk.simple.theta, blk.b1, blk.datum
+    if blk.pol.trivial:
+        return theta
+    listed = FiniteSubgroup("B1", b1.p, b1.level, b1.n, unit_sumset(
+        d.order, d.j // 2 + 1, unpack(b1.classes, b1.p, b1.level, b1.n),
+        b1.p, b1.level, budget))
+    ext = extend_character(listed, blk.bundle.h1.codes, theta.nums,
+                           theta.denom)
+    return GroupCharacter(listed, ext.nums, ext.denom)
 
-    def __init__(self, blocks, offsets, level, p):
-        self.blocks = blocks
+
+class BlockCharacter:
+    """Theta on K_pi: the product of the blocks' theta~ at the diagonal, as
+    exponent numerators over one common denominator."""
+
+    def __init__(self, tildes, offsets):
+        self.tildes = tildes
         self.offsets = offsets
-        self.level = level
-        self.p = p
-        self.denom = math.lcm(*(b.theta_tilde.denom for b in blocks))
+        self.denom = math.lcm(*(t.denom for t in tildes))
 
     def nums_of_residues(self, mats) -> np.ndarray:
         """Exponent numerators over denom for an (M, n, n) stack in K_pi."""
         mats = np.asarray(mats, dtype=np.int64)
         total = np.zeros(len(mats), dtype=np.int64)
-        for blk, off in zip(self.blocks, self.offsets):
-            sl = slice(off, off + blk.datum.order.n)
-            theta = blk.theta_tilde
+        for theta, off in zip(self.tildes, self.offsets):
+            sl = slice(off, off + theta.domain.n)
             total += (theta.nums_of_residues(mats[:, sl, sl])
                       * (self.denom // theta.denom))
         return total % self.denom
@@ -928,13 +938,13 @@ class BlockCharacter:
 @dataclass
 class KpiResult:
     kpi: FiniteSubgroup
-    theta: object                 # GroupCharacter or BlockCharacter
+    theta: BlockCharacter | None  # None on a single block: nothing reads it
     blocks: list
     c: object                     # Fraction (single) or int (parabolic)
     cfrak: int
     threshold: int                # K_pi lies in U_L(1) mod p^threshold
     level: int
-    sampler: object | None
+    sampler: object | None        # None exactly when K_pi is B^1, a group
 
     @property
     def n(self) -> int:
@@ -955,19 +965,19 @@ def block_threshold(b) -> int:
                                  for r in range(o.n) for c in range(o.n)))
 
 
-def build_Kpi(blocks, inequivalent_assertion: bool = False,
-              seed: int = 0) -> KpiResult:
+def build_Kpi(blocks, inequivalent_assertion: bool = False, seed: int = 0,
+              budget: int = 2_000_000) -> KpiResult:
     """Assemble K_pi and Theta from prepared supercuspidal blocks.
 
-    A single block returns the uniform convention K_pi = B^1, Theta = the
-    extended character.  Multiple blocks take c = ceil(max normalised
-    depth), and each block's depth must lie within 1 of it; blocks of the
-    same (e, j) need inequivalent_assertion.  They assemble the
-    block-congruence group with p^floor((c+1)/2) above and p^ceil((c+1)/2)
-    below the diagonal, and on 200 seeded pairs verify that it is closed
-    under products and inverses, that Theta is multiplicative and that
-    products respect the mod p^(c+1) block congruence; ConstructionFailure
-    is raised otherwise.
+    A single block returns the uniform convention K_pi = B^1 with Theta =
+    theta~, which exists by premise and is not listed: theta is None.
+    Several blocks take c = ceil(max normalised depth), each block's depth
+    within 1 of it, and blocks of the same (e, j) need
+    inequivalent_assertion.  They assemble the block-congruence group with
+    p^floor((c+1)/2) above and p^ceil((c+1)/2) below the diagonal and Theta
+    from each block's listed_theta_tilde, and on 200 seeded pairs verify
+    closure under products and inverses, Theta's multiplicativity and the
+    mod p^(c+1) block congruence; ConstructionFailure is raised otherwise.
 
     threshold is the t with K_pi inside U_L(1) mod p^t, read off the
     orders: the least block_threshold, and for several blocks also the
@@ -977,13 +987,10 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
         raise DatumInvalid("at least one block is required")
     p = blocks[0].datum.p
     if len(blocks) == 1:
-        blk = blocks[0]
-        d = blk.datum
-        return KpiResult(
-            kpi=blk.b1, theta=blk.theta_tilde, blocks=list(blocks),
-            c=d.normalised_depth, cfrak=depth_bound_cfrak([d]),
-            threshold=block_threshold(blk), level=blk.bundle.level,
-            sampler=None)
+        blk, d = blocks[0], blocks[0].datum
+        return KpiResult(blk.b1, None, list(blocks), d.normalised_depth,
+                         depth_bound_cfrak([d]), block_threshold(blk),
+                         blk.bundle.level, None)
 
     if any(b.datum.p != p for b in blocks):
         raise DatumInvalid("blocks live over different primes")
@@ -1030,14 +1037,15 @@ def build_Kpi(blocks, inequivalent_assertion: bool = False,
         return ok
 
     kpi = FiniteSubgroup("K_pi", p, level, n, membership=membership, size=size)
-    theta = BlockCharacter(blocks, offsets, level, p)
+    tildes = [listed_theta_tilde(b, budget) for b in blocks]
+    theta = BlockCharacter(tildes, offsets)
 
     def sampler(rng, count) -> np.ndarray:
         """count seeded elements of K_pi as a (count, n, n) stack."""
         mats = np.zeros((count, n, n), dtype=np.int64)
-        for sl, b in zip(slices, blocks):
-            ni, lev = b.datum.order.n, b.bundle.level
-            base = b.b1.mats[rng.integers(0, b.b1.size, size=count)]
+        for sl, b, t in zip(slices, blocks, tildes):
+            ni, lev, b1 = b.datum.order.n, b.bundle.level, t.domain
+            base = b1.mats[rng.integers(0, b1.size, size=count)]
             mats[:, sl, sl] = (base + p ** lev * rng.integers(
                 0, p ** (level - lev), size=(count, ni, ni))) % mod
         for i, k2, thr in off_blocks:

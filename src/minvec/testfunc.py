@@ -84,33 +84,23 @@ CONVOLVE_SAMPLES = 2000
 def convolve_check(tf: TestFunction, seed: int = 0) -> ConvolutionReport:
     """Verify omega * omega^* = d_pi omega exactly.
 
-    Enumerated supports are decided on every pair by the certificate that
-    extend_character wrote for Theta on B^1 (H^1 at odd depth): it proves
-    the support is a group, which settles all points outside it at once,
-    and that Theta is multiplicative, which is the termwise law for every
-    pair; the report's flags are then True and its off-support count 0.
-    Membership-only supports are checked on CONVOLVE_SAMPLES seeded pairs
-    on the support and as many off it, term by term: support_ok fails at
-    the first pair whose g^-1 x leaves the support or breaks the law, and
-    offsupport_ok at the first g off it that carries a point into it.  The
-    pairs are drawn whole, and their inverses, products, membership and
-    exponents are computed one row block at a time, within CHUNK_BYTES.
+    A single block's support K_pi = B^1, which has no sampler, is decided
+    on every pair by its premises: B^1 is a group, the preimage of W under
+    J^1 -> J^1/H^1, so g^-1 K_pi meets K_pi exactly when g lies in it; and
+    theta~ is a character of it (extend_and_induce), which is the termwise
+    law Theta(x) - Theta(g^-1 x) = Theta(g).  The flags are True and the
+    off-support count 0.  A parabolic K_pi is checked on CONVOLVE_SAMPLES
+    seeded pairs on the support and as many off it, term by term:
+    support_ok fails at the first pair whose g^-1 x leaves the support or
+    breaks the law, and offsupport_ok at the first g off it that carries a
+    point into it.  The pairs are drawn whole, and their inverses,
+    products, membership and exponents are computed one row block at a
+    time, within CHUNK_BYTES.
     """
-    kpi = tf.kpi_result.kpi
-    if kpi.codes is not None:
-        return _convolve_full(tf)
+    kr = tf.kpi_result
+    if kr.sampler is None:
+        return ConvolutionReport("full", kr.kpi.size, True, 0, True, None)
     return _convolve_sampled(tf, CONVOLVE_SAMPLES, seed)
-
-
-def _convolve_full(tf):
-    """The law on an enumerated support, as Theta's certificate proved it.
-
-    Over the group K_pi the termwise law Theta(x) - Theta(g^-1 x) = Theta(g)
-    for every pair (g, x) of the support is multiplicativity itself, and
-    g^-1 K_pi meets K_pi exactly when g lies in K_pi, so nothing is
-    evaluated again and no point off the support is drawn."""
-    kpi = tf.kpi_result.kpi
-    return ConvolutionReport("full", kpi.size, True, 0, True, None)
 
 
 def _convolve_sampled(tf, samples, seed):

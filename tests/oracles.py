@@ -537,10 +537,11 @@ def kpi_member_oracle(kr, mat):
     starts = [0]
     for blk in kr.blocks:
         starts.append(starts[-1] + blk.datum.order.n)
-    for i, blk in enumerate(kr.blocks):
+    for i, tilde in enumerate(kr.theta.tildes):
         sl = slice(starts[i], starts[i + 1])
-        code = pack_one(mat[sl, sl] % blk.b1.modulus, p, blk.b1.level)
-        if code not in set(int(c) for c in blk.b1.codes):
+        b1 = tilde.domain
+        code = pack_one(mat[sl, sl] % b1.modulus, p, b1.level)
+        if code not in set(int(c) for c in b1.codes):
             return False
         for k in range(len(kr.blocks)):
             if k != i:
@@ -581,13 +582,12 @@ def kpi_exponent_oracle(kr, mat):
     from fractions import Fraction
     total = Fraction(0)
     off = 0
-    for blk in kr.blocks:
-        ni = blk.datum.order.n
-        sub = mat[off:off + ni, off:off + ni] % blk.b1.modulus
-        off += ni
-        codes = [int(c) for c in blk.b1.codes]
-        i = codes.index(pack_one(sub, blk.b1.p, blk.b1.level))
-        theta = blk.theta_tilde
+    for theta in kr.theta.tildes:
+        b1 = theta.domain
+        sub = mat[off:off + b1.n, off:off + b1.n] % b1.modulus
+        off += b1.n
+        codes = [int(c) for c in b1.codes]
+        i = codes.index(pack_one(sub, b1.p, b1.level))
         total += Fraction(int(theta.nums[i]), theta.denom)
     return total - (total.numerator // total.denominator)
 
@@ -596,18 +596,60 @@ def with_flipped_block(kr, b=0):
     """A parabolic K_pi result whose block b theta~ is wrong at one element."""
     import dataclasses
     from minvec.groups import BlockCharacter, GroupCharacter
-    blk = kr.blocks[b]
-    theta = blk.theta_tilde
+    old = kr.theta
+    tildes = list(old.tildes)
+    theta = tildes[b]
     nums = theta.nums.copy()
     k = (theta.domain.identity_index() + 1) % theta.domain.size
     nums[k] = (nums[k] + 1) % theta.denom
-    induced = dataclasses.replace(blk.induced, theta_tilde=GroupCharacter(
-        theta.domain, nums, theta.denom))
-    blocks = list(kr.blocks)
-    blocks[b] = dataclasses.replace(blk, induced=induced)
-    old = kr.theta
-    return dataclasses.replace(kr, blocks=blocks, theta=BlockCharacter(
-        blocks, old.offsets, old.level, old.p))
+    tildes[b] = GroupCharacter(theta.domain, nums, theta.denom)
+    return dataclasses.replace(kr, theta=BlockCharacter(tildes, old.offsets))
+
+
+_TILDES = {}
+
+
+def theta_tilde_oracle(blk):
+    """theta~ as a table on a listed B1, built as src/ built it before B1
+    became a sumset: theta itself at odd depth, where B1 = H1; at even
+    depth B1 listed as U_L(1) lift(W) U_A(m+1), with lift(w) = I +
+    sum w_a (x_a - I) over the isotropic vectors w of heisenberg and its
+    basis x_a, and theta extended to it by extend_character.  Memoized per
+    block."""
+    import itertools
+    import numpy as np
+    from minvec.groups import (FiniteSubgroup, GroupCharacter,
+                               extend_character, unit_sumset)
+    theta, pol = blk.simple.theta, blk.pol
+    if pol.trivial:
+        return theta
+    hit = _TILDES.get(id(blk))
+    if hit is not None and hit[0] is blk:
+        return hit[1]
+    d, bundle = blk.datum, blk.bundle
+    p, n, L = d.p, d.order.n, bundle.level
+    ident = np.eye(n, dtype=np.int64)
+    w = np.array(list(itertools.product(range(p), repeat=len(pol.isotropic))))
+    lifts = ident + np.einsum("wa,aij->wij", w @ np.array(pol.isotropic) % p,
+                              pol.coset_reps - ident)
+    units = (bundle.ul1.mats[:, None] @ lifts[None]).reshape(-1, n, n)
+    b1 = FiniteSubgroup("B1", p, L, n, unit_sumset(
+        d.order, d.j // 2 + 1, units, p, L, 10 ** 7))
+    ext = extend_character(b1, bundle.h1.codes, theta.nums, theta.denom)
+    tilde = GroupCharacter(b1, ext.nums, ext.denom)
+    _TILDES[id(blk)] = blk, tilde
+    return tilde
+
+
+def listed_kr(kr):
+    """A single block's K_pi result with K_pi = B1 listed and Theta its
+    theta~ (theta_tilde_oracle), for the tests that read Theta's values;
+    a parabolic result as it is."""
+    import dataclasses
+    if kr.sampler is not None:
+        return kr
+    tilde = theta_tilde_oracle(kr.blocks[0])
+    return dataclasses.replace(kr, kpi=tilde.domain, theta=tilde)
 
 
 def omega_exponent(tf, residues):
@@ -829,9 +871,10 @@ def serialize_spec(spec):
                     "j": s.j, "beta": {"scale": s.beta_scale,
                                        "entries": s.beta_entries}}
         if isinstance(s, ParabolicSpec):
+            # inequivalent is false when absent, and written only when true
             return {"kind": "parabolic", "p": s.p,
                     "blocks": [as_dict(b) for b in s.blocks],
-                    "inequivalent": s.inequivalent}
+                    **({"inequivalent": True} if s.inequivalent else {})}
         assert isinstance(s, QuerySpec)
         return {"kind": "lattice-query", "n": s.n, "m": s.m,
                 "entry_bound": s.entry_bound, "p": s.p, "c": s.c,

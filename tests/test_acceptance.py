@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import build_datum
-from oracles import induced_laws_oracle, j1_oracle, partition_count_oracle
+from oracles import (induced_laws_oracle, j1_oracle, partition_count_oracle,
+                     theta_tilde_oracle)
 
 from minvec.counting import (LatticeQuery, amplifier_exponent, enumerate_S,
                              partition_count)
@@ -126,11 +127,12 @@ def test_criterion_4_heisenberg(shipped):
         assert (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p != 0
         assert ind.dim == 3
         assert ind.dim ** 2 == blk.bundle.j1.size // blk.bundle.h1.size
-        # the laws extend_and_induce derives by Mackey, element by element
+        # the laws extend_and_induce derives by Mackey, element by element,
+        # on theta~'s table
         b = blk.bundle
         rows = np.unique(np.random.default_rng(0).integers(0, b.j1.size, 32))
         want = induced_laws_oracle(j1_oracle(b), b.h1, blk.simple.theta,
-                                   ind.theta_tilde, rows)
+                                   theta_tilde_oracle(blk), rows)
         assert want[:4] == (ind.dim, 1, True, ind.dim)
 
 

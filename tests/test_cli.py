@@ -15,7 +15,7 @@ import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR
 from oracles import (character_dump_lines, contains, first_outside_h1,
-                     omega_exponent, row_disagrees, serialize_spec,
+                     listed_kr, omega_exponent, row_disagrees, serialize_spec,
                      subgroup_dump_lines, with_flipped_block, without_coset)
 
 from minvec import cli, testfunc
@@ -304,7 +304,7 @@ class TestGolden:
         assert extract_block(out) == want
 
     @pytest.mark.parametrize("name", ["n2e2j1p3", "n2e1j2p3", "parabolic_n4p3",
-                                      "n3e3j2p2"])
+                                      "n3e3j2p2", "parabolic_n4p3_cfrak1"])
     def test_verify_block(self, name):
         # pins the sampled counts (the parabolic convolution's points) and
         # the certified ones (0 off-support points on an enumerated
@@ -330,7 +330,7 @@ class TestSectionModes:
         blocks = [json.loads((GOLDEN_DIR / f"verify_{name}.block.json")
                              .read_text())
                   for name in ("n2e2j1p3", "n2e1j2p3", "parabolic_n4p3",
-                               "n3e3j2p2")]
+                               "n3e3j2p2", "parabolic_n4p3_cfrak1")]
         code, out = run_cli("report-all", str(DATA_DIR))
         assert code == 0
         live = [extract_block(piece) for piece in
@@ -347,7 +347,7 @@ class TestSectionModes:
                 & set(block["depth_report"])
         # every shipped datum sweeps at the default budget
         assert [entry["mode"] for block in live for entry in
-                block["checks"]["intertwine"]["detail"]] == ["sweep"] * 6
+                block["checks"]["intertwine"]["detail"]] == ["sweep"] * 8
 
 
 class TestConsoleEntry:
@@ -496,7 +496,7 @@ class TestOmegaCheck:
         # drawn.  K_pi membership puts every diagonal block in its B1, so
         # theta is defined at every member
         kr = request.getfixturevalue(kr_name)
-        tf, kpi = testfunc.make_omega(kr), kr.kpi
+        tf, kpi = testfunc.make_omega(listed_kr(kr)), kr.kpi
         seen = []
 
         def inside(gs):
@@ -608,17 +608,17 @@ class TestVolumeOnce:
 
 
 class TestGeneratorCertificate:
-    @pytest.mark.parametrize("name, group", [("datum_n2e2j1p3", "H1"),
-                                             ("datum_n2e2j3p3", "H1"),
-                                             ("datum_n2e1j2p3", "B1")],
-                             ids=["datum_n2e2j1p3", "datum_n2e2j3p3",
-                                  "datum_n2e1j2p3"])
+    @pytest.mark.parametrize("name, group", [
+        ("datum_n2e2j1p3", "H1"), ("datum_n2e2j3p3", "H1"),
+        ("datum_parabolic_n4p3_cfrak1", "B1")], ids=[
+        "datum_n2e2j1p3", "datum_n2e2j3p3", "datum_parabolic_n4p3_cfrak1"])
     def test_falsified_character_names_a_failing_row(
             self, name, group, tmp_path, monkeypatch, capsys):
         # a table wrong at one element, given to extend_character (the
-        # trace formula on U_A extended to H1, or theta extended to B1),
-        # exits 3; the witness (i, s) must name a generator s and a g_i
-        # whose convolution row disagrees in the extended table
+        # trace formula on U_A extended to H1, or theta extended to the
+        # even-depth block's B1 of a parabolic datum), exits 3; the witness
+        # (i, s) must name a generator s and a g_i whose convolution row
+        # disagrees in the extended table
         from minvec import groups
         extend, verify = groups.extend_character, groups.verify_character
         tables = []
@@ -650,20 +650,22 @@ class TestGeneratorCertificate:
 
     def test_broken_b1_is_a_construction_failure(self, tmp_path, monkeypatch,
                                                  capsys):
-        # heisenberg does not closure-check B1 itself; the product scan of
-        # the character extension must still reject a B1 missing one element
+        # a listed B1 is not closure-checked where it is listed; the product
+        # scan of the character extension must still reject a B1 missing
+        # one element.  Only a parabolic datum lists one
         from minvec import groups
         broken = []
 
         class DropLast(groups.FiniteSubgroup):
             def __init__(self, name, p, level, n, mats=None, **kwargs):
-                if name == "B1":
+                if name == "B1" and mats is not None:
                     mats = mats[:-1]
                     broken.append(self)
                 super().__init__(name, p, level, n, mats, **kwargs)
 
         monkeypatch.setattr(groups, "FiniteSubgroup", DropLast)
-        code = cli.main(["verify", str(DATA_DIR / "datum_n2e1j2p3.json"),
+        code = cli.main(["verify",
+                         str(DATA_DIR / "datum_parabolic_n4p3_cfrak1.json"),
                          "--out", str(tmp_path / "report.txt")])
         assert code == cli.EXIT_CONSTRUCTION
         err = capsys.readouterr().err
@@ -672,6 +674,35 @@ class TestGeneratorCertificate:
         i, k = map(int, re.search(r"witness indices (\d+), (\d+)", err).groups())
         b1, = broken
         assert not contains(b1, b1.mats[i] @ b1.mats[k])
+
+    @pytest.mark.parametrize("name, listed", [
+        ("datum_n2e1j2p3", ["H1"]),
+        ("datum_parabolic_n4p3_cfrak1", ["H1", "H1", "B1"])])
+    def test_theta_extends_to_b1_only_where_read(self, name, listed,
+                                                 tmp_path, monkeypatch):
+        # a single block's theta~ exists by premise: extend_character runs
+        # on H1 only; a parabolic datum's even-depth block lists B1 once
+        from minvec import groups
+        extend, seen = groups.extend_character, []
+
+        def spy(group, *args, **kwargs):
+            seen.append(group.name)
+            return extend(group, *args, **kwargs)
+
+        monkeypatch.setattr(groups, "extend_character", spy)
+        assert cli.main(["verify", str(DATA_DIR / f"{name}.json"),
+                         "--out", str(tmp_path / "report.txt")]) == 0
+        assert seen == listed
+
+    def test_non_isotropic_w_exits_3(self, tmp_path, monkeypatch, capsys):
+        # W spanned by both basis vectors of J1/H1 pairs to nonzero
+        from minvec import groups
+        monkeypatch.setattr(groups, "_symplectic_isotropic_basis",
+                            lambda pairing, p: [[1, 0], [0, 1]])
+        code = cli.main(["verify", str(DATA_DIR / "datum_n2e1j2p3.json"),
+                         "--out", str(tmp_path / "report.txt")])
+        assert code == cli.EXIT_CONSTRUCTION
+        assert "W is not isotropic" in capsys.readouterr().err
 
 
 # beta = p^-1 [[0, 1, 0], [0, 0, 1], [3, 0, 0]] at p = 3: n = 3, e = 3, j = 2
@@ -682,7 +713,7 @@ N3_DATUM = {"beta": {"entries": [[0, 1, 0], [0, 0, 1], [3, 0, 0]],
 
 class TestSpotFallback:
     def test_budget_between_the_groups_and_the_gate(self):
-        # datum c lists at most B1's 2,187 elements; its sweep would list
+        # datum c lists at most H1's 729 elements; its sweep would list
         # the 3,888 units of GL_2(Z/9), so at --budget 3000 the intertwine
         # section falls back to spot and says why.  Every other section is
         # the golden's.
@@ -702,7 +733,32 @@ class TestSpotFallback:
         assert block == want
 
 
+# p = 5, n = e = 3, j = 4: level L = 3, and (5^3)^9 >= 2^62 residues do
+# not pack into int64
+P5_PACKING_DATUM = {"beta": {"entries": [[0, 0, 1], [5, 0, 0], [0, 5, 0]],
+                             "scale": -2},
+                    "e": 3, "j": 4, "kind": "supercuspidal", "n": 3, "p": 5}
+
+
 class TestHonestExits:
+    def test_packing_past_int64_exits_4_naming_the_stage(self, tmp_path,
+                                                        capsys):
+        datum = tmp_path / "datum_p5n3e3j4.json"
+        datum.write_text(json.dumps(P5_PACKING_DATUM))
+        assert cli.main(["verify", str(datum)]) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "build_subgroups: (p^L)^(n^2) = (5^3)^9" in err
+        # report-all reports the other file in full, and this one's order
+        (tmp_path / "datum_n2e2j1p3.json").write_text(
+            (DATA_DIR / "datum_n2e2j1p3.json").read_text())
+        code, out = run_cli("report-all", str(tmp_path))
+        assert code == cli.EXIT_BUDGET
+        heads = re.findall(r"minvec report: (\w+)\ndatum: .*/(\S+)", out)
+        assert heads == [("order", "datum_n2e2j1p3.json"),
+                         ("verify", "datum_n2e2j1p3.json"),
+                         ("order", "datum_p5n3e3j4.json")]
+        assert "SKIPPED (budget): build_subgroups: (p^L)^(n^2)" in out
+
     def test_small_budget_exits_4_before_allocating(self, tmp_path):
         datum = tmp_path / "datum_n3e3j2p3.json"
         datum.write_text(json.dumps(N3_DATUM))

@@ -16,7 +16,7 @@ from minvec.groups import (FiniteSubgroup, GroupCharacter, build_Kpi,
 from minvec.residues import (Draws, box_enumerate, contains_codes,
                              det_inv_mod, pack, sorted_unique, unpack)
 
-from conftest import build_datum
+from conftest import DATA_DIR, build_datum
 from oracles import (character_certificate_oracle, concentration_oracle,
                      contains, coset_decomposition_oracle, contains_value,
                      dichotomy_oracle, exponent_at, extend_character_oracle,
@@ -29,7 +29,8 @@ from oracles import (character_certificate_oracle, concentration_oracle,
                      prime_element_of_L,
                      product_set_oracle, product_table_oracle, psi_exponent,
                      row_disagrees, spot_oracle, subgroup_dump_lines,
-                     sumset_draws_oracle, trace_pairing_oracle, without_coset)
+                     sumset_draws_oracle, theta_tilde_oracle,
+                     trace_pairing_oracle, without_coset)
 
 
 def assert_closed(sub):
@@ -136,7 +137,7 @@ class TestSubgroups:
 def enumerated_groups(blk):
     b = blk.bundle
     subs = list(b.ua.values()) + [b.ul1, b.ol_units, b.h1, j1_oracle(b),
-                                  blk.pol.b1]
+                                  theta_tilde_oracle(blk).domain]
     return list({id(sub): sub for sub in subs}.values())
 
 
@@ -164,8 +165,9 @@ def character_tables(blk):
         blk.bundle.h1, base.codes, theta.restricted_nums(base.codes),
         theta.denom, denom_hint=denom0)}
     if not blk.pol.trivial:
-        exts[id(blk.pol.b1)] = extend_character(
-            blk.pol.b1, blk.bundle.h1.codes, theta.nums, theta.denom)
+        b1 = theta_tilde_oracle(blk).domain
+        exts[id(b1)] = extend_character(b1, blk.bundle.h1.codes, theta.nums,
+                                        theta.denom)
     for sub in enumerated_groups(blk):
         ext = exts.get(id(sub))
         if ext is None:
@@ -236,18 +238,21 @@ class TestSumsets:
                 assert np.array_equal(got.codes, want)
 
     def test_budget_is_the_exact_size(self, datum_c):
-        # H1 (729) is the largest group of datum c that build_subgroups
-        # enumerates; J1 (6561) and J cap K (52488) are sumsets, sized
-        # without allocation.  B1 (2187), listed by heisenberg, is held to
-        # the same budget
+        # H1 (729) is the largest group of datum c that a single block
+        # enumerates; J1 (6561), J cap K (52488) and B1 (2187) are sumsets,
+        # sized without allocation.  B1 is listed only where a parabolic
+        # Theta reads theta~, and is held to the same budget there
         with pytest.raises(BudgetExceeded) as err:
             build_subgroups(datum_c, budget=728)
         assert err.value.estimate == 729
         b = build_subgroups(datum_c, budget=729)
         assert b.j1.size == 6561 and b.j1.mats is None
         assert b.jcapk.size == 52488 and b.jcapk.mats is None
+        blk = prepare_block(datum_c, budget=729)
+        assert blk.b1.size == 2187 and blk.b1.codes is None
+        other = prepare_block(build_datum(3, 2, 1, [[0, 1], [1, 1]], -1))
         with pytest.raises(BudgetExceeded) as err:
-            prepare_block(datum_c, budget=2186)
+            build_Kpi([blk, other], budget=2186)
         assert err.value.estimate == 2187
 
     def test_membership_only_jcapk_at_p5(self):
@@ -396,7 +401,11 @@ class TestHeisenberg:
             blk.datum, blk.bundle, pol.coset_reps)
         assert pol.pairing == pairing
         assert pol.isotropic == isotropic
-        assert np.array_equal(pol.b1.codes, b1_codes)
+        # the sumset holds every coset of the union, and no more
+        b1 = pol.b1
+        assert b1.codes is None and b1.size == len(b1_codes)
+        assert b1.member_mask(unpack(b1_codes, b1.p, b1.level, b1.n)).all()
+        assert np.array_equal(theta_tilde_oracle(blk).domain.codes, b1_codes)
 
     def test_nonabelian_quotient_is_a_construction_failure(self, block_c):
         # U_A(3) is trivial mod p^3, so J1/U_A(3) is J1, which is not
@@ -405,8 +414,7 @@ class TestHeisenberg:
         bundle = dataclasses.replace(block_c.bundle,
                                      h1=block_c.bundle.ua[3])
         with pytest.raises(ConstructionFailure, match="does not generate"):
-            groups.heisenberg(block_c.datum, bundle, block_c.simple.theta,
-                              BUDGET)
+            groups.heisenberg(block_c.datum, bundle, block_c.simple.theta)
 
     @pytest.mark.parametrize("probe", EVEN_DEPTH)
     def test_dropped_basis_vector_fails_the_dimension_count(self, probe,
@@ -428,7 +436,7 @@ class TestHeisenberg:
 
         monkeypatch.setattr(groups, "fp_reduce", drop_last)
         with pytest.raises(ConstructionFailure, match="does not generate"):
-            groups.heisenberg(d, blk.bundle, blk.simple.theta, BUDGET)
+            groups.heisenberg(d, blk.bundle, blk.simple.theta)
 
     @pytest.mark.parametrize("probe", EVEN_DEPTH)
     def test_pairing_is_the_trace_form(self, probe, request):
@@ -444,7 +452,7 @@ class TestHeisenberg:
         h1 = block_c.bundle.h1
         zero = GroupCharacter(h1, np.zeros(h1.size, np.int64), 1)
         with pytest.raises(ConstructionFailure, match="degenerate pairing"):
-            groups.heisenberg(block_c.datum, block_c.bundle, zero, BUDGET)
+            groups.heisenberg(block_c.datum, block_c.bundle, zero)
 
     def test_unstable_theta_is_a_construction_failure(self, block_c,
                                                       monkeypatch):
@@ -459,10 +467,26 @@ class TestHeisenberg:
         monkeypatch.setattr(groups, "_fixed_on_generators", one_row_false)
         with pytest.raises(ConstructionFailure, match="J1-stable"):
             groups.heisenberg(block_c.datum, block_c.bundle,
-                              block_c.simple.theta, BUDGET)
+                              block_c.simple.theta)
 
     def test_b1_is_group(self, block_c):
-        assert_closed(block_c.pol.b1)
+        assert_closed(theta_tilde_oracle(block_c).domain)
+
+    def test_b1_is_a_sumset_on_a_single_block(self, block_c, kr_c):
+        # never listed: K_pi = B1 is the sumset, |H1| p^(dim_V / 2)
+        assert block_c.b1.codes is None and block_c.b1.mats is None
+        assert kr_c.kpi is block_c.b1
+        assert kr_c.kpi.size == 2187 == block_c.bundle.h1.size * 3
+
+    def test_non_isotropic_w_is_a_construction_failure(self, block_c,
+                                                       monkeypatch):
+        # both basis vectors of J1/H1 span a W on which the pairing is
+        # nonzero; heisenberg decides isotropy before B1 is formed
+        monkeypatch.setattr(groups, "_symplectic_isotropic_basis",
+                            lambda pairing, p: [[1, 0], [0, 1]])
+        with pytest.raises(ConstructionFailure, match="not isotropic"):
+            groups.heisenberg(block_c.datum, block_c.bundle,
+                              block_c.simple.theta)
 
 
 class TestInducedCharacter:
@@ -510,7 +534,7 @@ def oracle_laws(blk):
         rows = np.unique(np.random.default_rng(0).integers(0, b.j1.size,
                                                            size=32))
     return induced_laws_oracle(j1_oracle(b), b.h1, blk.simple.theta,
-                               blk.induced.theta_tilde, rows)
+                               theta_tilde_oracle(blk), rows)
 
 
 def all_blocks(block_a, block_b, block_c, parabolic_kr):
@@ -552,8 +576,7 @@ class TestInducedLaws:
             assert want[4]
 
     def induce(self, blk, pol=None):
-        return groups.extend_and_induce(blk.bundle, blk.simple.theta,
-                                        pol or blk.pol)
+        return groups.extend_and_induce(blk.bundle, pol or blk.pol)
 
     def test_b1_equal_to_h1_is_not_lagrangian(self, block_c, block_p2):
         for blk in (block_c, block_p2):
@@ -568,31 +591,73 @@ class TestInducedMemory:
 
     @pytest.mark.parametrize("name", ["block_b", "block_c"])
     def test_peak_within_twice_j1(self, name, request):
-        # a cold B1, as in a CLI run; H1's generator tree is built by
-        # simple_character before this stage.  The bound is twice a listed
-        # J1, [J1:B1] copies of B1's codes and matrices, though J1 itself
-        # is never listed at even depth
+        # theta~'s table, listed afresh as a parabolic CLI run lists it;
+        # H1's generator tree is built by simple_character before this
+        # stage.  The bound is twice a listed J1, [J1:B1] copies of B1's
+        # codes and matrices, though J1 itself is never listed at even
+        # depth.  The table is theta_tilde_oracle's
         blk = request.getfixturevalue(name)
-        b1, j1 = blk.pol.b1, blk.bundle.j1
-        pol = dataclasses.replace(blk.pol, b1=FiniteSubgroup(
-            b1.name, b1.p, b1.level, b1.n, b1.codes))
+        want = theta_tilde_oracle(blk)
+        b1, j1 = want.domain, blk.bundle.j1
         tracemalloc.start()
         try:
-            ind = groups.extend_and_induce(blk.bundle, blk.simple.theta,
-                                           pol)
+            tilde = groups.listed_theta_tilde(blk, BUDGET)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert laws_tuple(ind) == laws_tuple(blk.induced)
+        assert np.array_equal(tilde.domain.codes, b1.codes)
+        assert np.array_equal(tilde.nums, want.nums)
+        assert tilde.denom == want.denom
         index = j1.size // b1.size
         assert peak <= 2 * index * (b1.codes.nbytes + b1.mats.nbytes)
+
+
+def cfrak1_blocks():
+    """The blocks and K_pi of the shipped cfrak-1 parabolic datum: datum c
+    and an e1 j1 block."""
+    from minvec import cli
+    from minvec.datafiles import load_datum
+    return cli._prepare(load_datum(DATA_DIR / "datum_parabolic_n4p3_cfrak1"
+                                   ".json"), BUDGET, 0)
+
+
+class TestListedThetaTilde:
+    """theta~ is a table only where a parabolic Theta reads it."""
+
+    def test_helper_matches_oracle_on_the_cfrak1_datum(self):
+        blocks, kr = cfrak1_blocks()
+        assert [blk.pol.trivial for blk in blocks] == [False, True]
+        got, want = kr.theta.tildes[0], theta_tilde_oracle(blocks[0])
+        assert got.domain.codes is not None and blocks[0].b1.codes is None
+        assert np.array_equal(got.domain.codes, want.domain.codes)
+        assert np.array_equal(got.nums, want.nums)
+        assert got.denom == want.denom
+        assert kr.theta.tildes[1] is blocks[1].simple.theta
+
+    @pytest.mark.parametrize("probe", EVEN_DEPTH)
+    def test_oracle_extends_theta(self, probe, request):
+        # theta~ agrees with theta on H1 and is multiplicative on 4,096
+        # seeded pairs of B1, products looked up in its listing
+        blk = request.getfixturevalue(probe)
+        tilde, theta, h1 = theta_tilde_oracle(blk), blk.simple.theta, \
+            blk.bundle.h1
+        b1 = tilde.domain
+        assert b1.size == blk.b1.size
+        assert np.array_equal(tilde.restricted_nums(h1.codes) * theta.denom,
+                              theta.nums * tilde.denom)
+        i, k = np.random.default_rng(0).integers(0, b1.size, (2, 4096))
+        idx = b1.index_of_codes(pack(b1.mats[i] @ b1.mats[k] % b1.modulus,
+                                     b1.p, b1.level))
+        assert np.all(idx >= 0)
+        assert not np.any((tilde.nums[i] + tilde.nums[k] - tilde.nums[idx])
+                          % tilde.denom)
 
 
 class TestArrayKernels:
     def test_coset_decomposition_matches_loop(self, block_c):
         b = block_c.bundle
         j1 = j1_oracle(b)
-        for small in (b.h1, block_c.pol.b1):
+        for small in (b.h1, theta_tilde_oracle(block_c).domain):
             got = groups._coset_decomposition(j1, small.mats)
             want = coset_decomposition_oracle(j1, small.codes)
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
@@ -607,8 +672,8 @@ class TestArrayKernels:
             cases = [(h1, base.codes, base_nums, denom0, denom0)]
             if not blk.pol.trivial:
                 theta = blk.simple.theta
-                cases.append((blk.pol.b1, h1.codes, theta.nums, theta.denom,
-                              None))
+                cases.append((theta_tilde_oracle(blk).domain, h1.codes,
+                              theta.nums, theta.denom, None))
             for group, codes, nums, denom, hint in cases:
                 ext = extend_character(group, codes, nums, denom, hint)
                 want = extend_character_oracle(
@@ -788,7 +853,7 @@ class TestSpotBatch:
 class TestKpi:
     def test_single_block_convention(self, block_a, kr_a):
         assert kr_a.kpi is block_a.pol.b1
-        assert kr_a.theta is block_a.induced.theta_tilde
+        assert kr_a.theta is None and kr_a.sampler is None
         assert kr_a.c == Fraction(1, 2)
         assert kr_a.cfrak == 0
 
@@ -834,9 +899,9 @@ class TestKpi:
         g = kr.sampler(Draws(7), 1)[0]
         t = exponent_at(kr.theta, g)
         parts = Fraction(0)
-        for blk, off in zip(kr.blocks, (0, 2)):
-            sub = g[off:off + 2, off:off + 2] % blk.b1.modulus
-            parts += exponent_at(blk.theta_tilde, sub)
+        for theta, off in zip(kr.theta.tildes, (0, 2)):
+            sub = g[off:off + 2, off:off + 2] % theta.domain.modulus
+            parts += exponent_at(theta, sub)
         parts -= math.floor(parts)
         assert t == parts
 

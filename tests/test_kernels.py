@@ -27,7 +27,7 @@ from oracles import (contains, first_not_intertwined_oracle,
                      first_outside_h1, intertwines_oracle, j1_oracle,
                      leibniz_det, mat_inv_mod, product_index_oracle,
                      product_table_oracle, sample_units_outside_oracle,
-                     with_flipped_block, without_coset)
+                     theta_tilde_oracle, with_flipped_block, without_coset)
 
 
 @st.composite
@@ -184,7 +184,8 @@ class TestProductIndex:
                                                   monkeypatch):
         blk = get_block(request, name)
         monkeypatch.setattr(residues, "CHUNK_BYTES", 1 << 12)
-        for group in (blk.bundle.h1, j1_oracle(blk.bundle), blk.pol.b1):
+        for group in (blk.bundle.h1, j1_oracle(blk.bundle),
+                      theta_tilde_oracle(blk).domain):
             # a fresh copy, since the tree is memoized
             sub = FiniteSubgroup(group.name, group.p, group.level, group.n,
                                  group.codes)
@@ -449,8 +450,9 @@ def test_one_product_scan():
 def test_each_character_law_decided_once():
     # extend_character writes the only character certificate, and every
     # GroupCharacter is built from a table it certified; it extends theta
-    # to H1 and theta~ to B1, never a character to J1.  heisenberg alone
-    # decides theta's J1-stability, and the intertwining scan its own rows
+    # to H1, and theta~ to B1 only for a parabolic Theta, never a
+    # character to J1.  heisenberg alone decides theta's J1-stability, and
+    # the intertwining scan its own rows
     callers = {"verify_character": set(), "GroupCharacter": set(),
                "_fixed_on_generators": set(), "extend_character": set()}
     for path in sorted(Path(minvec.__file__).parent.glob("*.py")):
@@ -464,11 +466,11 @@ def test_each_character_law_decided_once():
     assert callers == {
         "verify_character": {"groups.extend_character"},
         "GroupCharacter": {"groups.simple_character",
-                           "groups.extend_and_induce"},
+                           "groups.listed_theta_tilde"},
         "_fixed_on_generators": {"groups.heisenberg",
                                  "groups._first_not_intertwined"},
         "extend_character": {"groups.simple_character",
-                             "groups.extend_and_induce"}}
+                             "groups.listed_theta_tilde"}}
 
 
 def test_no_float_decisions():

@@ -17,7 +17,7 @@ from minvec.testfunc import (compare_with_p_power, concentration_check,
 
 from conftest import build_datum
 from oracles import (concentration_oracle, contains, convolution_rows_oracle,
-                     exponent_at, kpi_exponent_oracle, mat_inv_mod,
+                     exponent_at, kpi_exponent_oracle, listed_kr, mat_inv_mod,
                      offsupport_lands_oracle, omega_exponent,
                      omega_star_exponent, with_flipped_block)
 
@@ -73,7 +73,7 @@ class TestConvolution:
         assert rep.support_ok and rep.offsupport_ok
 
     def test_omega_values(self, kr_a):
-        tf = make_omega(kr_a)
+        tf = make_omega(listed_kr(kr_a))
         ident = np.eye(2, dtype=np.int64)
         assert omega_exponent(tf, ident) == 0
         assert omega_star_exponent(tf, ident) == 0
@@ -83,9 +83,8 @@ class TestConvolution:
 
     def test_translation_covariance(self, kr_a):
         # omega(b x) = Theta(b) omega(x) over the whole support
-        tf = make_omega(kr_a)
-        kpi = kr_a.kpi
-        theta = kr_a.theta
+        kr = listed_kr(kr_a)
+        tf, kpi, theta = make_omega(kr), kr.kpi, kr.theta
         rng = np.random.default_rng(5)
         mod = kpi.modulus
         for _ in range(50):
@@ -97,8 +96,8 @@ class TestConvolution:
 
     def test_star_matches_character(self, kr_a):
         # omega^*(g) = conj(omega(g^{-1})) = Theta(g) on the support
-        tf = make_omega(kr_a)
-        kpi = kr_a.kpi
+        tf = make_omega(listed_kr(kr_a))
+        kpi = tf.kpi_result.kpi
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = kpi.mats[int(rng.integers(0, kpi.size))]
@@ -119,9 +118,10 @@ def with_flipped_entry(kr):
 class TestSingleScanConvolution:
     @pytest.mark.parametrize("flip", [False, True])
     def test_matches_einsum_reference(self, kr_a, kr_c, flip):
-        # the generator certificate decides the termwise law of every pair,
-        # which is why convolve_check reads it on an enumerated support
-        for kr in (kr_a, kr_c):
+        # the termwise law of every pair is multiplicativity itself, which is
+        # why convolve_check decides it from theta~ being a character of
+        # B1; here the generator certificate decides it on theta~'s table
+        for kr in map(listed_kr, (kr_a, kr_c)):
             if flip:
                 kr = with_flipped_entry(kr)
             kpi, nums, denom = kr.kpi, kr.theta.nums, kr.theta.denom
@@ -134,12 +134,12 @@ class TestSingleScanConvolution:
         # g^-1 K_pi meets the group K_pi exactly when g^-1 lies in it
         rng = Draws(3)
         for kr in (kr_a, kr_c):
-            kpi = kr.kpi
+            kpi, listed = kr.kpi, listed_kr(kr).kpi
             p, L, n = kpi.p, kpi.level, kpi.n
             outside = sample_units_outside(kpi.member_mask, p, L, n, rng, 500)
             gs = np.concatenate([np.array(list(itertools.islice(outside, 16))),
-                                 kpi.mats[rng.integers(0, kpi.size, 8)]])
-            want = offsupport_lands_oracle(kpi, gs)
+                                 listed.mats[rng.integers(0, kpi.size, 8)]])
+            want = offsupport_lands_oracle(listed, gs)
             assert want == [False] * 16 + [True] * 8
             assert kpi.member_mask(det_inv_mod(gs, p, L)[1]).tolist() == want
 
@@ -215,7 +215,7 @@ class TestConcentration:
     def test_exhaustive_unramified(self, kr_c):
         rep = concentration_check(make_omega(kr_c))
         assert (rep.cfrak, rep.threshold) == (1, 1)
-        assert all(concentration_oracle(kr_c, 1))
+        assert all(concentration_oracle(listed_kr(kr_c), 1))
 
     def test_parabolic_trivial(self, parabolic_kr):
         rep = concentration_check(make_omega(parabolic_kr))
@@ -243,7 +243,7 @@ class TestConcentration:
         kr = dataclasses.replace(kr, cfrak=kr.cfrak + 1)
         with pytest.raises(ConstructionFailure, match="cfrak"):
             concentration_check(make_omega(kr))
-        assert not all(concentration_oracle(kr, kr.cfrak))
+        assert not all(concentration_oracle(listed_kr(kr), kr.cfrak))
 
     def test_reads_no_element(self, kr_b):
         # a support that cannot be listed gives the same report

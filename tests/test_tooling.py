@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -350,3 +351,27 @@ def test_every_result_field_is_read():
     assert not extra, f"never read in src or perfbench: {', '.join(extra)}"
     stale = sorted(set(FIELDS_UNREAD_OK) - unread)
     assert not stale, f"allowlisted but read or gone: {', '.join(stale)}"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is no JSON number")
+
+
+@pytest.mark.parametrize("workload", ["verify-deep", "verify-broad", "count"])
+def test_traced_perfbench_last_line_is_strict_json(workload):
+    # the benchmark reads one strict JSON object off the last line of a
+    # traced run; the per-layer names are BENCHMARK.json's
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=REPO, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1],
+                      parse_constant=_no_constant)
+    values = [m["value"] for m in last["metrics"].values()]
+    assert all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    schema = json.loads((REPO / "BENCHMARK.json").read_text())
+    assert set(last["metrics"]) == {m["name"] for m in schema["per_layer"]}
+    # count's cold-torus item depends on the machine's speed
+    if workload != "count":
+        assert last["failed"] == 0, proc.stderr
